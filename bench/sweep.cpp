@@ -245,7 +245,7 @@ void printModeTable(const sim::MachineConfig &M,
                     const std::vector<harness::PrefetchSources> &Modes,
                     const harness::ExperimentResult &Result,
                     unsigned First) {
-  std::printf("\nPrefetch sources on %s (%zu levels, hw prefetcher: %s, "
+  std::printf("\nPrefetch sources on %s (%u levels, hw prefetcher: %s, "
               "tlb: %s): cycles [speedup vs none]\n",
               M.Name.c_str(), M.numLevels(),
               sim::hwPrefetchKindName(M.HwPrefetch), sim::tlbWalkName(M.Walk));

@@ -8,8 +8,22 @@
 /// the interpreter itself knows nothing about timing. The usual sink is
 /// sim::MemorySystem (live simulation); wrapping it in a
 /// trace::RecordingSink captures the access stream for record-once /
-/// replay-many sweeps. Demand loads are attributed to their static load
-/// site (exec::SiteId, assigned in first-execution order).
+/// replay-many sweeps.
+///
+/// The interpreter does not walk the IR. On a method's first execution it
+/// decodes the method into a flat array of type-specialized ops over
+/// register slots (constants pre-filled in a frame template, phis lowered
+/// to per-edge parallel moves, branch targets as op indices) and runs
+/// that. The decoded form is dropped whenever the IR may have changed:
+/// when the mixed-mode hook compiles a method and on
+/// invalidateMethodInfo().
+///
+/// Demand loads are attributed to their static load site (exec::SiteId,
+/// assigned in first-execution order); each load op caches its id after
+/// the first execution, so a re-decoded method keeps its ids. Compute
+/// ticks are summed and handed to the sink as one tick() just before the
+/// next non-tick event and when run() returns — equivalent by tick()'s
+/// additivity contract.
 ///
 /// Allocation failures trigger the mark-compact collector with the active
 /// frames' reference slots plus the caller-provided handles as roots.
@@ -24,6 +38,7 @@
 #include "vm/GarbageCollector.h"
 
 #include <chrono>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -59,6 +74,7 @@ public:
   /// trace::RecordingSink); the interpreter never reads it back.
   Interpreter(vm::Heap &Heap, AccessSink &Sink,
               std::vector<vm::Addr> *ExternalRoots = nullptr);
+  ~Interpreter();
 
   /// Runs \p M with \p Args; returns the raw 64-bit result (0 for void).
   uint64_t run(ir::Method *M, const std::vector<uint64_t> &Args);
@@ -118,20 +134,17 @@ public:
   /// Drops all controls (after re-inspection rebuilds the prefetch code).
   void clearPrefetchControls() { Controls.clear(); }
 
-  /// Invalidates cached per-method layout info. Must be called after any
-  /// out-of-band IR rewrite (governor-triggered re-JIT): value counts and
-  /// ref-slot tables are stale otherwise.
-  void invalidateMethodInfo() { Infos.clear(); }
-
-  /// The attribution site of a prefetch/spec-load: its anchor load's
-  /// site when anchored, else the instruction's own (fresh) site.
-  SiteId prefetchSiteOf(const ir::AddressedInst *A) {
-    return siteOf(A->anchor() ? A->anchor() : A);
-  }
+  /// Drops every decoded method. Must be called after any out-of-band IR
+  /// rewrite (governor-triggered re-JIT), between runs: the decoded ops
+  /// are stale otherwise. Load sites keep their ids across the re-decode.
+  void invalidateMethodInfo();
 
   /// Execution budget; exceeding it throws support::RuntimeTrap
   /// (runaway-loop protection).
-  void setMaxInstructions(uint64_t Max) { MaxInstructions = Max; }
+  void setMaxInstructions(uint64_t Max) {
+    MaxInstructions = Max;
+    scheduleCheck();
+  }
 
   /// Wall-clock watchdog: execution past the deadline throws
   /// support::CellTimeout. Checked cooperatively every few thousand
@@ -146,24 +159,27 @@ private:
   /// Throws support::CellTimeout when the deadline has passed.
   void checkDeadline() const;
 
-  struct MethodInfo {
-    unsigned NumValues = 0;
-    std::vector<unsigned> RefValueIds; // Dense ids of Ref-typed values.
-  };
+  /// A method's decoded execution form and one of its ops (both defined
+  /// in Interpreter.cpp).
+  struct MethodInfo;
+  struct Op;
 
   struct Frame {
     ir::Method *M = nullptr;
+    const MethodInfo *Info = nullptr;
     std::vector<uint64_t> Regs;
   };
 
-  const MethodInfo &infoFor(ir::Method *M);
+  MethodInfo &infoFor(ir::Method *M);
   SiteId siteOf(const ir::Instruction *I);
   uint64_t execute(ir::Method *M, const std::vector<uint64_t> &Args);
-  uint64_t eval(const Frame &F, const ir::Value *V) const;
-  uint64_t evalBinary(const ir::BinaryInst *B, uint64_t L, uint64_t R) const;
-  vm::Addr addressOf(const Frame &F, const ir::AddressedInst *A) const;
-  vm::Addr allocate(const ir::Instruction *I, const Frame &F);
+  vm::Addr allocate(const Op &O, const uint64_t *Regs);
   void collectGarbage();
+  /// Sets NextCheck to the next Retired count that needs a budget or
+  /// deadline check.
+  void scheduleCheck();
+  /// The budget and deadline checks, run when Retired reaches NextCheck.
+  void checkpoint();
 
   vm::Heap &Heap;
   AccessSink &Sink;
@@ -176,11 +192,19 @@ private:
   vm::GarbageCollector Gc;
   ExecStats Stats;
   uint64_t MaxInstructions = 4ull << 30;
+  /// Retired count at which checkpoint() runs next.
+  uint64_t NextCheck = 0;
   bool HasDeadline = false;
   std::chrono::steady_clock::time_point Deadline;
-  std::unordered_map<ir::Method *, MethodInfo> Infos;
+  /// Compute ticks not yet handed to the sink. An executing frame keeps
+  /// its running sum in a local and parks it here across calls,
+  /// allocations and unwinds; run() flushes what is left.
+  uint64_t PendingTicks = 0;
+  std::unordered_map<ir::Method *, std::unique_ptr<MethodInfo>> Infos;
   /// Load-site attribution: instruction -> dense SiteId, assigned in
   /// first-execution order (deterministic for a deterministic program).
+  /// Decoded ops cache their id; this map serves each op's first
+  /// execution, including after a re-decode.
   std::unordered_map<const ir::Instruction *, SiteId> LoadSites;
   std::vector<Frame *> ActiveFrames;
   unsigned CallDepth = 0;

@@ -16,20 +16,6 @@ Heap::Heap(const TypeTable &Types, Config Cfg)
          "statics area must not overlap the heap");
 }
 
-uint8_t *Heap::ptr(Addr A) {
-  if (A >= Cfg.HeapBase) {
-    assert(A - Cfg.HeapBase < Cfg.HeapBytes && "heap address out of range");
-    return Storage.data() + (A - Cfg.HeapBase);
-  }
-  assert(A >= Cfg.StaticsBase && A - Cfg.StaticsBase < Cfg.StaticsBytes &&
-         "address in neither heap nor statics area");
-  return StaticsStorage.data() + (A - Cfg.StaticsBase);
-}
-
-const uint8_t *Heap::ptr(Addr A) const {
-  return const_cast<Heap *>(this)->ptr(A);
-}
-
 void Heap::formatFiller(Addr A, uint64_t Size) {
   assert(Size >= ObjectHeaderSize && (Size & 7) == 0 && "unparseable hole");
   uint64_t Length = (Size - ObjectHeaderSize) / 8;
@@ -124,48 +110,10 @@ Addr Heap::allocStatic(ir::Type Ty) {
   return A;
 }
 
-uint64_t Heap::load(Addr A, ir::Type Ty) const {
-  if (Ty == ir::Type::I32) {
-    int32_t V;
-    std::memcpy(&V, ptr(A), 4);
-    return static_cast<uint64_t>(static_cast<int64_t>(V));
-  }
-  uint64_t V;
-  std::memcpy(&V, ptr(A), 8);
-  return V;
-}
-
-void Heap::store(Addr A, ir::Type Ty, uint64_t Raw) {
-  if (Ty == ir::Type::I32) {
-    int32_t V = static_cast<int32_t>(Raw);
-    std::memcpy(ptr(A), &V, 4);
-    return;
-  }
-  std::memcpy(ptr(A), &Raw, 8);
-}
-
 bool Heap::isArray(Addr Obj) const {
   uint32_t Flags;
   std::memcpy(&Flags, ptr(Obj) + 4, 4);
   return Flags & HF_IsArray;
-}
-
-uint32_t Heap::descId(Addr Obj) const {
-  uint32_t Id;
-  std::memcpy(&Id, ptr(Obj), 4);
-  return Id;
-}
-
-uint64_t Heap::arrayLength(Addr Obj) const {
-  assert(isArray(Obj) && "arrayLength on a non-array");
-  uint64_t Len;
-  std::memcpy(&Len, ptr(Obj) + ArrayLengthOffset, 8);
-  return Len;
-}
-
-ir::Type Heap::arrayElemType(Addr Obj) const {
-  assert(isArray(Obj) && "arrayElemType on a non-array");
-  return static_cast<ir::Type>(descId(Obj));
 }
 
 uint64_t Heap::objectSize(Addr Obj) const {

@@ -14,6 +14,7 @@
 
 #include "vm/TypeTable.h"
 
+#include <cassert>
 #include <cstring>
 #include <vector>
 
@@ -64,17 +65,45 @@ public:
 
   /// Loads the raw 64-bit slot value at \p A of type \p Ty (i32 values are
   /// sign-extended).
-  uint64_t load(Addr A, ir::Type Ty) const;
+  uint64_t load(Addr A, ir::Type Ty) const {
+    if (Ty == ir::Type::I32) {
+      int32_t V;
+      std::memcpy(&V, ptr(A), 4);
+      return static_cast<uint64_t>(static_cast<int64_t>(V));
+    }
+    uint64_t V;
+    std::memcpy(&V, ptr(A), 8);
+    return V;
+  }
 
   /// Stores \p Raw at \p A as a value of type \p Ty.
-  void store(Addr A, ir::Type Ty, uint64_t Raw);
+  void store(Addr A, ir::Type Ty, uint64_t Raw) {
+    if (Ty == ir::Type::I32) {
+      int32_t V = static_cast<int32_t>(Raw);
+      std::memcpy(ptr(A), &V, 4);
+      return;
+    }
+    std::memcpy(ptr(A), &Raw, 8);
+  }
 
   // -- Header access -------------------------------------------------------
 
   bool isArray(Addr Obj) const;
-  uint32_t descId(Addr Obj) const;
-  uint64_t arrayLength(Addr Obj) const;
-  ir::Type arrayElemType(Addr Obj) const;
+  uint32_t descId(Addr Obj) const {
+    uint32_t Id;
+    std::memcpy(&Id, ptr(Obj), 4);
+    return Id;
+  }
+  uint64_t arrayLength(Addr Obj) const {
+    assert(isArray(Obj) && "arrayLength on a non-array");
+    uint64_t Len;
+    std::memcpy(&Len, ptr(Obj) + ArrayLengthOffset, 8);
+    return Len;
+  }
+  ir::Type arrayElemType(Addr Obj) const {
+    assert(isArray(Obj) && "arrayElemType on a non-array");
+    return static_cast<ir::Type>(descId(Obj));
+  }
 
   /// Address of element \p I of array \p Obj.
   Addr elemAddr(Addr Obj, uint64_t I) const {
@@ -161,8 +190,16 @@ private:
   /// sliver), so a block is only taken when the cut is clean.
   Addr allocFromFreeList(uint64_t Size);
 
-  uint8_t *ptr(Addr A);
-  const uint8_t *ptr(Addr A) const;
+  uint8_t *ptr(Addr A) {
+    if (A >= Cfg.HeapBase) {
+      assert(A - Cfg.HeapBase < Cfg.HeapBytes && "heap address out of range");
+      return Storage.data() + (A - Cfg.HeapBase);
+    }
+    assert(A >= Cfg.StaticsBase && A - Cfg.StaticsBase < Cfg.StaticsBytes &&
+           "address in neither heap nor statics area");
+    return StaticsStorage.data() + (A - Cfg.StaticsBase);
+  }
+  const uint8_t *ptr(Addr A) const { return const_cast<Heap *>(this)->ptr(A); }
 
   /// Resets the allocation frontier (compaction support).
   void setTop(uint64_t NewTop) { Top = NewTop; }

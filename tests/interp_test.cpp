@@ -2,8 +2,10 @@
 
 #include "exec/Interpreter.h"
 #include "ir/IRBuilder.h"
+#include "sim/CountingSink.h"
 #include "sim/MemorySystem.h"
 #include "ir/Verifier.h"
+#include "support/Status.h"
 #include "workloads/KernelBuilder.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +14,65 @@ using namespace spf;
 using namespace spf::ir;
 
 namespace {
+
+using exec::AccessEvent;
+using exec::EventKind;
+
+/// Logs the event stream it forwards to \p Inner.
+class LoggingSink final : public exec::AccessSink {
+public:
+  explicit LoggingSink(exec::AccessSink &Inner) : Inner(Inner) {}
+
+  std::vector<AccessEvent> Log;
+
+  void tick(uint64_t N) override {
+    Log.push_back({EventKind::Tick, N, 0});
+    Inner.tick(N);
+  }
+  void load(uint64_t Addr, exec::SiteId Site) override {
+    Log.push_back({EventKind::Load, Addr, Site});
+    Inner.load(Addr, Site);
+  }
+  void store(uint64_t Addr) override {
+    Log.push_back({EventKind::Store, Addr, 0});
+    Inner.store(Addr);
+  }
+  void prefetch(uint64_t Addr) override {
+    Log.push_back({EventKind::Prefetch, Addr, 0});
+    Inner.prefetch(Addr);
+  }
+  void guardedLoad(uint64_t Addr) override {
+    Log.push_back({EventKind::GuardedLoad, Addr, 0});
+    Inner.guardedLoad(Addr);
+  }
+  void guardedLoadFault() override {
+    Log.push_back({EventKind::GuardedLoadFault, 0, 0});
+    Inner.guardedLoadFault();
+  }
+
+  /// Sites of the logged loads, in order; clears the log.
+  std::vector<exec::SiteId> takeLoadSites() {
+    std::vector<exec::SiteId> Sites;
+    for (const AccessEvent &E : Log)
+      if (E.Kind == EventKind::Load)
+        Sites.push_back(E.Site);
+    Log.clear();
+    return Sites;
+  }
+
+private:
+  exec::AccessSink &Inner;
+};
+
+/// Runs \p Fn and expects a RuntimeTrap whose message contains \p Msg.
+template <typename Fn> void expectTrap(Fn &&F, const std::string &Msg) {
+  try {
+    F();
+    ADD_FAILURE() << "no trap; expected \"" << Msg << "\"";
+  } catch (const support::RuntimeTrap &T) {
+    EXPECT_NE(std::string(T.what()).find(Msg), std::string::npos) << T.what();
+  }
+}
 
 class InterpTest : public ::testing::Test {
 protected:
@@ -243,6 +304,229 @@ TEST_F(InterpTest, RetiredCountsExcludePhis) {
   // entry jump, the final cmp + br, and ret: 5*5 + 1 + 2 + 1 = 29. Phis
   // retire nothing.
   EXPECT_EQ(Retired, 29u);
+}
+
+TEST_F(InterpTest, PhisAreParallelCopiesOnEachEdge) {
+  // On the back edge x and y swap, a, b, c rotate, and p, q shift (q takes
+  // x's old value). Copying the phis one after another would smear one
+  // value over the others.
+  Method *Fn = M.addMethod("phis", Type::I64, {Type::I32});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  workloads::LoopNest L(B, "i");
+  PhiInst *I = L.civ(B.i32(0));
+  std::vector<PhiInst *> V; // x y a b c p q
+  for (int64_t Init = 1; Init <= 7; ++Init)
+    V.push_back(L.addCarried(B.i64(Init)));
+  L.beginBody(B.cmpLt(I, Fn->arg(0)));
+  L.setNext(V[0], V[1]);
+  L.setNext(V[1], V[0]);
+  L.setNext(V[2], V[3]);
+  L.setNext(V[3], V[4]);
+  L.setNext(V[4], V[2]);
+  L.setNext(V[5], V[6]);
+  L.setNext(V[6], V[0]);
+  L.close();
+  Value *Digits = V[0];
+  for (unsigned K = 1; K != V.size(); ++K)
+    Digits = B.add(B.mul(Digits, B.i64(10)), V[K]);
+  B.ret(Digits);
+
+  EXPECT_EQ(run(Fn, {0}), 1234567u);
+  EXPECT_EQ(run(Fn, {1}), 2145371u);
+  EXPECT_EQ(run(Fn, {2}), 1253412u);
+  EXPECT_EQ(run(Fn, {3}), 2134521u);
+}
+
+/// A method whose two loads execute in the opposite of their layout
+/// order: entry -> late (loads b) -> early (loads a) -> ret a + b.
+struct SitesKernel {
+  Method *Fn;
+  BasicBlock *Early;
+  const vm::FieldDesc *FA, *FB;
+  vm::Addr Obj;
+};
+
+SitesKernel buildSitesKernel(Module &M, vm::TypeTable &Types,
+                             vm::Heap &Heap) {
+  auto *Cls = Types.addClass("Sited");
+  SitesKernel K;
+  K.FA = Types.addField(Cls, "a", Type::I32);
+  K.FB = Types.addField(Cls, "b", Type::I32);
+  K.Fn = M.addMethod("sites", Type::I32, {Type::Ref});
+  IRBuilder B(M);
+  BasicBlock *Entry = K.Fn->addBlock("entry");
+  K.Early = K.Fn->addBlock("early");
+  BasicBlock *Late = K.Fn->addBlock("late");
+  B.setInsertPoint(Entry);
+  B.jump(Late);
+  B.setInsertPoint(Late);
+  Value *Bv = B.getField(K.Fn->arg(0), K.FB);
+  B.jump(K.Early);
+  B.setInsertPoint(K.Early);
+  B.ret(B.add(B.getField(K.Fn->arg(0), K.FA), Bv));
+  K.Fn->recomputePreds();
+  K.Obj = Heap.allocObject(*Cls);
+  Heap.store(K.Obj + K.FA->Offset, Type::I32, 3);
+  Heap.store(K.Obj + K.FB->Offset, Type::I32, 4);
+  return K;
+}
+
+/// Puts a fresh load of field b at the top of the kernel's early block:
+/// it runs after the late load and before the early one.
+void insertLoad(const SitesKernel &K) {
+  K.Early->insertBefore(K.Early->front(),
+                        std::make_unique<GetFieldInst>(K.Fn->arg(0), K.FB));
+}
+
+TEST_F(InterpTest, LoadSitesKeepFirstExecutionOrderAcrossRedecode) {
+  SitesKernel K = buildSitesKernel(M, Types, Heap);
+  sim::CountingSink Counts;
+  LoggingSink Log(Counts);
+  exec::Interpreter I(Heap, Log);
+
+  EXPECT_EQ(I.run(K.Fn, {K.Obj}), 7u);
+  // The late block's load runs first and so is site 0.
+  EXPECT_EQ(Log.takeLoadSites(), (std::vector<exec::SiteId>{0, 1}));
+
+  // Rewrite the IR out of band and drop the decoded form: the old loads
+  // keep their ids, the new one gets the next id when it first runs.
+  insertLoad(K);
+  I.invalidateMethodInfo();
+  EXPECT_EQ(I.run(K.Fn, {K.Obj}), 7u);
+  EXPECT_EQ(Log.takeLoadSites(), (std::vector<exec::SiteId>{0, 2, 1}));
+  EXPECT_EQ(I.loadSiteCount(), 3u);
+}
+
+TEST_F(InterpTest, LoadSitesSurviveMixedModeRecompile) {
+  SitesKernel K = buildSitesKernel(M, Types, Heap);
+  sim::CountingSink Counts;
+  LoggingSink Log(Counts);
+  exec::Interpreter I(Heap, Log);
+  unsigned Compiles = 0;
+  I.enableMixedMode(
+      [&](Method *Fn, const std::vector<uint64_t> &) {
+        ASSERT_EQ(Fn, K.Fn);
+        ++Compiles;
+        insertLoad(K);
+      },
+      /*Threshold=*/2);
+
+  EXPECT_EQ(I.run(K.Fn, {K.Obj}), 7u);
+  EXPECT_EQ(Log.takeLoadSites(), (std::vector<exec::SiteId>{0, 1}));
+  for (int Run = 0; Run != 2; ++Run) {
+    EXPECT_EQ(I.run(K.Fn, {K.Obj}), 7u);
+    EXPECT_EQ(Log.takeLoadSites(), (std::vector<exec::SiteId>{0, 2, 1}));
+  }
+  EXPECT_EQ(Compiles, 1u);
+  EXPECT_TRUE(I.isCompiled(K.Fn));
+}
+
+TEST_F(InterpTest, ComputeTicksReachTheSinkCoalesced) {
+  // sum(arr, n): allocate, then per element a load, a call and adds.
+  Method *Id = M.addMethod("id", Type::I32, {Type::I32});
+  IRBuilder B(M);
+  B.setInsertPoint(Id->addBlock("entry"));
+  B.ret(Id->arg(0));
+  auto *Cls = Types.addClass("Scratch");
+  Method *Fn = M.addMethod("sum", Type::I32, {Type::Ref, Type::I32});
+  B.setInsertPoint(Fn->addBlock("entry"));
+  B.newObject(Cls);
+  workloads::LoopNest L(B, "i");
+  PhiInst *I = L.civ(B.i32(0));
+  PhiInst *S = L.addCarried(B.i32(0));
+  L.beginBody(B.cmpLt(I, Fn->arg(1)));
+  Value *Slot = B.andOp(I, B.i32(63)); // A ring index; N stays below 64.
+  Value *E = B.call(Id, Type::I32, {B.aload(Fn->arg(0), Slot, Type::I32)});
+  L.setNext(S, B.add(S, E));
+  L.close();
+  B.ret(S);
+  ASSERT_TRUE(verifyMethod(Fn));
+
+  constexpr unsigned N = 40;
+  vm::Addr Arr = Heap.allocArray(Type::I32, N);
+  for (unsigned K = 0; K != N; ++K)
+    Heap.store(Heap.elemAddr(Arr, K), Type::I32, K);
+
+  // The stream one tick() per retired instruction gives: allocation (4)
+  // and the entry jump; per element cmp, br, and, the load, call (5),
+  // add, jump, latch add, jump; then the last cmp and br.
+  const sim::MachineConfig P4 = *sim::MachineConfig::byName("pentium4");
+  sim::MemorySystem Ref(P4);
+  Ref.tick(4);
+  Ref.tick(1);
+  for (unsigned K = 0; K != N; ++K) {
+    Ref.tick(1);
+    Ref.tick(1);
+    Ref.tick(1);
+    Ref.load(Heap.elemAddr(Arr, K), 0);
+    for (uint64_t Ticks : {5, 1, 1, 1, 1})
+      Ref.tick(Ticks);
+  }
+  Ref.tick(1);
+  Ref.tick(1);
+
+  sim::CountingSink Counts;
+  LoggingSink Log(Counts);
+  exec::Interpreter Logged(Heap, Log);
+  EXPECT_EQ(Logged.run(Fn, {Arr, N}), uint64_t(N * (N - 1) / 2));
+  EXPECT_EQ(Counts.TicksTotal, 12u * N + 7);
+  EXPECT_EQ(Counts.Loads, N);
+  EXPECT_EQ(Counts.TickCalls, N + 1); // One run before each load, one after.
+  for (size_t K = 1; K < Log.Log.size(); ++K)
+    EXPECT_FALSE(Log.Log[K - 1].Kind == EventKind::Tick &&
+                 Log.Log[K].Kind == EventKind::Tick)
+        << "consecutive ticks at event " << K;
+
+  sim::MemorySystem Live(P4);
+  exec::Interpreter Timed(Heap, Live);
+  Timed.run(Fn, {Arr, N});
+  EXPECT_EQ(Live.cycles(), Ref.cycles());
+  EXPECT_EQ(Live.acct(), Ref.acct());
+  EXPECT_EQ(Live.stats(), Ref.stats());
+}
+
+TEST_F(InterpTest, TrapsFireAsBefore) {
+  IRBuilder B(M);
+
+  // A block without a terminator: its one instruction retires, then the
+  // interpreter traps.
+  Method *Open = M.addMethod("open", Type::I32, {Type::I32});
+  B.setInsertPoint(Open->addBlock("entry"));
+  B.add(Open->arg(0), B.i32(1));
+  uint64_t Before = Interp.stats().Retired;
+  expectTrap([&] { Interp.run(Open, {1}); },
+             "fell off the end of a block without a terminator");
+  EXPECT_EQ(Interp.stats().Retired - Before, 1u);
+
+  for (Type Ty : {Type::I32, Type::I64}) {
+    Method *Div = M.addMethod("div", Ty, {Ty, Ty});
+    B.setInsertPoint(Div->addBlock("entry"));
+    B.ret(B.div(Div->arg(0), Div->arg(1)));
+    Method *Rem = M.addMethod("rem", Ty, {Ty, Ty});
+    B.setInsertPoint(Rem->addBlock("entry"));
+    B.ret(B.rem(Rem->arg(0), Rem->arg(1)));
+    EXPECT_EQ(run(Div, {7, 2}), 3u);
+    EXPECT_EQ(run(Rem, {7, 2}), 1u);
+    expectTrap([&] { Interp.run(Div, {7, 0}); }, "integer division by zero");
+    expectTrap([&] { Interp.run(Rem, {7, 0}); }, "integer remainder by zero");
+  }
+
+  // The budget trap fires on the first instruction past the budget.
+  Method *Spin = M.addMethod("spin", Type::I32, {Type::I32});
+  B.setInsertPoint(Spin->addBlock("entry"));
+  workloads::LoopNest L(B, "i");
+  PhiInst *I = L.civ(B.i32(0));
+  L.beginBody(B.cmpLt(I, Spin->arg(0)));
+  L.close();
+  B.ret(I);
+  sim::CountingSink Counts;
+  exec::Interpreter Budgeted(Heap, Counts);
+  Budgeted.setMaxInstructions(1000);
+  EXPECT_EQ(Budgeted.run(Spin, {100}), 100u); // 504 retired.
+  expectTrap([&] { Budgeted.run(Spin, {1000}); },
+             "execution budget exceeded");
+  EXPECT_EQ(Budgeted.stats().Retired, 1001u);
 }
 
 } // namespace
