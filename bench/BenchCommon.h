@@ -259,35 +259,8 @@ inline unsigned jobsFromArgs(int argc, char **argv) {
   return harness::defaultJobs();
 }
 
-/// Record-once / replay-many knobs from the command line:
-///   --no-trace-reuse      interpret every cell directly (A/B baseline)
-///   --trace-cache-mb N    in-memory trace budget in MB (0 disables;
-///                         default: SPF_TRACE_MB, then 256)
-///   --trace-dir DIR       spill evicted traces to DIR and reuse them
-///                         across runs
-inline harness::TraceOptions traceOptionsFromArgs(int argc, char **argv) {
-  harness::TraceOptions T;
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    double Mb = -1;
-    if (A == "--no-trace-reuse")
-      T.Enabled = false;
-    else if (A == "--trace-cache-mb" && I + 1 < argc)
-      Mb = std::atof(argv[I + 1]);
-    else if (A.rfind("--trace-cache-mb=", 0) == 0)
-      Mb = std::atof(A.c_str() + 17);
-    else if (A == "--trace-dir" && I + 1 < argc)
-      T.SpillDir = argv[I + 1];
-    else if (A.rfind("--trace-dir=", 0) == 0)
-      T.SpillDir = A.substr(12);
-    if (Mb >= 0)
-      T.BudgetBytes = static_cast<size_t>(Mb * 1024.0 * 1024.0);
-  }
-  return T;
-}
-
 /// Per-binary CLI state shared by every bench main: worker threads,
-/// trace reuse, out-of-process isolation, and the run journal. Filled by
+/// out-of-process isolation, and the run journal. Filled by
 /// init(); consumed by runPlanCli(). PlanSeq numbers the runPlanCli
 /// calls a binary makes, so the hidden worker protocol can name a cell
 /// of any plan in a multi-plan binary.
@@ -297,7 +270,6 @@ struct BenchCli {
   std::string SelfPath;
   std::optional<harness::WorkerRequest> Worker;
   unsigned Jobs = 0;
-  harness::TraceOptions Trace;
   bool Isolate = false;
   uint64_t CellMemMb = 0;
   std::string JournalPath;
@@ -362,7 +334,6 @@ inline void flushObservability() {
 
 /// Parses the shared bench flags. Call first in every bench main:
 ///   --jobs N            worker threads (or SPF_JOBS)
-///   --no-trace-reuse / --trace-cache-mb N / --trace-dir DIR
 ///   --isolate           run every cell in a supervised worker process
 ///   --cell-mem-mb N     RLIMIT_AS per worker in MiB (or SPF_CELL_MEM_MB)
 ///   --journal FILE      append one fsync'd record per finished cell
@@ -383,7 +354,6 @@ inline void init(int argc, char **argv) {
   C.SelfPath = support::selfExecutablePath(argv[0]);
   C.Worker = harness::parseWorkerRequest(argc, argv);
   C.Jobs = jobsFromArgs(argc, argv);
-  C.Trace = traceOptionsFromArgs(argc, argv);
   C.CellMemMb = harness::cellMemMbFromEnv();
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
@@ -437,9 +407,6 @@ inline void init(int argc, char **argv) {
   // a group kill still takes them down instantly.
   if (!C.Worker)
     support::installShutdownHandlers();
-  if (C.ProfileOut.empty())
-    if (const char *E = std::getenv("SPF_TRACE_OUT"))
-      C.ProfileOut = E;
   if (C.StatsOut.empty())
     if (const char *E = std::getenv("SPF_STATS_OUT"))
       C.StatsOut = E;
@@ -527,7 +494,7 @@ runPlanCli(const harness::ExperimentPlan &Plan) {
   const unsigned Seq = C.PlanSeq++;
   if (C.Worker) {
     if (C.Worker->PlanSeq == Seq)
-      harness::runCellWorker(Plan, *C.Worker, C.Trace); // Does not return.
+      harness::runCellWorker(Plan, *C.Worker); // Does not return.
     harness::ExperimentResult R;
     R.Cells.resize(Plan.size());
     for (harness::CellResult &Cell : R.Cells) {
@@ -538,7 +505,6 @@ runPlanCli(const harness::ExperimentPlan &Plan) {
   }
 
   harness::RunPlanOptions Opts;
-  Opts.Trace = C.Trace;
   if (C.Isolate) {
     Opts.Isolate.Enabled = true;
     Opts.Isolate.CellMemMb = C.CellMemMb;
@@ -671,7 +637,7 @@ collectAll(const harness::ExperimentResult &Result, bool WithInter,
 }
 
 /// Runs every Table 3 workload on \p Machine under the configuration
-/// init() parsed (jobs, trace reuse, isolation, journal). Self-check
+/// init() parsed (jobs, isolation, journal). Self-check
 /// failures and baseline-vs-prefetch mismatches are recorded via
 /// reportFailure(), so callers finish with `return bench::exitCode();`.
 inline std::vector<WorkloadRuns> runAll(const sim::MachineConfig &Machine,

@@ -186,8 +186,8 @@ void writeRowJson(harness::JsonWriter &J, const RowResult &R) {
 /// CI gate: diffs this run's report against the committed baseline
 /// through harness::diffReports — the same comparator (and default
 /// thresholds: a recovery drop of more than 0.20 is a regression) that
-/// `spf-report diff` applies, so this gate and the throughput gate can
-/// never drift apart. \p ReportText is this run's own report JSON.
+/// `spf-report diff` applies, so this gate and the CLI can never drift
+/// apart. \p ReportText is this run's own report JSON.
 void checkAgainst(const std::string &Path, const std::string &ReportText) {
   std::ifstream IS(Path);
   if (!IS) {

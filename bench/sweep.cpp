@@ -10,11 +10,9 @@
 ///         [--machine NAME] [--machine-file FILE] [--hw-prefetch KIND]
 ///         [--epochs N] [--gc-variant KIND] [--governor on|off]
 ///         [--phase-change]
-///         [--no-trace-reuse] [--trace-cache-mb N] [--trace-dir DIR]
 ///         [--isolate] [--cell-mem-mb N] [--journal FILE] [--resume]
 ///         [--profile-out FILE] [--stats-out FILE]
 ///         [--decisions-out FILE] [--explain]
-///   sweep --throughput [--throughput-json FILE] [--throughput-secs S]
 ///
 ///   --jobs N          worker threads (default: SPF_JOBS, then hardware
 ///                     concurrency); results are bit-identical for any N
@@ -43,19 +41,11 @@
 ///   --governor on|off enable the online prefetch-health governor, which
 ///                     re-decides each prefetch site (keep / retune /
 ///                     quarantine / re-inspect) at epoch boundaries;
-///                     governed cells never reuse recorded traces (or
+///                     governed cells never share an execution (or
 ///                     SPF_GOVERNOR)
 ///   --phase-change    shuffle every Ref array's element order at the
 ///                     middle epoch boundary, breaking inspected stride
 ///                     patterns mid-run (or SPF_PHASE_CHANGE=1)
-///   --no-trace-reuse  interpret every cell directly instead of replaying
-///                     recorded access traces (statistics are identical
-///                     either way; this is the A/B baseline CI diffs
-///                     against)
-///   --trace-cache-mb N  in-memory trace cache budget in MB (0 disables;
-///                     default: SPF_TRACE_MB, then 256)
-///   --trace-dir DIR   spill evicted traces to DIR; later runs replay
-///                     them across process boundaries
 ///   --isolate         run every cell in a supervised worker process with
 ///                     hard rlimits; crashes become per-cell quarantine
 ///                     entries instead of killing the sweep (statistics
@@ -79,36 +69,21 @@
 ///   --profile-out F   write a Chrome trace_event JSON timeline of the
 ///                     whole sweep (open in chrome://tracing or
 ///                     ui.perfetto.dev); under --isolate, worker
-///                     processes appear as their own lanes (or
-///                     SPF_TRACE_OUT)
+///                     processes appear as their own lanes
 ///   --stats-out F     write the harness counters/histograms in
 ///                     Prometheus text format (or SPF_STATS_OUT)
 ///   --decisions-out F write one JSON line per compile decision —
 ///                     which strides inspection found, what the planner
 ///                     pruned, why loops degraded (or SPF_DECISIONS_OUT)
 ///   --explain         print the per-cell compile-decision summary
-///   --throughput      replay-throughput benchmark instead of the sweep:
-///                     records the standard plan's traces once, then
-///                     measures replay cells/sec and events/sec under
-///                     per-event dispatch (the pre-batching baseline),
-///                     batched consume() dispatch, and spill reload via
-///                     heap read vs zero-copy mmap — verifying along the
-///                     way that all modes produce bit-identical stats
-///   --throughput-json F  where to write the result JSON (default:
-///                     BENCH_sweep_throughput.json; the committed copy
-///                     at the repo root is CI's regression baseline)
-///   --throughput-secs S  minimum measured seconds per mode (default 1)
 ///   SPF_OBS=0         disable all observability at run time; report
 ///                     statistics are bit-identical either way
 ///   SPF_SCALE=0.1     reduced problem scale, as for every bench binary
-///   SPF_TRACE_MB=N    default trace cache budget in MB
-///   SPF_TRACE_DIR_MB=N  byte budget for the --trace-dir spill directory
-///                     in MB; least-recently-used spill files are evicted
-///                     to stay under it (0 = unlimited)
 ///   SPF_FAULTS=...    chaos mode: seeded fault injection (DESIGN.md,
 ///                     "Failure model"); quarantined cells are reported
 ///                     but injected transients do not fail the run —
-///                     fault injection also disables trace reuse
+///                     fault injection also runs every cell on its own
+///                     execution
 ///   SPF_CELL_TIMEOUT=S  per-cell wall-clock watchdog in seconds
 ///   SPF_CELL_MEM_MB=N   default per-worker RLIMIT_AS in MiB
 ///   SPF_NO_BACKOFF=1    disable the retry backoff delay (tests/CI)
@@ -125,13 +100,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
-#include <map>
-#include <memory>
 #include <sstream>
-#include <unistd.h>
 
 using namespace spf;
 using namespace spf::bench;
@@ -187,45 +156,28 @@ void printSpeedups(const char *Title,
                 speedup(Row, Row.Inter), speedup(Row, Row.Intra));
 }
 
-/// Per-cell wall-clock accounting: which cells interpreted (and how
-/// long), which replayed a recorded trace, plus a cache summary line.
+/// Per-cell wall-clock accounting: how long each interpreted cell took,
+/// and which cells shared another cell's execution.
 void printCellTimings(const harness::ExperimentPlan &Plan,
                       const harness::ExperimentResult &Result) {
-  std::printf("\nPer-cell wall clock (record-once / replay-many)\n");
-  std::printf("%-12s %-9s %-12s %12s %12s\n", "benchmark", "machine",
-              "algorithm", "interpret_us", "replay_us");
+  std::printf("\nPer-cell wall clock (one execution per signature)\n");
+  std::printf("%-12s %-9s %-12s %12s\n", "benchmark", "machine",
+              "algorithm", "interpret_us");
+  unsigned Shared = 0;
   for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
        ++I) {
     const harness::ExperimentCell &C = Plan.cells()[I];
     const workloads::RunResult &R = Result.run(I);
     if (!Result.Cells[I].Ran)
       continue;
-    std::printf("%-12s %-9s %-12s %12.0f %12.0f%s\n", C.Spec->Name.c_str(),
+    Shared += R.Replayed;
+    std::printf("%-12s %-9s %-12s %12.0f%s\n", C.Spec->Name.c_str(),
                 C.Opt.Machine.Name.c_str(),
                 workloads::algorithmName(C.Opt.Algo), R.InterpretUs,
-                R.ReplayUs, R.Replayed ? "  (replayed)" : "");
+                R.Replayed ? "  (shared)" : "");
   }
-
-  const harness::TraceCacheStats &T = Result.Trace;
-  uint64_t Lookups = T.Hits + T.Misses;
-  if (!Result.TraceEnabled) {
-    std::printf("trace cache: disabled\n");
-    return;
-  }
-  std::printf("trace cache: %llu/%llu hits (%.0f%%), %llu inserts, "
-              "%llu evictions, %llu overflows, %llu spilled, "
-              "%.1f/%.0f MB used\n",
-              static_cast<unsigned long long>(T.Hits),
-              static_cast<unsigned long long>(Lookups),
-              Lookups ? 100.0 * static_cast<double>(T.Hits) /
-                            static_cast<double>(Lookups)
-                      : 0.0,
-              static_cast<unsigned long long>(T.Inserts),
-              static_cast<unsigned long long>(T.Evictions),
-              static_cast<unsigned long long>(T.Overflows),
-              static_cast<unsigned long long>(T.SpillStores),
-              static_cast<double>(Result.TraceBytesInUse) / (1 << 20),
-              static_cast<double>(Result.TraceBudgetBytes) / (1 << 20));
+  std::printf("execution sharing: %u of %zu cell(s) shared an execution\n",
+              Shared, Plan.size());
 }
 
 void printMpi(const char *Title, const std::vector<WorkloadRuns> &Rows,
@@ -278,253 +230,6 @@ void printModeTable(const sim::MachineConfig &M,
   }
 }
 
-// ---------------------------------------------------------------------------
-// --throughput: how fast is replay-many? (ROADMAP item 5's trajectory)
-// ---------------------------------------------------------------------------
-
-/// One recorded trace shared by every cell with its signature.
-struct RecordedTrace {
-  trace::TraceBuffer Buf;
-  RunResult ExecSide;
-};
-
-/// One cell of the standard 12x3x2 plan, pointing at its trace.
-struct ThroughputCell {
-  RunOptions Opts;
-  const RecordedTrace *Trace = nullptr;
-  std::string Sig;
-};
-
-/// What one cell's replay must reproduce, bit for bit, in every mode.
-struct CellReference {
-  uint64_t Cycles = 0;
-  sim::MemoryStats Mem;
-  std::vector<sim::SiteStats> Sites;
-};
-
-struct ModeResult {
-  uint64_t Passes = 0;
-  double Seconds = 0;
-  double CellsPerSec = 0;
-  double EventsPerSec = 0;
-};
-
-/// Runs \p Pass (one full sweep over all cells) repeatedly until
-/// \p MinSecs of wall clock have been measured, and converts to rates.
-template <typename PassFn>
-ModeResult measureMode(const char *Name, size_t Cells, uint64_t EventsPerPass,
-                       double MinSecs, PassFn Pass) {
-  std::string SpanName = std::string("throughput-") + Name;
-  obs::Span Span(SpanName.c_str(), "bench");
-  ModeResult R;
-  auto Start = std::chrono::steady_clock::now();
-  do {
-    Pass();
-    ++R.Passes;
-    R.Seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count();
-  } while (R.Seconds < MinSecs);
-  R.CellsPerSec =
-      static_cast<double>(R.Passes * Cells) / R.Seconds;
-  R.EventsPerSec =
-      static_cast<double>(R.Passes * EventsPerPass) / R.Seconds;
-  std::printf("  %-10s %6llu pass(es) %8.2f s %12.1f cells/s %14.3e events/s\n",
-              Name, static_cast<unsigned long long>(R.Passes), R.Seconds,
-              R.CellsPerSec, R.EventsPerSec);
-  return R;
-}
-
-void writeModeJson(harness::JsonWriter &J, const char *Name,
-                   const ModeResult &R) {
-  J.key(Name);
-  J.beginObject();
-  J.key("passes").value(R.Passes);
-  J.key("seconds").value(R.Seconds);
-  J.key("cells_per_sec").value(R.CellsPerSec);
-  J.key("events_per_sec").value(R.EventsPerSec);
-  J.endObject();
-}
-
-/// Compares one replayed MemorySystem against the cell's reference.
-bool matchesReference(const sim::MemorySystem &Mem, const CellReference &Ref) {
-  return Mem.cycles() == Ref.Cycles && Mem.stats() == Ref.Mem &&
-         Mem.siteStats() == Ref.Sites;
-}
-
-int runThroughput(const std::vector<const WorkloadSpec *> &Specs,
-                  const std::string &JsonPath, double MinSecs) {
-  const std::vector<Algorithm> Algos{
-      Algorithm::Baseline, Algorithm::Inter, Algorithm::InterIntra};
-  const std::vector<sim::MachineConfig> Machines{
-      *sim::MachineConfig::byName("pentium4"),
-      *sim::MachineConfig::byName("athlonmp")};
-
-  // Phase 1: record one trace per unique execution signature (exactly
-  // what the sweep's record-once path does), and spill them through a
-  // private TraceCache directory for the spill-reload modes.
-  std::string SpillDir =
-      (std::filesystem::temp_directory_path() /
-       ("spf-throughput-" + std::to_string(::getpid())))
-          .string();
-  std::map<std::string, std::unique_ptr<RecordedTrace>> Traces;
-  std::vector<ThroughputCell> Cells;
-  {
-    obs::Span Span("throughput-record", "bench");
-    harness::TraceCache Writer(0, SpillDir);
-    for (const sim::MachineConfig &Machine : Machines)
-      for (const WorkloadSpec *Spec : Specs)
-        for (Algorithm Algo : Algos) {
-          ThroughputCell Cell;
-          Cell.Opts.Machine = Machine;
-          Cell.Opts.Algo = Algo;
-          Cell.Opts.Config = benchConfig();
-          Cell.Sig = executionSignature(*Spec, Cell.Opts);
-          auto It = Traces.find(Cell.Sig);
-          if (It == Traces.end()) {
-            auto T = std::make_unique<RecordedTrace>();
-            Cell.Opts.Record = &T->Buf;
-            T->ExecSide = runWorkload(*Spec, Cell.Opts);
-            Cell.Opts.Record = nullptr;
-            if (!T->ExecSide.SelfCheckOk)
-              reportFailure("self-check failed recording " + Cell.Sig);
-            Writer.insert(Cell.Sig, T->Buf, T->ExecSide);
-            It = Traces.emplace(Cell.Sig, std::move(T)).first;
-          }
-          Cell.Trace = It->second.get();
-          Cells.push_back(std::move(Cell));
-        }
-  }
-  uint64_t EventsPerPass = 0;
-  for (const ThroughputCell &C : Cells)
-    EventsPerPass += C.Trace->Buf.events();
-  std::printf("throughput: %zu cells, %zu unique traces, %llu events/pass, "
-              "scale=%.2f\n",
-              Cells.size(), Traces.size(),
-              static_cast<unsigned long long>(EventsPerPass),
-              scaleFromEnv());
-
-  // Phase 2: per-cell references from per-event dispatch (the pre-
-  // batching path), then prove every fast mode is bit-identical to it.
-  std::vector<CellReference> Refs(Cells.size());
-  for (size_t I = 0; I != Cells.size(); ++I) {
-    sim::MemorySystem Mem(Cells[I].Opts.Machine);
-    if (!trace::replayPerEvent(Cells[I].Trace->Buf, Mem))
-      reportFailure("per-event replay decode error: " + Cells[I].Sig);
-    Refs[I].Cycles = Mem.cycles();
-    Refs[I].Mem = Mem.stats();
-    Refs[I].Sites = Mem.siteStats();
-  }
-  for (size_t I = 0; I != Cells.size(); ++I) {
-    sim::MemorySystem Mem(Cells[I].Opts.Machine);
-    if (!trace::replay(Cells[I].Trace->Buf, Mem) ||
-        !matchesReference(Mem, Refs[I]))
-      reportFailure("batched replay diverges from per-event dispatch: " +
-                    Cells[I].Sig);
-  }
-  for (bool UseMmap : {false, true}) {
-    harness::TraceCache Cache(0, SpillDir, UseMmap);
-    for (size_t I = 0; I != Cells.size(); ++I) {
-      auto E = Cache.lookup(Cells[I].Sig);
-      sim::MemorySystem Mem(Cells[I].Opts.Machine);
-      if (!E || !trace::replay(E->Buf, Mem) || !matchesReference(Mem, Refs[I]))
-        reportFailure(std::string("spill replay (") +
-                      (UseMmap ? "mmap" : "read") +
-                      ") diverges from per-event dispatch: " + Cells[I].Sig);
-    }
-  }
-
-  // Phase 3: rates. per_event is the "before" column (one virtual sink
-  // call and token-at-a-time decode per event); batched is the "after";
-  // the spill modes add the per-process reload cost on top of batched
-  // (heap copy vs zero-copy MAP_SHARED mmap).
-  std::printf("replay throughput (min %.1f s per mode):\n", MinSecs);
-  ModeResult PerEvent = measureMode(
-      "per_event", Cells.size(), EventsPerPass, MinSecs, [&] {
-        for (const ThroughputCell &C : Cells) {
-          sim::MemorySystem Mem(C.Opts.Machine);
-          trace::replayPerEvent(C.Trace->Buf, Mem);
-        }
-      });
-  ModeResult Batched = measureMode(
-      "batched", Cells.size(), EventsPerPass, MinSecs, [&] {
-        for (const ThroughputCell &C : Cells) {
-          sim::MemorySystem Mem(C.Opts.Machine);
-          trace::replay(C.Trace->Buf, Mem);
-        }
-      });
-  ModeResult SpillRead = measureMode(
-      "spill_read", Cells.size(), EventsPerPass, MinSecs, [&] {
-        harness::TraceCache Cache(0, SpillDir, /*UseMmap=*/false);
-        for (const ThroughputCell &C : Cells) {
-          auto E = Cache.lookup(C.Sig);
-          sim::MemorySystem Mem(C.Opts.Machine);
-          trace::replay(E->Buf, Mem);
-        }
-      });
-  ModeResult SpillMmap = measureMode(
-      "spill_mmap", Cells.size(), EventsPerPass, MinSecs, [&] {
-        harness::TraceCache Cache(0, SpillDir, /*UseMmap=*/true);
-        for (const ThroughputCell &C : Cells) {
-          auto E = Cache.lookup(C.Sig);
-          sim::MemorySystem Mem(C.Opts.Machine);
-          trace::replay(E->Buf, Mem);
-        }
-      });
-
-  double BatchedSpeedup =
-      PerEvent.CellsPerSec > 0 ? Batched.CellsPerSec / PerEvent.CellsPerSec
-                               : 0;
-  double MmapSpeedup = SpillRead.CellsPerSec > 0
-                           ? SpillMmap.CellsPerSec / SpillRead.CellsPerSec
-                           : 0;
-  std::printf("throughput: batched replay is %.2fx per-event dispatch; "
-              "mmap spill reload is %.2fx heap-read reload\n",
-              BatchedSpeedup, MmapSpeedup);
-  if (obs::enabled()) {
-    obs::stats()
-        .counter("spf_throughput_events_replayed_total")
-        .inc(EventsPerPass *
-             (PerEvent.Passes + Batched.Passes + SpillRead.Passes +
-              SpillMmap.Passes));
-  }
-
-  if (!JsonPath.empty()) {
-    std::ofstream OS(JsonPath, std::ios::trunc);
-    if (!OS) {
-      reportFailure("cannot write throughput JSON to " + JsonPath);
-    } else {
-      harness::JsonWriter J(OS);
-      J.beginObject();
-      J.key("schema").value("spf-bench-throughput-v1");
-      J.key("scale").value(scaleFromEnv());
-      J.key("cells").value(static_cast<uint64_t>(Cells.size()));
-      J.key("unique_traces").value(static_cast<uint64_t>(Traces.size()));
-      J.key("events_per_pass").value(EventsPerPass);
-      J.key("modes");
-      J.beginObject();
-      writeModeJson(J, "per_event", PerEvent);
-      writeModeJson(J, "batched", Batched);
-      writeModeJson(J, "spill_read", SpillRead);
-      writeModeJson(J, "spill_mmap", SpillMmap);
-      J.endObject();
-      J.key("speedup");
-      J.beginObject();
-      J.key("batched_vs_per_event").value(BatchedSpeedup);
-      J.key("spill_mmap_vs_read").value(MmapSpeedup);
-      J.endObject();
-      J.endObject();
-      OS << '\n';
-      std::printf("throughput JSON: %s\n", JsonPath.c_str());
-    }
-  }
-
-  std::error_code EC;
-  std::filesystem::remove_all(SpillDir, EC);
-  return exitCode();
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -532,9 +237,6 @@ int main(int argc, char **argv) {
   std::string JsonPath = "sweep_report.json";
   std::string WorkloadCsv;
   bool InjectFailure = false;
-  bool Throughput = false;
-  std::string ThroughputJson = "BENCH_sweep_throughput.json";
-  double ThroughputSecs = 1.0;
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
     if (A == "--json" && I + 1 < argc)
@@ -547,16 +249,6 @@ int main(int argc, char **argv) {
       WorkloadCsv = A.substr(12);
     else if (A == "--inject-self-check-failure")
       InjectFailure = true;
-    else if (A == "--throughput")
-      Throughput = true;
-    else if (A == "--throughput-json" && I + 1 < argc)
-      ThroughputJson = argv[++I];
-    else if (A.rfind("--throughput-json=", 0) == 0)
-      ThroughputJson = A.substr(18);
-    else if (A == "--throughput-secs" && I + 1 < argc)
-      ThroughputSecs = std::atof(argv[++I]);
-    else if (A.rfind("--throughput-secs=", 0) == 0)
-      ThroughputSecs = std::atof(A.c_str() + 18);
   }
   unsigned Jobs = cli().Jobs;
 
@@ -574,10 +266,6 @@ int main(int argc, char **argv) {
     reportFailure("no workloads selected");
     return exitCode();
   }
-
-  if (Throughput)
-    return runThroughput(Specs, ThroughputJson,
-                         ThroughputSecs > 0 ? ThroughputSecs : 1.0);
 
   // Deliberately failing cell (regression coverage for the nonzero-exit
   // contract): jess with its expected return value corrupted. Must

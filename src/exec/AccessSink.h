@@ -6,27 +6,21 @@
 /// demand loads (attributed to their IR load site), stores, software
 /// prefetches, and guarded loads — and a sink *consumes* them. The
 /// canonical consumer is sim::MemorySystem (the machine's timing model);
-/// trace::RecordingSink tees the stream into a trace::TraceBuffer so it
-/// can be replayed through many timing models without re-executing the
-/// program (record-once / replay-many), and sim::CountingSink consumes
-/// it for event-count-only passes.
+/// obs::TimelineSampler wraps one to snapshot it on a cadence, and
+/// sim::CountingSink counts events for interpreter-only passes.
 ///
-/// The contract that makes replay exact: the interpreter never reads
-/// anything back from the sink — the event stream is write-only and is a
-/// function of the program alone, so any two sinks fed the same stream
-/// are interchangeable.
-///
-/// Events also exist in decoded-record form (AccessEvent below) so that
-/// replay can hand a sink whole blocks at a time via consume() instead
-/// of one virtual call per event; see the block-dispatch contract on
-/// consume().
+/// The contract that makes execution sharing exact: the interpreter
+/// never reads anything back from the sink — the event stream is
+/// write-only and is a function of the program alone. So one execution
+/// can feed several sinks at once (workloads::runWorkloadGroup fans the
+/// stream out to one MemorySystem per machine), and every sink sees
+/// exactly the stream a solo run would have given it.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPF_EXEC_ACCESSSINK_H
 #define SPF_EXEC_ACCESSSINK_H
 
-#include <cstddef>
 #include <cstdint>
 
 namespace spf {
@@ -38,16 +32,14 @@ namespace exec {
 /// sink knowing anything about IR.
 using SiteId = uint32_t;
 
-struct AccessEvent;
-
 /// Consumer of the interpreter's memory-event stream.
 class AccessSink {
 public:
   virtual ~AccessSink() = default;
 
   /// \p N non-memory instructions elapsed. Additive: tick(a); tick(b)
-  /// must be indistinguishable from tick(a + b) — the trace encoder
-  /// relies on this to run-length-encode tick runs.
+  /// must be indistinguishable from tick(a + b) — the interpreter relies
+  /// on this to coalesce tick runs.
   virtual void tick(uint64_t N) = 0;
 
   /// Demand load at \p Addr, issued by load site \p Site.
@@ -70,10 +62,7 @@ public:
   // per-site prefetch-health accounting is active (the governor's
   // evidence stream); \p Site is the IR load site whose plan issued the
   // prefetch. Semantically identical to the unattributed forms — the
-  // defaults forward, so sinks that don't track health need no changes —
-  // and NOT part of the trace wire format: attribution is a live-run
-  // concern, and governor-driven runs are never trace-cached
-  // (workloads::executionSignature refuses to key them).
+  // defaults forward, so sinks that don't track health need no changes.
   virtual void prefetch(uint64_t Addr, SiteId Site) {
     (void)Site;
     prefetch(Addr);
@@ -86,82 +75,7 @@ public:
     (void)Site;
     guardedLoadFault();
   }
-
-  /// Consumes a block of \p N decoded events, in order. The block-
-  /// dispatch contract: consume(Events, N) must be indistinguishable
-  /// from calling tick/load/store/... once per event in array order —
-  /// the default implementation below is exactly that loop, so every
-  /// existing sink keeps its semantics. Sinks on the replay hot path
-  /// (sim::MemorySystem, sim::CountingSink) override this with a tight
-  /// non-virtual inner loop; trace::replay feeds blocks through here so
-  /// replay pays one virtual call per block instead of per event.
-  virtual void consume(const AccessEvent *Events, size_t N);
 };
-
-/// Wire opcode of one event; stable across encode/decode.
-enum class EventKind : uint8_t {
-  Tick = 0,             ///< Payload: tick count (merged run).
-  Load = 1,             ///< Payload: address + load site.
-  Store = 2,            ///< Payload: address.
-  Prefetch = 3,         ///< Payload: address.
-  GuardedLoad = 4,      ///< Payload: address.
-  GuardedLoadFault = 5, ///< No payload.
-};
-
-inline const char *eventKindName(EventKind K) {
-  switch (K) {
-  case EventKind::Tick: return "tick";
-  case EventKind::Load: return "load";
-  case EventKind::Store: return "store";
-  case EventKind::Prefetch: return "prefetch";
-  case EventKind::GuardedLoad: return "guarded-load";
-  case EventKind::GuardedLoadFault: return "guarded-load-fault";
-  }
-  return "?";
-}
-
-/// One decoded event. Consecutive tick() calls are run-length merged at
-/// record time (tick is additive by contract), so one Tick event may
-/// stand for many interpreter-side calls. Every other event maps 1:1.
-struct AccessEvent {
-  EventKind Kind = EventKind::Tick;
-  /// Address for Load/Store/Prefetch/GuardedLoad; tick count for Tick;
-  /// zero for GuardedLoadFault.
-  uint64_t Value = 0;
-  /// Load site for Load events; zero otherwise.
-  SiteId Site = 0;
-
-  bool operator==(const AccessEvent &) const = default;
-};
-
-/// Dispatches one decoded event into \p Sink.
-inline void dispatch(const AccessEvent &E, AccessSink &Sink) {
-  switch (E.Kind) {
-  case EventKind::Tick:
-    Sink.tick(E.Value);
-    break;
-  case EventKind::Load:
-    Sink.load(E.Value, E.Site);
-    break;
-  case EventKind::Store:
-    Sink.store(E.Value);
-    break;
-  case EventKind::Prefetch:
-    Sink.prefetch(E.Value);
-    break;
-  case EventKind::GuardedLoad:
-    Sink.guardedLoad(E.Value);
-    break;
-  case EventKind::GuardedLoadFault:
-    Sink.guardedLoadFault();
-    break;
-  }
-}
-
-inline void AccessSink::consume(const AccessEvent *Events, size_t N) {
-  for (size_t I = 0; I != N; ++I)
-    dispatch(Events[I], *this);
-}
 
 } // namespace exec
 } // namespace spf

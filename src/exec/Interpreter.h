@@ -6,9 +6,8 @@
 /// JVM's compiled-code execution: the paper's measured quantities (cycles,
 /// retired instructions, cache/DTLB miss events) all originate here — but
 /// the interpreter itself knows nothing about timing. The usual sink is
-/// sim::MemorySystem (live simulation); wrapping it in a
-/// trace::RecordingSink captures the access stream for record-once /
-/// replay-many sweeps.
+/// sim::MemorySystem; workloads::runWorkloadGroup hands it a fan-out sink
+/// so one execution drives several machines at once.
 ///
 /// The interpreter does not walk the IR. On a method's first execution it
 /// decodes the method into a flat array of type-specialized ops over
@@ -71,7 +70,7 @@ public:
   /// \p ExternalRoots are mutator handles (workload data-structure roots)
   /// that the GC must trace and may update. \p Sink consumes the memory
   /// event stream (typically a sim::MemorySystem, possibly behind a
-  /// trace::RecordingSink); the interpreter never reads it back.
+  /// fan-out or timeline sink); the interpreter never reads it back.
   Interpreter(vm::Heap &Heap, AccessSink &Sink,
               std::vector<vm::Addr> *ExternalRoots = nullptr);
   ~Interpreter();

@@ -29,6 +29,7 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 
 using namespace spf;
 using namespace spf::harness;
@@ -190,8 +191,8 @@ std::string cellTag(const ExperimentCell &C) {
 /// FNV-1a over the per-site stats, as a 16-hex-digit string. A compact
 /// per-cell fingerprint of the full load-site attribution: two runs with
 /// equal hashes had bit-identical per-site miss profiles, which is how
-/// the CI replay-vs-direct diff covers site stats without emitting every
-/// site as a JSON row.
+/// the golden byte-compare and the CI report diffs cover site stats
+/// without emitting every site as a JSON row.
 std::string siteStatsHash(const std::vector<sim::SiteStats> &Sites) {
   uint64_t H = 1469598103934665603ull;
   auto Mix = [&H](uint64_t V) {
@@ -242,15 +243,7 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan,
 }
 
 ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
-                                  const TraceOptions &Trace) {
-  RunPlanOptions Opts;
-  Opts.Trace = Trace;
-  return runPlan(Plan, Jobs, Opts);
-}
-
-ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
                                   const RunPlanOptions &Opts) {
-  const TraceOptions &Trace = Opts.Trace;
   const bool Isolated = Opts.Isolate.Enabled;
   if (Jobs == 0)
     Jobs = defaultJobs();
@@ -340,108 +333,104 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
       Gov.Graceful || Gov.SweepDeadlineSec > 0 || Gov.ExternalStop != nullptr;
   const double GraceSec = support::shutdownGraceSeconds();
 
-  // Record-once / replay-many: active only when requested, budgeted, and
-  // chaos-free. Fault injection must keep exercising the real interpret
-  // path (and can corrupt a recording mid-stream), so any enabled
-  // *execution* fault site turns reuse off for the whole plan — the PR 2
-  // quarantine machinery below sees exactly the behavior it always did.
-  // Disk-only chaos (disk-write/disk-sync) deliberately keeps reuse on:
-  // those sites exist to exercise the spill/journal persistence paths,
-  // and never perturb cell statistics. In isolated mode the supervisor
-  // holds no cache at all: workers run their own cache front over the
-  // shared --trace-dir spill directory (see harness/Supervisor.h), which
-  // is the only cross-process channel.
-  const bool UseTrace = !Isolated && Trace.Enabled && Trace.BudgetBytes > 0 &&
-                        !Faults.anyExecutionSiteEnabled();
-  std::optional<TraceCache> Cache;
-  if (UseTrace)
-    Cache.emplace(Trace.BudgetBytes, Trace.SpillDir);
-
-  auto RunCell = [&](unsigned I) {
-    const ExperimentCell &C = Plan.cells()[I];
-    CellResult &Cell = Result.Cells[I];
-    workloads::RunOptions Opt = C.Opt;
-    Opt.TimeoutSeconds = TimeoutSec;
-
-    obs::Span CellSpan("cell", "harness");
-    CellSpan.noteU64("index", I);
-    CellSpan.note("tag", cellTag(C));
-
-    // Cells whose signature is cached replay the recorded access stream
-    // instead of re-interpreting; stats are bit-identical either way, so
-    // which cell records and which replays (a scheduling accident under
-    // Jobs > 1) never shows up in the results.
-    const std::string Sig =
-        UseTrace ? workloads::executionSignature(*C.Spec, Opt)
-                 : std::string();
-    if (!Sig.empty()) {
-      if (auto E = Cache->lookup(Sig)) {
-        ++Cell.Attempts;
-        obs::Tracer::instance().instant("trace-hit", {{"tag", cellTag(C)}});
-        Cell.Run = workloads::replayTrace(E->ExecSide, E->Buf, Opt.Machine,
-                                          Opt.TimelineEvery);
-        Cell.Ran = true;
-        return;
+  // Execution sharing: cells with equal execution signatures form one
+  // group that interprets once and simulates every member's machine
+  // (workloads::runWorkloadGroup). Groups are a function of the plan, so
+  // which cell leads — and which come back Replayed — never depends on
+  // scheduling. Cells run alone when an execution fault site is armed
+  // (chaos must exercise every cell's own attempts), under isolation or
+  // streaming (one worker / one retirement per cell), and when grafted
+  // from the journal. Groups are listed in leader (plan) order.
+  const bool Streaming = Opts.Stream.Enabled;
+  const bool Share =
+      !Isolated && !Streaming && !Faults.anyExecutionSiteEnabled();
+  std::vector<std::vector<unsigned>> Groups;
+  {
+    std::unordered_map<std::string, size_t> GroupOf;
+    for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
+         ++I) {
+      const ExperimentCell &C = Plan.cells()[I];
+      std::string Sig = Share && !Grafted[I]
+                            ? workloads::executionSignature(*C.Spec, C.Opt)
+                            : std::string();
+      if (!Sig.empty()) {
+        auto [It, New] = GroupOf.try_emplace(std::move(Sig), Groups.size());
+        if (!New) {
+          Groups[It->second].push_back(I);
+          continue;
+        }
       }
+      Groups.push_back({I});
+    }
+  }
+  PlanSpan.noteU64("groups", Groups.size());
+
+  // Runs one group in process. The attempt verdict is shared by every
+  // member: they are one execution.
+  auto RunGroup = [&](const std::vector<unsigned> &G) {
+    const unsigned Lead = G.front();
+    const ExperimentCell &C = Plan.cells()[Lead];
+    std::vector<workloads::RunOptions> Members;
+    for (unsigned I : G) {
+      Members.push_back(Plan.cells()[I].Opt);
+      Members.back().TimeoutSeconds = TimeoutSec;
     }
 
+    obs::Span CellSpan("cell", "harness");
+    CellSpan.noteU64("index", Lead);
+    CellSpan.note("tag", cellTag(C));
+    CellSpan.noteU64("members", G.size());
+
+    CellResult Verdict;
+    std::vector<workloads::RunResult> Runs;
     for (unsigned Attempt = 0; Attempt < MaxTransientAttempts; ++Attempt) {
-      if (Governed && CheckStop()) {
+      if (Attempt > 0 && Governed && CheckStop()) {
         // Interrupted between attempts: leave the cell un-run (Skipped),
         // never half-retried — --resume gives it its full attempt budget.
-        Cell.Skipped = true;
-        Cell.Error = "sweep interrupted";
-        return;
+        Verdict.Skipped = true;
+        Verdict.Error = "sweep interrupted";
+        break;
       }
-      backoffBeforeRetry(I, Attempt);
-      ++Cell.Attempts;
+      backoffBeforeRetry(Lead, Attempt);
+      ++Verdict.Attempts;
       if (Attempt > 0)
         obs::Tracer::instance().instant(
             "retry", {{"tag", cellTag(C)},
                       {"attempt", std::to_string(Attempt + 1)}});
-      // Each call builds a private Heap/Module, compiles with a private
-      // CompileManager, and simulates on a private MemorySystem: cells
-      // share nothing mutable, so any schedule yields identical stats.
+      // Each attempt builds a private Heap/Module, compiles with a
+      // private CompileManager, and simulates on private MemorySystems:
+      // groups share nothing mutable, so any schedule yields identical
+      // stats.
       support::FaultInjector Injector(
-          Faults, (uint64_t(I) << 8) | uint64_t(Attempt));
+          Faults, (uint64_t(Lead) << 8) | uint64_t(Attempt));
       support::FaultScope Scope(Injector);
       try {
         if (SPF_FAULT_POINT(support::FaultSite::CellExec))
           throw support::TransientFault("injected cell fault");
-        if (!Sig.empty()) {
-          // Tee the access stream while simulating live; the recording
-          // never perturbs the run, and an over-cap trace is simply
-          // dropped (the run's own results stand either way).
-          trace::TraceBuffer Buf;
-          Buf.setByteCap(Trace.BudgetBytes);
-          Opt.Record = &Buf;
-          Opt.ReserveEvents = Cache->reservedEvents(C.Spec->Name);
-          Cell.Run = workloads::runWorkload(*C.Spec, Opt);
-          Opt.Record = nullptr;
-          if (Buf.overflowed())
-            Cache->noteOverflow(C.Spec->Name);
-          else
-            Cache->insert(Sig, std::move(Buf), Cell.Run);
-        } else {
-          Cell.Run = workloads::runWorkload(*C.Spec, Opt);
-        }
-        Cell.Ran = true;
-        Cell.Failed = Cell.TimedOut = Cell.Transient = false;
-        Cell.Error.clear();
-        return;
+        Runs = workloads::runWorkloadGroup(*C.Spec, Members);
+        Verdict.Ran = true;
+        Verdict.Failed = Verdict.TimedOut = Verdict.Transient = false;
+        Verdict.Error.clear();
+        break;
       } catch (const support::TransientFault &E) {
         // Expected under chaos: re-roll with the next attempt's stream.
-        Cell.Transient = true;
-        Cell.Error = E.what();
+        Verdict.Transient = true;
+        Verdict.Error = E.what();
       } catch (const support::CellTimeout &E) {
-        Cell.TimedOut = true;
-        Cell.Error = E.what();
-        return; // Retrying a deterministic simulation cannot get faster.
+        Verdict.TimedOut = true;
+        Verdict.Error = E.what();
+        break; // Retrying a deterministic simulation cannot get faster.
       } catch (const std::exception &E) {
-        Cell.Failed = true;
-        Cell.Error = E.what();
-        return;
+        Verdict.Failed = true;
+        Verdict.Error = E.what();
+        break;
       }
+    }
+    for (size_t K = 0; K != G.size(); ++K) {
+      CellResult &Cell = Result.Cells[G[K]];
+      Cell = Verdict;
+      if (Verdict.Ran)
+        Cell.Run = std::move(Runs[K]);
     }
   };
 
@@ -470,7 +459,7 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
       SP.Stop = [&CheckStop] { return CheckStop(); };
 
     for (unsigned Attempt = 0; Attempt < MaxTransientAttempts; ++Attempt) {
-      if (Governed && CheckStop()) {
+      if (Attempt > 0 && Governed && CheckStop()) {
         Cell.Skipped = true;
         Cell.Error = "sweep interrupted";
         return;
@@ -561,27 +550,32 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
     }
   };
 
-  auto Dispatch = [&](unsigned I) {
-    if (Grafted[I]) {
-      // Journaled by a previous run of this plan: graft, don't re-run.
-      // Move + release so a resumed 100k-cell sweep does not hold two
-      // copies of every grafted record.
+  auto Dispatch = [&](const std::vector<unsigned> &G) {
+    const unsigned Lead = G.front();
+    if (Grafted[Lead]) {
+      // Journaled by a previous run of this plan (always a group of
+      // one): graft, don't re-run. Move + release so a resumed sweep
+      // does not hold two copies of every grafted record.
       obs::Tracer::instance().instant(
-          "journal-graft", {{"tag", cellTag(Plan.cells()[I])}});
-      Result.Cells[I] = std::move(*Grafted[I]);
-      Grafted[I].reset();
+          "journal-graft", {{"tag", cellTag(Plan.cells()[Lead])}});
+      Result.Cells[Lead] = std::move(*Grafted[Lead]);
+      Grafted[Lead].reset();
       return;
     }
     if (Governed && CheckStop()) {
-      Result.Cells[I].Skipped = true;
-      Result.Cells[I].Error = "sweep interrupted";
+      for (unsigned I : G) {
+        Result.Cells[I].Skipped = true;
+        Result.Cells[I].Error = "sweep interrupted";
+      }
       return;
     }
     if (Isolated)
-      RunCellSupervised(I);
+      RunCellSupervised(Lead);
     else
-      RunCell(I);
-    if (Journal && Result.Cells[I].Ran) {
+      RunGroup(G);
+    for (unsigned I : G) {
+      if (!Journal || !Result.Cells[I].Ran)
+        continue;
       // The journal's disk I/O runs under its own per-cell fault stream
       // (salt disjoint from the attempt salts 0..2) so disk-write /
       // disk-sync chaos reaches the append path without perturbing the
@@ -598,8 +592,8 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   // and retired strictly in plan order; retirement optionally writes the
   // full record to the --cells-out stream, then folds the heavy per-cell
   // payloads into the two scalars the report needs and frees them, so
-  // peak resident cells is O(jobs + window), not O(plan).
-  const bool Streaming = Opts.Stream.Enabled;
+  // peak resident cells is O(jobs + window), not O(plan). Streaming
+  // runs every cell as its own group, so groups and cells coincide here.
   const unsigned PlanN = static_cast<unsigned>(Plan.size());
   std::mutex StreamMu;
   std::condition_variable StreamCv;
@@ -682,7 +676,8 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   // is always running or next to start, and it never waits (I <
   // NextRetire + Window holds when I == NextRetire). Everything the
   // window blocks is a *larger* index on another thread.
-  auto DispatchStreamed = [&](unsigned I) {
+  auto DispatchStreamed = [&](const std::vector<unsigned> &G) {
+    const unsigned I = G.front();
     if (Streaming) {
       std::unique_lock<std::mutex> Lock(StreamMu);
       StreamCv.wait(Lock, [&] { return I < NextRetire + Window; });
@@ -690,7 +685,7 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
       if (Resident > PeakResident)
         PeakResident = Resident;
     }
-    Dispatch(I);
+    Dispatch(G);
     if (Streaming) {
       std::lock_guard<std::mutex> Lock(StreamMu);
       DoneFlags[I] = 1;
@@ -700,15 +695,13 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
     }
   };
 
-  if (Jobs <= 1 || Plan.size() <= 1) {
-    for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
-         ++I)
-      DispatchStreamed(I);
+  if (Jobs <= 1 || Groups.size() <= 1) {
+    for (const std::vector<unsigned> &G : Groups)
+      DispatchStreamed(G);
   } else {
     ThreadPool Pool(Jobs);
-    for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
-         ++I)
-      Pool.async([&DispatchStreamed, I] { DispatchStreamed(I); });
+    for (const std::vector<unsigned> &G : Groups)
+      Pool.async([&DispatchStreamed, &G] { DispatchStreamed(G); });
     Pool.wait();
   }
   if (CellsOut.is_open()) {
@@ -799,13 +792,6 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
           Tag + ": computed a different result than its baseline run");
   }
 
-  Result.TraceEnabled = UseTrace;
-  if (Cache) {
-    Result.Trace = Cache->stats();
-    Result.TraceBytesInUse = Cache->bytesInUse();
-    Result.TraceBudgetBytes = Cache->budgetBytes();
-  }
-
   // Registry bookkeeping, harvested once per plan after the (possibly
   // parallel) run — deterministic because it only reads the finished
   // per-cell verdicts.
@@ -835,10 +821,6 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
           .set(static_cast<int64_t>(Result.PeakResidentCells));
       if (StreamWriteFailures)
         S.counter("spf_stream_write_failures_total").inc(StreamWriteFailures);
-    }
-    if (UseTrace) {
-      S.counter("spf_trace_hits_total").inc(Result.Trace.Hits);
-      S.counter("spf_trace_misses_total").inc(Result.Trace.Misses);
     }
   }
   return Result;
@@ -1028,33 +1010,14 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
       }
       J.endArray();
     }
-    // Wall-clock bookkeeping — which cell recorded vs replayed depends
-    // on scheduling; consumers comparing reports must ignore these
-    // (see .github/workflows/ci.yml, replay-vs-direct diff).
+    // Execution bookkeeping: whether the cell's statistics came from a
+    // shared execution, and the wall time of its interpretation —
+    // consumers comparing reports must ignore interpret_us.
     J.key("replayed").value(R.Replayed);
     J.key("interpret_us").value(R.InterpretUs);
-    J.key("replay_us").value(R.ReplayUs);
     J.endObject();
   }
   J.endArray();
-
-  J.key("trace").beginObject();
-  J.key("enabled").value(Result.TraceEnabled);
-  J.key("hits").value(Result.Trace.Hits);
-  J.key("misses").value(Result.Trace.Misses);
-  J.key("inserts").value(Result.Trace.Inserts);
-  J.key("evictions").value(Result.Trace.Evictions);
-  J.key("overflows").value(Result.Trace.Overflows);
-  J.key("spill_stores").value(Result.Trace.SpillStores);
-  J.key("spill_loads").value(Result.Trace.SpillLoads);
-  J.key("spill_publish_errors").value(Result.Trace.SpillPublishErrors);
-  J.key("spill_decode_errors").value(Result.Trace.SpillDecodeErrors);
-  J.key("spill_evictions").value(Result.Trace.SpillEvictions);
-  J.key("stale_tmp_removed").value(Result.Trace.StaleTmpRemoved);
-  J.key("bytes_in_use").value(static_cast<uint64_t>(Result.TraceBytesInUse));
-  J.key("budget_bytes").value(
-      static_cast<uint64_t>(Result.TraceBudgetBytes));
-  J.endObject();
 
   J.key("isolated").value(Result.Isolated);
   J.key("journal").beginObject();
@@ -1088,8 +1051,8 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
 
   // Registry snapshot (counters/gauges/histograms) — only when the
   // observability hooks are on, so disabled-mode reports carry no
-  // schedule-dependent extras. Cross-run diffs must ignore it (trace
-  // hit counts and wall-clock histograms are scheduling artifacts).
+  // schedule-dependent extras. Cross-run diffs must ignore it (its
+  // wall-clock histograms are scheduling artifacts).
   if (obs::enabled()) {
     J.key("stats");
     obs::stats().writeJson(J);

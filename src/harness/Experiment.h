@@ -3,10 +3,12 @@
 /// \file
 /// The experiment layer behind every figure/ablation binary: a sweep
 /// (workloads x algorithms x machine configs x scale) expands into
-/// independent cells, each of which owns a private Heap / Interpreter /
-/// MemorySystem via workloads::runWorkload. Cells run concurrently on a
-/// fixed-size ThreadPool and are aggregated deterministically in plan
-/// order, so results are bit-identical to a serial run regardless of the
+/// independent cells. Cells with equal execution signatures (BASELINE on
+/// two machines, say) form one group that interprets once and feeds one
+/// MemorySystem per cell (workloads::runWorkloadGroup); every group owns
+/// a private Heap / Interpreter. Groups run concurrently on a fixed-size
+/// ThreadPool and results are aggregated deterministically in plan
+/// order, so they are bit-identical to a serial run regardless of the
 /// worker count (see tests/harness_test.cpp).
 ///
 /// Correctness checking is part of the driver: a cell whose workload
@@ -19,7 +21,6 @@
 #ifndef SPF_HARNESS_EXPERIMENT_H
 #define SPF_HARNESS_EXPERIMENT_H
 
-#include "harness/TraceCache.h"
 #include "workloads/Runner.h"
 
 #include <functional>
@@ -168,23 +169,6 @@ private:
   std::vector<ExperimentCell> Cells;
 };
 
-/// Record-once / replay-many configuration for a plan. With tracing
-/// enabled, cells that share an execution signature interpret once and
-/// replay the recorded access stream through every other timing variant
-/// (bit-identical stats, a fraction of the time). Tracing silently
-/// disables itself when fault injection is active (SPF_FAULTS): chaos
-/// must keep exercising the real interpret path, and injected faults
-/// make recordings non-reusable.
-struct TraceOptions {
-  /// Master switch (bench: --no-trace-reuse clears it).
-  bool Enabled = true;
-  /// In-memory byte budget for cached traces; 0 disables tracing.
-  /// Defaults from SPF_TRACE_MB (see TraceCache::budgetFromEnv).
-  size_t BudgetBytes = TraceCache::budgetFromEnv();
-  /// Optional spill directory for evicted traces (bench: --trace-dir).
-  std::string SpillDir;
-};
-
 /// Out-of-process cell isolation. With Enabled, every cell attempt runs
 /// in a freshly exec'd worker process (WorkerCommand builds its argv;
 /// benches wire this to their own binary plus the hidden --run-cell
@@ -225,8 +209,9 @@ struct GovernorOptions {
   /// Wall-clock budget for the whole runPlan call, in seconds (0 =
   /// none). Benches wire --sweep-deadline / SPF_SWEEP_DEADLINE_S here.
   double SweepDeadlineSec = 0.0;
-  /// Extra stop source, polled between cells and attempts. Tests use it
-  /// to interrupt deterministically after N cells; null = none.
+  /// Extra stop source, polled once per execution group and before
+  /// every retry. Tests use it to interrupt deterministically after N
+  /// groups; null = none.
   std::function<bool()> ExternalStop;
 };
 
@@ -246,7 +231,6 @@ struct StreamOptions {
 
 /// Full configuration for one runPlan call.
 struct RunPlanOptions {
-  TraceOptions Trace;
   IsolateOptions Isolate;
   JournalOptions Journal;
   GovernorOptions Governor;
@@ -263,13 +247,6 @@ struct ExperimentResult {
   /// order. Purely-transient quarantines (injected chaos) are not
   /// Failures; timeouts and real errors appear in both lists.
   std::vector<QuarantineRecord> Quarantine;
-
-  /// Whether trace reuse was actually active for this plan (requested,
-  /// budget > 0, and no fault injection), plus the cache's counters.
-  bool TraceEnabled = false;
-  TraceCacheStats Trace;
-  size_t TraceBytesInUse = 0;
-  size_t TraceBudgetBytes = 0;
 
   /// Whether cells ran in supervised worker processes.
   bool Isolated = false;
@@ -308,32 +285,29 @@ struct ExperimentResult {
 /// threads spawned) and returns results in plan order. Jobs of 0 means
 /// defaultJobs().
 ///
-/// Failure containment: each cell runs under a per-cell wall-clock
+/// Execution sharing: cells with equal, non-empty execution signatures
+/// form one group, interpreted once by workloads::runWorkloadGroup. The
+/// lowest plan index leads; followers come back with Run.Replayed set.
+/// Grouping depends on the plan alone, so results — Replayed included —
+/// are independent of the worker count. Cells run alone when a fault
+/// site that perturbs execution is armed (SPF_FAULTS), under isolation
+/// or streaming, and when grafted from a resumed journal.
+///
+/// Failure containment: each group runs under a per-cell wall-clock
 /// watchdog (SPF_CELL_TIMEOUT seconds; unset/0 = off) and, when
 /// SPF_FAULTS is set, a per-(cell, attempt) seeded fault injector.
 /// Injected transient faults are retried a bounded number of times;
-/// cells that still fail are quarantined. Results stay bit-identical to
-/// a serial run for any worker count: injector streams are derived from
-/// plan index and attempt number, never from scheduling.
+/// cells that still fail are quarantined. Injector streams are derived
+/// from plan index and attempt number, never from scheduling.
 ExperimentResult runPlan(const ExperimentPlan &Plan, unsigned Jobs = 0);
 
-/// As above, with explicit record-once / replay-many configuration. The
-/// default overload uses TraceOptions{} (reuse on, budget from
-/// SPF_TRACE_MB). Trace reuse never changes reported statistics: a
-/// replayed cell's MemoryStats, per-site stats, and cycles are
-/// bit-identical to direct interpretation (tests/trace_test.cpp), so
-/// results remain independent of worker count and cache state; only the
-/// wall-clock bookkeeping fields (Replayed, InterpretUs, ReplayUs)
-/// depend on which cell happened to record first.
-ExperimentResult runPlan(const ExperimentPlan &Plan, unsigned Jobs,
-                         const TraceOptions &Trace);
-
-/// The full-configuration overload: trace reuse, out-of-process
-/// isolation, and the durable journal. Supervised per-cell statistics
-/// are bit-identical to in-process runs for every cell (the worker path
-/// mirrors the attempt semantics exactly; locked by tests/isolate_test);
-/// a resumed journaled run reproduces the uninterrupted run's normalized
-/// report byte-for-byte without re-running completed cells.
+/// The full-configuration overload: out-of-process isolation, the
+/// durable journal, resource governance and streaming. Supervised
+/// per-cell statistics are bit-identical to in-process runs for every
+/// cell (the worker path mirrors the attempt semantics exactly; locked
+/// by tests/isolate_test); a resumed journaled run reproduces the
+/// uninterrupted run's normalized report byte-for-byte without
+/// re-running completed cells.
 ExperimentResult runPlan(const ExperimentPlan &Plan, unsigned Jobs,
                          const RunPlanOptions &Opts);
 

@@ -115,7 +115,6 @@ void harness::writeCellRecordJson(JsonWriter &J, const CellResult &Cell) {
   J.key("self_check_ok").value(R.SelfCheckOk);
   J.key("replayed").value(R.Replayed);
   J.key("interpret_us").value(R.InterpretUs);
-  J.key("replay_us").value(R.ReplayUs);
   // Epoch/governor accounting, conditional keys: classic single-epoch
   // records stay byte-identical to the pre-governor format.
   if (R.Epochs > 1)
@@ -230,8 +229,7 @@ void harness::writeCellRecordJson(JsonWriter &J, const CellResult &Cell) {
     J.endArray();
   }
   // Per-site stats as compact 4-tuples; Prefetch.Loops (diagnostic-only
-  // per-loop reports, referencing freed analyses) are dropped, matching
-  // what the trace cache persists.
+  // per-loop reports, referencing freed analyses) are dropped.
   // Health-tracked runs widen every tuple to 12 (the 8 prefetch-health
   // fields appended); runs without health data keep the classic 4-tuple
   // byte for byte. Stall attribution appends one more column (5/13)
@@ -310,7 +308,6 @@ bool harness::parseCellRecord(const JsonValue &V, CellResult &Cell) {
   R.SelfCheckOk = Run.getBool("self_check_ok", true);
   R.Replayed = Run.getBool("replayed");
   R.InterpretUs = Run.getDouble("interpret_us");
-  R.ReplayUs = Run.getDouble("replay_us");
   R.Epochs = static_cast<unsigned>(Run.getU64("epochs", 1));
   R.GcCollections = Run.getU64("gc_collections");
   R.GovernorQuarantined =

@@ -76,7 +76,7 @@ private:
       ++Pos;
   }
 
-  bool consume(char C) {
+  bool accept(char C) {
     skipWs();
     if (Pos < S.size() && S[Pos] == C) {
       ++Pos;
@@ -133,22 +133,22 @@ private:
     ++Pos; // '{'
     V.K = JsonValue::Kind::Object;
     skipWs();
-    if (consume('}'))
+    if (accept('}'))
       return true;
     while (true) {
       skipWs();
       JsonValue Key;
       if (Pos >= S.size() || S[Pos] != '"' || !parseString(Key))
         return fail("expected object key"), false;
-      if (!consume(':'))
+      if (!accept(':'))
         return fail("expected ':'"), false;
       JsonValue Member;
       if (!parseValue(Member))
         return false;
       V.Obj.emplace(std::move(Key.Str), std::move(Member));
-      if (consume(','))
+      if (accept(','))
         continue;
-      if (consume('}'))
+      if (accept('}'))
         return true;
       return fail("expected ',' or '}'"), false;
     }
@@ -158,16 +158,16 @@ private:
     ++Pos; // '['
     V.K = JsonValue::Kind::Array;
     skipWs();
-    if (consume(']'))
+    if (accept(']'))
       return true;
     while (true) {
       JsonValue Elem;
       if (!parseValue(Elem))
         return false;
       V.Arr.push_back(std::move(Elem));
-      if (consume(','))
+      if (accept(','))
         continue;
-      if (consume(']'))
+      if (accept(']'))
         return true;
       return fail("expected ',' or ']'"), false;
     }

@@ -30,39 +30,6 @@ void addFinding(DiffResult &Out, std::string Where, double Ref, double Got,
   Out.Findings.push_back(std::move(F));
 }
 
-// -- spf-bench-throughput-v1 ---------------------------------------------
-
-void diffThroughput(const JsonValue &Ref, const JsonValue &Got,
-                    const DiffThresholds &T, DiffResult &Out) {
-  const JsonValue &RefModes = Ref.get("modes");
-  const JsonValue &GotModes = Got.get("modes");
-  for (const auto &KV : RefModes.objectMembers()) {
-    const std::string &Mode = KV.first;
-    if (!GotModes.has(Mode)) {
-      addFinding(Out, "modes." + Mode, KV.second.getDouble("cells_per_sec"),
-                 0.0, false, "mode missing from fresh run");
-      continue;
-    }
-    double R = KV.second.getDouble("cells_per_sec");
-    double G = GotModes.get(Mode).getDouble("cells_per_sec");
-    // The gate is on the batched mode (the sweep fast path); the other
-    // modes are informational — they swing with disk state.
-    bool Reg = Mode == "batched" && R > 0 &&
-               G < R * (1.0 - T.ThroughputDropFrac);
-    addFinding(Out, "modes." + Mode + ".cells_per_sec", R, G, Reg,
-               Reg ? "batched throughput dropped more than " +
-                         fmt(T.ThroughputDropFrac * 100) + "% below baseline"
-                   : (G >= R ? "no regression" : "within threshold"));
-  }
-  double Speedup = Got.get("speedup").getDouble("batched_vs_per_event");
-  bool Reg = Speedup < T.MinBatchedSpeedup;
-  addFinding(Out, "speedup.batched_vs_per_event",
-             Ref.get("speedup").getDouble("batched_vs_per_event"), Speedup,
-             Reg,
-             Reg ? "batched replay no faster than per-event dispatch"
-                 : "no regression");
-}
-
 // -- spf-bench-adaptation-v1 ---------------------------------------------
 
 void diffAdaptation(const JsonValue &Ref, const JsonValue &Got,
@@ -232,18 +199,6 @@ bool validateSweep(const JsonValue &V, std::string *Error) {
   return true;
 }
 
-bool validateThroughput(const JsonValue &V, std::string *Error) {
-  const JsonValue &Modes = V.get("modes");
-  if (Modes.kind() != JsonValue::Kind::Object)
-    return fail(Error, "spf-bench-throughput-v1: missing modes object");
-  for (const auto &KV : Modes.objectMembers())
-    if (!KV.second.has("cells_per_sec"))
-      return fail(Error, "mode " + KV.first + ": missing cells_per_sec");
-  if (!V.get("speedup").has("batched_vs_per_event"))
-    return fail(Error, "missing speedup.batched_vs_per_event");
-  return true;
-}
-
 bool validateAdaptation(const JsonValue &V, std::string *Error) {
   const JsonValue &Vars = V.get("variants");
   if (Vars.kind() != JsonValue::Kind::Array)
@@ -283,9 +238,7 @@ DiffResult harness::diffReports(const JsonValue &Ref, const JsonValue &Got,
     return Out;
   }
   Out.Schema = RefSchema;
-  if (RefSchema == "spf-bench-throughput-v1")
-    diffThroughput(Ref, Got, T, Out);
-  else if (RefSchema == "spf-bench-adaptation-v1")
+  if (RefSchema == "spf-bench-adaptation-v1")
     diffAdaptation(Ref, Got, T, Out);
   else if (RefSchema == "spf-sweep-v2")
     diffSweep(Ref, Got, T, Out);
@@ -300,8 +253,6 @@ bool harness::validateReport(const JsonValue &V, std::string *Error) {
   std::string Schema = V.getString("schema");
   if (Schema == "spf-sweep-v2")
     return validateSweep(V, Error);
-  if (Schema == "spf-bench-throughput-v1")
-    return validateThroughput(V, Error);
   if (Schema == "spf-bench-adaptation-v1")
     return validateAdaptation(V, Error);
   return fail(Error, Schema.empty() ? "missing schema key"

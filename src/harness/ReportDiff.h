@@ -2,16 +2,12 @@
 ///
 /// \file
 /// The one comparator behind every report-level regression gate: the
-/// `spf-report` CLI (tools/spf-report.cpp), the CI throughput and
-/// adaptation checks, and `bench/adaptation --check-against` all route
-/// through diffReports, so a threshold changed here changes every gate
-/// at once.
+/// `spf-report` CLI (tools/spf-report.cpp), the CI adaptation check, and
+/// `bench/adaptation --check-against` all route through diffReports, so
+/// a threshold changed here changes every gate at once.
 ///
-/// Three schemas are understood, dispatched on the reports' "schema"
-/// key (both sides must agree):
-///  - spf-bench-throughput-v1: per-mode cells/sec; a configurable
-///    fractional drop on the batched mode, or a batched-vs-per-event
-///    speedup below the floor, is a regression.
+/// Two schemas are understood, dispatched on the reports' "schema" key
+/// (both sides must agree):
 ///  - spf-bench-adaptation-v1: per-variant/per-workload recovery; an
 ///    absolute recovery drop beyond the threshold is a regression.
 ///  - spf-sweep-v2: per-cell simulated cycles, matched by
@@ -39,11 +35,6 @@ namespace harness {
 /// Regression thresholds; every gate knob of the CLI maps onto one
 /// field. Defaults reproduce the historic CI gates.
 struct DiffThresholds {
-  /// spf-bench-throughput-v1: fractional cells/sec drop on the batched
-  /// mode that counts as a regression (0.20 = fail below 80% of ref).
-  double ThroughputDropFrac = 0.20;
-  /// spf-bench-throughput-v1: floor on speedup.batched_vs_per_event.
-  double MinBatchedSpeedup = 1.0;
   /// spf-bench-adaptation-v1: absolute recovery drop (recovery is a
   /// 0..1 fraction) that counts as a regression.
   double RecoveryDrop = 0.20;
@@ -56,7 +47,7 @@ struct DiffThresholds {
 /// One compared quantity. Regression=true means the threshold tripped;
 /// false findings are informational (improvements, one-sided entries).
 struct DiffFinding {
-  std::string Where;  ///< e.g. "modes.batched.cells_per_sec".
+  std::string Where;  ///< e.g. "variants.mark-sweep.db.recovery".
   double Ref = 0.0;
   double Got = 0.0;
   bool Regression = false;

@@ -91,8 +91,7 @@ std::vector<std::string> harness::workerArgv(const std::string &SelfPath,
 }
 
 void harness::runCellWorker(const ExperimentPlan &Plan,
-                            const WorkerRequest &Req,
-                            const TraceOptions &Trace) {
+                            const WorkerRequest &Req) {
   CellResult Cell;
   obs::Span WorkerSpan("worker-cell", "harness");
   WorkerSpan.noteU64("cell", Req.Cell);
@@ -106,22 +105,6 @@ void harness::runCellWorker(const ExperimentPlan &Plan,
     workloads::RunOptions Opt = C.Opt;
     Opt.TimeoutSeconds = cellTimeoutSeconds();
 
-    // A worker-local cache front for the shared spill directory: with
-    // --trace-dir every recording is written through to disk, so sibling
-    // workers (and resumed runs) replay instead of re-interpreting. No
-    // spill dir means no cross-process channel — skip tracing entirely.
-    // Disk-only chaos keeps tracing on (it exists to exercise exactly
-    // these spill writes); any execution site disables it, as in-process.
-    const bool UseTrace = Trace.Enabled && Trace.BudgetBytes > 0 &&
-                          !Trace.SpillDir.empty() &&
-                          !Faults.anyExecutionSiteEnabled();
-    std::optional<TraceCache> Cache;
-    if (UseTrace)
-      Cache.emplace(Trace.BudgetBytes, Trace.SpillDir);
-    const std::string Sig = UseTrace
-                                ? workloads::executionSignature(*C.Spec, Opt)
-                                : std::string();
-
     Cell.Attempts = 1;
     // Identical salt to the in-process attempt loop: supervised chaos
     // fires at exactly the same points as in-process chaos.
@@ -132,28 +115,7 @@ void harness::runCellWorker(const ExperimentPlan &Plan,
     try {
       if (SPF_FAULT_POINT(support::FaultSite::CellExec))
         throw support::TransientFault("injected cell fault");
-      bool Replayed = false;
-      if (!Sig.empty()) {
-        if (auto E = Cache->lookup(Sig)) {
-          Cell.Run = workloads::replayTrace(E->ExecSide, E->Buf, Opt.Machine,
-                                            Opt.TimelineEvery);
-          Replayed = true;
-        }
-      }
-      if (!Replayed) {
-        if (!Sig.empty()) {
-          trace::TraceBuffer Buf;
-          Buf.setByteCap(Trace.BudgetBytes);
-          Opt.Record = &Buf;
-          Opt.ReserveEvents = Cache->reservedEvents(C.Spec->Name);
-          Cell.Run = workloads::runWorkload(*C.Spec, Opt);
-          Opt.Record = nullptr;
-          if (!Buf.overflowed())
-            Cache->insert(Sig, std::move(Buf), Cell.Run);
-        } else {
-          Cell.Run = workloads::runWorkload(*C.Spec, Opt);
-        }
-      }
+      Cell.Run = workloads::runWorkload(*C.Spec, Opt);
       Cell.Ran = true;
     } catch (const support::TransientFault &E) {
       Cell.Transient = true;

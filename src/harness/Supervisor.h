@@ -63,11 +63,9 @@ std::vector<std::string> workerArgv(const std::string &SelfPath, int Argc,
 /// line on \p Req.ResultFd, and exits without running destructors
 /// (the process is disposable; unwinding a half-built heap buys
 /// nothing). Mirrors the in-process attempt semantics exactly: same
-/// fault-stream salt, same trace lookup/record behavior against
-/// \p Trace's spill directory, same exception classification.
+/// fault-stream salt, same exception classification.
 [[noreturn]] void runCellWorker(const ExperimentPlan &Plan,
-                                const WorkerRequest &Req,
-                                const TraceOptions &Trace);
+                                const WorkerRequest &Req);
 
 /// Per-cell wall-clock budget from SPF_CELL_TIMEOUT (seconds; unset or
 /// 0 = off). Malformed values fail fast (support/Env.h).

@@ -7,8 +7,8 @@
 /// the planner pruned, which prefetch kind codegen emitted, and why a
 /// loop degraded — keyed by method, loop header, and load site. The
 /// events live on a DecisionLog owned by the workload runner, travel in
-/// RunResult::Decisions through the trace cache / journal / worker
-/// record line, and surface as JSON-lines (--decisions-out) and the
+/// RunResult::Decisions through shared executions, the journal and the
+/// worker record line, and surface as JSON-lines (--decisions-out) and the
 /// human summary printed by `bench/sweep --explain`.
 ///
 /// Passes find the active log through a thread-local DecisionScope

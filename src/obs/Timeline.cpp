@@ -30,9 +30,8 @@ void TimelineSampler::takeSample(bool IsBoundary) {
     NextSampleAt += Every;
   if (Samples.size() < MaxSamples)
     return;
-  // Over budget: halve the resolution. Both replay and live runs see the
-  // same event stream, so they decimate at the same sample and keep the
-  // same survivors — the timeline stays bit-identical across paths.
+  // Over budget: halve the resolution. The decimation point depends on
+  // the event stream alone, so equal streams keep equal survivors.
   Every *= 2;
   std::vector<TimelineSample> Kept;
   Kept.reserve(Samples.size() / 2 + 8);
@@ -48,45 +47,6 @@ void TimelineSampler::takeSample(bool IsBoundary) {
   }
   Samples = std::move(Kept);
   NextSampleAt = EventCount + Every;
-}
-
-void TimelineSampler::consume(const exec::AccessEvent *Events, size_t N) {
-  size_t I = 0;
-  while (I != N) {
-    // Scan to the next snapshot point, then hand the whole sub-block to
-    // the MemorySystem's batched path in one call. Two stop shapes:
-    // *before* a memory event when a boundary sample is due (so the
-    // snapshot includes every merged tick ahead of it), *after* the
-    // N-th memory event for the periodic cadence.
-    size_t Begin = I;
-    bool Periodic = false;
-    while (I != N) {
-      bool IsMem = Events[I].Kind != exec::EventKind::Tick;
-      if (IsMem && boundaryDue())
-        break;
-      ++I;
-      if (IsMem && ++EventCount == NextSampleAt) {
-        Periodic = true;
-        break;
-      }
-    }
-    if (I != Begin)
-      Mem.consume(Events + Begin, I - Begin);
-    if (Periodic)
-      takeSample(/*IsBoundary=*/false);
-    else if (I != N)
-      firePre(); // Boundary due right before Events[I].
-  }
-}
-
-void TimelineSampler::boundary() {
-  BoundaryEvents.push_back(EventCount);
-  ++PendingBoundaries;
-}
-
-void TimelineSampler::setBoundaries(std::vector<uint64_t> Indices) {
-  Boundaries = std::move(Indices);
-  NextBoundary = 0;
 }
 
 void TimelineSampler::finish() {
@@ -106,7 +66,7 @@ void obs::emitTimelineCounters(const std::vector<TimelineSample> &Timeline,
     E.Ph = 'C';
     // The counter lane's time axis is *simulated* cycles, not wall
     // clock: the phase structure of the run is what the timeline shows,
-    // and it is identical whether the cell was interpreted or replayed.
+    // and it is identical whether or not the cell shared its execution.
     E.TsUs = S.Cycles;
     E.NumArgs.emplace_back("compute", S.Acct.Compute);
     for (size_t L = 0; L != S.Acct.Level.size(); ++L)

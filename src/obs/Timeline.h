@@ -3,31 +3,19 @@
 /// \file
 /// Time-series sampling of the MemorySystem's cycle attribution and
 /// prefetch-health counters: a TimelineSampler interposes on the
-/// access-event stream (live interpretation or trace replay alike) and
-/// snapshots the cumulative CycleAccounting every N *memory* events,
-/// plus one flagged sample at every epoch/GC boundary the runner
-/// announces.
+/// access-event stream in front of one MemorySystem and snapshots the
+/// cumulative CycleAccounting every N *memory* events, plus one flagged
+/// sample at every epoch/GC boundary the runner announces.
 ///
-/// The sampling cadence deliberately counts memory events only
-/// (loads/stores/prefetches/guarded loads), never ticks: the trace
-/// recorder run-length-merges consecutive tick() calls into one Tick
-/// event, so tick *call counts* differ between live interpretation and
-/// replay while memory events map one-to-one. Counting only the latter
-/// makes every sample land at the same point — and therefore carry the
-/// same cycle values — on both paths, which the timeline determinism
-/// test pins.
-///
-/// Boundary samples cannot be derived from the event stream (a GC pause
-/// is just another merged Tick), so the runner records each boundary's
-/// memory-event index into RunResult::BoundaryEvents; replay feeds that
-/// list back via setBoundaries() and the sampler re-fires the snapshots
-/// at the recorded indices. A boundary snapshot is defined as the state
-/// *immediately before the first memory event after the boundary* — the
-/// only point near the boundary that both paths can agree on, because
-/// the compute ticks around it (previous epoch's tail, the GC pause,
-/// the next epoch's head) are merged into one indivisible Tick event in
-/// the trace. Periodic snapshots are "immediately after the N-th memory
-/// event", which is equally well-defined on both paths.
+/// The cadence counts memory events only (loads/stores/prefetches/
+/// guarded loads), never ticks: the interpreter coalesces tick runs, so
+/// tick *call counts* are an artifact of dispatch while memory events
+/// are a property of the program. A boundary snapshot is the state
+/// *immediately before the first memory event after the boundary*, so
+/// it includes the GC pause ticks; periodic snapshots are "immediately
+/// after the N-th memory event". Both points depend on the event stream
+/// alone, so a sampler behind a fan-out sink (workloads::runWorkloadGroup)
+/// produces exactly the timeline of a solo run on the same machine.
 ///
 /// The sampler is pure mechanism and always compiled; policy lives with
 /// the callers (bench binaries only turn it on when observability is
@@ -64,16 +52,13 @@ struct TimelineSample {
 };
 
 /// AccessSink shim that forwards everything to a MemorySystem and
-/// snapshots it on the configured cadence. Blocks handed to consume()
-/// are split at sample points and forwarded block-wise, so the
-/// MemorySystem's batched fast path stays engaged between samples (the
-/// block-dispatch contract makes the split invisible to it).
+/// snapshots it on the configured cadence.
 class TimelineSampler final : public exec::AccessSink {
 public:
   /// Samples every \p Every memory events (must be nonzero). At most
   /// \p MaxSamples are retained: on overflow the cadence doubles and
   /// every other periodic sample is dropped (boundary samples are always
-  /// kept) — deterministically, so live and replay decimate identically.
+  /// kept) — deterministically, as a function of the event stream.
   explicit TimelineSampler(sim::MemorySystem &Mem, uint64_t Every,
                            size_t MaxSamples = 4096);
 
@@ -118,16 +103,10 @@ public:
     Mem.guardedLoadFault(Site);
     noteMemEvent();
   }
-  void consume(const exec::AccessEvent *Events, size_t N) override;
 
-  /// Live-run epoch/GC boundary: records the current memory-event index
-  /// for replay and arms a flagged sample that fires immediately before
-  /// the next memory event (or at finish()).
-  void boundary();
-
-  /// Replay: re-fire boundary samples at these recorded memory-event
-  /// indices (ascending; duplicates fire one sample each).
-  void setBoundaries(std::vector<uint64_t> Indices);
+  /// Epoch/GC boundary: arms a flagged sample that fires immediately
+  /// before the next memory event (or at finish()).
+  void boundary() { ++PendingBoundaries; }
 
   /// Fires any boundary still due and appends the final sample. Call
   /// once, after the last event; the timeline is never empty afterwards.
@@ -135,34 +114,17 @@ public:
 
   const std::vector<TimelineSample> &samples() const { return Samples; }
   std::vector<TimelineSample> takeSamples() { return std::move(Samples); }
-  /// Boundary indices recorded by boundary() calls (live runs).
-  std::vector<uint64_t> takeBoundaryEvents() {
-    return std::move(BoundaryEvents);
-  }
 
 private:
   void noteMemEvent() {
     if (++EventCount == NextSampleAt)
       takeSample(/*IsBoundary=*/false);
   }
-  bool boundaryDue() const {
-    return PendingBoundaries ||
-           (NextBoundary < Boundaries.size() &&
-            Boundaries[NextBoundary] <= EventCount);
-  }
-  /// Fires every boundary sample due at the current event index — armed
-  /// live via boundary() or scheduled via setBoundaries(). Called before
+  /// Fires every boundary sample armed by boundary(). Called before
   /// each memory event is forwarded.
   void firePre() {
-    while (PendingBoundaries) {
+    for (; PendingBoundaries; --PendingBoundaries)
       takeSample(/*IsBoundary=*/true);
-      --PendingBoundaries;
-    }
-    while (NextBoundary < Boundaries.size() &&
-           Boundaries[NextBoundary] <= EventCount) {
-      takeSample(/*IsBoundary=*/true);
-      ++NextBoundary;
-    }
   }
   void takeSample(bool IsBoundary);
 
@@ -171,11 +133,8 @@ private:
   size_t MaxSamples;
   uint64_t EventCount = 0;
   uint64_t NextSampleAt;
-  unsigned PendingBoundaries = 0; ///< Armed by boundary(), live runs.
+  unsigned PendingBoundaries = 0; ///< Armed by boundary().
   std::vector<TimelineSample> Samples;
-  std::vector<uint64_t> BoundaryEvents; ///< Recorded by boundary().
-  std::vector<uint64_t> Boundaries;     ///< Scheduled by setBoundaries().
-  size_t NextBoundary = 0;
 };
 
 /// Emits one Chrome-trace 'C' counter event per sample into the process

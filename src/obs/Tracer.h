@@ -7,7 +7,7 @@
 /// in chrome://tracing or Perfetto.
 ///
 /// Model: RAII `Span` objects produce complete ("X") events; `instant`
-/// marks point events (retry, trace-hit, journal-graft). Timestamps are
+/// marks point events (retry, journal-graft, sweep-stop). Timestamps are
 /// CLOCK_MONOTONIC microseconds, which on Linux is machine-wide, so
 /// events recorded in forked worker processes line up with the
 /// supervisor's on the same axis. Workers ship their buffered events

@@ -7,8 +7,8 @@
 /// out-of-order machines where a prefetch one iteration ahead may not
 /// fully cover memory latency).
 ///
-/// The cache sits on the hottest per-event path of trace replay (one to
-/// two probes per demand access), so the lookup is structured for that:
+/// The cache sits on the hottest per-event path of the simulation (one
+/// to two probes per demand access), so the lookup is structured for that:
 /// line addresses are shifts (line size is a power of two), tags live in
 /// a packed per-set array an associativity's worth of which fits in one
 /// host cache line, and the hit path is inline. Recency and ready-cycles
@@ -155,72 +155,6 @@ public:
       TagSites.assign(Tags.size(), 0);
     }
   }
-
-  /// "No clean hit" result of peekCleanHit().
-  static constexpr size_t NoSlot = ~size_t(0);
-
-  /// Pure probe for the replay fast path: the slot of a clean demand hit
-  /// (line present and fully resident — no in-flight prefetch to wait
-  /// for), or NoSlot. No state changes; pair with commitHit().
-  size_t peekCleanHit(uint64_t Addr, uint64_t Now) const {
-    uint64_t LineAddr = Addr >> LineShift;
-    if (LineAddr == MruLine)
-      return ReadyAt[MruSlot] <= Now ? MruSlot : NoSlot;
-    size_t Base = setBase(LineAddr);
-    for (unsigned I = 0; I != Params.Assoc; ++I)
-      if (Tags[Base + I] == LineAddr)
-        return ReadyAt[Base + I] <= Now ? Base + I : NoSlot;
-    return NoSlot;
-  }
-
-  /// Commits the demand hit peekCleanHit() found — exactly access()'s
-  /// hit path for a resident line (counters, use stamp, MRU repoint).
-  void commitHit(size_t Slot) {
-    ++DemandAccesses;
-    ++UseClock;
-    LastUse[Slot] = UseClock;
-    MruLine = Tags[Slot];
-    MruSlot = Slot;
-  }
-
-  /// Register-resident counter window for a block of commits: the use
-  /// clock and demand-access count live in the cursor (breaking the
-  /// per-event memory round trip on those counters), everything else
-  /// goes straight to the cache. flush() before any non-cursor call on
-  /// the same cache, and at the end of the block.
-  class BlockCursor {
-  public:
-    explicit BlockCursor(Cache &C)
-        : C(C), UseClock(C.UseClock), DemandAccesses(C.DemandAccesses) {}
-
-    size_t peekCleanHit(uint64_t Addr, uint64_t Now) const {
-      return C.peekCleanHit(Addr, Now);
-    }
-
-    /// Exactly Cache::commitHit, counters held in the cursor.
-    void commitHit(size_t Slot) {
-      ++DemandAccesses;
-      ++UseClock;
-      C.LastUse[Slot] = UseClock;
-      C.MruLine = C.Tags[Slot];
-      C.MruSlot = Slot;
-    }
-
-    void flush() {
-      C.UseClock = UseClock;
-      C.DemandAccesses = DemandAccesses;
-    }
-
-    void reload() {
-      UseClock = C.UseClock;
-      DemandAccesses = C.DemandAccesses;
-    }
-
-  private:
-    Cache &C;
-    uint64_t UseClock;
-    uint64_t DemandAccesses;
-  };
 
   /// True when the line holding \p Addr is present (no LRU update).
   bool contains(uint64_t Addr) const {

@@ -2,10 +2,9 @@
 ///
 /// \file
 /// An AccessSink that models nothing: it just counts events. Useful for
-/// cheap passes that need only the shape of an access stream — sizing a
-/// trace before replaying it through a real machine, sanity-checking a
-/// decode against its recording, or measuring event mix — at a fraction
-/// of a MemorySystem replay's cost.
+/// cheap passes that need only the shape of an access stream — timing
+/// the interpreter on its own, or measuring event mix — at a fraction of
+/// a MemorySystem's cost.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,37 +41,6 @@ public:
   void prefetch(uint64_t) override { ++Prefetches; }
   void guardedLoad(uint64_t) override { ++GuardedLoads; }
   void guardedLoadFault() override { ++GuardedLoadFaults; }
-
-  /// Block dispatch (replay fast path): same counts as per-event calls,
-  /// one virtual call per block.
-  void consume(const exec::AccessEvent *Events, size_t N) override {
-    for (size_t I = 0; I != N; ++I) {
-      const exec::AccessEvent &E = Events[I];
-      switch (E.Kind) {
-      case exec::EventKind::Tick:
-        ++TickCalls;
-        TicksTotal += E.Value;
-        break;
-      case exec::EventKind::Load:
-        ++Loads;
-        if (E.Site >= LoadSites)
-          LoadSites = E.Site + 1;
-        break;
-      case exec::EventKind::Store:
-        ++Stores;
-        break;
-      case exec::EventKind::Prefetch:
-        ++Prefetches;
-        break;
-      case exec::EventKind::GuardedLoad:
-        ++GuardedLoads;
-        break;
-      case exec::EventKind::GuardedLoadFault:
-        ++GuardedLoadFaults;
-        break;
-      }
-    }
-  }
 
   /// Memory events + tick calls (how many sink calls were consumed).
   uint64_t totalCalls() const {

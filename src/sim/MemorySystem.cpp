@@ -38,9 +38,8 @@ MemorySystem::MemorySystem(const MachineConfig &Cfg)
   for (const CacheLevel &L : Cfg.Levels)
     CacheLevels.emplace_back(L.Geometry);
   Acct.Level.assign(Cfg.Levels.size(), 0);
-  // RPT effectiveness is tracked whenever the RPT runs: its fills only
-  // land in the last level, which the batched fast path's L1/TLB cursors
-  // never shortcut, so tagging there is fast-path safe.
+  // RPT effectiveness is tracked whenever the RPT runs (its fills only
+  // land in the last level, so the tags there cost demand hits nothing).
   if (RptActive)
     CacheLevels.back().setTagObserver(this);
 }
@@ -99,21 +98,21 @@ void MemorySystem::hwPrefetchOnMiss(uint64_t Addr) {
     Last.prefetchFill(Target, Cycles + Cfg.PrefetchFillLatency);
 }
 
-void MemorySystem::rptObserveLoad(uint32_t Site, uint64_t Addr, uint64_t Now) {
+void MemorySystem::rptObserveLoad(uint32_t Site, uint64_t Addr) {
   HwTargets.clear();
   Rpt.observe(Site, Addr, HwTargets);
   if (HwTargets.empty())
     return;
-  // RPT fills land in the last level only, like the stream prefetcher's:
-  // this keeps the replay fast path's TLB/L1 cursors untouched. Fills
-  // carry the training site as their tag, so their fate (useful / late /
-  // evicted-unused) lands back on that site's stats. Sites[Site] exists:
-  // the observing load sized the table before we got here.
+  // RPT fills land in the last level only, like the stream prefetcher's.
+  // Fills carry the training site as their tag, so their fate (useful /
+  // late / evicted-unused) lands back on that site's stats. Sites[Site]
+  // exists: the observing load sized the table before we got here.
   Stats.RptPrefetchesIssued += HwTargets.size();
   Sites[Site].RptIssued += HwTargets.size();
   Cache &Last = CacheLevels.back();
   for (uint64_t Target : HwTargets)
-    Last.prefetchFill(Target, Now + Cfg.PrefetchFillLatency, PfTag::Rpt, Site);
+    Last.prefetchFill(Target, Cycles + Cfg.PrefetchFillLatency, PfTag::Rpt,
+                      Site);
 }
 
 uint64_t MemorySystem::walkerAccess(uint64_t PteAddr) {
@@ -238,7 +237,7 @@ void MemorySystem::load(uint64_t Addr, exec::SiteId Site) {
   // The RPT watches the instruction stream (every execution, hit or
   // miss), keyed by load site — the simulator's stand-in for the PC.
   if (RptActive)
-    rptObserveLoad(Site, Addr, Cycles);
+    rptObserveLoad(Site, Addr);
   uint64_t Cost = demandAccess(Addr, /*IsLoad=*/true, &S);
   Stats.CyclesStalledOnLoads += Cost;
   S.StallCycles += Cost;
@@ -327,166 +326,4 @@ void MemorySystem::guardedLoadFaultImpl(exec::SiteId Site) {
     ++siteFor(Site).SwIssued;
   Cycles += Cfg.GuardFaultCost;
   Acct.GuardFault += Cfg.GuardFaultCost;
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((flatten))
-#endif
-void MemorySystem::consume(const exec::AccessEvent *Events, size_t N) {
-  // Health tracking tags lines at L1, which the block cursor's clean-hit
-  // shortcut cannot resolve — take the per-event path (identical
-  // semantics by the block-dispatch contract). Governor-driven runs are
-  // the only ones that enable tracking, and they are never the replay
-  // throughput path.
-  if (SwHealth) {
-    exec::AccessSink::consume(Events, N);
-    return;
-  }
-  // The replay fast path: one virtual consume() per block, and inside it
-  // the clock and the load counters live in locals — member accesses all
-  // share one alias class, so keeping them in the object would force a
-  // reload/store per event. The common load (TLB MRU hit + clean L1 hit
-  // + known site) commits via the pure peek/commit probes, which perform
-  // exactly the member-path bookkeeping; everything else writes the
-  // locals back, takes the ordinary member call, and re-hoists — the
-  // batched-vs-per-event differential tests pin the two paths together,
-  // bit for bit. RPT observation happens on the fast path too (the table
-  // watches every load, hit or miss), but its fills only touch the last
-  // cache level, so the TLB/L1 cursors stay valid.
-  uint64_t Cyc = Cycles;
-  uint64_t NLoads = Stats.Loads;
-  uint64_t Stalled = Stats.CyclesStalledOnLoads;
-  const uint64_t HitCost = Cfg.Levels[0].HitCycles;
-  const uint64_t ComputeC = Cfg.ComputeCycles;
-  const bool RptOn = RptActive;
-  SiteStats *SiteArr = Sites.data();
-  size_t NSites = Sites.size();
-  // Stride loops hammer one site for thousands of events, so its load
-  // count is accumulated in a register and flushed on site change (and
-  // before any fallback, which may touch the site table).
-  size_t CurSite = NSites; // No run pending.
-  uint64_t CurSiteLoads = 0;
-  uint64_t CurSiteStall = 0;
-  // Attribution deltas for the three categories the fast path charges
-  // itself (everything else goes through member calls, which
-  // self-account); flushed add-then-zero alongside the clock.
-  uint64_t AcctCompute = 0;
-  uint64_t AcctL0 = 0;
-  uint64_t AcctFault = 0;
-  Tlb::BlockCursor TlbCur(Dtlb);
-  Cache::BlockCursor L1Cur(CacheLevels[0]);
-  auto FlushAcct = [&] {
-    Acct.Compute += AcctCompute;
-    Acct.Level[0] += AcctL0;
-    Acct.GuardFault += AcctFault;
-    AcctCompute = AcctL0 = AcctFault = 0;
-  };
-  // Writes every register-held counter back to its home and empties the
-  // site run; the member state is then exactly what per-event dispatch
-  // would have produced.
-  auto Sync = [&] {
-    Cycles = Cyc;
-    Stats.Loads = NLoads;
-    Stats.CyclesStalledOnLoads = Stalled;
-    FlushAcct();
-    if (CurSiteLoads) {
-      SiteArr[CurSite].Loads += CurSiteLoads;
-      SiteArr[CurSite].StallCycles += CurSiteStall;
-      CurSiteLoads = 0;
-      CurSiteStall = 0;
-    }
-    CurSite = NSites;
-    TlbCur.flush();
-    L1Cur.flush();
-  };
-  auto Rehoist = [&] {
-    Cyc = Cycles;
-    NLoads = Stats.Loads;
-    Stalled = Stats.CyclesStalledOnLoads;
-    SiteArr = Sites.data(); // The call may have grown the site table.
-    NSites = Sites.size();
-    CurSite = NSites;
-    TlbCur.reload();
-    L1Cur.reload();
-  };
-  // Stores, prefetches and guarded loads never touch the load counters
-  // or the site table, so their fallback only moves the clock and the
-  // TLB/L1 counter windows.
-  auto SyncMachine = [&] {
-    Cycles = Cyc;
-    FlushAcct();
-    TlbCur.flush();
-    L1Cur.flush();
-  };
-  auto RehoistMachine = [&] {
-    Cyc = Cycles;
-    TlbCur.reload();
-    L1Cur.reload();
-  };
-  for (size_t I = 0; I != N; ++I) {
-    const exec::AccessEvent &E = Events[I];
-    switch (E.Kind) {
-    case exec::EventKind::Tick:
-      Cyc += E.Value * ComputeC;
-      AcctCompute += E.Value * ComputeC;
-      break;
-    case exec::EventKind::Load: {
-      size_t TlbSlot, L1Slot;
-      if (E.Site < NSites && (TlbSlot = TlbCur.peekHit(E.Value)) != Tlb::NoSlot &&
-          (L1Slot = L1Cur.peekCleanHit(E.Value, Cyc)) != Cache::NoSlot) {
-        // Identical to load() when the TLB and the L1 both hit a
-        // resident line: hit cost only, no miss counters. The RPT
-        // observation uses the register clock — the same value load()
-        // would have passed — and cannot disturb the L1/TLB state the
-        // probes above just peeked.
-        TlbCur.commitHit(TlbSlot);
-        L1Cur.commitHit(L1Slot);
-        ++NLoads;
-        if (E.Site == CurSite) {
-          ++CurSiteLoads;
-        } else {
-          if (CurSiteLoads) {
-            SiteArr[CurSite].Loads += CurSiteLoads;
-            SiteArr[CurSite].StallCycles += CurSiteStall;
-          }
-          CurSite = E.Site;
-          CurSiteLoads = 1;
-          CurSiteStall = 0;
-        }
-        if (RptOn)
-          rptObserveLoad(E.Site, E.Value, Cyc);
-        Stalled += HitCost;
-        CurSiteStall += HitCost;
-        AcctL0 += HitCost;
-        Cyc += HitCost;
-        break;
-      }
-      Sync();
-      load(E.Value, E.Site);
-      Rehoist();
-      break;
-    }
-    case exec::EventKind::Store:
-      SyncMachine();
-      store(E.Value);
-      RehoistMachine();
-      break;
-    case exec::EventKind::Prefetch:
-      SyncMachine();
-      prefetch(E.Value);
-      RehoistMachine();
-      break;
-    case exec::EventKind::GuardedLoad:
-      SyncMachine();
-      guardedLoad(E.Value);
-      RehoistMachine();
-      break;
-    case exec::EventKind::GuardedLoadFault:
-      ++Stats.GuardedLoadFaults;
-      Cyc += Cfg.GuardFaultCost;
-      AcctFault += Cfg.GuardFaultCost;
-      break;
-    }
-  }
-  Sync();
 }

@@ -7,9 +7,9 @@
 /// drives: compute ticks, demand loads/stores, hardware prefetch
 /// instructions, and guarded loads. This is the canonical
 /// exec::AccessSink implementation — the timing half of the
-/// execution/timing split — so it can consume either a live interpreter
-/// or a replayed trace::TraceBuffer, with identical results. Owns the
-/// cycle clock and the counters behind Figures 8-10 (load misses per
+/// execution/timing split — so one interpreter run can drive several
+/// MemorySystems (one per machine) with identical per-machine results.
+/// Owns the cycle clock and the counters behind Figures 8-10 (load misses per
 /// instruction), plus per-load-site attribution.
 ///
 /// For the builtin two-level flat-TLB configs (Pentium 4, Athlon MP) the
@@ -86,8 +86,7 @@ struct MemoryStats {
 /// Exact attribution of every cycle the MemorySystem charges. Each
 /// charge site adds to exactly one category (plus the clock), so
 /// total() == MemorySystem::cycles() is a hard invariant on every
-/// machine and on both the per-event and the batched replay paths —
-/// pinned by tests/acct_test.cpp. The GC-pause share is not split out
+/// machine — pinned by tests/acct_test.cpp. The GC-pause share is not split out
 /// here: GC pauses reach the sim as ordinary compute ticks, so the
 /// report layer derives gc_pause = pauses * GcPauseTicks * ComputeCycles
 /// and subtracts it from Compute (see harness::cycleBreakdown).
@@ -124,7 +123,7 @@ struct CycleAccounting {
 };
 
 /// Per-load-site counters (index = exec::SiteId, assigned by the
-/// interpreter in first-execution order and carried by the trace).
+/// interpreter in first-execution order).
 struct SiteStats {
   uint64_t Loads = 0;
   uint64_t L1Misses = 0;
@@ -214,18 +213,12 @@ public:
     guardedLoadFaultImpl(Site);
   }
 
-  /// Block dispatch for the replay fast path: identical semantics to
-  /// per-event calls (the class is final, so the inner loop
-  /// devirtualizes), bit-identical stats and cycles.
-  void consume(const exec::AccessEvent *Events, size_t N) override;
-
   /// Turns on per-site prefetch-health accounting: software prefetch /
   /// guarded-load fills are tagged in the cache and their resolution
   /// (useful / late / evicted-unused) charged to the issuing site.
-  /// Timing, demand stats, and the pre-existing counters are unchanged —
-  /// but consume() leaves the batched fast path (the L1 cursor cannot
-  /// see tags), so enable this only for governor-driven runs. Cannot be
-  /// turned off again: tags already in flight would misreport.
+  /// Timing, demand stats, and the pre-existing counters are unchanged;
+  /// governor-driven runs enable it. Cannot be turned off again: tags
+  /// already in flight would misreport.
   void enablePrefetchHealth();
   bool prefetchHealthEnabled() const { return SwHealth; }
 
@@ -273,10 +266,8 @@ private:
   /// way, but never counts load/store stats or trains the prefetcher.
   uint64_t walkerAccess(uint64_t PteAddr);
   void hwPrefetchOnMiss(uint64_t Addr);
-  /// RPT observation of one demand load at time \p Now (the batched path
-  /// passes its register-resident clock; fills only ever touch the last
-  /// cache level, so the TLB/L1 cursors stay valid).
-  void rptObserveLoad(uint32_t Site, uint64_t Addr, uint64_t Now);
+  /// RPT observation of one demand load, before its access is charged.
+  void rptObserveLoad(uint32_t Site, uint64_t Addr);
   /// Residency-dependent fill latency of a software prefetch: the
   /// cumulative penalty down to the shallowest level that holds the
   /// line, or the full PrefetchFillLatency when none does.
@@ -296,8 +287,7 @@ private:
   /// log2(PageBytes) for the walker's page-number math (0 = division
   /// fallback for non-power-of-two pages, matching Tlb).
   unsigned PageShift;
-  /// Prefetch-health tracking on (enablePrefetchHealth()); routes
-  /// consume() through the per-event path.
+  /// Prefetch-health tracking on (enablePrefetchHealth()).
   bool SwHealth = false;
   uint64_t Cycles = 0;
   MemoryStats Stats;

@@ -6,7 +6,7 @@
 /// loads are used precisely to fill DTLB entries in advance ("TLB priming",
 /// Section 3.3); Figure 10 reports DTLB load MPIs.
 ///
-/// The TLB sits on the hottest per-event path of trace replay (every
+/// The TLB sits on the hottest per-event path of the simulation (every
 /// demand access translates), so the structure is built for lookups:
 /// recency is a monotonic use-clock stamp per entry (stamps are unique
 /// and monotonic, so min-stamp eviction is exactly list-LRU order), a
@@ -50,61 +50,6 @@ public:
     }
     return accessSlow(Page);
   }
-
-  /// "No hit" result of peekHit().
-  static constexpr size_t NoSlot = ~size_t(0);
-
-  /// Pure probe for the replay fast path: the slot of \p Addr's resident
-  /// entry, or NoSlot. No state changes; pair with commitHit().
-  size_t peekHit(uint64_t Addr) const {
-    uint64_t Page = pageOf(Addr);
-    if (Page == MruPage)
-      return MruIdx;
-    return findSlot(Page);
-  }
-
-  /// Commits the demand hit peekHit() found — exactly access()'s hit
-  /// path (demand-access count, fresh use stamp, MRU repoint).
-  void commitHit(size_t Slot) {
-    ++DemandAccesses;
-    Stamps[Slot] = ++UseClock;
-    MruPage = Pages[Slot];
-    MruIdx = Slot;
-  }
-
-  /// Register-resident counter window for a block of commits — same
-  /// contract as Cache::BlockCursor: flush() before any non-cursor call
-  /// on this TLB and at the end of the block.
-  class BlockCursor {
-  public:
-    explicit BlockCursor(Tlb &T)
-        : T(T), UseClock(T.UseClock), DemandAccesses(T.DemandAccesses) {}
-
-    size_t peekHit(uint64_t Addr) const { return T.peekHit(Addr); }
-
-    /// Exactly Tlb::commitHit, counters held in the cursor.
-    void commitHit(size_t Slot) {
-      ++DemandAccesses;
-      T.Stamps[Slot] = ++UseClock;
-      T.MruPage = T.Pages[Slot];
-      T.MruIdx = Slot;
-    }
-
-    void flush() {
-      T.UseClock = UseClock;
-      T.DemandAccesses = DemandAccesses;
-    }
-
-    void reload() {
-      UseClock = T.UseClock;
-      DemandAccesses = T.DemandAccesses;
-    }
-
-  private:
-    Tlb &T;
-    uint64_t UseClock;
-    uint64_t DemandAccesses;
-  };
 
   /// Probe without filling: the cancellation check of a hardware prefetch.
   /// The MRU entry is always present in the table, so checking it first

@@ -21,8 +21,8 @@
 ///    in supervised worker processes (see harness/Supervisor.h); an
 ///    in-process run never evaluates the site, so `all:...` chaos stays
 ///    safe without isolation;
-///  * `disk-write`   — a harness disk write (trace spill, journal append,
-///    report write) fails as if the disk were full or erroring
+///  * `disk-write`   — a harness disk write (journal append, report
+///    write) fails as if the disk were full or erroring
 ///    (ENOSPC/EIO). Every armed path degrades and counts — never crashes
 ///    or silently loses records;
 ///  * `disk-sync`    — an fsync fails after a successful write: the data
@@ -31,7 +31,7 @@
 ///
 /// The disk sites only simulate I/O failure in the harness's persistence
 /// paths; unlike the execution sites they never perturb cell statistics,
-/// so trace reuse stays on when only disk sites are armed (see
+/// so execution sharing stays on when only disk sites are armed (see
 /// FaultConfig::anyExecutionSiteEnabled).
 ///
 /// Configuration: programmatic (`FaultConfig`) or the environment knob
@@ -95,9 +95,9 @@ struct FaultConfig {
 
   bool anyEnabled() const;
   /// True when any site that perturbs cell *execution* (everything but
-  /// the disk-I/O sites) is enabled. Trace reuse keys off this: injected
-  /// disk failures only exercise the persistence paths, so replaying a
-  /// recorded trace under them is still honest chaos.
+  /// the disk-I/O sites) is enabled. Execution sharing keys off this:
+  /// injected disk failures only exercise the persistence paths, so
+  /// sharing an execution under them is still honest chaos.
   bool anyExecutionSiteEnabled() const;
   Site &site(FaultSite S) { return Sites[static_cast<unsigned>(S)]; }
   const Site &site(FaultSite S) const {

@@ -6,14 +6,14 @@
 #include "obs/Obs.h"
 #include "obs/StatRegistry.h"
 #include "obs/Tracer.h"
-#include "trace/RecordingSink.h"
 #include "workloads/ProgramPopulation.h"
 
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <optional>
-#include <stdexcept>
 
 using namespace spf;
 using namespace spf::workloads;
@@ -25,6 +25,72 @@ double elapsedUs(std::chrono::steady_clock::time_point Start) {
              std::chrono::steady_clock::now() - Start)
       .count();
 }
+
+/// Forwards every event to each member's sink, in member order: the
+/// fan-out of one shared execution. Every member sees exactly the stream
+/// a solo run would have given it (AccessSink's write-only contract).
+class FanOutSink final : public exec::AccessSink {
+public:
+  explicit FanOutSink(std::vector<exec::AccessSink *> Sinks)
+      : Sinks(std::move(Sinks)) {}
+
+  void tick(uint64_t N) override {
+    for (exec::AccessSink *S : Sinks)
+      S->tick(N);
+  }
+  void load(uint64_t Addr, exec::SiteId Site) override {
+    for (exec::AccessSink *S : Sinks)
+      S->load(Addr, Site);
+  }
+  void store(uint64_t Addr) override {
+    for (exec::AccessSink *S : Sinks)
+      S->store(Addr);
+  }
+  void prefetch(uint64_t Addr) override {
+    for (exec::AccessSink *S : Sinks)
+      S->prefetch(Addr);
+  }
+  void guardedLoad(uint64_t Addr) override {
+    for (exec::AccessSink *S : Sinks)
+      S->guardedLoad(Addr);
+  }
+  void guardedLoadFault() override {
+    for (exec::AccessSink *S : Sinks)
+      S->guardedLoadFault();
+  }
+  void prefetch(uint64_t Addr, exec::SiteId Site) override {
+    for (exec::AccessSink *S : Sinks)
+      S->prefetch(Addr, Site);
+  }
+  void guardedLoad(uint64_t Addr, exec::SiteId Site) override {
+    for (exec::AccessSink *S : Sinks)
+      S->guardedLoad(Addr, Site);
+  }
+  void guardedLoadFault(exec::SiteId Site) override {
+    for (exec::AccessSink *S : Sinks)
+      S->guardedLoadFault(Site);
+  }
+
+private:
+  std::vector<exec::AccessSink *> Sinks;
+};
+
+/// The timing side of one group member: its machine, plus the timeline
+/// sampler in front of it when the member samples one.
+struct MemberSim {
+  sim::MemorySystem Mem;
+  std::optional<obs::TimelineSampler> Sampler;
+
+  explicit MemberSim(const RunOptions &Opts) : Mem(Opts.Machine) {
+    if (Opts.TimelineEvery)
+      Sampler.emplace(Mem, Opts.TimelineEvery);
+  }
+  exec::AccessSink &sink() {
+    if (Sampler)
+      return *Sampler;
+    return Mem;
+  }
+};
 
 } // namespace
 
@@ -57,22 +123,29 @@ workloads::passOptionsFor(const sim::MachineConfig &M,
   return Opts;
 }
 
-RunResult workloads::runWorkload(const WorkloadSpec &Spec,
-                                 const RunOptions &Opts) {
+std::vector<RunResult>
+workloads::runWorkloadGroup(const WorkloadSpec &Spec,
+                            std::span<const RunOptions> Members) {
+  assert(!Members.empty());
+  const RunOptions &Opts = Members.front();
+  assert(!Opts.Governor || Members.size() == 1);
   RunResult Result;
 
   obs::Span RunSpan("run-workload", "runner");
   RunSpan.note("workload", Spec.Name);
   RunSpan.note("algorithm", algorithmName(Opts.Algo));
+  RunSpan.noteU64("members", Members.size());
 
   obs::Span BuildSpan("build-workload", "runner");
   BuiltWorkload W = Spec.Build(Opts.Config);
   BuildSpan.end();
 
   // JIT-compile the hot methods with their first-invocation arguments.
-  // The decision log records here, at compile time, and is detached
-  // before the simulated (timed) execution below — observability never
-  // runs inside the timed region.
+  // Every member shares these pass options: the execution signature
+  // keys exactly the machine facets passOptionsFor reads. The decision
+  // log records here, at compile time, and is detached before the
+  // simulated (timed) execution below — observability never runs inside
+  // the timed region.
   jit::CompileManager::Options CM;
   CM.EnablePrefetch = Opts.Algo != Algorithm::Baseline;
   CM.Pass = passOptionsFor(Opts.Machine, Opts.Algo == Algorithm::Inter
@@ -92,29 +165,18 @@ RunResult workloads::runWorkload(const WorkloadSpec &Spec,
     JitSpan.end();
   }
 
-  // Execute on the simulated machine, optionally teeing the access-event
-  // stream into a trace buffer (the live simulation is unaffected, so a
-  // recording run's results are direct-interpretation results).
-  sim::MemorySystem Mem(Opts.Machine);
+  // Execute once, simulating on every member's machine. A deque keeps
+  // each MemorySystem at a fixed address for its sampler.
+  std::deque<MemberSim> Sims;
+  std::vector<exec::AccessSink *> Sinks;
+  for (const RunOptions &M : Members)
+    Sinks.push_back(&Sims.emplace_back(M).sink());
+  std::optional<FanOutSink> FanOut;
+  exec::AccessSink *Sink = Sinks.front();
+  if (Sinks.size() > 1)
+    Sink = &FanOut.emplace(Sinks);
+  sim::MemorySystem &Mem = Sims.front().Mem; // The governor's evidence.
   unsigned Epochs = Opts.Epochs ? Opts.Epochs : 1;
-  // The timeline sampler sits between the recorder and the machine, so
-  // it sees exactly the stream a replay would. A recording multi-epoch
-  // run keeps a dormant sampler (cadence too large to ever fire) purely
-  // to count memory events: the boundary indices it records ride with
-  // the trace and let any later replay re-fire boundary samples.
-  std::optional<obs::TimelineSampler> Sampler;
-  exec::AccessSink *Sink = &Mem;
-  if (Opts.TimelineEvery || (Opts.Record && Epochs > 1)) {
-    Sampler.emplace(Mem, Opts.TimelineEvery ? Opts.TimelineEvery
-                                            : ~uint64_t(0) / 2);
-    Sink = &*Sampler;
-  }
-  std::optional<trace::RecordingSink> Recorder;
-  if (Opts.Record) {
-    Opts.Record->reserveEvents(Opts.ReserveEvents);
-    Recorder.emplace(*Sink, *Opts.Record);
-    Sink = &*Recorder;
-  }
   exec::Interpreter Interp(*W.Heap, *Sink, &W.Roots);
   if (Opts.TimeoutSeconds > 0.0)
     Interp.setDeadline(Opts.TimeoutSeconds);
@@ -152,8 +214,9 @@ RunResult workloads::runWorkload(const WorkloadSpec &Spec,
       addRefArgRoots(CU.M, CU.Args, Roots);
     Interp.gc().collect(*W.Heap, Roots);
     Sink->tick(exec::GcPauseTicks); // Same pause the interpreter charges.
-    if (Sampler)
-      Sampler->boundary();
+    for (MemberSim &S : Sims)
+      if (S.Sampler)
+        S.Sampler->boundary();
 
     if (Opts.PhaseChange && E == (Epochs + 1) / 2)
       applyPhaseChange(*W.Heap, Opts.Config.Seed);
@@ -200,8 +263,6 @@ RunResult workloads::runWorkload(const WorkloadSpec &Spec,
   }
   Result.InterpretUs = elapsedUs(Start);
   SimSpan.end();
-  if (Opts.Record)
-    Opts.Record->finish();
 
   // JIT totals are harvested after execution: governor re-inspection
   // re-compiles mid-run and its time belongs in the Figure 11 totals.
@@ -210,20 +271,7 @@ RunResult workloads::runWorkload(const WorkloadSpec &Spec,
   Result.Prefetch = Jit.aggregatePrefetch();
   Result.Decisions = Log.take();
 
-  Result.CompiledCycles = Mem.cycles();
   Result.Retired = Interp.stats().Retired;
-  Result.Mem = Mem.stats();
-  Result.Acct = Mem.acct();
-  Result.Sites = Mem.siteStats();
-  if (Sampler) {
-    Result.BoundaryEvents = Sampler->takeBoundaryEvents();
-    if (Opts.TimelineEvery) {
-      Sampler->finish();
-      Result.Timeline = Sampler->takeSamples();
-      obs::emitTimelineCounters(Result.Timeline,
-                                std::string("timeline:") + Spec.Name);
-    }
-  }
   Result.Exec = Interp.stats();
   Result.Epochs = Epochs;
   Result.GcCollections = Interp.gc().collectionCount();
@@ -250,19 +298,46 @@ RunResult workloads::runWorkload(const WorkloadSpec &Spec,
     S.histogram("spf_interpret_us")
         .observe(static_cast<uint64_t>(Result.InterpretUs));
   }
-  return Result;
+
+  // One result per member: the shared execution side plus the member's
+  // own machine statistics.
+  std::vector<RunResult> Results;
+  for (size_t K = 0; K != Sims.size(); ++K) {
+    MemberSim &S = Sims[K];
+    RunResult &R = Results.emplace_back(Result);
+    if (K) {
+      R.Replayed = true;
+      R.InterpretUs = 0;
+    }
+    R.CompiledCycles = S.Mem.cycles();
+    R.Mem = S.Mem.stats();
+    R.Acct = S.Mem.acct();
+    R.Sites = S.Mem.siteStats();
+    if (S.Sampler) {
+      S.Sampler->finish();
+      R.Timeline = S.Sampler->takeSamples();
+      obs::emitTimelineCounters(R.Timeline,
+                                std::string("timeline:") + Spec.Name);
+    }
+  }
+  return Results;
+}
+
+RunResult workloads::runWorkload(const WorkloadSpec &Spec,
+                                 const RunOptions &Opts) {
+  return std::move(runWorkloadGroup(Spec, {&Opts, 1}).front());
 }
 
 std::string workloads::executionSignature(const WorkloadSpec &Spec,
                                           const RunOptions &Opts) {
   // An arbitrary pass mutation cannot be keyed: without a caller-provided
-  // stable tag, runs with a TunePass are never trace-cached.
+  // stable tag, runs with a TunePass never share an execution.
   if (Opts.TunePass && Opts.TuneKey.empty())
     return std::string();
   // Governor-on runs cannot be keyed either: the re-decisions (suppress /
   // retune / re-JIT) depend on measured per-site health, which depends on
   // the machine's timing — exactly what the signature must exclude. An
-  // adaptive run must never reuse (or donate) a trace.
+  // adaptive run must never share its execution.
   if (Opts.Governor)
     return std::string();
 
@@ -286,7 +361,7 @@ std::string workloads::executionSignature(const WorkloadSpec &Spec,
   // walk model, hardware-prefetcher kind/enable — shapes timing only,
   // never the compiled address stream, and must stay out of the key
   // (pinned by the signature-separation tests). BASELINE never runs the
-  // planner, so its trace is machine-independent.
+  // planner, so its execution is machine-independent.
   if (Opts.Algo != Algorithm::Baseline) {
     core::PrefetchPassOptions P = passOptionsFor(
         Opts.Machine, Opts.Algo == Algorithm::Inter
@@ -301,7 +376,7 @@ std::string workloads::executionSignature(const WorkloadSpec &Spec,
   // Epoch / GC-perturbation facets change the access-event stream for
   // every algorithm (boundary GCs move objects — BASELINE included), so
   // they key unconditionally; defaults add nothing, keeping classic
-  // signatures (and their cached traces) untouched.
+  // signatures untouched.
   if (Opts.Epochs > 1) {
     std::snprintf(Buf, sizeof(Buf), "|epochs=%u", Opts.Epochs);
     Sig += Buf;
@@ -311,52 +386,6 @@ std::string workloads::executionSignature(const WorkloadSpec &Spec,
   if (Opts.PhaseChange)
     Sig += "|phase=1";
   return Sig;
-}
-
-RunResult workloads::replayTrace(const RunResult &ExecSide,
-                                 const trace::TraceBuffer &Buf,
-                                 const sim::MachineConfig &Machine,
-                                 uint64_t TimelineEvery) {
-  RunResult Result = ExecSide;
-  sim::MemorySystem Mem(Machine);
-  obs::Span ReplaySpan("replay-trace", "runner");
-  auto Start = std::chrono::steady_clock::now();
-  bool Decoded;
-  if (TimelineEvery) {
-    obs::TimelineSampler Sampler(Mem, TimelineEvery);
-    Sampler.setBoundaries(ExecSide.BoundaryEvents);
-    Decoded = trace::replay(Buf, Sampler);
-    if (Decoded) {
-      Sampler.finish();
-      Result.Timeline = Sampler.takeSamples();
-    }
-  } else {
-    // The donor's timeline (if it sampled one) is its machine's, not
-    // ours; without a cadence this replay produces none.
-    Result.Timeline.clear();
-    Decoded = trace::replay(Buf, Mem);
-  }
-  Result.ReplayUs = elapsedUs(Start);
-  ReplaySpan.end();
-  if (obs::enabled()) {
-    obs::stats().counter("spf_trace_replays_total").inc();
-    obs::stats().counter("spf_trace_replay_events_total").inc(Buf.events());
-  }
-  if (!Decoded) {
-    // Cannot happen for buffers that came through the cache (spills are
-    // checksummed) or were just recorded; a malformed trace here is a
-    // bug, and partial stats must never masquerade as a result.
-    if (obs::enabled())
-      obs::stats().counter("spf_trace_decode_errors_total").inc();
-    throw std::runtime_error("trace decode error during replay");
-  }
-  Result.InterpretUs = 0;
-  Result.Replayed = true;
-  Result.CompiledCycles = Mem.cycles();
-  Result.Mem = Mem.stats();
-  Result.Acct = Mem.acct();
-  Result.Sites = Mem.siteStats();
-  return Result;
 }
 
 double workloads::totalTime(uint64_t CompiledCycles,

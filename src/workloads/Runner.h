@@ -4,8 +4,13 @@
 /// The measurement harness shared by all benches and the end-to-end tests:
 /// builds a workload, JIT-compiles its hot methods under one of the three
 /// evaluated configurations (BASELINE, INTER, INTER+INTRA), executes it on
-/// a simulated machine, and returns the cycle/miss/compile-time metrics
-/// the paper's figures are drawn from.
+/// one or more simulated machines, and returns the cycle/miss/compile-time
+/// metrics the paper's figures are drawn from.
+///
+/// Runs whose execution signatures are equal interpret the same program
+/// over the same heap, so runWorkloadGroup executes such a group once and
+/// fans the access-event stream out to one MemorySystem per member;
+/// runWorkload is the group of one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +23,10 @@
 #include "obs/Timeline.h"
 #include "opt/Governor.h"
 #include "sim/MemorySystem.h"
-#include "trace/TraceBuffer.h"
 #include "workloads/Workload.h"
 
 #include <functional>
+#include <span>
 
 namespace spf {
 namespace workloads {
@@ -45,19 +50,12 @@ struct RunOptions {
   std::function<void(core::PrefetchPassOptions &)> TunePass;
   /// Stable tag describing what TunePass does, so tuned runs can still be
   /// keyed by execution signature. A run with a TunePass but no TuneKey
-  /// has no signature (executionSignature returns "") and is never
-  /// trace-cached.
+  /// has no signature (executionSignature returns "") and never shares
+  /// its execution.
   std::string TuneKey;
   /// Wall-clock watchdog for the simulated execution, in seconds; the run
   /// throws support::CellTimeout when exceeded. 0 disables it.
   double TimeoutSeconds = 0.0;
-  /// When set, the execution's access-event stream is recorded into this
-  /// buffer (tee: the live simulation is unaffected). The caller owns the
-  /// buffer and any byte cap on it.
-  trace::TraceBuffer *Record = nullptr;
-  /// Pre-size hint for the recording buffer, in expected encoded events
-  /// (typically a previous trace of the same workload); 0 = no hint.
-  uint64_t ReserveEvents = 0;
 
   // -- Epochs, GC perturbation, and the prefetch-health governor -----------
 
@@ -76,10 +74,9 @@ struct RunOptions {
   /// objects in a different order.
   bool PhaseChange = false;
   /// Online prefetch-health governor: per-site effectiveness tracking is
-  /// enabled (sim::MemorySystem::enablePrefetchHealth — the run leaves
-  /// the batched replay fast path) and opt::Governor re-decides each
-  /// site at every epoch boundary. Governor-on runs are never
-  /// trace-cached (executionSignature returns "").
+  /// enabled (sim::MemorySystem::enablePrefetchHealth) and opt::Governor
+  /// re-decides each site at every epoch boundary. Governor-on runs never
+  /// share their execution (executionSignature returns "").
   bool Governor = false;
   opt::GovernorConfig GovernorCfg;
 
@@ -87,8 +84,9 @@ struct RunOptions {
   /// memory events (obs::TimelineSampler), plus one flagged sample per
   /// epoch boundary. 0 (the default) disables sampling entirely —
   /// RunResult::Timeline stays empty and the run is byte-identical to a
-  /// pre-timeline run. Deliberately excluded from executionSignature:
-  /// sampling observes the event stream, never shapes it.
+  /// pre-timeline run. Per member of a shared execution, and excluded
+  /// from executionSignature: sampling observes the event stream, never
+  /// shapes it.
   uint64_t TimelineEvery = 0;
 };
 
@@ -104,11 +102,6 @@ struct RunResult {
   /// Attribution time series (RunOptions::TimelineEvery > 0 only; never
   /// empty then — the sampler always appends a final sample).
   std::vector<obs::TimelineSample> Timeline;
-  /// Memory-event index of each epoch-boundary GC, recorded whenever
-  /// the run records a trace or samples a timeline. Signature-determined
-  /// (the event stream fixes it), so it rides with the execution side
-  /// through the trace cache and lets replay re-fire boundary samples.
-  std::vector<uint64_t> BoundaryEvents;
   exec::ExecStats Exec;
   double JitTotalUs = 0;    ///< Total JIT compilation time.
   double JitPrefetchUs = 0; ///< Prefetch pass share of it.
@@ -117,14 +110,17 @@ struct RunResult {
   bool SelfCheckOk = true; ///< Entry returned the expected value.
   /// Structured compile-decision events (obs/DecisionLog.h), recorded at
   /// JIT time when observability is enabled; empty otherwise. Carried
-  /// with the result so `--explain` works through the trace cache, the
-  /// journal, and the worker record line.
+  /// with the result so `--explain` works for shared executions, through
+  /// the journal, and across the worker record line.
   std::vector<obs::DecisionEvent> Decisions;
 
-  // Record-once / replay-many accounting (wall clock, not simulated):
-  bool Replayed = false;   ///< Result came from a trace replay.
-  double InterpretUs = 0;  ///< Time interpreting (0 when replayed).
-  double ReplayUs = 0;     ///< Time replaying (0 when interpreted).
+  // Execution-sharing accounting (wall clock, not simulated):
+  /// Statistics from a shared execution: an earlier member of this run's
+  /// group did the interpreting (see runWorkloadGroup).
+  bool Replayed = false;
+  /// Wall time of the interpretation, simulation of every member
+  /// included (0 when Replayed).
+  double InterpretUs = 0;
 
   // Epoch/governor accounting (all zero for classic single-epoch runs):
   unsigned Epochs = 1;          ///< Epochs actually executed.
@@ -141,38 +137,35 @@ struct RunResult {
 core::PrefetchPassOptions passOptionsFor(const sim::MachineConfig &M,
                                          core::PrefetchMode Mode);
 
-/// Builds, compiles, and runs \p Spec under \p Opts.
+/// Builds and compiles \p Spec once under the execution options of
+/// \p Members[0], interprets it once, and simulates the event stream on
+/// one MemorySystem per member (behind that member's TimelineSampler
+/// when its TimelineEvery is set). Returns one result per member, in
+/// order; each equals runWorkload(Spec, Members[K]) in every simulated
+/// statistic. Members after the first come back with Replayed set.
+/// Precondition: every member has Members[0]'s non-empty
+/// executionSignature, or the group has exactly one member.
+std::vector<RunResult> runWorkloadGroup(const WorkloadSpec &Spec,
+                                        std::span<const RunOptions> Members);
+
+/// Builds, compiles, and runs \p Spec under \p Opts: the group of one.
 RunResult runWorkload(const WorkloadSpec &Spec, const RunOptions &Opts);
 
 /// The *execution signature* of a run: everything its access-event
 /// stream depends on. Two runs with equal signatures interpret the same
 /// program over the same heap and emit bit-identical event streams, so
-/// one recorded trace serves both. The signature deliberately includes
+/// one execution serves both (runWorkloadGroup). The signature deliberately includes
 /// only the compile-relevant machine facets — PlannerOptions::LineBytes
 /// and the prefetch-fill level (as GuardedIntraPrefetch) — because those
 /// are all the planner reads from the machine; cache sizes, latencies,
 /// and DTLB geometry shape timing, never the address stream. BASELINE
 /// runs never invoke the planner, so their signature has no machine
-/// facet at all and one baseline trace serves every machine.
+/// facet at all and one baseline execution serves every machine.
 /// Returns "" for runs that cannot be keyed (TunePass without TuneKey).
 /// TimelineEvery never enters the signature: sampling is a pure
 /// observer of the stream the signature describes.
 std::string executionSignature(const WorkloadSpec &Spec,
                                const RunOptions &Opts);
-
-/// Replays a recorded trace through a fresh MemorySystem for \p Machine
-/// and grafts the timing results onto \p ExecSide (the execution-side
-/// result of the run that recorded the trace: retired instructions,
-/// return value, JIT stats — all signature-determined). The returned
-/// MemoryStats/per-site stats/cycles are bit-identical to direct
-/// interpretation on \p Machine. With \p TimelineEvery nonzero the
-/// replay runs through a TimelineSampler (boundary samples re-fired
-/// from ExecSide.BoundaryEvents), producing the same timeline a live
-/// run with the same cadence would.
-RunResult replayTrace(const RunResult &ExecSide,
-                      const trace::TraceBuffer &Buf,
-                      const sim::MachineConfig &Machine,
-                      uint64_t TimelineEvery = 0);
 
 /// Mixed-mode total-time model: compiled cycles plus the (configuration-
 /// independent) uncompiled time derived from the baseline run and the

@@ -1,19 +1,16 @@
 //===- tests/acct_test.cpp - Cycle attribution and timeline sampling ------===//
 //
-// The observability PR's tentpole invariant, pinned end to end: every
-// simulated cycle is charged to exactly one CycleAccounting category
-// (acct().total() == cycles() on every machine, through the per-event
-// member path AND the batched consume() fast path), per-site stall
-// attribution agrees between both dispatch paths, prefetch-health
-// counters stay bit-identical batched vs per-event, and the
-// TimelineSampler produces the same sample series live and on replay —
-// boundary samples included — with deterministic decimation.
+// The cycle-attribution invariant, pinned end to end: every simulated
+// cycle is charged to exactly one CycleAccounting category
+// (acct().total() == cycles() on every machine, governed runs included),
+// per-site stall attribution covers every demand-load cycle, and the
+// TimelineSampler's series is internally consistent — boundary samples
+// included — with deterministic decimation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/Timeline.h"
 #include "sim/MemorySystem.h"
-#include "trace/TraceBuffer.h"
 #include "workloads/Runner.h"
 #include "workloads/Workload.h"
 
@@ -35,19 +32,6 @@ const std::vector<sim::MachineConfig> &allMachines() {
       (*sim::MachineConfig::byName("athlonmp")),
       (*sim::MachineConfig::byName("modern3l"))};
   return Machines;
-}
-
-/// Records one INTER+INTRA trace of \p Spec at tiny scale.
-trace::TraceBuffer recordTrace(const workloads::WorkloadSpec &Spec) {
-  workloads::RunOptions Opt;
-  Opt.Machine = allMachines()[0];
-  Opt.Algo = workloads::Algorithm::InterIntra;
-  Opt.Config = tinyConfig();
-  trace::TraceBuffer Buf;
-  Opt.Record = &Buf;
-  workloads::runWorkload(Spec, Opt);
-  EXPECT_FALSE(Buf.overflowed()) << Spec.Name;
-  return Buf;
 }
 
 // -- The attribution invariant ----------------------------------------------
@@ -75,23 +59,6 @@ TEST(CycleAccountingTest, SyntheticEventsChargeTheRightCategories) {
   EXPECT_EQ(SiteStall, Mem.stats().CyclesStalledOnLoads);
 }
 
-TEST(CycleAccountingTest, TotalEqualsCyclesBothDispatchPathsAllMachines) {
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
-  ASSERT_NE(Spec, nullptr);
-  trace::TraceBuffer Buf = recordTrace(*Spec);
-  for (const sim::MachineConfig &Machine : allMachines()) {
-    sim::MemorySystem Batched(Machine), PerEvent(Machine);
-    ASSERT_TRUE(trace::replay(Buf, Batched)) << Machine.Name;
-    ASSERT_TRUE(trace::replayPerEvent(Buf, PerEvent)) << Machine.Name;
-    // The invariant on each path, and bit-identical attribution across
-    // the batched/per-event divide.
-    EXPECT_EQ(Batched.acct().total(), Batched.cycles()) << Machine.Name;
-    EXPECT_EQ(PerEvent.acct().total(), PerEvent.cycles()) << Machine.Name;
-    EXPECT_EQ(Batched.acct(), PerEvent.acct()) << Machine.Name;
-    EXPECT_EQ(Batched.siteStats(), PerEvent.siteStats()) << Machine.Name;
-  }
-}
-
 TEST(CycleAccountingTest, LiveRunsSatisfyTheInvariantOnEveryMachine) {
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("compress");
   ASSERT_NE(Spec, nullptr);
@@ -106,9 +73,8 @@ TEST(CycleAccountingTest, LiveRunsSatisfyTheInvariantOnEveryMachine) {
 }
 
 TEST(CycleAccountingTest, GovernorRunsSatisfyTheInvariant) {
-  // Governor runs enable prefetch-health tracking, which routes the
-  // batched fast path onto per-event fallback — the member handlers
-  // must self-account identically.
+  // Governor runs enable prefetch-health tracking and its site-attributed
+  // prefetch events; those handlers must self-account too.
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
   ASSERT_NE(Spec, nullptr);
   workloads::RunOptions Opt;
@@ -123,61 +89,9 @@ TEST(CycleAccountingTest, GovernorRunsSatisfyTheInvariant) {
   EXPECT_GT(R.Acct.Compute, 0u);
 }
 
-TEST(CycleAccountingTest, ReplayAcctMatchesDirectInterpretation) {
-  // The replayed attribution (batched consume) must be bit-identical to
-  // direct interpretation (per-event member calls), stall columns
-  // included. Recorded per machine: the planner's machine facets shape
-  // the event stream, so a trace only serves machines that share them.
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
-  ASSERT_NE(Spec, nullptr);
-  for (const sim::MachineConfig &Machine : allMachines()) {
-    workloads::RunOptions Opt;
-    Opt.Machine = Machine;
-    Opt.Algo = workloads::Algorithm::InterIntra;
-    Opt.Config = tinyConfig();
-    trace::TraceBuffer Buf;
-    Opt.Record = &Buf;
-    workloads::RunResult Direct = workloads::runWorkload(*Spec, Opt);
-    ASSERT_FALSE(Buf.overflowed()) << Machine.Name;
-    workloads::RunResult Replayed =
-        workloads::replayTrace(Direct, Buf, Machine);
-    EXPECT_EQ(Replayed.Acct, Direct.Acct) << Machine.Name;
-    EXPECT_EQ(Replayed.Sites, Direct.Sites) << Machine.Name;
-    EXPECT_EQ(Replayed.Acct.total(), Replayed.CompiledCycles)
-        << Machine.Name;
-  }
-}
-
-// -- Prefetch-health parity -------------------------------------------------
-
-TEST(PrefetchHealthTest, BatchedMatchesPerEventWithHealthTracking) {
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
-  ASSERT_NE(Spec, nullptr);
-  trace::TraceBuffer Buf = recordTrace(*Spec);
-  for (const sim::MachineConfig &Machine : allMachines()) {
-    sim::MemorySystem Batched(Machine), PerEvent(Machine);
-    Batched.enablePrefetchHealth();
-    PerEvent.enablePrefetchHealth();
-    ASSERT_TRUE(trace::replay(Buf, Batched)) << Machine.Name;
-    ASSERT_TRUE(trace::replayPerEvent(Buf, PerEvent)) << Machine.Name;
-    EXPECT_EQ(Batched.stats().SwPrefetchesIssued,
-              PerEvent.stats().SwPrefetchesIssued) << Machine.Name;
-    EXPECT_EQ(Batched.stats().SwPrefetchesUseful,
-              PerEvent.stats().SwPrefetchesUseful) << Machine.Name;
-    EXPECT_EQ(Batched.stats().SwPrefetchesLate,
-              PerEvent.stats().SwPrefetchesLate) << Machine.Name;
-    EXPECT_EQ(Batched.stats().SwPrefetchesUnused,
-              PerEvent.stats().SwPrefetchesUnused) << Machine.Name;
-    EXPECT_EQ(Batched.stats(), PerEvent.stats()) << Machine.Name;
-    EXPECT_EQ(Batched.siteStats(), PerEvent.siteStats()) << Machine.Name;
-    EXPECT_EQ(Batched.acct(), PerEvent.acct()) << Machine.Name;
-    EXPECT_EQ(Batched.acct().total(), Batched.cycles()) << Machine.Name;
-  }
-}
-
 // -- Timeline sampling ------------------------------------------------------
 
-TEST(TimelineTest, LiveAndReplayProduceIdenticalSamples) {
+TEST(TimelineTest, LiveSamplesAreConsistentAcrossEpochs) {
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
   ASSERT_NE(Spec, nullptr);
   workloads::RunOptions Opt;
@@ -186,26 +100,14 @@ TEST(TimelineTest, LiveAndReplayProduceIdenticalSamples) {
   Opt.Config = tinyConfig();
   Opt.Epochs = 3;
   Opt.TimelineEvery = 1000;
-  trace::TraceBuffer Buf;
-  Opt.Record = &Buf;
   workloads::RunResult Live = workloads::runWorkload(*Spec, Opt);
-  ASSERT_FALSE(Buf.overflowed());
   ASSERT_FALSE(Live.Timeline.empty());
-  ASSERT_EQ(Live.BoundaryEvents.size(), 2u); // Epochs - 1 boundaries.
-
-  // Boundary samples re-fire from the recorded event indices; every
-  // other sample re-fires from the cadence. Bit-identical series.
-  workloads::RunResult Replayed =
-      workloads::replayTrace(Live, Buf, Opt.Machine, Opt.TimelineEvery);
-  ASSERT_EQ(Replayed.Timeline.size(), Live.Timeline.size());
-  for (size_t I = 0; I != Live.Timeline.size(); ++I)
-    EXPECT_EQ(Replayed.Timeline[I], Live.Timeline[I]) << "sample " << I;
 
   size_t Boundaries = 0;
   for (const obs::TimelineSample &S : Live.Timeline)
     if (S.Boundary)
       ++Boundaries;
-  EXPECT_EQ(Boundaries, Live.BoundaryEvents.size());
+  EXPECT_EQ(Boundaries, 2u); // Epochs - 1 boundaries.
 
   // Each sample satisfies the attribution invariant, and the series is
   // monotone in both event index and cycles.
@@ -221,41 +123,18 @@ TEST(TimelineTest, LiveAndReplayProduceIdenticalSamples) {
   EXPECT_EQ(Live.Timeline.back().Cycles, Live.CompiledCycles);
   EXPECT_EQ(Live.Acct, Live.Timeline.back().Acct);
 
-  // TimelineEvery=0 replays of the same exec side carry no timeline.
-  workloads::RunResult Plain = workloads::replayTrace(Live, Buf, Opt.Machine);
+  // Without a cadence the same run carries no timeline and the same
+  // attribution: sampling observes the stream, never shapes it.
+  Opt.TimelineEvery = 0;
+  workloads::RunResult Plain = workloads::runWorkload(*Spec, Opt);
   EXPECT_TRUE(Plain.Timeline.empty());
   EXPECT_EQ(Plain.Acct, Live.Acct);
-}
-
-TEST(TimelineTest, SamplerSplitsBatchesDeterministically) {
-  // Driving the sampler with one big consume() block must produce the
-  // same samples as event-at-a-time calls: the sampler splits blocks at
-  // sample points and forwards the pieces to the batched fast path.
-  std::vector<exec::AccessEvent> Events;
-  uint64_t Addr = 0x10000;
-  for (unsigned I = 0; I != 1000; ++I) {
-    Events.push_back({exec::EventKind::Tick, 3, 0});
-    Events.push_back({exec::EventKind::Load, Addr += 64, 0});
-    if (I % 3 == 0)
-      Events.push_back({exec::EventKind::Store, Addr, 0});
-  }
-  sim::MemorySystem MemA(allMachines()[0]), MemB(allMachines()[0]);
-  obs::TimelineSampler A(MemA, 37), B(MemB, 37);
-  A.consume(Events.data(), Events.size());
-  for (const exec::AccessEvent &E : Events)
-    B.consume(&E, 1);
-  A.finish();
-  B.finish();
-  EXPECT_EQ(A.samples(), B.samples());
-  EXPECT_EQ(MemA.cycles(), MemB.cycles());
-  EXPECT_EQ(MemA.acct(), MemB.acct());
 }
 
 TEST(TimelineTest, DecimationKeepsBoundariesAndStaysDeterministic) {
   // A tiny MaxSamples forces repeated decimation; boundary samples are
   // never dropped and two identical runs produce identical series.
-  auto Run = [](std::vector<obs::TimelineSample> &Out,
-                std::vector<uint64_t> &BoundariesOut) {
+  auto Run = [](std::vector<obs::TimelineSample> &Out) {
     sim::MemorySystem Mem(allMachines()[0]);
     obs::TimelineSampler S(Mem, /*Every=*/1, /*MaxSamples=*/8);
     uint64_t Addr = 0x40000;
@@ -268,16 +147,12 @@ TEST(TimelineTest, DecimationKeepsBoundariesAndStaysDeterministic) {
       }
     }
     S.finish();
-    BoundariesOut = S.takeBoundaryEvents();
     Out = S.takeSamples();
   };
   std::vector<obs::TimelineSample> First, Second;
-  std::vector<uint64_t> BoundaryEvents, BoundaryEvents2;
-  Run(First, BoundaryEvents);
-  Run(Second, BoundaryEvents2);
+  Run(First);
+  Run(Second);
   EXPECT_EQ(First, Second);
-  EXPECT_EQ(BoundaryEvents, BoundaryEvents2);
-  ASSERT_EQ(BoundaryEvents.size(), 2u);
   // Decimation honored the cap's order of magnitude (it halves when the
   // cap is hit, so the series can sit just under it) and kept both
   // boundary samples.

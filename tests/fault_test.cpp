@@ -17,6 +17,7 @@
 #include "sim/MemorySystem.h"
 #include "support/Env.h"
 #include "support/FaultInjection.h"
+#include "support/Shutdown.h"
 #include "support/Status.h"
 #include "workloads/KernelBuilder.h"
 #include "workloads/Runner.h"
@@ -134,9 +135,9 @@ TEST(FaultConfigTest, ParsesDiskSites) {
 }
 
 TEST(FaultConfigTest, ExecutionSitePredicateExcludesDiskSites) {
-  // Disk-only chaos must keep trace reuse on (it exists to exercise the
-  // spill/journal writes), so the gate is "any *execution* site", not
-  // "any site".
+  // Disk-only chaos must keep execution sharing on (it exists to
+  // exercise the journal and report writes), so the gate is "any
+  // *execution* site", not "any site".
   auto DiskOnly = FaultConfig::parse("disk-write:0.5:1,disk-sync:0.5:2");
   ASSERT_TRUE(DiskOnly.has_value());
   EXPECT_TRUE(DiskOnly->anyEnabled());
@@ -172,11 +173,11 @@ TEST(EnvFailFastDeathTest, MalformedSpfFaultsExitsWithConfigError) {
               "invalid SPF_FAULTS");
 }
 
-TEST(EnvFailFastDeathTest, MalformedSpfTraceMbExitsWithConfigError) {
-  ScopedEnv E("SPF_TRACE_MB", "lots");
-  EXPECT_EXIT(support::envDouble("SPF_TRACE_MB", 256.0, 0.0),
+TEST(EnvFailFastDeathTest, MalformedSpfShutdownGraceExitsWithConfigError) {
+  ScopedEnv E("SPF_SHUTDOWN_GRACE_S", "lots");
+  EXPECT_EXIT(support::shutdownGraceSeconds(),
               ::testing::ExitedWithCode(support::ConfigErrorExit),
-              "invalid SPF_TRACE_MB");
+              "invalid SPF_SHUTDOWN_GRACE_S");
 }
 
 TEST(EnvFailFastDeathTest, NegativeSpfCellTimeoutExitsWithConfigError) {
@@ -536,71 +537,6 @@ TEST(ChaosHarnessTest, NoFaultsMeansNoQuarantineAndNoOverhead) {
   EXPECT_TRUE(R.Quarantine.empty());
   ASSERT_TRUE(R.Cells[0].Ran);
   EXPECT_EQ(R.Cells[0].Attempts, 1u);
-}
-
-// -- Chaos x trace layer ---------------------------------------------------
-
-TEST(ChaosTraceTest, GuardedLoadFaultsSurviveRecordAndReplay) {
-  // A guard-addr chaos run exercises the GuardedLoadFault opcode for
-  // real: record such a run and verify the replay reproduces the faulted
-  // stream's statistics bit for bit (faults included).
-  ScopedEnv T("SPF_CELL_TIMEOUT", nullptr);
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("jess");
-  ASSERT_NE(Spec, nullptr);
-  workloads::RunOptions Opt;
-  Opt.Machine = (*sim::MachineConfig::byName("pentium4"));
-  Opt.Algo = workloads::Algorithm::InterIntra;
-  Opt.Config.Scale = 0.05;
-  trace::TraceBuffer Buf;
-  Opt.Record = &Buf;
-
-  auto C = FaultConfig::parse("guard-addr:1:11");
-  ASSERT_TRUE(C.has_value());
-  FaultInjector Injector(*C);
-  workloads::RunResult Direct;
-  {
-    FaultScope Scope(Injector);
-    Direct = workloads::runWorkload(*Spec, Opt);
-  }
-  ASSERT_GT(Direct.Mem.GuardedLoadFaults, 0u); // The chaos really fired.
-  ASSERT_FALSE(Buf.overflowed());
-
-  workloads::RunResult Replayed =
-      workloads::replayTrace(Direct, Buf, Opt.Machine);
-  EXPECT_EQ(Replayed.Mem, Direct.Mem);
-  EXPECT_EQ(Replayed.Sites, Direct.Sites);
-  EXPECT_EQ(Replayed.CompiledCycles, Direct.CompiledCycles);
-  EXPECT_EQ(Replayed.Mem.GuardedLoadFaults, Direct.Mem.GuardedLoadFaults);
-}
-
-TEST(ChaosTraceTest, FaultInjectionDisablesTraceReuse) {
-  // With any fault site enabled, runPlan must not record or replay:
-  // chaos exercises the real interpret path, and every cell re-rolls its
-  // own fault stream. The results must match a run with reuse explicitly
-  // off, and the cache must report itself disabled.
-  ScopedEnv E("SPF_FAULTS", "guard-addr:0.05:3");
-  ScopedEnv T("SPF_CELL_TIMEOUT", nullptr);
-  harness::ExperimentPlan Plan = tinyJessPlan(4);
-
-  harness::ExperimentResult WithTrace =
-      harness::runPlan(Plan, 2, harness::TraceOptions());
-  harness::TraceOptions Off;
-  Off.Enabled = false;
-  harness::ExperimentResult NoTrace = harness::runPlan(Plan, 2, Off);
-
-  EXPECT_FALSE(WithTrace.TraceEnabled); // Auto-disabled by SPF_FAULTS.
-  EXPECT_EQ(WithTrace.Trace.Hits + WithTrace.Trace.Misses, 0u);
-  ASSERT_EQ(WithTrace.Cells.size(), NoTrace.Cells.size());
-  for (unsigned I = 0; I != Plan.size(); ++I) {
-    ASSERT_TRUE(WithTrace.Cells[I].Ran && NoTrace.Cells[I].Ran) << I;
-    EXPECT_FALSE(WithTrace.run(I).Replayed) << I;
-    EXPECT_EQ(WithTrace.run(I).Mem, NoTrace.run(I).Mem) << I;
-    EXPECT_EQ(WithTrace.run(I).CompiledCycles, NoTrace.run(I).CompiledCycles)
-        << I;
-    EXPECT_EQ(WithTrace.run(I).Mem.GuardedLoadFaults,
-              NoTrace.run(I).Mem.GuardedLoadFaults)
-        << I;
-  }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
 #include <sstream>
 
 using namespace spf;
@@ -240,6 +241,89 @@ TEST(RunPlanTest, EightWorkersMatchOneWorkerBitForBit) {
         << Tag;
     EXPECT_EQ(S.Prefetch.CodeGen.Prefetches, P.Prefetch.CodeGen.Prefetches)
         << Tag;
+    // Which cells share an execution is fixed by the plan, not by the
+    // schedule.
+    EXPECT_EQ(S.Replayed, P.Replayed) << Tag;
+    EXPECT_EQ(S.Mem, P.Mem) << Tag;
+    EXPECT_EQ(S.Acct, P.Acct) << Tag;
+    EXPECT_EQ(S.Sites, P.Sites) << Tag;
+  }
+}
+
+// -- Execution sharing -------------------------------------------------------
+
+/// The figures plan: every Table 3 workload x {BASELINE, INTER,
+/// INTER+INTRA} on the Pentium 4, then on the Athlon MP.
+ExperimentPlan figuresPlan() {
+  ExperimentPlan Plan;
+  std::vector<const WorkloadSpec *> Specs;
+  for (const WorkloadSpec &S : allWorkloads())
+    Specs.push_back(&S);
+  for (const char *M : {"pentium4", "athlonmp"})
+    Plan.addSweep(Specs,
+                  {Algorithm::Baseline, Algorithm::Inter,
+                   Algorithm::InterIntra},
+                  {*sim::MachineConfig::byName(M)}, tinyConfig(), M);
+  return Plan;
+}
+
+TEST(RunPlanSharingTest, FiguresPlanSharesOneExecutionPerSignature) {
+  ExperimentPlan Plan = figuresPlan();
+  ASSERT_EQ(Plan.size(), 72u);
+  std::set<std::string> Signatures;
+  for (const ExperimentCell &C : Plan.cells())
+    Signatures.insert(executionSignature(*C.Spec, C.Opt));
+  // BASELINE is machine-independent; INTER and INTER+INTRA compile for
+  // each machine's fill line, so only the 12 BASELINE pairs share.
+  ASSERT_EQ(Signatures.size(), 60u);
+
+  for (unsigned Jobs : {1u, 8u}) {
+    ExperimentResult R = runPlan(Plan, Jobs);
+    EXPECT_TRUE(R.ok()) << (R.Failures.empty() ? "" : R.Failures[0]);
+    unsigned Replayed = 0;
+    for (unsigned I = 0; I != Plan.size(); ++I) {
+      const ExperimentCell &C = Plan.cells()[I];
+      ASSERT_TRUE(R.Cells[I].Ran) << I;
+      Replayed += R.run(I).Replayed;
+      // The follower of each pair is the Athlon MP's BASELINE cell.
+      EXPECT_EQ(R.run(I).Replayed, C.Group == "athlonmp" &&
+                                       C.Opt.Algo == Algorithm::Baseline)
+          << I << " jobs " << Jobs;
+      EXPECT_EQ(R.run(I).InterpretUs == 0, R.run(I).Replayed) << I;
+    }
+    EXPECT_EQ(Replayed, Plan.size() - Signatures.size()) << "jobs " << Jobs;
+  }
+}
+
+TEST(RunPlanSharingTest, ExecutionFaultSiteDisablesSharing) {
+  // Chaos must exercise every cell's own attempts: with an execution
+  // fault site armed, no cell shares. The armed site is object
+  // inspection, which BASELINE never runs, so every statistic still
+  // matches the shared run.
+  ExperimentPlan Plan;
+  Plan.addSweep({findWorkload("jess")}, {Algorithm::Baseline},
+                {*sim::MachineConfig::byName("pentium4"),
+                 *sim::MachineConfig::byName("athlonmp")},
+                tinyConfig(), "chaos");
+  ExperimentResult Shared = runPlan(Plan, 1);
+  ASSERT_TRUE(Shared.run(1).Replayed);
+
+  const char *Old = std::getenv("SPF_FAULTS");
+  std::string Saved = Old ? Old : "";
+  setenv("SPF_FAULTS", "inspect-read:1:1", 1);
+  ExperimentResult Solo = runPlan(Plan, 1);
+  if (Old)
+    setenv("SPF_FAULTS", Saved.c_str(), 1);
+  else
+    unsetenv("SPF_FAULTS");
+
+  for (unsigned I = 0; I != Plan.size(); ++I) {
+    ASSERT_TRUE(Solo.Cells[I].Ran) << I;
+    EXPECT_FALSE(Solo.run(I).Replayed) << I;
+    EXPECT_GT(Solo.run(I).InterpretUs, 0) << I;
+    EXPECT_EQ(Solo.run(I).Mem, Shared.run(I).Mem) << I;
+    EXPECT_EQ(Solo.run(I).Sites, Shared.run(I).Sites) << I;
+    EXPECT_EQ(Solo.run(I).CompiledCycles, Shared.run(I).CompiledCycles) << I;
   }
 }
 

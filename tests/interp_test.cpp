@@ -15,8 +15,15 @@ using namespace spf::ir;
 
 namespace {
 
-using exec::AccessEvent;
-using exec::EventKind;
+enum class EventKind { Tick, Load, Store, Prefetch, GuardedLoad,
+                       GuardedLoadFault };
+
+/// One logged event: the address (tick count for Tick) and load site.
+struct AccessEvent {
+  EventKind Kind;
+  uint64_t Value;
+  exec::SiteId Site;
+};
 
 /// Logs the event stream it forwards to \p Inner.
 class LoggingSink final : public exec::AccessSink {

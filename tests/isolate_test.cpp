@@ -81,7 +81,6 @@ struct ScopedEnv {
 
 RunPlanOptions isolatedOpts() {
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Isolate.Enabled = true;
   const std::string Self = support::selfExecutablePath(GArgv[0]);
   Opts.Isolate.WorkerCommand = [Self](unsigned Cell, unsigned Attempt) {
@@ -91,13 +90,13 @@ RunPlanOptions isolatedOpts() {
 }
 
 /// The deterministic (simulation-side) half of a cell result — everything
-/// except wall-clock bookkeeping and the attempt count (retries change
-/// how often a cell ran, never what it computed), serialized for exact
-/// comparison.
+/// except wall-clock bookkeeping, execution sharing (supervised cells
+/// always run alone) and the attempt count (retries change how often a
+/// cell ran, never what it computed), serialized for exact comparison.
 std::string deterministicFields(const CellResult &C) {
   CellResult N = C;
   N.Run.JitTotalUs = N.Run.JitPrefetchUs = 0;
-  N.Run.InterpretUs = N.Run.ReplayUs = 0;
+  N.Run.InterpretUs = 0;
   N.Run.Replayed = false;
   N.Attempts = 0;
   std::ostringstream OS;
@@ -114,7 +113,6 @@ TEST(IsolateTest, SupervisedStatsAreBitIdenticalToInProcess) {
   const ExperimentPlan &Plan = testPlan();
 
   RunPlanOptions Direct;
-  Direct.Trace.Enabled = false;
   ExperimentResult InProc = runPlan(Plan, 1, Direct);
   ASSERT_TRUE(InProc.ok());
 
@@ -176,7 +174,6 @@ TEST(IsolateTest, CrashSurvivorsMatchTheCleanRun) {
   const ExperimentPlan &Plan = testPlan();
 
   RunPlanOptions Direct;
-  Direct.Trace.Enabled = false;
   ExperimentResult Clean;
   {
     ScopedEnv F("SPF_FAULTS", nullptr);
@@ -207,7 +204,6 @@ TEST(IsolateTest, InProcessRunsNeverEvaluateTheCrashSite) {
   ScopedEnv F("SPF_FAULTS", "crash:1:7");
   ScopedEnv T("SPF_CELL_TIMEOUT", nullptr);
   RunPlanOptions Direct;
-  Direct.Trace.Enabled = false;
   ExperimentResult R = runPlan(testPlan(), 2, Direct);
   EXPECT_TRUE(R.ok());
   for (const CellResult &C : R.Cells) {
@@ -289,9 +285,7 @@ int main(int argc, char **argv) {
   GArgc = argc;
   GArgv = argv;
   if (auto Req = parseWorkerRequest(argc, argv)) {
-    TraceOptions NoTrace;
-    NoTrace.Enabled = false;
-    runCellWorker(testPlan(), *Req, NoTrace); // Does not return.
+    runCellWorker(testPlan(), *Req); // Does not return.
   }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

@@ -67,7 +67,6 @@ CellResult syntheticCell() {
   R.SelfCheckOk = false;
   R.Replayed = true;
   R.InterpretUs = 333.125;
-  R.ReplayUs = 444.0625;
   R.Mem.Loads = 1;
   R.Mem.Stores = 2;
   R.Mem.L1LoadMisses = 3;
@@ -284,7 +283,6 @@ TEST(JournalResumeTest, ResumedRunGraftsWithoutReexecuting) {
   harness::ExperimentPlan Plan = tinyPlan(4, "jess");
 
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Journal.Path = T.Path;
   harness::ExperimentResult First = harness::runPlan(Plan, 2, Opts);
   ASSERT_TRUE(First.ok());
@@ -313,7 +311,6 @@ TEST(JournalResumeTest, PartialJournalRunsOnlyTheMissingCells) {
   // Simulate an interrupted run: journal cells 0 and 2 only, with
   // sentinel wall-clock values no real run would produce.
   harness::RunPlanOptions Probe;
-  Probe.Trace.Enabled = false;
   harness::ExperimentResult Full = harness::runPlan(Plan, 1, Probe);
   ASSERT_TRUE(Full.ok());
   {
@@ -329,7 +326,6 @@ TEST(JournalResumeTest, PartialJournalRunsOnlyTheMissingCells) {
   }
 
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Journal.Path = T.Path;
   Opts.Journal.Resume = true;
   harness::ExperimentResult R = harness::runPlan(Plan, 2, Opts);
@@ -418,7 +414,6 @@ TEST(JournalDegradedTest, ChaosAppendsDegradeTheSweepWithoutFailingIt) {
   TempJournal T("journal_chaos.jsonl");
   harness::ExperimentPlan Plan = tinyPlan(3, "jess");
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Journal.Path = T.Path;
   harness::ExperimentResult R = harness::runPlan(Plan, 2, Opts);
   unsetenv("SPF_FAULTS");

@@ -4,7 +4,7 @@
 /// FSM, the builtin registry and its JSON machine-file round trip,
 /// validate() diagnostics, the modeled page-table walk, and the
 /// execution-signature separation contract (compile-relevant machine
-/// facets key the trace cache; timing-only facets must not).
+/// facets key shared executions; timing-only facets must not).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -277,7 +277,7 @@ TEST(MachineFileTest, CommittedMachineFilesMatchTheBuiltins) {
 }
 
 // ---------------------------------------------------------------------------
-// Execution-signature separation (the trace-cache key contract)
+// Execution-signature separation (the execution-sharing key contract)
 // ---------------------------------------------------------------------------
 
 std::string sig(const MachineConfig &M, workloads::Algorithm Algo) {
@@ -289,12 +289,12 @@ std::string sig(const MachineConfig &M, workloads::Algorithm Algo) {
 }
 
 TEST(SignatureTest, BaselineIsMachineIndependent) {
-  // No compilation facet: one baseline trace serves every machine.
+  // No compilation facet: one baseline execution serves every machine.
   EXPECT_EQ(sig(MachineConfig::pentium4(), workloads::Algorithm::Baseline),
             sig(MachineConfig::modern3(), workloads::Algorithm::Baseline));
 }
 
-TEST(SignatureTest, CompileRelevantFacetsNeverShareATraceCacheEntry) {
+TEST(SignatureTest, CompileRelevantFacetsNeverShareAnExecution) {
   // The planner's line size comes from the sw-fill level's geometry.
   MachineConfig A = MachineConfig::athlonMP();
   MachineConfig WideLine = A;
@@ -312,10 +312,10 @@ TEST(SignatureTest, CompileRelevantFacetsNeverShareATraceCacheEntry) {
             sig(L2Fill, workloads::Algorithm::InterIntra));
 }
 
-TEST(SignatureTest, TimingOnlyFacetsShareTheTrace) {
-  // Everything the compiler cannot see must NOT key the trace cache:
+TEST(SignatureTest, TimingOnlyFacetsShareTheExecution) {
+  // Everything the compiler cannot see must NOT key the signature:
   // level sizes and hit penalties, the TLB model, the hardware
-  // prefetcher. One recorded trace replays under all of them.
+  // prefetcher. One execution serves all of them.
   MachineConfig M = MachineConfig::modern3();
   std::string Base = sig(M, workloads::Algorithm::InterIntra);
 

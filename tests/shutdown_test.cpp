@@ -80,14 +80,14 @@ TEST(GovernorTest, ExternalStopYieldsAValidPartialResult) {
   support::resetShutdownForTests();
   harness::ExperimentPlan Plan = tinyPlan(6);
 
-  // Serial run with a stop that fires on its third poll: the governor
-  // polls once at admission and once at the attempt head, so cell 0 runs
-  // for real and every later cell is skipped — deterministically, because
-  // at Jobs=1 the poll order is the plan order.
+  // Serial run with a stop that fires on its second poll: the governor
+  // polls once per execution group at admission, so the first group (the
+  // three BASELINE cells, one shared execution) runs for real and the
+  // INTER+INTRA group is skipped — deterministically, because at Jobs=1
+  // the poll order is the plan order.
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   unsigned Polls = 0;
-  Opts.Governor.ExternalStop = [&Polls]() mutable { return ++Polls > 2; };
+  Opts.Governor.ExternalStop = [&Polls]() mutable { return ++Polls > 1; };
   harness::ExperimentResult R = harness::runPlan(Plan, 1, Opts);
 
   EXPECT_TRUE(R.Interrupted);
@@ -119,8 +119,9 @@ TEST(GovernorTest, EpochGcCellsStillYieldValidPartialResults) {
   // Multi-epoch cells with a perturbing GC variant and the prefetch-
   // health governor spend much of their time inside boundary collections
   // and re-decisions; a stop request must still turn the sweep into a
-  // valid partial result (the GC checkpoint and the attempt-head polls
-  // keep firing through the new variant phases).
+  // valid partial result (the GC checkpoint and the admission polls
+  // keep firing through the new variant phases; governed cells never
+  // share, so every cell is its own poll).
   support::resetShutdownForTests();
   harness::ExperimentPlan Plan = tinyPlan(4);
   for (harness::ExperimentCell &C : Plan.cells()) {
@@ -130,7 +131,6 @@ TEST(GovernorTest, EpochGcCellsStillYieldValidPartialResults) {
   }
 
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   unsigned Polls = 0;
   Opts.Governor.ExternalStop = [&Polls]() mutable { return ++Polls > 2; };
   harness::ExperimentResult R = harness::runPlan(Plan, 1, Opts);
@@ -150,7 +150,6 @@ TEST(GovernorTest, UninterruptedRunIsNotMarkedInterrupted) {
   support::resetShutdownForTests();
   harness::ExperimentPlan Plan = tinyPlan(2);
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Governor.Graceful = true;
   Opts.Governor.SweepDeadlineSec = 3600.0; // Far away.
   harness::ExperimentResult R = harness::runPlan(Plan, 2, Opts);
@@ -166,7 +165,6 @@ TEST(GovernorTest, LatchedShutdownSignalSkipsEveryCell) {
   support::requestShutdown(SIGTERM);
   harness::ExperimentPlan Plan = tinyPlan(3);
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Governor.Graceful = true;
   harness::ExperimentResult R = harness::runPlan(Plan, 2, Opts);
   support::resetShutdownForTests();
@@ -188,7 +186,6 @@ TEST(GovernorTest, UngovernedRunIgnoresTheLatch) {
   support::requestShutdown(SIGTERM);
   harness::ExperimentPlan Plan = tinyPlan(1);
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   harness::ExperimentResult R = harness::runPlan(Plan, 1, Opts);
   support::resetShutdownForTests();
   EXPECT_FALSE(R.Interrupted);
@@ -201,7 +198,6 @@ TEST(GovernorTest, ExpiredSweepDeadlineSkipsAdmission) {
   support::resetShutdownForTests();
   harness::ExperimentPlan Plan = tinyPlan(3);
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   // Deadline so small it expires before the first admission check.
   Opts.Governor.SweepDeadlineSec = 1e-9;
   harness::ExperimentResult R = harness::runPlan(Plan, 2, Opts);
@@ -220,18 +216,17 @@ TEST(GovernorResumeTest, ResumeCompletesAnInterruptedJournalByteIdentically) {
 
   // Reference: the uninterrupted run (no journal, same plan).
   RunPlanOptions Ref;
-  Ref.Trace.Enabled = false;
   harness::ExperimentResult Full = harness::runPlan(Plan, 1, Ref);
   ASSERT_TRUE(Full.ok());
 
-  // Interrupted journaled run: stop after two admissions.
+  // Interrupted journaled run: stop after one admission (the BASELINE
+  // group; the INTER+INTRA group is skipped).
   {
     RunPlanOptions Opts;
-    Opts.Trace.Enabled = false;
     Opts.Journal.Path = T.Path;
     unsigned Admitted = 0;
     Opts.Governor.ExternalStop = [&Admitted]() mutable {
-      return ++Admitted > 2;
+      return ++Admitted > 1;
     };
     harness::ExperimentResult Part = harness::runPlan(Plan, 1, Opts);
     ASSERT_TRUE(Part.Interrupted);
@@ -243,7 +238,6 @@ TEST(GovernorResumeTest, ResumeCompletesAnInterruptedJournalByteIdentically) {
 
   // Resume: grafts the finished cells, runs only the skipped ones.
   RunPlanOptions Res;
-  Res.Trace.Enabled = false;
   Res.Journal.Path = T.Path;
   Res.Journal.Resume = true;
   harness::ExperimentResult Done = harness::runPlan(Plan, 2, Res);

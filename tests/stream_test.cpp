@@ -55,7 +55,6 @@ harness::ExperimentPlan mediumPlan(unsigned Cells) {
 void zeroWallClock(harness::ExperimentResult &R) {
   for (CellResult &C : R.Cells) {
     C.Run.InterpretUs = 0;
-    C.Run.ReplayUs = 0;
     C.Run.Replayed = false;
     C.Run.JitTotalUs = 0;
     C.Run.JitPrefetchUs = 0;
@@ -82,7 +81,6 @@ TEST(StreamTest, StreamedReportIsBitIdenticalToInMemory) {
   harness::ExperimentPlan Plan = mediumPlan(12);
 
   RunPlanOptions InMem;
-  InMem.Trace.Enabled = false;
   harness::ExperimentResult A = harness::runPlan(Plan, 3, InMem);
   ASSERT_TRUE(A.ok());
 
@@ -104,7 +102,6 @@ TEST(StreamTest, FoldOnlyModeNeedsNoSink) {
   harness::ExperimentPlan Plan = mediumPlan(6);
 
   RunPlanOptions InMem;
-  InMem.Trace.Enabled = false;
   harness::ExperimentResult A = harness::runPlan(Plan, 2, InMem);
 
   RunPlanOptions FoldOnly = InMem;
@@ -126,7 +123,6 @@ TEST(StreamTest, CellsOutStreamIsCompleteAndParseable) {
   harness::ExperimentPlan Plan = mediumPlan(8);
 
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Stream.Enabled = true;
   Opts.Stream.CellsOutPath = Cells.Path;
   harness::ExperimentResult R = harness::runPlan(Plan, 2, Opts);
@@ -173,7 +169,6 @@ TEST(StreamTest, PeakResidencyIsBoundedByTheWindowNotThePlan) {
   harness::ExperimentPlan Plan = mediumPlan(24);
 
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Stream.Enabled = true;
   const unsigned Jobs = 2;
   harness::ExperimentResult R = harness::runPlan(Plan, Jobs, Opts);
@@ -206,7 +201,6 @@ TEST(StreamTest, StreamingComposesWithJournalResume) {
   harness::ExperimentPlan Plan = mediumPlan(6);
 
   RunPlanOptions First;
-  First.Trace.Enabled = false;
   First.Journal.Path = J.Path;
   First.Stream.Enabled = true;
   harness::ExperimentResult A = harness::runPlan(Plan, 2, First);
@@ -229,7 +223,6 @@ TEST(StreamTest, UnopenableSinkIsAFailureNotACrash) {
   support::resetShutdownForTests();
   harness::ExperimentPlan Plan = mediumPlan(2);
   RunPlanOptions Opts;
-  Opts.Trace.Enabled = false;
   Opts.Stream.Enabled = true;
   Opts.Stream.CellsOutPath = "/nonexistent-dir/cells.jsonl";
   harness::ExperimentResult R = harness::runPlan(Plan, 1, Opts);

@@ -47,10 +47,6 @@ int usage() {
       "       spf-report diff <baseline.json> <fresh.json> [options]\n"
       "\n"
       "diff options (defaults reproduce the CI gates):\n"
-      "  --max-throughput-drop-pct <P>   batched cells/sec may drop at most\n"
-      "                                  P%% below baseline (default 20)\n"
-      "  --min-batched-speedup <S>       floor on batched_vs_per_event\n"
-      "                                  (default 1.0)\n"
       "  --max-recovery-drop <D>         adaptation recovery may drop at\n"
       "                                  most D below baseline (default 0.2)\n"
       "  --max-cycles-increase-pct <P>   per-cell cycles may grow at most\n"
@@ -243,11 +239,7 @@ int cmdDiff(const std::vector<std::string> &Args) {
       }
       return Args[++I].c_str();
     };
-    if (A == "--max-throughput-drop-pct")
-      T.ThroughputDropFrac = parseDoubleArg(A.c_str(), Next()) / 100.0;
-    else if (A == "--min-batched-speedup")
-      T.MinBatchedSpeedup = parseDoubleArg(A.c_str(), Next());
-    else if (A == "--max-recovery-drop")
+    if (A == "--max-recovery-drop")
       T.RecoveryDrop = parseDoubleArg(A.c_str(), Next());
     else if (A == "--max-cycles-increase-pct")
       T.CyclesIncreaseFrac = parseDoubleArg(A.c_str(), Next()) / 100.0;
