@@ -19,18 +19,15 @@
 
 #include "harness/Experiment.h"
 #include "harness/JsonWriter.h"
-#include "harness/Supervisor.h"
 #include "harness/ThreadPool.h"
 #include "obs/DecisionLog.h"
 #include "obs/Obs.h"
-#include "obs/StatRegistry.h"
 #include "obs/Tracer.h"
 #include "support/Env.h"
-#include "support/FaultInjection.h"
-#include "support/Process.h"
-#include "support/Shutdown.h"
 #include "workloads/Runner.h"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -124,6 +121,21 @@ machinesFromArgs(int argc, char **argv,
   return Machines;
 }
 
+/// Parses \p V, the value of \p Flag, as a whole-string decimal integer
+/// in [Min, Max], or exits with support::ConfigErrorExit (2) explaining
+/// \p Expected. Signs, spaces, suffixes and empty values are rejected.
+inline uint64_t parseCountOrExit(const char *Flag, const std::string &V,
+                                 uint64_t Min, uint64_t Max,
+                                 const char *Expected) {
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long N = std::strtoull(V.c_str(), &End, 10);
+  if (V.empty() || V[0] < '0' || V[0] > '9' || *End != '\0' ||
+      errno == ERANGE || N < Min || N > Max)
+    support::envConfigError(Flag, V.c_str(), Expected);
+  return static_cast<uint64_t>(N);
+}
+
 /// Epoch / GC-variant / governor knobs shared by adaptation-aware
 /// benches (bench/adaptation, bench/sweep):
 ///   --epochs N            epochs per run, >= 1 (or SPF_EPOCHS)
@@ -152,12 +164,8 @@ struct AdaptationKnobs {
 inline AdaptationKnobs adaptationFromArgs(int argc, char **argv) {
   AdaptationKnobs K;
   auto ParseEpochs = [](const char *Flag, const std::string &V) {
-    char *End = nullptr;
-    long N = std::strtol(V.c_str(), &End, 10);
-    if (!End || *End != '\0' || N < 1 || N > 1000000)
-      support::envConfigError(Flag, V.c_str(),
-                              "expected an integer epoch count >= 1");
-    return static_cast<unsigned>(N);
+    return static_cast<unsigned>(parseCountOrExit(
+        Flag, V, 1, 1000000, "expected an integer epoch count >= 1"));
   };
   auto ParseVariant = [](const char *Flag, const std::string &V) {
     std::optional<vm::GcVariant> G = vm::parseGcVariant(V);
@@ -214,26 +222,9 @@ inline void reportFailure(const std::string &Msg) {
   std::fprintf(stderr, "FAILURE: %s\n", Msg.c_str());
 }
 
-/// Exit code for a sweep that was interrupted (shutdown signal or
-/// --sweep-deadline) but wrote a valid partial report. Distinct from 1
-/// (correctness failure) and support::ConfigErrorExit (2): scripts can
-/// tell "rerun with --resume" from "investigate".
-inline constexpr int InterruptedExit = 3;
-
-/// Set when any plan this binary ran was interrupted (see exitCode()).
-inline bool &sawInterrupted() {
-  static bool Interrupted = false;
-  return Interrupted;
-}
-
 /// The exit code every bench main() must return: 1 iff any workload
-/// self-check failed or prefetching changed a result; InterruptedExit
-/// for a clean-but-interrupted partial sweep; 0 otherwise.
-inline int exitCode() {
-  if (failureCount())
-    return 1;
-  return sawInterrupted() ? InterruptedExit : 0;
-}
+/// self-check failed or prefetching changed a result, 0 otherwise.
+inline int exitCode() { return failureCount() ? 1 : 0; }
 
 /// Folds a finished plan's verdicts into this binary's failure count.
 /// Returns true when the plan was fully clean.
@@ -243,49 +234,29 @@ inline bool reportPlanFailures(const harness::ExperimentResult &Result) {
   return Result.ok();
 }
 
-/// Worker count: --jobs N / --jobs=N on the command line, else SPF_JOBS,
-/// else hardware concurrency.
+/// Worker count: --jobs N / --jobs=N on the command line (an integer in
+/// [1, 1024], else exit 2), else SPF_JOBS, else hardware concurrency.
 inline unsigned jobsFromArgs(int argc, char **argv) {
+  auto Parse = [](const std::string &V) {
+    return static_cast<unsigned>(parseCountOrExit(
+        "--jobs", V, 1, 1024, "expected an integer worker count in [1, 1024]"));
+  };
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    long V = -1;
     if (A == "--jobs" && I + 1 < argc)
-      V = std::atol(argv[I + 1]);
-    else if (A.rfind("--jobs=", 0) == 0)
-      V = std::atol(A.c_str() + 7);
-    if (V > 0)
-      return static_cast<unsigned>(V);
+      return Parse(argv[I + 1]);
+    if (A.rfind("--jobs=", 0) == 0)
+      return Parse(A.substr(7));
   }
   return harness::defaultJobs();
 }
 
-/// Per-binary CLI state shared by every bench main: worker threads,
-/// out-of-process isolation, and the run journal. Filled by
-/// init(); consumed by runPlanCli(). PlanSeq numbers the runPlanCli
-/// calls a binary makes, so the hidden worker protocol can name a cell
-/// of any plan in a multi-plan binary.
+/// Per-binary CLI state shared by every bench main, filled by init().
 struct BenchCli {
-  int Argc = 0;
-  char **Argv = nullptr;
-  std::string SelfPath;
-  std::optional<harness::WorkerRequest> Worker;
+  std::string ProcessLabel; ///< Binary name, labels the trace lane.
   unsigned Jobs = 0;
-  bool Isolate = false;
-  uint64_t CellMemMb = 0;
-  std::string JournalPath;
-  bool Resume = false;
-  /// Global wall-clock budget for each plan in seconds (0 = none);
-  /// --sweep-deadline / SPF_SWEEP_DEADLINE_S.
-  double SweepDeadlineSec = 0.0;
-  /// Streaming aggregation sink (--cells-out FILE): one JSONL record per
-  /// cell at in-order retirement; also turns on O(jobs)-resident folding.
-  std::string CellsOut;
-  unsigned PlanSeq = 0;
-  // Observability outputs (src/obs). ProfileOut also arms the tracer in
-  // supervised workers — they inherit the flag through workerArgv and
-  // ship their spans back on the record line.
+  // Observability outputs (src/obs).
   std::string ProfileOut;   ///< Chrome trace_event JSON path.
-  std::string StatsOut;     ///< Prometheus text dump path.
   std::string DecisionsOut; ///< Compile-decision JSON-lines path.
   bool Explain = false;     ///< Print the per-cell decision summary.
   bool DecisionsOpened = false; ///< First plan truncates, later append.
@@ -303,113 +274,57 @@ inline BenchCli &cli() {
   return C;
 }
 
-/// atexit hook (supervisor process only): writes the Chrome trace and
-/// the Prometheus stats dump after main() has finished every plan.
-inline void flushObservability() {
+/// atexit hook: writes the Chrome trace after main() has finished every
+/// plan.
+inline void flushTrace() {
   BenchCli &C = cli();
-  if (!C.ProfileOut.empty() && obs::Tracer::instance().active()) {
-    std::ofstream OS(C.ProfileOut, std::ios::trunc);
-    if (OS) {
-      // Label our lane with the binary name; worker lanes are labeled
-      // by pid in Tracer::writeChromeTrace.
-      std::string Label = C.SelfPath;
-      size_t Slash = Label.find_last_of('/');
-      if (Slash != std::string::npos)
-        Label = Label.substr(Slash + 1);
-      size_t N = obs::Tracer::instance().writeChromeTrace(OS, Label);
-      std::fprintf(stderr, "trace: %zu event(s) -> %s\n", N,
-                   C.ProfileOut.c_str());
-    } else {
-      std::fprintf(stderr, "trace: cannot write %s\n", C.ProfileOut.c_str());
-    }
+  std::ofstream OS(C.ProfileOut, std::ios::trunc);
+  if (!OS) {
+    std::fprintf(stderr, "trace: cannot write %s\n", C.ProfileOut.c_str());
+    return;
   }
-  if (!C.StatsOut.empty() && obs::enabled()) {
-    std::ofstream OS(C.StatsOut, std::ios::trunc);
-    if (OS)
-      obs::stats().writeProm(OS);
-    else
-      std::fprintf(stderr, "stats: cannot write %s\n", C.StatsOut.c_str());
-  }
+  size_t N = obs::Tracer::instance().writeChromeTrace(OS, C.ProcessLabel);
+  std::fprintf(stderr, "trace: %zu event(s) -> %s\n", N, C.ProfileOut.c_str());
 }
 
 /// Parses the shared bench flags. Call first in every bench main:
-///   --jobs N            worker threads (or SPF_JOBS)
-///   --isolate           run every cell in a supervised worker process
-///   --cell-mem-mb N     RLIMIT_AS per worker in MiB (or SPF_CELL_MEM_MB)
-///   --journal FILE      append one fsync'd record per finished cell
-///   --resume            graft a previous journal instead of re-running
-///   --sweep-deadline S  stop admitting cells after S seconds and write
-///                       a partial `interrupted` report (exit code 3;
-///                       or SPF_SWEEP_DEADLINE_S)
-///   --cells-out FILE    stream one JSONL record per cell and keep only
-///                       O(jobs) cells resident (streaming aggregation)
-/// Also installs the SIGTERM/SIGINT graceful-shutdown handlers in
-/// supervisor processes (workers stay killable the default way), and
-/// recognizes the hidden worker protocol (--run-cell ...); a worker
-/// invocation is dispatched inside runPlanCli, never here.
+///   --jobs N             worker threads (or SPF_JOBS)
+///   --profile-out FILE   Chrome trace of the whole run
+///   --decisions-out FILE one JSON line per compile decision (or
+///                        SPF_DECISIONS_OUT)
+///   --timeline-every N   sample the cycle attribution every N memory
+///                        events (or SPF_TIMELINE; 0 = off)
+///   --explain            print the per-cell decision summary
+/// Malformed numbers exit with support::ConfigErrorExit (2).
 inline void init(int argc, char **argv) {
   BenchCli &C = cli();
-  C.Argc = argc;
-  C.Argv = argv;
-  C.SelfPath = support::selfExecutablePath(argv[0]);
-  C.Worker = harness::parseWorkerRequest(argc, argv);
+  C.ProcessLabel = argv[0];
+  if (size_t Slash = C.ProcessLabel.find_last_of('/');
+      Slash != std::string::npos)
+    C.ProcessLabel = C.ProcessLabel.substr(Slash + 1);
   C.Jobs = jobsFromArgs(argc, argv);
-  C.CellMemMb = harness::cellMemMbFromEnv();
+  auto ParseTimeline = [](const std::string &V) {
+    return parseCountOrExit("--timeline-every", V, 0, UINT64_MAX,
+                            "expected a non-negative integer event count");
+  };
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    if (A == "--isolate") {
-      C.Isolate = true;
-    } else if (A == "--cell-mem-mb" && I + 1 < argc) {
-      C.CellMemMb = static_cast<uint64_t>(std::atoll(argv[++I]));
-    } else if (A.rfind("--cell-mem-mb=", 0) == 0) {
-      C.CellMemMb = static_cast<uint64_t>(std::atoll(A.c_str() + 14));
-    } else if (A == "--journal" && I + 1 < argc) {
-      C.JournalPath = argv[++I];
-    } else if (A.rfind("--journal=", 0) == 0) {
-      C.JournalPath = A.substr(10);
-    } else if (A == "--resume") {
-      C.Resume = true;
-    } else if (A == "--sweep-deadline" && I + 1 < argc) {
-      C.SweepDeadlineSec = std::atof(argv[++I]);
-    } else if (A.rfind("--sweep-deadline=", 0) == 0) {
-      C.SweepDeadlineSec = std::atof(A.c_str() + 17);
-    } else if (A == "--cells-out" && I + 1 < argc) {
-      C.CellsOut = argv[++I];
-    } else if (A.rfind("--cells-out=", 0) == 0) {
-      C.CellsOut = A.substr(12);
-    } else if (A == "--profile-out" && I + 1 < argc) {
+    if (A == "--profile-out" && I + 1 < argc) {
       C.ProfileOut = argv[++I];
     } else if (A.rfind("--profile-out=", 0) == 0) {
       C.ProfileOut = A.substr(14);
-    } else if (A == "--stats-out" && I + 1 < argc) {
-      C.StatsOut = argv[++I];
-    } else if (A.rfind("--stats-out=", 0) == 0) {
-      C.StatsOut = A.substr(12);
     } else if (A == "--decisions-out" && I + 1 < argc) {
       C.DecisionsOut = argv[++I];
     } else if (A.rfind("--decisions-out=", 0) == 0) {
       C.DecisionsOut = A.substr(16);
     } else if (A == "--timeline-every" && I + 1 < argc) {
-      C.TimelineEvery = static_cast<uint64_t>(std::atoll(argv[++I]));
+      C.TimelineEvery = ParseTimeline(argv[++I]);
     } else if (A.rfind("--timeline-every=", 0) == 0) {
-      C.TimelineEvery = static_cast<uint64_t>(std::atoll(A.c_str() + 17));
+      C.TimelineEvery = ParseTimeline(A.substr(17));
     } else if (A == "--explain") {
       C.Explain = true;
     }
   }
-  if (C.Resume && C.JournalPath.empty())
-    support::envConfigError("--resume", "",
-                            "--resume requires --journal FILE");
-  if (C.SweepDeadlineSec <= 0)
-    C.SweepDeadlineSec = support::sweepDeadlineSecondsFromEnv();
-  // Graceful shutdown: supervisors latch SIGTERM/SIGINT and finish with
-  // a partial report + exit code 3; workers keep default disposition so
-  // a group kill still takes them down instantly.
-  if (!C.Worker)
-    support::installShutdownHandlers();
-  if (C.StatsOut.empty())
-    if (const char *E = std::getenv("SPF_STATS_OUT"))
-      C.StatsOut = E;
   if (C.DecisionsOut.empty())
     if (const char *E = std::getenv("SPF_DECISIONS_OUT"))
       C.DecisionsOut = E;
@@ -420,14 +335,10 @@ inline void init(int argc, char **argv) {
   // feature, so it is hard-disabled along with the rest of obs.
   if (!obs::enabled())
     C.TimelineEvery = 0;
-  // Arm the tracer in supervisors AND workers (workers inherit the flag
-  // via workerArgv; their spans travel back on the record line). Only
-  // the supervisor flushes files: workers _Exit before atexit runs, and
-  // the hook is not registered for them anyway.
-  if (!C.ProfileOut.empty() && obs::enabled())
+  if (!C.ProfileOut.empty() && obs::enabled()) {
     obs::Tracer::instance().enable();
-  if (!C.Worker && (!C.ProfileOut.empty() || !C.StatsOut.empty()))
-    std::atexit(flushObservability);
+    std::atexit(flushTrace);
+  }
 }
 
 /// Emits the per-cell compile-decision log for one finished plan: the
@@ -482,76 +393,18 @@ inline void emitDecisions(const harness::ExperimentPlan &Plan,
   }
 }
 
-/// Runs \p Plan under the configuration init() parsed. In a worker
-/// invocation targeting this plan, runs the requested cell and exits;
-/// for earlier plans of a multi-plan binary it fabricates empty results
-/// (the worker's stdout goes to /dev/null, so the skipped plans' tables
-/// print into the void) so control flow reaches the target plan without
-/// executing anything.
+/// Runs \p Plan on the worker count init() parsed and emits its
+/// compile-decision log.
 inline harness::ExperimentResult
 runPlanCli(const harness::ExperimentPlan &Plan) {
-  BenchCli &C = cli();
-  const unsigned Seq = C.PlanSeq++;
-  if (C.Worker) {
-    if (C.Worker->PlanSeq == Seq)
-      harness::runCellWorker(Plan, *C.Worker); // Does not return.
-    harness::ExperimentResult R;
-    R.Cells.resize(Plan.size());
-    for (harness::CellResult &Cell : R.Cells) {
-      Cell.Ran = true;
-      Cell.Attempts = 1;
-    }
-    return R;
-  }
-
-  harness::RunPlanOptions Opts;
-  if (C.Isolate) {
-    Opts.Isolate.Enabled = true;
-    Opts.Isolate.CellMemMb = C.CellMemMb;
-    const std::string Self = C.SelfPath;
-    const int Argc = C.Argc;
-    char **const Argv = C.Argv;
-    Opts.Isolate.WorkerCommand = [Self, Argc, Argv,
-                                  Seq](unsigned Cell, unsigned Attempt) {
-      return harness::workerArgv(Self, Argc, Argv, Seq, Cell, Attempt);
-    };
-  }
-  if (!C.JournalPath.empty()) {
-    // Multi-plan binaries journal each plan separately.
-    Opts.Journal.Path =
-        Seq == 0 ? C.JournalPath
-                 : C.JournalPath + ".plan" + std::to_string(Seq);
-    Opts.Journal.Resume = C.Resume;
-  }
-  // Resource governor: every bench supervisor honors SIGTERM/SIGINT
-  // (handlers installed in init) and the sweep deadline.
-  Opts.Governor.Graceful = true;
-  Opts.Governor.SweepDeadlineSec = C.SweepDeadlineSec;
-  if (!C.CellsOut.empty()) {
-    Opts.Stream.Enabled = true;
-    Opts.Stream.CellsOutPath =
-        Seq == 0 ? C.CellsOut : C.CellsOut + ".plan" + std::to_string(Seq);
-  }
-  harness::ExperimentResult Result = harness::runPlan(Plan, C.Jobs, Opts);
-  if (Result.Interrupted) {
-    sawInterrupted() = true;
-    std::fprintf(stderr,
-                 "interrupted: %s — %u cell(s) skipped; partial report is "
-                 "valid%s\n",
-                 Result.InterruptReason.c_str(), Result.CellsSkipped,
-                 Result.JournalPath.empty()
-                     ? ""
-                     : ", rerun with --resume to complete the sweep");
-  }
+  harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
   emitDecisions(Plan, Result);
   return Result;
 }
 
 /// Writes the JSON report for one finished plan to \p Path ("-" =
-/// stdout). File writes are one of the named ENOSPC/EIO injection points
-/// (disk-write site): the first attempt runs under a fault scope and is
-/// retried once *outside* it, so injected failures always recover while
-/// real persistent failures still surface as a Failure at the caller.
+/// stdout). Returns false when the file cannot be written in full; the
+/// caller records that as a Failure.
 inline bool writeReportTo(const std::string &Path,
                           const harness::ExperimentPlan &Plan,
                           const harness::ExperimentResult &Result,
@@ -560,29 +413,12 @@ inline bool writeReportTo(const std::string &Path,
     harness::writeJsonReport(std::cout, Plan, Result, Scale, Jobs);
     return true;
   }
-  support::FaultInjector Injector(support::FaultConfig::fromEnv(),
-                                  /*StreamSalt=*/0x5e9075ULL);
-  for (int Attempt = 0; Attempt < 2; ++Attempt) {
-    bool Injected = false;
-    if (Attempt == 0) {
-      support::FaultScope Scope(Injector);
-      Injected = SPF_FAULT_POINT(support::FaultSite::DiskWrite);
-    }
-    if (!Injected) {
-      std::ofstream OS(Path, std::ios::trunc);
-      if (OS) {
-        harness::writeJsonReport(OS, Plan, Result, Scale, Jobs);
-        OS.flush();
-        if (OS)
-          return true;
-      }
-    }
-    if (obs::enabled())
-      obs::stats().counter("spf_report_write_failures_total").inc();
-    std::fprintf(stderr, "report: write to %s failed%s\n", Path.c_str(),
-                 Attempt == 0 ? ", retrying" : "");
+  std::ofstream OS(Path, std::ios::trunc);
+  if (OS) {
+    harness::writeJsonReport(OS, Plan, Result, Scale, Jobs);
+    OS.flush();
   }
-  return false;
+  return static_cast<bool>(OS);
 }
 
 /// Results for one workload under the three configurations.
@@ -637,7 +473,7 @@ collectAll(const harness::ExperimentResult &Result, bool WithInter,
 }
 
 /// Runs every Table 3 workload on \p Machine under the configuration
-/// init() parsed (jobs, isolation, journal). Self-check
+/// init() parsed. Self-check
 /// failures and baseline-vs-prefetch mismatches are recorded via
 /// reportFailure(), so callers finish with `return bench::exitCode();`.
 inline std::vector<WorkloadRuns> runAll(const sim::MachineConfig &Machine,

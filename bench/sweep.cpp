@@ -9,13 +9,12 @@
 ///   sweep [--jobs N] [--json FILE] [--workloads a,b,c]
 ///         [--machine NAME] [--machine-file FILE] [--hw-prefetch KIND]
 ///         [--epochs N] [--gc-variant KIND] [--governor on|off]
-///         [--phase-change]
-///         [--isolate] [--cell-mem-mb N] [--journal FILE] [--resume]
-///         [--profile-out FILE] [--stats-out FILE]
-///         [--decisions-out FILE] [--explain]
+///         [--phase-change] [--timeline-every N]
+///         [--profile-out FILE] [--decisions-out FILE] [--explain]
 ///
-///   --jobs N          worker threads (default: SPF_JOBS, then hardware
-///                     concurrency); results are bit-identical for any N
+///   --jobs N          worker threads, 1..1024 (default: SPF_JOBS, then
+///                     hardware concurrency); results are bit-identical
+///                     for any N
 ///   --json FILE       report path (default: sweep_report.json; "-" for
 ///                     stdout)
 ///   --workloads CSV   restrict to a comma-separated subset of Table 3
@@ -46,32 +45,12 @@
 ///   --phase-change    shuffle every Ref array's element order at the
 ///                     middle epoch boundary, breaking inspected stride
 ///                     patterns mid-run (or SPF_PHASE_CHANGE=1)
-///   --isolate         run every cell in a supervised worker process with
-///                     hard rlimits; crashes become per-cell quarantine
-///                     entries instead of killing the sweep (statistics
-///                     stay bit-identical to the in-process mode)
-///   --cell-mem-mb N   RLIMIT_AS per worker process in MiB (default:
-///                     SPF_CELL_MEM_MB; 0 = unlimited)
-///   --journal FILE    append one fsync'd JSON line per finished cell, so
-///                     a killed sweep can be resumed
-///   --resume          graft results recorded in --journal FILE and only
-///                     run the cells it is missing
-///   --sweep-deadline S  stop admitting cells after S seconds of wall
-///                     clock, finish/kill the in-flight ones against the
-///                     SPF_SHUTDOWN_GRACE_S window, and write a partial
-///                     report marked "interrupted" (exit code 3; with
-///                     --journal, --resume completes it byte-identically;
-///                     or SPF_SWEEP_DEADLINE_S)
-///   --cells-out FILE  stream one JSONL record per cell at in-order
-///                     retirement and fold per-cell site tables as they
-///                     retire, so peak resident cells is O(jobs) instead
-///                     of O(plan); the JSON report stays bit-identical
+///   --timeline-every N  sample the cycle attribution every N memory
+///                     events; the report gains cycle_breakdown, timeline
+///                     and top_sites per cell (or SPF_TIMELINE; 0 = off)
 ///   --profile-out F   write a Chrome trace_event JSON timeline of the
 ///                     whole sweep (open in chrome://tracing or
-///                     ui.perfetto.dev); under --isolate, worker
-///                     processes appear as their own lanes
-///   --stats-out F     write the harness counters/histograms in
-///                     Prometheus text format (or SPF_STATS_OUT)
+///                     ui.perfetto.dev)
 ///   --decisions-out F write one JSON line per compile decision —
 ///                     which strides inspection found, what the planner
 ///                     pruned, why loops degraded (or SPF_DECISIONS_OUT)
@@ -79,20 +58,18 @@
 ///   SPF_OBS=0         disable all observability at run time; report
 ///                     statistics are bit-identical either way
 ///   SPF_SCALE=0.1     reduced problem scale, as for every bench binary
-///   SPF_FAULTS=...    chaos mode: seeded fault injection (DESIGN.md,
-///                     "Failure model"); quarantined cells are reported
-///                     but injected transients do not fail the run —
-///                     fault injection also runs every cell on its own
+///   SPF_FAULTS=...    chaos mode: seeded fault injection at the
+///                     inspect-read, alloc and guard-addr sites (DESIGN.md,
+///                     "Failure model"); every cell then runs on its own
 ///                     execution
-///   SPF_CELL_TIMEOUT=S  per-cell wall-clock watchdog in seconds
-///   SPF_CELL_MEM_MB=N   default per-worker RLIMIT_AS in MiB
-///   SPF_NO_BACKOFF=1    disable the retry backoff delay (tests/CI)
+///   SPF_CELL_TIMEOUT=S  per-cell wall-clock watchdog in seconds; a cell
+///                     that exceeds it is quarantined and fails the run
 ///
-/// Exit code is 1 when any workload self-check fails or prefetching
-/// changes a result, and 3 when the sweep was interrupted (SIGTERM,
-/// SIGINT, or --sweep-deadline) but wrote a valid partial report. The
-/// undocumented --inject-self-check-failure flag adds a deliberately
-/// failing cell so CI can regression-test the nonzero-exit path.
+/// Exit code is 1 when any cell fails, times out, fails its workload
+/// self-check or changes a result under prefetching, and 2 for a
+/// malformed flag or SPF_* value. The undocumented
+/// --inject-self-check-failure flag adds a deliberately failing cell so
+/// CI can regression-test the nonzero-exit path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -353,28 +330,12 @@ int main(int argc, char **argv) {
           .count();
   reportPlanFailures(Result);
 
-  if (!Result.JournalPath.empty())
-    std::printf("journal: %s — %u cell(s) grafted from a previous run, "
-                "%u appended\n",
-                Result.JournalPath.c_str(), Result.JournalGrafted,
-                Result.JournalAppended);
-
-  // Chaos-run visibility: cells that needed retries or never produced a
-  // result. Transient quarantines are not failures (the harness's fault
-  // containment working as intended), but they must never be silent.
+  // Cells that never produced a result (each is also a Failure).
   if (!Result.Quarantine.empty()) {
     std::printf("\nquarantine: %zu cell(s)\n", Result.Quarantine.size());
-    for (const harness::QuarantineRecord &Q : Result.Quarantine) {
-      std::printf("  [%u] %-40s %-8s attempts=%u", Q.CellIndex,
-                  Q.Tag.c_str(), Q.Kind.c_str(), Q.Attempts);
-      if (Q.Signal)
-        std::printf(" signal=%d", Q.Signal);
-      else if (Q.ExitStatus > 0)
-        std::printf(" exit=%d", Q.ExitStatus);
-      if (!Q.Error.empty())
-        std::printf(" — %s", Q.Error.c_str());
-      std::printf("\n");
-    }
+    for (const harness::QuarantineRecord &Q : Result.Quarantine)
+      std::printf("  [%u] %-40s %-8s %s\n", Q.CellIndex, Q.Tag.c_str(),
+                  Q.Kind.c_str(), Q.Error.c_str());
   }
 
   if (ModeSweep) {
@@ -403,11 +364,6 @@ int main(int argc, char **argv) {
   else if (JsonPath != "-")
     std::printf("\nJSON report: %s\n", JsonPath.c_str());
 
-  if (Result.Interrupted)
-    std::printf("sweep: interrupted (%s) — %u of %zu cell(s) skipped; the "
-                "report above is a valid partial result\n",
-                Result.InterruptReason.c_str(), Result.CellsSkipped,
-                Plan.size());
   std::printf("sweep: %zu cells in %.1f s on %u worker(s)%s\n",
               Plan.size(), Seconds, Jobs,
               failureCount() ? " — FAILURES (see stderr)" : ", all checks ok");

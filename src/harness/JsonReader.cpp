@@ -21,15 +21,6 @@ uint64_t JsonValue::getU64(const std::string &Key, uint64_t Default) const {
   return V.IsUnsigned ? V.U64 : static_cast<uint64_t>(V.Num);
 }
 
-int64_t JsonValue::getI64(const std::string &Key, int64_t Default) const {
-  const JsonValue &V = get(Key);
-  if (V.K != Kind::Number)
-    return Default;
-  if (V.IsUnsigned)
-    return static_cast<int64_t>(V.U64);
-  return static_cast<int64_t>(V.Num);
-}
-
 double JsonValue::getDouble(const std::string &Key, double Default) const {
   const JsonValue &V = get(Key);
   return V.K == Kind::Number ? V.Num : Default;

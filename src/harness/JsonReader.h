@@ -1,9 +1,9 @@
 //===- harness/JsonReader.h - Minimal JSON DOM parser -----------*- C++ -*-===//
 ///
 /// \file
-/// A small recursive-descent JSON parser for the harness's own wire and
-/// journal formats (worker result records, journal lines). It parses
-/// exactly what harness/JsonWriter emits plus standard JSON escapes.
+/// A small recursive-descent JSON parser for the reports harness/JsonWriter
+/// emits (spf-report, report diffs, the benchmark's references). It
+/// parses exactly what JsonWriter emits plus standard JSON escapes.
 ///
 /// Numbers keep full 64-bit integer precision: a value that lexes as a
 /// non-negative integer is stored as uint64 alongside the double, so
@@ -49,7 +49,6 @@ public:
 
   // Typed accessors with defaults for absent/mismatched members.
   uint64_t getU64(const std::string &Key, uint64_t Default = 0) const;
-  int64_t getI64(const std::string &Key, int64_t Default = 0) const;
   double getDouble(const std::string &Key, double Default = 0.0) const;
   bool getBool(const std::string &Key, bool Default = false) const;
   std::string getString(const std::string &Key,

@@ -2,11 +2,7 @@
 
 #include "harness/ReportDiff.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <set>
-#include <sstream>
 
 using namespace spf;
 using namespace spf::harness;
@@ -81,7 +77,7 @@ void diffAdaptation(const JsonValue &Ref, const JsonValue &Got,
   }
 }
 
-// -- spf-sweep-v2 --------------------------------------------------------
+// -- spf-sweep-v3 --------------------------------------------------------
 
 std::string cellId(const JsonValue &C) {
   std::string Id = C.getString("group") + "/" + C.getString("workload") +
@@ -146,7 +142,7 @@ uint64_t sumCategories(const JsonValue &B) {
 bool validateSweep(const JsonValue &V, std::string *Error) {
   const JsonValue &Cells = V.get("cells");
   if (Cells.kind() != JsonValue::Kind::Array)
-    return fail(Error, "spf-sweep-v2: missing cells array");
+    return fail(Error, "spf-sweep-v3: missing cells array");
   unsigned I = 0;
   for (const JsonValue &C : Cells.array()) {
     std::string Id = "cell " + std::to_string(I++) + " (" + cellId(C) + ")";
@@ -240,7 +236,7 @@ DiffResult harness::diffReports(const JsonValue &Ref, const JsonValue &Got,
   Out.Schema = RefSchema;
   if (RefSchema == "spf-bench-adaptation-v1")
     diffAdaptation(Ref, Got, T, Out);
-  else if (RefSchema == "spf-sweep-v2")
+  else if (RefSchema == "spf-sweep-v3")
     diffSweep(Ref, Got, T, Out);
   else {
     Out.Comparable = false;
@@ -251,64 +247,10 @@ DiffResult harness::diffReports(const JsonValue &Ref, const JsonValue &Got,
 
 bool harness::validateReport(const JsonValue &V, std::string *Error) {
   std::string Schema = V.getString("schema");
-  if (Schema == "spf-sweep-v2")
+  if (Schema == "spf-sweep-v3")
     return validateSweep(V, Error);
   if (Schema == "spf-bench-adaptation-v1")
     return validateAdaptation(V, Error);
   return fail(Error, Schema.empty() ? "missing schema key"
                                     : "unknown schema: " + Schema);
-}
-
-bool harness::validatePromText(const std::string &Text, std::string *Error) {
-  std::istringstream IS(Text);
-  std::string Line;
-  std::string HelpFor, TypeFor, TypeKind;
-  std::set<std::string> Seen;
-  unsigned LineNo = 0;
-  while (std::getline(IS, Line)) {
-    ++LineNo;
-    std::string At = "line " + std::to_string(LineNo) + ": ";
-    if (Line.empty())
-      continue;
-    if (Line.rfind("# HELP ", 0) == 0) {
-      size_t Sp = Line.find(' ', 7);
-      if (Sp == std::string::npos)
-        return fail(Error, At + "malformed HELP line");
-      HelpFor = Line.substr(7, Sp - 7);
-      TypeFor.clear();
-      continue;
-    }
-    if (Line.rfind("# TYPE ", 0) == 0) {
-      size_t Sp = Line.find(' ', 7);
-      if (Sp == std::string::npos)
-        return fail(Error, At + "malformed TYPE line");
-      TypeFor = Line.substr(7, Sp - 7);
-      TypeKind = Line.substr(Sp + 1);
-      if (TypeFor != HelpFor)
-        return fail(Error, At + "TYPE for " + TypeFor +
-                               " not preceded by its HELP line");
-      continue;
-    }
-    if (Line[0] == '#')
-      continue; // Other comments are legal.
-    size_t Sp = Line.find(' ');
-    if (Sp == std::string::npos)
-      return fail(Error, At + "sample line without a value");
-    // Metric name without the label set; histograms expose their
-    // samples under the _bucket/_sum/_count suffixes of the TYPE name.
-    std::string Name = Line.substr(0, std::min(Sp, Line.find('{')));
-    bool Matches = Name == TypeFor;
-    if (!Matches && TypeKind == "histogram")
-      Matches = Name == TypeFor + "_bucket" || Name == TypeFor + "_sum" ||
-                Name == TypeFor + "_count";
-    if (!Matches)
-      return fail(Error,
-                  At + "sample " + Name + " not preceded by its TYPE line");
-    if (TypeKind == "counter" &&
-        (Name.size() < 6 || Name.compare(Name.size() - 6, 6, "_total") != 0))
-      return fail(Error, At + "counter " + Name + " does not end in _total");
-    if (!Seen.insert(Line.substr(0, Sp)).second)
-      return fail(Error, At + "duplicate metric " + Line.substr(0, Sp));
-  }
-  return true;
 }

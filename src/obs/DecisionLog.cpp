@@ -2,7 +2,6 @@
 
 #include "obs/DecisionLog.h"
 
-#include "harness/JsonReader.h"
 #include "harness/JsonWriter.h"
 #include "ir/BasicBlock.h"
 #include "ir/Instruction.h"
@@ -67,20 +66,6 @@ void writeDecisionJson(harness::JsonWriter &J, const DecisionEvent &E) {
   if (E.Confidence != 0)
     J.key("confidence").value(E.Confidence);
   J.endObject();
-}
-
-DecisionEvent parseDecisionEvent(const harness::JsonValue &V) {
-  DecisionEvent E;
-  E.Method = V.getString("method");
-  E.Loop = V.getU64("loop");
-  E.Pass = V.getString("pass");
-  E.Event = V.getString("event");
-  E.Site = V.getString("site");
-  E.Detail = V.getString("detail");
-  E.Stride = V.getI64("stride");
-  E.Samples = V.getU64("samples");
-  E.Confidence = V.getDouble("confidence");
-  return E;
 }
 
 std::string formatDecision(const DecisionEvent &E) {

@@ -7,9 +7,9 @@
 /// the planner pruned, which prefetch kind codegen emitted, and why a
 /// loop degraded — keyed by method, loop header, and load site. The
 /// events live on a DecisionLog owned by the workload runner, travel in
-/// RunResult::Decisions through shared executions, the journal and the
-/// worker record line, and surface as JSON-lines (--decisions-out) and the
-/// human summary printed by `bench/sweep --explain`.
+/// RunResult::Decisions through shared executions, and surface as
+/// JSON-lines (--decisions-out) and the human summary printed by
+/// `bench/sweep --explain`.
 ///
 /// Passes find the active log through a thread-local DecisionScope
 /// (same shape as support::FaultScope), so deep helpers like
@@ -37,7 +37,6 @@ class Value;
 
 namespace harness {
 class JsonWriter;
-class JsonValue;
 } // namespace harness
 
 namespace obs {
@@ -114,11 +113,9 @@ private:
 /// one, else "opcode@blockname".
 std::string siteLabel(const ir::Value *V);
 
-/// JSON (de)serialization used by the worker record line, the journal,
-/// and --decisions-out. writeDecisionJson emits an object with only the
+/// JSON serialization for --decisions-out: an object with only the
 /// non-default fields, so records stay compact and byte-stable.
 void writeDecisionJson(harness::JsonWriter &J, const DecisionEvent &E);
-DecisionEvent parseDecisionEvent(const harness::JsonValue &V);
 
 /// One human-readable line for --explain (no trailing newline).
 std::string formatDecision(const DecisionEvent &E);

@@ -72,50 +72,6 @@ Histogram &StatRegistry::histogram(const std::string &Name) {
   return *Slot;
 }
 
-void StatRegistry::writeProm(std::ostream &OS) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  // Prometheus naming conventions are enforced at exposition time only
-  // (writeJson keeps raw registry names): every monotonic counter gets
-  // the _total suffix — names already carrying it are unchanged — and
-  // every metric gets its # HELP line ahead of # TYPE. The rename map
-  // is documented in DESIGN.md ("Prometheus naming").
-  auto Total = [](const std::string &Name) {
-    if (Name.size() >= 6 && Name.compare(Name.size() - 6, 6, "_total") == 0)
-      return Name;
-    return Name + "_total";
-  };
-  for (const auto &[RawName, C] : Counters) {
-    std::string Name = Total(RawName);
-    OS << "# HELP " << Name << " Monotonic event count.\n";
-    OS << "# TYPE " << Name << " counter\n";
-    OS << Name << ' ' << C->value() << '\n';
-  }
-  for (const auto &[Name, G] : Gauges) {
-    OS << "# HELP " << Name << " Current value.\n";
-    OS << "# TYPE " << Name << " gauge\n";
-    OS << Name << ' ' << G->value() << '\n';
-  }
-  for (const auto &[Name, H] : Histograms) {
-    OS << "# HELP " << Name << " Sample distribution.\n";
-    OS << "# TYPE " << Name << " histogram\n";
-    // Cumulative bucket counts up to the last non-empty bucket, then
-    // +Inf, per the Prometheus exposition format.
-    unsigned Last = 0;
-    for (unsigned B = 0; B < Histogram::NumBuckets; ++B)
-      if (H->bucketCount(B) != 0)
-        Last = B;
-    uint64_t Cum = 0;
-    for (unsigned B = 0; B <= Last; ++B) {
-      Cum += H->bucketCount(B);
-      OS << Name << "_bucket{le=\"" << Histogram::bucketBound(B) << "\"} "
-         << Cum << '\n';
-    }
-    OS << Name << "_bucket{le=\"+Inf\"} " << Cum << '\n';
-    OS << Name << "_sum " << H->sum() << '\n';
-    OS << Name << "_count " << Cum << '\n';
-  }
-}
-
 void StatRegistry::writeJson(harness::JsonWriter &J) const {
   std::lock_guard<std::mutex> Lock(Mu);
   J.beginObject();
@@ -154,9 +110,8 @@ void StatRegistry::reset() {
 }
 
 StatRegistry &StatRegistry::global() {
-  // Intentionally leaked: atexit hooks (bench/BenchCommon.h's stats
-  // flush) run after function-local statics constructed later in main
-  // are destroyed, so a destructible registry would read back empty.
+  // Intentionally leaked, like Tracer::instance(): safe to read from
+  // atexit hooks.
   static StatRegistry *R = new StatRegistry;
   return *R;
 }

@@ -9,9 +9,8 @@
 /// instruction per observation) and adequate for the microsecond-scale
 /// latency distributions the harness cares about.
 ///
-/// Dump formats: Prometheus text exposition (writeProm) for scraping /
-/// eyeballing, and a JSON object (writeJson) embedded in the sweep
-/// report's "stats" section.
+/// Dump format: a JSON object (writeJson) embedded in the sweep report's
+/// "stats" section.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 
 namespace spf {
@@ -98,16 +96,13 @@ private:
 };
 
 /// Name → stat map. Creation locks; updates through the returned
-/// references are lock-free. Iteration order is the name order, so both
-/// dump formats are deterministic.
+/// references are lock-free. Iteration order is the name order, so the
+/// dump is deterministic.
 class StatRegistry {
 public:
   Counter &counter(const std::string &Name);
   Gauge &gauge(const std::string &Name);
   Histogram &histogram(const std::string &Name);
-
-  /// Prometheus text exposition format (one # TYPE line per family).
-  void writeProm(std::ostream &OS) const;
 
   /// JSON object {"counters":{...},"gauges":{...},"histograms":{...}}.
   /// Histograms dump count/sum plus the non-empty buckets.

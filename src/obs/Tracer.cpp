@@ -2,13 +2,10 @@
 
 #include "obs/Tracer.h"
 
-#include "harness/JsonReader.h"
 #include "harness/JsonWriter.h"
 
 #include <algorithm>
 #include <chrono>
-#include <set>
-#include <sstream>
 #include <unistd.h>
 
 namespace spf {
@@ -34,24 +31,10 @@ void Tracer::disable() {
 }
 
 void Tracer::record(TraceEvent E) {
-  if (E.Pid == 0)
-    E.Pid = static_cast<uint64_t>(::getpid());
   if (E.Tid == 0)
     E.Tid = currentTid();
   std::lock_guard<std::mutex> Lock(Mu);
   Events.push_back(std::move(E));
-}
-
-void Tracer::instant(std::string Name,
-                     std::vector<std::pair<std::string, std::string>> Args) {
-  if (!active())
-    return;
-  TraceEvent E;
-  E.Name = std::move(Name);
-  E.Ph = 'i';
-  E.TsUs = nowUs();
-  E.Args = std::move(Args);
-  record(std::move(E));
 }
 
 std::vector<TraceEvent> Tracer::drain() {
@@ -66,15 +49,8 @@ size_t Tracer::eventCount() const {
   return Events.size();
 }
 
-void Tracer::import(std::vector<TraceEvent> Imported) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &E : Imported)
-    Events.push_back(std::move(E));
-}
-
 uint64_t Tracer::nowUs() {
-  // steady_clock is CLOCK_MONOTONIC on Linux: one machine-wide time
-  // axis shared by the supervisor and every forked worker.
+  // steady_clock is CLOCK_MONOTONIC on Linux.
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -87,7 +63,8 @@ uint64_t Tracer::currentTid() {
   return Tid;
 }
 
-static void writeEventJson(harness::JsonWriter &J, const TraceEvent &E) {
+static void writeEventJson(harness::JsonWriter &J, const TraceEvent &E,
+                           uint64_t Pid) {
   J.beginObject();
   J.key("name").value(E.Name);
   J.key("cat").value(E.Cat);
@@ -95,10 +72,8 @@ static void writeEventJson(harness::JsonWriter &J, const TraceEvent &E) {
   J.key("ts").value(E.TsUs);
   if (E.Ph == 'X')
     J.key("dur").value(E.DurUs);
-  J.key("pid").value(E.Pid);
+  J.key("pid").value(Pid);
   J.key("tid").value(E.Tid);
-  if (E.Ph == 'i')
-    J.key("s").value("t"); // Instant scope: thread.
   if (!E.Args.empty() || !E.NumArgs.empty()) {
     J.key("args").beginObject();
     for (const auto &[K, V] : E.Args)
@@ -113,88 +88,34 @@ static void writeEventJson(harness::JsonWriter &J, const TraceEvent &E) {
 size_t Tracer::writeChromeTrace(std::ostream &OS,
                                 const std::string &ProcessLabel) {
   std::vector<TraceEvent> All = drain();
-  // Deterministic file order: by time, then pid/tid.
+  // Deterministic file order: by time, then tid.
   std::stable_sort(All.begin(), All.end(),
                    [](const TraceEvent &A, const TraceEvent &B) {
                      if (A.TsUs != B.TsUs)
                        return A.TsUs < B.TsUs;
-                     if (A.Pid != B.Pid)
-                       return A.Pid < B.Pid;
                      return A.Tid < B.Tid;
                    });
-  uint64_t SelfPid = static_cast<uint64_t>(::getpid());
-  std::set<uint64_t> Pids;
-  for (const auto &E : All)
-    Pids.insert(E.Pid);
+  const uint64_t Pid = static_cast<uint64_t>(::getpid());
 
   harness::JsonWriter J(OS);
   J.beginObject();
   J.key("traceEvents").beginArray();
-  // process_name metadata first, one per pid lane.
-  for (uint64_t Pid : Pids) {
-    J.beginObject();
-    J.key("name").value("process_name");
-    J.key("ph").value("M");
-    J.key("pid").value(Pid);
-    J.key("tid").value(uint64_t(0));
-    J.key("args").beginObject();
-    J.key("name").value(Pid == SelfPid ? ProcessLabel
-                                       : "spf worker " + std::to_string(Pid));
-    J.endObject();
-    J.endObject();
-  }
+  J.beginObject();
+  J.key("name").value("process_name");
+  J.key("ph").value("M");
+  J.key("pid").value(Pid);
+  J.key("tid").value(uint64_t(0));
+  J.key("args").beginObject();
+  J.key("name").value(ProcessLabel);
+  J.endObject();
+  J.endObject();
   for (const auto &E : All)
-    writeEventJson(J, E);
+    writeEventJson(J, E, Pid);
   J.endArray();
   J.key("displayTimeUnit").value("ms");
   J.endObject();
   OS << '\n';
   return All.size();
-}
-
-void Tracer::writeEventsJson(harness::JsonWriter &J,
-                             const std::vector<TraceEvent> &Events) {
-  J.beginArray();
-  for (const auto &E : Events)
-    writeEventJson(J, E);
-  J.endArray();
-}
-
-std::vector<TraceEvent>
-Tracer::parseEventsJson(const harness::JsonValue &V) {
-  std::vector<TraceEvent> Out;
-  if (V.kind() != harness::JsonValue::Kind::Array)
-    return Out;
-  for (const auto &Elem : V.array()) {
-    if (Elem.kind() != harness::JsonValue::Kind::Object)
-      continue;
-    TraceEvent E;
-    E.Name = Elem.getString("name");
-    E.Cat = Elem.getString("cat", "spf");
-    std::string Ph = Elem.getString("ph", "X");
-    E.Ph = Ph.empty() ? 'X' : Ph[0];
-    if (E.Ph == 'M')
-      continue; // Metadata is regenerated at write time.
-    E.TsUs = Elem.getU64("ts");
-    E.DurUs = Elem.getU64("dur");
-    E.Pid = Elem.getU64("pid");
-    E.Tid = Elem.getU64("tid");
-    if (Elem.has("args")) {
-      const harness::JsonValue &Args = Elem.get("args");
-      if (Args.kind() == harness::JsonValue::Kind::Object) {
-        // JsonValue keeps object members sorted by key; argument order
-        // is presentational only, so that is fine.
-        for (const auto &[K, AV] : Args.objectMembers()) {
-          if (AV.kind() == harness::JsonValue::Kind::String)
-            E.Args.emplace_back(K, AV.str());
-          else
-            E.NumArgs.emplace_back(K, AV.u64());
-        }
-      }
-    }
-    Out.push_back(std::move(E));
-  }
-  return Out;
 }
 
 Span::Span(const char *Name, const char *Cat) {

@@ -2,19 +2,12 @@
 ///
 /// \file
 /// Structured phase timing that serializes to Chrome trace_event JSON
-/// ("Trace Event Format"), so a whole sweep — ThreadPool workers,
-/// subprocess cells, retries, journal grafts — renders as one timeline
-/// in chrome://tracing or Perfetto.
+/// ("Trace Event Format"), so a whole sweep — one lane per ThreadPool
+/// worker — renders as one timeline in chrome://tracing or Perfetto.
 ///
-/// Model: RAII `Span` objects produce complete ("X") events; `instant`
-/// marks point events (retry, journal-graft, sweep-stop). Timestamps are
-/// CLOCK_MONOTONIC microseconds, which on Linux is machine-wide, so
-/// events recorded in forked worker processes line up with the
-/// supervisor's on the same axis. Workers ship their buffered events
-/// back over the result pipe (serializeJson/parseEventsJson — see
-/// harness/Supervisor.cpp); the supervisor import()s them with the
-/// worker's real pid, and the merged file shows one process lane per
-/// worker.
+/// Model: RAII `Span` objects produce complete ("X") events; the cycle
+/// timeline adds counter ("C") events. Timestamps are CLOCK_MONOTONIC
+/// microseconds.
 ///
 /// Cost discipline: when the tracer is inactive a Span constructor is a
 /// relaxed load and two dead stores. Recording appends to a mutex-
@@ -38,21 +31,15 @@
 #include <vector>
 
 namespace spf {
-namespace harness {
-class JsonWriter;
-class JsonValue;
-} // namespace harness
-
 namespace obs {
 
 /// One trace event in Chrome trace_event terms.
 struct TraceEvent {
   std::string Name;
   std::string Cat = "spf";
-  char Ph = 'X';      ///< 'X' complete span, 'i' instant, 'C' counter.
+  char Ph = 'X';      ///< 'X' complete span, 'C' counter.
   uint64_t TsUs = 0;  ///< CLOCK_MONOTONIC microseconds.
   uint64_t DurUs = 0; ///< Span duration ('X' only).
-  uint64_t Pid = 0;
   uint64_t Tid = 0;
   /// Extra "args" key/value pairs (serialized as strings).
   std::vector<std::pair<std::string, std::string>> Args;
@@ -77,41 +64,25 @@ public:
 #endif
   }
 
-  /// Appends one finished event (Pid/Tid filled in if zero).
+  /// Appends one finished event (Tid filled in if zero).
   void record(TraceEvent E);
 
-  /// Records an instant event at the current time.
-  void
-  instant(std::string Name,
-          std::vector<std::pair<std::string, std::string>> Args = {});
-
-  /// Moves out everything recorded so far (own events + imports).
+  /// Moves out everything recorded so far.
   std::vector<TraceEvent> drain();
 
   /// Number of buffered events.
   size_t eventCount() const;
 
-  /// Grafts events recorded by another process (a supervised worker)
-  /// into this tracer's buffer, keeping their original pids/tids.
-  void import(std::vector<TraceEvent> Events);
-
   /// Drains and writes the full Chrome trace_event JSON document
-  /// ({"traceEvents":[...]}), including process_name metadata for every
-  /// pid seen. Returns the number of events written.
+  /// ({"traceEvents":[...]}): one process_name metadata event labeling
+  /// this process \p ProcessLabel, then every event under this process's
+  /// pid. Returns the number of events written.
   size_t writeChromeTrace(std::ostream &OS, const std::string &ProcessLabel);
 
   /// CLOCK_MONOTONIC now, in microseconds.
   static uint64_t nowUs();
   /// Stable small integer id for the calling thread.
   static uint64_t currentTid();
-
-  /// Serializes events as a JSON array (the worker→supervisor wire
-  /// format; also reused for the trace file's event list).
-  static void writeEventsJson(harness::JsonWriter &J,
-                              const std::vector<TraceEvent> &Events);
-  /// Inverse of writeEventsJson; ignores malformed entries.
-  static std::vector<TraceEvent>
-  parseEventsJson(const harness::JsonValue &V);
 
 private:
   std::atomic<bool> Active{false};

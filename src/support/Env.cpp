@@ -49,8 +49,3 @@ uint64_t support::envU64(const char *Var, uint64_t Default) {
     envConfigError(Var, S, "out of range");
   return static_cast<uint64_t>(V);
 }
-
-bool support::envFlagSet(const char *Var) {
-  const char *S = std::getenv(Var);
-  return S && *S;
-}

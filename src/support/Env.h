@@ -34,10 +34,6 @@ double envDouble(const char *Var, double Default, double Min = 0.0);
 /// Unsigned integer from \p Var; \p Default when unset or empty.
 uint64_t envU64(const char *Var, uint64_t Default);
 
-/// True when \p Var is set to a non-empty value ("0" counts as set: the
-/// knobs using this are presence switches, not booleans).
-bool envFlagSet(const char *Var);
-
 } // namespace support
 } // namespace spf
 

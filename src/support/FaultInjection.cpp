@@ -20,14 +20,6 @@ const char *support::faultSiteName(FaultSite S) {
     return "alloc";
   case FaultSite::GuardAddr:
     return "guard-addr";
-  case FaultSite::CellExec:
-    return "cell";
-  case FaultSite::Crash:
-    return "crash";
-  case FaultSite::DiskWrite:
-    return "disk-write";
-  case FaultSite::DiskSync:
-    return "disk-sync";
   }
   return "?";
 }
@@ -45,17 +37,6 @@ bool FaultConfig::anyEnabled() const {
   for (const Site &S : Sites)
     if (S.Enabled && S.Rate > 0.0)
       return true;
-  return false;
-}
-
-bool FaultConfig::anyExecutionSiteEnabled() const {
-  for (unsigned I = 0; I != NumFaultSites; ++I) {
-    FaultSite S = static_cast<FaultSite>(I);
-    if (S == FaultSite::DiskWrite || S == FaultSite::DiskSync)
-      continue;
-    if (Sites[I].Enabled && Sites[I].Rate > 0.0)
-      return true;
-  }
   return false;
 }
 
@@ -144,11 +125,6 @@ FaultConfig FaultConfig::fromEnv() {
   if (std::optional<FaultConfig> Cfg = parse(Spec, &Error))
     return *Cfg;
   envConfigError("SPF_FAULTS", Spec, Error);
-}
-
-void support::maybeInjectCrash() {
-  if (SPF_FAULT_POINT(FaultSite::Crash))
-    std::abort();
 }
 
 FaultInjector::FaultInjector(const FaultConfig &Cfg, uint64_t StreamSalt) {

@@ -14,25 +14,11 @@
 ///    forcing the GC-and-retry slow path;
 ///  * `guard-addr`   — a guarded load's computed address is corrupted
 ///    before the software exception check, exercising the guard-failure
-///    path end to end;
-///  * `cell`         — a whole experiment cell throws a TransientFault,
-///    exercising the harness's isolation/retry/quarantine machinery;
-///  * `crash`        — a whole experiment cell calls `abort()`. Only armed
-///    in supervised worker processes (see harness/Supervisor.h); an
-///    in-process run never evaluates the site, so `all:...` chaos stays
-///    safe without isolation;
-///  * `disk-write`   — a harness disk write (journal append, report
-///    write) fails as if the disk were full or erroring
-///    (ENOSPC/EIO). Every armed path degrades and counts — never crashes
-///    or silently loses records;
-///  * `disk-sync`    — an fsync fails after a successful write: the data
-///    is in the file but its durability is no longer guaranteed. The
-///    journal latches its degraded mode and counts the event.
+///    path end to end.
 ///
-/// The disk sites only simulate I/O failure in the harness's persistence
-/// paths; unlike the execution sites they never perturb cell statistics,
-/// so execution sharing stays on when only disk sites are armed (see
-/// FaultConfig::anyExecutionSiteEnabled).
+/// Every site exercises a recovery path of the program itself — per-loop
+/// degradation of the paper's pass, the allocation slow path, the guard
+/// failure path — rather than of the experiment harness.
 ///
 /// Configuration: programmatic (`FaultConfig`) or the environment knob
 ///
@@ -52,7 +38,6 @@
 
 #include <array>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 namespace spf {
@@ -63,26 +48,15 @@ enum class FaultSite : unsigned {
   InspectHeapRead = 0, ///< "inspect-read"
   Alloc = 1,           ///< "alloc"
   GuardAddr = 2,       ///< "guard-addr"
-  CellExec = 3,        ///< "cell"
-  Crash = 4,           ///< "crash"
-  DiskWrite = 5,       ///< "disk-write"
-  DiskSync = 6,        ///< "disk-sync"
 };
 
-inline constexpr unsigned NumFaultSites = 7;
+inline constexpr unsigned NumFaultSites = 3;
 
 /// The spelling used in SPF_FAULTS and reports.
 const char *faultSiteName(FaultSite S);
 
 /// Inverse of faultSiteName; nullopt for unknown spellings.
 std::optional<FaultSite> parseFaultSiteName(const std::string &Name);
-
-/// An injected failure the harness treats as retryable (bounded retry,
-/// then quarantine — never a correctness failure).
-class TransientFault : public std::runtime_error {
-public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Per-site rates and seeds.
 struct FaultConfig {
@@ -94,11 +68,6 @@ struct FaultConfig {
   std::array<Site, NumFaultSites> Sites;
 
   bool anyEnabled() const;
-  /// True when any site that perturbs cell *execution* (everything but
-  /// the disk-I/O sites) is enabled. Execution sharing keys off this:
-  /// injected disk failures only exercise the persistence paths, so
-  /// sharing an execution under them is still honest chaos.
-  bool anyExecutionSiteEnabled() const;
   Site &site(FaultSite S) { return Sites[static_cast<unsigned>(S)]; }
   const Site &site(FaultSite S) const {
     return Sites[static_cast<unsigned>(S)];
@@ -120,8 +89,8 @@ struct FaultConfig {
 
 /// Draws the per-site fault decisions. Deterministic: a given
 /// (config, salt) pair always yields the same decision sequence,
-/// regardless of which thread runs it. The harness salts per
-/// (cell, attempt) so retries re-roll and schedules don't matter.
+/// regardless of which thread runs it. The harness salts per cell so
+/// schedules don't matter.
 class FaultInjector {
 public:
   FaultInjector() = default;
@@ -166,12 +135,6 @@ private:
   // null store).
   static thread_local constinit FaultInjector *Current;
 };
-
-/// Hard-crash injection point for the `crash` site: when the site fires,
-/// the process calls `abort()` (SIGABRT, no unwinding, no cleanup) —
-/// exactly the class of failure only out-of-process supervision can
-/// contain. Call it only from supervised worker entry paths.
-void maybeInjectCrash();
 
 } // namespace support
 } // namespace spf

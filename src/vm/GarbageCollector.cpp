@@ -70,7 +70,7 @@ GcStats GarbageCollector::sweepInPlace(Heap &H) {
   // Non-compacting: live objects stay put; maximal dead runs (previous
   // fillers included — they are unreachable by construction) coalesce
   // into free-list holes. The deadline watchdog must keep firing here
-  // exactly as in the compacting phases (tests/shutdown_test.cpp).
+  // exactly as in the compacting phases (tests/gc_test.cpp).
   GcStats Stats;
   Addr HoleStart = 0;
   uint64_t HoleBytes = 0;

@@ -110,8 +110,7 @@ struct RunResult {
   bool SelfCheckOk = true; ///< Entry returned the expected value.
   /// Structured compile-decision events (obs/DecisionLog.h), recorded at
   /// JIT time when observability is enabled; empty otherwise. Carried
-  /// with the result so `--explain` works for shared executions, through
-  /// the journal, and across the worker record line.
+  /// with the result so `--explain` works for shared executions.
   std::vector<obs::DecisionEvent> Decisions;
 
   // Execution-sharing accounting (wall clock, not simulated):

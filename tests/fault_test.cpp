@@ -2,12 +2,14 @@
 //
 // Coverage for the failure-containment layer: the seeded fault injector
 // itself, graceful degradation of inspection/planning, the guarded-load
-// fault path, and the harness's retry/quarantine/timeout machinery.
+// fault path, the harness's quarantine/timeout handling, and strict
+// parsing of SPF_* knobs and bench flags.
 // The overarching invariant: no injected fault may change a simulated
 // program's result or take the process down.
 //
 //===----------------------------------------------------------------------===//
 
+#include "../bench/BenchCommon.h"
 #include "TestKernels.h"
 #include "core/ObjectInspector.h"
 #include "core/PrefetchPass.h"
@@ -17,7 +19,6 @@
 #include "sim/MemorySystem.h"
 #include "support/Env.h"
 #include "support/FaultInjection.h"
-#include "support/Shutdown.h"
 #include "support/Status.h"
 #include "workloads/KernelBuilder.h"
 #include "workloads/Runner.h"
@@ -69,16 +70,14 @@ TEST(FaultConfigTest, ParsesSingleSite) {
   EXPECT_EQ(S.Seed, 7u);
   EXPECT_FALSE(C->site(FaultSite::Alloc).Enabled);
   EXPECT_FALSE(C->site(FaultSite::GuardAddr).Enabled);
-  EXPECT_FALSE(C->site(FaultSite::CellExec).Enabled);
 }
 
 TEST(FaultConfigTest, ParsesMultipleSites) {
-  auto C = FaultConfig::parse("alloc:0.5:1,guard-addr:1:2,cell:0.125:3");
+  auto C = FaultConfig::parse("alloc:0.5:1,guard-addr:1:2");
   ASSERT_TRUE(C.has_value());
   EXPECT_TRUE(C->site(FaultSite::Alloc).Enabled);
   EXPECT_TRUE(C->site(FaultSite::GuardAddr).Enabled);
   EXPECT_DOUBLE_EQ(C->site(FaultSite::GuardAddr).Rate, 1.0);
-  EXPECT_TRUE(C->site(FaultSite::CellExec).Enabled);
   EXPECT_FALSE(C->site(FaultSite::InspectHeapRead).Enabled);
 }
 
@@ -103,61 +102,16 @@ TEST(FaultConfigTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultConfig::parse("alloc:0.5").has_value()); // No seed.
   EXPECT_FALSE(FaultConfig::parse("").has_value());
   EXPECT_FALSE(FaultConfig::parse("alloc:zero:1").has_value());
+  // Only the three pass sites exist.
+  for (const char *Gone : {"cell:0.5:1", "crash:0.5:1", "disk-write:0.5:1",
+                           "disk-sync:0.5:1"})
+    EXPECT_FALSE(FaultConfig::parse(Gone).has_value()) << Gone;
 }
 
 TEST(FaultConfigTest, FromEnvUnsetDisablesEverything) {
   ScopedEnv E("SPF_FAULTS", nullptr);
   FaultConfig C = FaultConfig::fromEnv();
   EXPECT_FALSE(C.anyEnabled());
-}
-
-TEST(FaultConfigTest, ParsesCrashSite) {
-  auto C = FaultConfig::parse("crash:0.5:9");
-  ASSERT_TRUE(C.has_value());
-  EXPECT_TRUE(C->site(FaultSite::Crash).Enabled);
-  EXPECT_DOUBLE_EQ(C->site(FaultSite::Crash).Rate, 0.5);
-  EXPECT_FALSE(C->site(FaultSite::CellExec).Enabled);
-}
-
-TEST(FaultConfigTest, ParsesDiskSites) {
-  auto C = FaultConfig::parse("disk-write:0.25:5,disk-sync:0.5:6");
-  ASSERT_TRUE(C.has_value());
-  EXPECT_TRUE(C->site(FaultSite::DiskWrite).Enabled);
-  EXPECT_DOUBLE_EQ(C->site(FaultSite::DiskWrite).Rate, 0.25);
-  EXPECT_TRUE(C->site(FaultSite::DiskSync).Enabled);
-  EXPECT_DOUBLE_EQ(C->site(FaultSite::DiskSync).Rate, 0.5);
-  EXPECT_FALSE(C->site(FaultSite::CellExec).Enabled);
-  // Round trip through the canonical names.
-  EXPECT_STREQ(faultSiteName(FaultSite::DiskWrite), "disk-write");
-  EXPECT_STREQ(faultSiteName(FaultSite::DiskSync), "disk-sync");
-  EXPECT_EQ(parseFaultSiteName("disk-write"), FaultSite::DiskWrite);
-  EXPECT_EQ(parseFaultSiteName("disk-sync"), FaultSite::DiskSync);
-}
-
-TEST(FaultConfigTest, ExecutionSitePredicateExcludesDiskSites) {
-  // Disk-only chaos must keep execution sharing on (it exists to
-  // exercise the journal and report writes), so the gate is "any
-  // *execution* site", not "any site".
-  auto DiskOnly = FaultConfig::parse("disk-write:0.5:1,disk-sync:0.5:2");
-  ASSERT_TRUE(DiskOnly.has_value());
-  EXPECT_TRUE(DiskOnly->anyEnabled());
-  EXPECT_FALSE(DiskOnly->anyExecutionSiteEnabled());
-
-  auto Mixed = FaultConfig::parse("disk-write:0.5:1,cell:0.1:2");
-  ASSERT_TRUE(Mixed.has_value());
-  EXPECT_TRUE(Mixed->anyExecutionSiteEnabled());
-
-  // "all" arms every site, disk included — and counts as execution chaos.
-  auto All = FaultConfig::parse("all:0.1:3");
-  ASSERT_TRUE(All.has_value());
-  EXPECT_TRUE(All->site(FaultSite::DiskWrite).Enabled);
-  EXPECT_TRUE(All->site(FaultSite::DiskSync).Enabled);
-  EXPECT_TRUE(All->anyExecutionSiteEnabled());
-
-  // A rate-zero execution site is enabled but can never fire: not chaos.
-  auto Zero = FaultConfig::parse("cell:0:4");
-  ASSERT_TRUE(Zero.has_value());
-  EXPECT_FALSE(Zero->anyExecutionSiteEnabled());
 }
 
 // -- Fail-fast environment parsing -----------------------------------------
@@ -173,13 +127,6 @@ TEST(EnvFailFastDeathTest, MalformedSpfFaultsExitsWithConfigError) {
               "invalid SPF_FAULTS");
 }
 
-TEST(EnvFailFastDeathTest, MalformedSpfShutdownGraceExitsWithConfigError) {
-  ScopedEnv E("SPF_SHUTDOWN_GRACE_S", "lots");
-  EXPECT_EXIT(support::shutdownGraceSeconds(),
-              ::testing::ExitedWithCode(support::ConfigErrorExit),
-              "invalid SPF_SHUTDOWN_GRACE_S");
-}
-
 TEST(EnvFailFastDeathTest, NegativeSpfCellTimeoutExitsWithConfigError) {
   ScopedEnv E("SPF_CELL_TIMEOUT", "-3");
   EXPECT_EXIT(support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0),
@@ -187,11 +134,27 @@ TEST(EnvFailFastDeathTest, NegativeSpfCellTimeoutExitsWithConfigError) {
               "invalid SPF_CELL_TIMEOUT");
 }
 
-TEST(EnvFailFastDeathTest, MalformedSpfCellMemMbExitsWithConfigError) {
-  ScopedEnv E("SPF_CELL_MEM_MB", "-64");
-  EXPECT_EXIT(support::envU64("SPF_CELL_MEM_MB", 0),
+// Bench flags follow the same rule: a value that is not wholly an
+// in-range integer exits 2 instead of silently meaning something else.
+TEST(EnvFailFastDeathTest, NonNumericJobsFlagExitsWithConfigError) {
+  const char *Argv[] = {"sweep", "--jobs", "abc"};
+  EXPECT_EXIT(bench::jobsFromArgs(3, const_cast<char **>(Argv)),
               ::testing::ExitedWithCode(support::ConfigErrorExit),
-              "invalid SPF_CELL_MEM_MB");
+              "invalid --jobs=\"abc\"");
+}
+
+TEST(EnvFailFastDeathTest, OutOfRangeJobsFlagExitsWithConfigError) {
+  const char *Argv[] = {"sweep", "--jobs=0"};
+  EXPECT_EXIT(bench::jobsFromArgs(2, const_cast<char **>(Argv)),
+              ::testing::ExitedWithCode(support::ConfigErrorExit),
+              "invalid --jobs=\"0\"");
+}
+
+TEST(EnvFailFastDeathTest, SuffixedTimelineEveryFlagExitsWithConfigError) {
+  const char *Argv[] = {"sweep", "--timeline-every=5k"};
+  EXPECT_EXIT(bench::init(2, const_cast<char **>(Argv)),
+              ::testing::ExitedWithCode(support::ConfigErrorExit),
+              "invalid --timeline-every=\"5k\"");
 }
 
 TEST(EnvFailFastTest, WellFormedValuesParse) {
@@ -200,13 +163,18 @@ TEST(EnvFailFastTest, WellFormedValuesParse) {
     EXPECT_DOUBLE_EQ(support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0), 2.5);
   }
   {
-    ScopedEnv E("SPF_CELL_MEM_MB", "512");
-    EXPECT_EQ(support::envU64("SPF_CELL_MEM_MB", 0), 512u);
+    ScopedEnv E("SPF_TIMELINE", "512");
+    EXPECT_EQ(support::envU64("SPF_TIMELINE", 0), 512u);
   }
   {
-    ScopedEnv E("SPF_CELL_MEM_MB", nullptr);
-    EXPECT_EQ(support::envU64("SPF_CELL_MEM_MB", 7), 7u); // Unset: default.
+    ScopedEnv E("SPF_TIMELINE", nullptr);
+    EXPECT_EQ(support::envU64("SPF_TIMELINE", 7), 7u); // Unset: default.
   }
+  const char *Argv[] = {"sweep", "--jobs", "3"};
+  EXPECT_EQ(bench::jobsFromArgs(3, const_cast<char **>(Argv)), 3u);
+  EXPECT_EQ(bench::parseCountOrExit("--timeline-every", "5000", 0, UINT64_MAX,
+                                    "unused"),
+            5000u);
 }
 
 // -- Injector determinism --------------------------------------------------
@@ -230,21 +198,21 @@ TEST(FaultInjectorTest, DifferentSaltsYieldDifferentStreams) {
   for (unsigned I = 0; I != 1000; ++I)
     Differing += A.shouldFail(FaultSite::Alloc) !=
                  B.shouldFail(FaultSite::Alloc);
-  EXPECT_GT(Differing, 0u); // Retries must re-roll, not replay.
+  EXPECT_GT(Differing, 0u); // Cells must draw unrelated streams.
 }
 
 TEST(FaultInjectorTest, RateExtremes) {
-  auto C1 = FaultConfig::parse("cell:1:5");
+  auto C1 = FaultConfig::parse("guard-addr:1:5");
   ASSERT_TRUE(C1.has_value());
   FaultInjector Always(*C1);
   for (unsigned I = 0; I != 100; ++I)
-    ASSERT_TRUE(Always.shouldFail(FaultSite::CellExec));
+    ASSERT_TRUE(Always.shouldFail(FaultSite::GuardAddr));
 
-  auto C0 = FaultConfig::parse("cell:0:5");
+  auto C0 = FaultConfig::parse("guard-addr:0:5");
   ASSERT_TRUE(C0.has_value());
   FaultInjector Never(*C0);
   for (unsigned I = 0; I != 100; ++I)
-    ASSERT_FALSE(Never.shouldFail(FaultSite::CellExec));
+    ASSERT_FALSE(Never.shouldFail(FaultSite::GuardAddr));
   EXPECT_EQ(Never.totalInjected(), 0u);
 }
 
@@ -410,7 +378,7 @@ TEST(GuardFaultTest, CorruptedAddressesFailTheGuardNotTheProgram) {
   EXPECT_EQ(Chaos.Retired, Clean.Retired); // Same instruction stream.
 }
 
-// -- Harness: retry, quarantine, timeout -----------------------------------
+// -- Harness: quarantine, timeout, schedule independence -------------------
 
 harness::ExperimentPlan tinyJessPlan(unsigned Cells = 1) {
   harness::ExperimentPlan Plan;
@@ -424,90 +392,48 @@ harness::ExperimentPlan tinyJessPlan(unsigned Cells = 1) {
   return Plan;
 }
 
-TEST(ChaosHarnessTest, CertainCellFaultsAreQuarantinedNotFailed) {
-  ScopedEnv E("SPF_FAULTS", "cell:1:21");
-  ScopedEnv T("SPF_CELL_TIMEOUT", nullptr);
-  harness::ExperimentPlan Plan = tinyJessPlan(2);
-  harness::ExperimentResult R = harness::runPlan(Plan, 2);
-
-  // Injected transients are the chaos harness working as intended:
-  // quarantine, bounded retries, clean exit.
-  EXPECT_TRUE(R.ok()) << (R.Failures.empty() ? "" : R.Failures[0]);
-  ASSERT_EQ(R.Quarantine.size(), 2u);
-  for (unsigned I = 0; I != 2; ++I) {
-    EXPECT_FALSE(R.Cells[I].Ran);
-    EXPECT_TRUE(R.Cells[I].Transient);
-    EXPECT_EQ(R.Cells[I].Attempts, 3u); // MaxTransientAttempts.
-    EXPECT_EQ(R.Quarantine[I].Kind, "faulted");
-    EXPECT_EQ(R.Quarantine[I].CellIndex, I);
-    EXPECT_EQ(R.Quarantine[I].Attempts, 3u);
-  }
-
-  // The JSON report reflects it: clean, but with a populated quarantine.
-  std::ostringstream OS;
-  harness::writeJsonReport(OS, Plan, R, 0.05, 2);
-  std::string S = OS.str();
-  EXPECT_NE(S.find("\"ok\":true"), std::string::npos);
-  EXPECT_NE(S.find("\"ran\":false"), std::string::npos);
-  EXPECT_NE(S.find("\"kind\":\"faulted\""), std::string::npos);
-  EXPECT_EQ(S.find("\"quarantine\":[]"), std::string::npos);
-}
-
-TEST(ChaosHarnessTest, TransientRetriesSucceedAndAreRecorded) {
-  // Rate 0.5: across 8 cells x 3 attempts, some cells fail the first
-  // attempt and then succeed (probabilistically certain with this seed —
-  // the injector is deterministic, so no flakiness).
-  ScopedEnv E("SPF_FAULTS", "cell:0.5:31");
-  ScopedEnv T("SPF_CELL_TIMEOUT", nullptr);
-  harness::ExperimentPlan Plan = tinyJessPlan(8);
-  harness::ExperimentResult R = harness::runPlan(Plan, 4);
-
-  EXPECT_TRUE(R.ok());
-  bool SawRetried = false, SawFirstTry = false;
-  for (const harness::CellResult &Cell : R.Cells) {
-    if (Cell.Ran && Cell.Attempts > 1)
-      SawRetried = true;
-    if (Cell.Ran && Cell.Attempts == 1)
-      SawFirstTry = true;
-  }
-  EXPECT_TRUE(SawRetried);
-  EXPECT_TRUE(SawFirstTry);
-  for (const harness::QuarantineRecord &Q : R.Quarantine)
-    if (Q.Kind == "retried") {
-      EXPECT_GT(Q.Attempts, 1u);
-    }
-}
-
 TEST(ChaosHarnessTest, ChaosRunsAreScheduleIndependent) {
+  // Every pass site armed: injectors are seeded per cell, never per
+  // worker, so 1 and 8 workers must produce bit-identical statistics.
   ScopedEnv E("SPF_FAULTS",
-              "inspect-read:0.02:1,alloc:0.001:2,guard-addr:0.05:3,cell:0.4:4");
+              "inspect-read:0.02:1,alloc:0.001:2,guard-addr:0.05:3");
   ScopedEnv T("SPF_CELL_TIMEOUT", nullptr);
-  harness::ExperimentPlan Plan = tinyJessPlan(6);
+  harness::ExperimentPlan Plan;
+  Plan.addSweep({workloads::findWorkload("jess"),
+                 workloads::findWorkload("db")},
+                {workloads::Algorithm::Baseline,
+                 workloads::Algorithm::InterIntra},
+                {*sim::MachineConfig::byName("pentium4"),
+                 *sim::MachineConfig::byName("athlonmp")},
+                tinyJessPlan().cells()[0].Opt.Config, "chaos");
 
   harness::ExperimentResult Serial = harness::runPlan(Plan, 1);
-  harness::ExperimentResult Parallel = harness::runPlan(Plan, 4);
+  harness::ExperimentResult Parallel = harness::runPlan(Plan, 8);
+  EXPECT_TRUE(Serial.ok())
+      << (Serial.Failures.empty() ? "" : Serial.Failures[0]);
+  EXPECT_TRUE(Parallel.ok());
+  EXPECT_TRUE(Serial.Quarantine.empty());
 
+  uint64_t GuardFaults = 0;
   ASSERT_EQ(Serial.Cells.size(), Parallel.Cells.size());
   for (unsigned I = 0; I != Plan.size(); ++I) {
-    EXPECT_EQ(Serial.Cells[I].Ran, Parallel.Cells[I].Ran) << I;
-    EXPECT_EQ(Serial.Cells[I].Attempts, Parallel.Cells[I].Attempts) << I;
-    if (Serial.Cells[I].Ran && Parallel.Cells[I].Ran) {
-      EXPECT_EQ(Serial.run(I).ReturnValue, Parallel.run(I).ReturnValue) << I;
-      EXPECT_EQ(Serial.run(I).CompiledCycles, Parallel.run(I).CompiledCycles)
-          << I;
-      EXPECT_EQ(Serial.run(I).Retired, Parallel.run(I).Retired) << I;
-      EXPECT_EQ(Serial.run(I).Mem.GuardedLoadFaults,
-                Parallel.run(I).Mem.GuardedLoadFaults)
-          << I;
-    }
+    ASSERT_TRUE(Serial.Cells[I].Ran && Parallel.Cells[I].Ran) << I;
+    const workloads::RunResult &S = Serial.run(I);
+    const workloads::RunResult &P = Parallel.run(I);
+    EXPECT_FALSE(S.Replayed) << I; // Chaos cells never share.
+    EXPECT_EQ(S.ReturnValue, P.ReturnValue) << I;
+    EXPECT_EQ(S.CompiledCycles, P.CompiledCycles) << I;
+    EXPECT_EQ(S.Retired, P.Retired) << I;
+    EXPECT_EQ(S.Mem, P.Mem) << I;
+    EXPECT_EQ(S.Acct, P.Acct) << I;
+    EXPECT_EQ(S.Sites, P.Sites) << I;
+    EXPECT_EQ(S.Prefetch.CodeGen.Prefetches, P.Prefetch.CodeGen.Prefetches)
+        << I;
+    EXPECT_EQ(S.Prefetch.CodeGen.SpecLoads, P.Prefetch.CodeGen.SpecLoads)
+        << I;
+    GuardFaults += S.Mem.GuardedLoadFaults;
   }
-  ASSERT_EQ(Serial.Quarantine.size(), Parallel.Quarantine.size());
-  for (unsigned I = 0; I != Serial.Quarantine.size(); ++I) {
-    EXPECT_EQ(Serial.Quarantine[I].Kind, Parallel.Quarantine[I].Kind);
-    EXPECT_EQ(Serial.Quarantine[I].CellIndex,
-              Parallel.Quarantine[I].CellIndex);
-  }
-  EXPECT_EQ(Serial.Failures, Parallel.Failures);
+  EXPECT_GT(GuardFaults, 0u) << "the guard-addr site never fired";
 }
 
 TEST(ChaosHarnessTest, TimeoutIsQuarantinedAndFailed) {
@@ -516,14 +442,13 @@ TEST(ChaosHarnessTest, TimeoutIsQuarantinedAndFailed) {
   harness::ExperimentPlan Plan = tinyJessPlan(1);
   harness::ExperimentResult R = harness::runPlan(Plan, 1);
 
-  // A timeout is a real problem (unlike an injected transient): the cell
-  // is quarantined AND the sweep fails.
+  // A timeout is a real problem: the cell is quarantined AND the sweep
+  // fails.
   EXPECT_FALSE(R.ok());
   ASSERT_EQ(R.Quarantine.size(), 1u);
   EXPECT_EQ(R.Quarantine[0].Kind, "timeout");
   EXPECT_FALSE(R.Cells[0].Ran);
   EXPECT_TRUE(R.Cells[0].TimedOut);
-  EXPECT_EQ(R.Cells[0].Attempts, 1u); // Timeouts are not retried.
   ASSERT_EQ(R.Failures.size(), 1u);
   EXPECT_NE(R.Failures[0].find("timed out"), std::string::npos);
 }
@@ -536,7 +461,6 @@ TEST(ChaosHarnessTest, NoFaultsMeansNoQuarantineAndNoOverhead) {
   EXPECT_TRUE(R.ok());
   EXPECT_TRUE(R.Quarantine.empty());
   ASSERT_TRUE(R.Cells[0].Ran);
-  EXPECT_EQ(R.Cells[0].Attempts, 1u);
 }
 
 } // namespace

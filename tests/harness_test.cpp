@@ -296,8 +296,8 @@ TEST(RunPlanSharingTest, FiguresPlanSharesOneExecutionPerSignature) {
 }
 
 TEST(RunPlanSharingTest, ExecutionFaultSiteDisablesSharing) {
-  // Chaos must exercise every cell's own attempts: with an execution
-  // fault site armed, no cell shares. The armed site is object
+  // Chaos must exercise every cell's own execution: with a fault site
+  // armed, no cell shares. The armed site is object
   // inspection, which BASELINE never runs, so every statistic still
   // matches the shared run.
   ExperimentPlan Plan;
@@ -382,6 +382,42 @@ TEST(RunPlanTest, BaselineMismatchIsRecorded) {
   EXPECT_NE(R.Failures[0].find("different result"), std::string::npos);
 }
 
+// -- The stop hook -----------------------------------------------------------
+
+TEST(RunPlanTest, ExternalStopLeavesLaterGroupsUnrunAndFailed) {
+  // Three groups: the shared jess BASELINE pair, then db BASELINE and db
+  // INTER+INTRA on their own. The hook is polled once per group before
+  // it runs, so returning true on the 2nd poll runs exactly the first.
+  ExperimentPlan Plan;
+  Plan.addSweep({findWorkload("jess")}, {Algorithm::Baseline},
+                {*sim::MachineConfig::byName("pentium4"),
+                 *sim::MachineConfig::byName("athlonmp")},
+                tinyConfig(), "stop");
+  Plan.addSweep({findWorkload("db")},
+                {Algorithm::Baseline, Algorithm::InterIntra},
+                {*sim::MachineConfig::byName("pentium4")}, tinyConfig(),
+                "stop");
+  ASSERT_EQ(Plan.size(), 4u);
+
+  RunPlanOptions Opts;
+  unsigned Polls = 0;
+  Opts.Governor.ExternalStop = [&Polls] { return ++Polls == 2; };
+  ExperimentResult R = runPlan(Plan, 1, Opts);
+
+  EXPECT_EQ(Polls, 2u); // Never polled again once it fired.
+  EXPECT_TRUE(R.Cells[0].Ran);
+  EXPECT_TRUE(R.Cells[1].Ran);
+  EXPECT_TRUE(R.run(1).Replayed);
+  EXPECT_FALSE(R.Cells[2].Ran);
+  EXPECT_FALSE(R.Cells[3].Ran);
+  EXPECT_FALSE(R.ok());
+  ASSERT_EQ(R.Failures.size(), 2u);
+  ASSERT_EQ(R.Quarantine.size(), 2u);
+  EXPECT_EQ(R.Quarantine[0].CellIndex, 2u);
+  EXPECT_EQ(R.Quarantine[1].CellIndex, 3u);
+  EXPECT_EQ(R.Quarantine[0].Kind, "error");
+}
+
 // -- JSON report -----------------------------------------------------------
 
 TEST(JsonReportTest, ReportCarriesTheCellStats) {
@@ -396,18 +432,21 @@ TEST(JsonReportTest, ReportCarriesTheCellStats) {
   writeJsonReport(OS, Plan, R, 0.05, 2);
   std::string S = OS.str();
 
-  EXPECT_NE(S.find("\"schema\":\"spf-sweep-v2\""), std::string::npos);
+  EXPECT_NE(S.find("\"schema\":\"spf-sweep-v3\""), std::string::npos);
   EXPECT_NE(S.find("\"jobs\":2"), std::string::npos);
   EXPECT_NE(S.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(S.find("\"group\":\"json\""), std::string::npos);
   EXPECT_NE(S.find("\"workload\":\"jess\""), std::string::npos);
   EXPECT_NE(S.find("\"algorithm\":\"INTER+INTRA\""), std::string::npos);
   EXPECT_NE(S.find("\"ran\":true"), std::string::npos);
-  EXPECT_NE(S.find("\"attempts\":1"), std::string::npos);
   EXPECT_NE(S.find("\"guarded_load_faults\":"), std::string::npos);
   EXPECT_NE(S.find("\"failures\":[]"), std::string::npos);
   // Clean run: nothing quarantined.
   EXPECT_NE(S.find("\"quarantine\":[]"), std::string::npos);
+  // v3 carries no retry, isolation, journal or interruption keys.
+  for (const char *Gone : {"\"attempts\"", "\"isolated\"", "\"journal\"",
+                           "\"interrupted\"", "\"cells_skipped\""})
+    EXPECT_EQ(S.find(Gone), std::string::npos) << Gone;
   // The recorded cycles round-trip exactly.
   EXPECT_NE(S.find("\"cycles\":" + std::to_string(R.run(0).CompiledCycles)),
             std::string::npos);

@@ -8,12 +8,10 @@
 ///     per-site top-K stall attribution tables.
 ///
 ///   spf-report validate <report.json>...
-///   spf-report validate --prom <metrics.txt>...
-///     Structural validation: recognized schema, required keys, the
+///     Structural validation: recognized schema, required keys, and the
 ///     cycle-attribution sum invariant on every breakdown and timeline
-///     sample, Prometheus text-format conformance. Exit 1 on the first
-///     violation. `--validate` is accepted as an alias for the
-///     subcommand spelling.
+///     sample. Exit 1 on the first violation. `--validate` is accepted
+///     as an alias for the subcommand spelling.
 ///
 ///   spf-report diff <baseline.json> <fresh.json> [thresholds]
 ///     Regression gate through harness::diffReports — the same
@@ -43,7 +41,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: spf-report show <report.json>\n"
-      "       spf-report validate [--prom] <file>...\n"
+      "       spf-report validate <report.json>...\n"
       "       spf-report diff <baseline.json> <fresh.json> [options]\n"
       "\n"
       "diff options (defaults reproduce the CI gates):\n"
@@ -174,7 +172,7 @@ int cmdShow(const std::vector<std::string> &Args) {
   if (!V)
     return 2;
   std::string Schema = V->getString("schema");
-  if (Schema == "spf-sweep-v2")
+  if (Schema == "spf-sweep-v3")
     return showSweep(*V);
   // Non-sweep schemas: validation doubles as the useful summary.
   std::string Error;
@@ -190,32 +188,15 @@ int cmdShow(const std::vector<std::string> &Args) {
 
 // -- validate ------------------------------------------------------------
 
-int cmdValidate(const std::vector<std::string> &Args) {
-  bool Prom = false;
-  std::vector<std::string> Files;
-  for (const std::string &A : Args) {
-    if (A == "--prom")
-      Prom = true;
-    else
-      Files.push_back(A);
-  }
+int cmdValidate(const std::vector<std::string> &Files) {
   if (Files.empty())
     return usage();
   for (const std::string &Path : Files) {
+    std::unique_ptr<JsonValue> V = loadJson(Path);
+    if (!V)
+      return 2;
     std::string Error;
-    bool Ok;
-    if (Prom) {
-      std::string Text;
-      if (!readFile(Path, Text))
-        return 2;
-      Ok = validatePromText(Text, &Error);
-    } else {
-      std::unique_ptr<JsonValue> V = loadJson(Path);
-      if (!V)
-        return 2;
-      Ok = validateReport(*V, &Error);
-    }
-    if (!Ok) {
+    if (!validateReport(*V, &Error)) {
       std::fprintf(stderr, "spf-report: %s: %s\n", Path.c_str(),
                    Error.c_str());
       return 1;
