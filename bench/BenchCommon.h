@@ -1,14 +1,13 @@
-//===- bench/BenchCommon.h - Shared harness for the figures -----*- C++ -*-===//
+//===- bench/BenchCommon.h - Shared bench harness ---------------*- C++ -*-===//
 ///
 /// \file
-/// Helpers shared by the per-figure binaries: expand the 12 Table 3
-/// workloads under the Section 4 configurations into an experiment plan,
-/// run it on the parallel driver (src/harness), and print paper-style
-/// rows.
+/// Helpers shared by the bench binaries: command-line and SPF_* knob
+/// parsing, running an experiment plan on the parallel driver
+/// (src/harness), and writing its report and decision log.
 ///
 /// The problem scale can be reduced for quick runs with SPF_SCALE (e.g.
-/// SPF_SCALE=0.1 ./fig6_speedup_p4); the recorded EXPERIMENTS.md numbers
-/// use the default 1.0. Worker count comes from --jobs N (or SPF_JOBS;
+/// SPF_SCALE=0.1 ./sweep); the recorded EXPERIMENTS.md numbers use the
+/// default 1.0. Worker count comes from --jobs N (or SPF_JOBS;
 /// default: hardware concurrency). Any workload self-check failure or
 /// baseline-vs-prefetch result mismatch makes the binary exit nonzero.
 ///
@@ -38,12 +37,14 @@
 namespace spf {
 namespace bench {
 
+/// SPF_SCALE, a problem scale > 0 (default 1.0). Anything else exits
+/// with support::ConfigErrorExit (2).
 inline double scaleFromEnv() {
-  const char *S = std::getenv("SPF_SCALE");
-  if (!S)
-    return 1.0;
-  double V = std::atof(S);
-  return V > 0 ? V : 1.0;
+  double V = support::envDouble("SPF_SCALE", 1.0);
+  if (V <= 0)
+    support::envConfigError("SPF_SCALE", std::getenv("SPF_SCALE"),
+                            "expected a scale > 0");
+  return V;
 }
 
 inline workloads::WorkloadConfig benchConfig() {
@@ -260,13 +261,6 @@ struct BenchCli {
   std::string DecisionsOut; ///< Compile-decision JSON-lines path.
   bool Explain = false;     ///< Print the per-cell decision summary.
   bool DecisionsOpened = false; ///< First plan truncates, later append.
-  /// Timeline sampling cadence (--timeline-every N / SPF_TIMELINE):
-  /// cells of timeline-aware benches sample the cycle attribution every
-  /// N memory events and the report grows cycle_breakdown / timeline /
-  /// top_sites keys. 0 (the default) keeps reports byte-identical to
-  /// the pre-timeline format; forced to 0 when observability is
-  /// disabled (SPF_OBS=0 runs must stay byte-identical).
-  uint64_t TimelineEvery = 0;
 };
 
 inline BenchCli &cli() {
@@ -292,8 +286,6 @@ inline void flushTrace() {
 ///   --profile-out FILE   Chrome trace of the whole run
 ///   --decisions-out FILE one JSON line per compile decision (or
 ///                        SPF_DECISIONS_OUT)
-///   --timeline-every N   sample the cycle attribution every N memory
-///                        events (or SPF_TIMELINE; 0 = off)
 ///   --explain            print the per-cell decision summary
 /// Malformed numbers exit with support::ConfigErrorExit (2).
 inline void init(int argc, char **argv) {
@@ -303,10 +295,6 @@ inline void init(int argc, char **argv) {
       Slash != std::string::npos)
     C.ProcessLabel = C.ProcessLabel.substr(Slash + 1);
   C.Jobs = jobsFromArgs(argc, argv);
-  auto ParseTimeline = [](const std::string &V) {
-    return parseCountOrExit("--timeline-every", V, 0, UINT64_MAX,
-                            "expected a non-negative integer event count");
-  };
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
     if (A == "--profile-out" && I + 1 < argc) {
@@ -317,10 +305,6 @@ inline void init(int argc, char **argv) {
       C.DecisionsOut = argv[++I];
     } else if (A.rfind("--decisions-out=", 0) == 0) {
       C.DecisionsOut = A.substr(16);
-    } else if (A == "--timeline-every" && I + 1 < argc) {
-      C.TimelineEvery = ParseTimeline(argv[++I]);
-    } else if (A.rfind("--timeline-every=", 0) == 0) {
-      C.TimelineEvery = ParseTimeline(A.substr(17));
     } else if (A == "--explain") {
       C.Explain = true;
     }
@@ -328,13 +312,6 @@ inline void init(int argc, char **argv) {
   if (C.DecisionsOut.empty())
     if (const char *E = std::getenv("SPF_DECISIONS_OUT"))
       C.DecisionsOut = E;
-  if (!C.TimelineEvery)
-    C.TimelineEvery = support::envU64("SPF_TIMELINE", 0);
-  // SPF_OBS=0 (or an -DSPF_OBSERVABILITY=OFF build) must produce
-  // byte-identical reports: the timeline facet is an observability
-  // feature, so it is hard-disabled along with the rest of obs.
-  if (!obs::enabled())
-    C.TimelineEvery = 0;
   if (!C.ProfileOut.empty() && obs::enabled()) {
     obs::Tracer::instance().enable();
     std::atexit(flushTrace);
@@ -427,63 +404,7 @@ struct WorkloadRuns {
   workloads::RunResult Base;
   workloads::RunResult Inter;
   workloads::RunResult Intra;
-  bool HasInter = false;
 };
-
-/// Appends the full Table 3 sweep on \p Machine to \p Plan. When
-/// \p WithInter is false only BASELINE and INTER+INTRA are planned
-/// (enough for the MPI figures).
-inline std::vector<unsigned> planAll(harness::ExperimentPlan &Plan,
-                                     const sim::MachineConfig &Machine,
-                                     bool WithInter,
-                                     const std::string &Group = "") {
-  using namespace workloads;
-  std::vector<const WorkloadSpec *> Specs;
-  for (const WorkloadSpec &Spec : allWorkloads())
-    Specs.push_back(&Spec);
-  std::vector<Algorithm> Algos{Algorithm::Baseline};
-  if (WithInter)
-    Algos.push_back(Algorithm::Inter);
-  Algos.push_back(Algorithm::InterIntra);
-  return Plan.addSweep(Specs, Algos, {Machine}, benchConfig(), Group);
-}
-
-/// Folds the cells planned by planAll back into per-workload rows.
-/// \p First is the index of the sweep's first cell in \p Result.
-inline std::vector<WorkloadRuns>
-collectAll(const harness::ExperimentResult &Result, bool WithInter,
-           unsigned First = 0) {
-  using namespace workloads;
-  std::vector<WorkloadRuns> Rows;
-  unsigned PerWorkload = WithInter ? 3 : 2;
-  unsigned I = First;
-  for (const WorkloadSpec &Spec : allWorkloads()) {
-    WorkloadRuns Row;
-    Row.Spec = &Spec;
-    Row.Base = Result.run(I);
-    if (WithInter) {
-      Row.Inter = Result.run(I + 1);
-      Row.HasInter = true;
-    }
-    Row.Intra = Result.run(I + PerWorkload - 1);
-    Rows.push_back(std::move(Row));
-    I += PerWorkload;
-  }
-  return Rows;
-}
-
-/// Runs every Table 3 workload on \p Machine under the configuration
-/// init() parsed. Self-check
-/// failures and baseline-vs-prefetch mismatches are recorded via
-/// reportFailure(), so callers finish with `return bench::exitCode();`.
-inline std::vector<WorkloadRuns> runAll(const sim::MachineConfig &Machine,
-                                        bool WithInter) {
-  harness::ExperimentPlan Plan;
-  planAll(Plan, Machine, WithInter);
-  harness::ExperimentResult Result = runPlanCli(Plan);
-  reportPlanFailures(Result);
-  return collectAll(Result, WithInter);
-}
 
 inline double speedup(const WorkloadRuns &Row,
                       const workloads::RunResult &Opt) {

@@ -92,8 +92,8 @@ int main(int argc, char **argv) {
                     "baseline run");
 
     std::printf("%-10s %+11.1f%% %+11.1f%% %10u %10u\n", Name,
-                speedup({Spec, RBase, RBase, RStride, false}, RStride),
-                speedup({Spec, RBase, RBase, RGreedy, false}, RGreedy),
+                speedup({Spec, RBase, RBase, RStride}, RStride),
+                speedup({Spec, RBase, RBase, RGreedy}, RGreedy),
                 RStride.Prefetch.CodeGen.Prefetches +
                     RStride.Prefetch.CodeGen.SpecLoads,
                 GreedyEmitted);

@@ -9,7 +9,7 @@
 ///   sweep [--jobs N] [--json FILE] [--workloads a,b,c]
 ///         [--machine NAME] [--machine-file FILE] [--hw-prefetch KIND]
 ///         [--epochs N] [--gc-variant KIND] [--governor on|off]
-///         [--phase-change] [--timeline-every N]
+///         [--phase-change]
 ///         [--profile-out FILE] [--decisions-out FILE] [--explain]
 ///
 ///   --jobs N          worker threads, 1..1024 (default: SPF_JOBS, then
@@ -45,9 +45,6 @@
 ///   --phase-change    shuffle every Ref array's element order at the
 ///                     middle epoch boundary, breaking inspected stride
 ///                     patterns mid-run (or SPF_PHASE_CHANGE=1)
-///   --timeline-every N  sample the cycle attribution every N memory
-///                     events; the report gains cycle_breakdown, timeline
-///                     and top_sites per cell (or SPF_TIMELINE; 0 = off)
 ///   --profile-out F   write a Chrome trace_event JSON timeline of the
 ///                     whole sweep (open in chrome://tracing or
 ///                     ui.perfetto.dev)
@@ -117,7 +114,6 @@ collectBlock(const harness::ExperimentResult &Result,
     Row.Base = Result.run(I);
     Row.Inter = Result.run(I + 1);
     Row.Intra = Result.run(I + 2);
-    Row.HasInter = true;
     Rows.push_back(std::move(Row));
     I += 3;
   }
@@ -157,14 +153,28 @@ void printCellTimings(const harness::ExperimentPlan &Plan,
               Shared, Plan.size());
 }
 
+/// Misses per retired instruction, BASELINE vs INTER+INTRA. With
+/// \p RetiredIncrease, also the percentage of extra instructions
+/// INTER+INTRA retires, which the paper reports with Figure 8.
 void printMpi(const char *Title, const std::vector<WorkloadRuns> &Rows,
-              uint64_t sim::MemoryStats::*Counter) {
+              uint64_t sim::MemoryStats::*Counter,
+              bool RetiredIncrease = false) {
   std::printf("\n%s\n", Title);
-  std::printf("%-12s %10s %12s\n", "benchmark", "BASELINE", "INTER+INTRA");
-  for (const WorkloadRuns &Row : Rows)
-    std::printf("%-12s %10.5f %12.5f\n", Row.Spec->Name.c_str(),
+  std::printf("%-12s %10s %12s", "benchmark", "BASELINE", "INTER+INTRA");
+  if (RetiredIncrease)
+    std::printf(" %10s", "retired+");
+  std::printf("\n");
+  for (const WorkloadRuns &Row : Rows) {
+    std::printf("%-12s %10.5f %12.5f", Row.Spec->Name.c_str(),
                 perInstruction(Row.Base.Mem.*Counter, Row.Base.Retired),
                 perInstruction(Row.Intra.Mem.*Counter, Row.Intra.Retired));
+    if (RetiredIncrease)
+      std::printf(" %9.1f%%", (static_cast<double>(Row.Intra.Retired) /
+                                   static_cast<double>(Row.Base.Retired) -
+                               1.0) *
+                                  100.0);
+    std::printf("\n");
+  }
 }
 
 /// One machine's block of a prefetch-source sweep: cycles per mode, with
@@ -299,12 +309,8 @@ int main(int argc, char **argv) {
   // cell; with all four at their defaults this is a no-op and the sweep
   // is byte-identical to the classic single-epoch run.
   AdaptationKnobs Adapt = adaptationFromArgs(argc, argv);
-  for (harness::ExperimentCell &C : Plan.cells()) {
+  for (harness::ExperimentCell &C : Plan.cells())
     Adapt.applyTo(C.Opt);
-    // --timeline-every N / SPF_TIMELINE: sample the cycle attribution
-    // in every cell (0, the default, keeps the report byte-identical).
-    C.Opt.TimelineEvery = cli().TimelineEvery;
-  }
   if (Adapt.Epochs > 1 || Adapt.Governor)
     std::printf("sweep: epochs=%u gc-variant=%s governor=%s%s\n",
                 Adapt.Epochs, vm::gcVariantName(Adapt.GcVariant),
@@ -350,7 +356,7 @@ int main(int argc, char **argv) {
     printSpeedups("Figure 6: speedup ratios on the Pentium 4", P4Rows);
     printSpeedups("Figure 7: speedup ratios on the Athlon MP", AthlonRows);
     printMpi("Figure 8: L1 cache load MPIs on the Pentium 4", P4Rows,
-             &sim::MemoryStats::L1LoadMisses);
+             &sim::MemoryStats::L1LoadMisses, /*RetiredIncrease=*/true);
     printMpi("Figure 9: L2 cache load MPIs on the Pentium 4", P4Rows,
              &sim::MemoryStats::L2LoadMisses);
     printMpi("Figure 10: DTLB load MPIs on the Pentium 4", P4Rows,

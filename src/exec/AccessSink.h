@@ -6,7 +6,6 @@
 /// demand loads (attributed to their IR load site), stores, software
 /// prefetches, and guarded loads — and a sink *consumes* them. The
 /// canonical consumer is sim::MemorySystem (the machine's timing model);
-/// obs::TimelineSampler wraps one to snapshot it on a cadence, and
 /// sim::CountingSink counts events for interpreter-only passes.
 ///
 /// The contract that makes execution sharing exact: the interpreter

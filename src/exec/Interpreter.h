@@ -70,7 +70,7 @@ public:
   /// \p ExternalRoots are mutator handles (workload data-structure roots)
   /// that the GC must trace and may update. \p Sink consumes the memory
   /// event stream (typically a sim::MemorySystem, possibly behind a
-  /// fan-out or timeline sink); the interpreter never reads it back.
+  /// fan-out sink); the interpreter never reads it back.
   Interpreter(vm::Heap &Heap, AccessSink &Sink,
               std::vector<vm::Addr> *ExternalRoots = nullptr);
   ~Interpreter();

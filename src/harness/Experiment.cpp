@@ -4,8 +4,6 @@
 
 #include "harness/JsonWriter.h"
 #include "harness/ThreadPool.h"
-#include "obs/Obs.h"
-#include "obs/StatRegistry.h"
 #include "obs/Tracer.h"
 #include "support/BuildInfo.h"
 #include "support/Env.h"
@@ -353,23 +351,6 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
       Result.Failures.push_back(
           Tag + ": computed a different result than its baseline run");
   }
-
-  // Registry bookkeeping, harvested once per plan after the (possibly
-  // parallel) run — deterministic because it only reads the finished
-  // per-cell verdicts.
-  if (obs::enabled()) {
-    obs::StatRegistry &S = obs::stats();
-    S.counter("spf_cells_total").inc(Plan.size());
-    for (const CellResult &Cell : Result.Cells) {
-      if (Cell.Ran)
-        S.counter("spf_cells_ran_total").inc();
-      if (Cell.Run.Replayed)
-        S.counter("spf_cells_replayed_total").inc();
-      if (Cell.TimedOut)
-        S.counter("spf_cells_timeout_total").inc();
-    }
-    S.counter("spf_cells_quarantined_total").inc(Result.Quarantine.size());
-  }
   return Result;
 }
 
@@ -378,7 +359,7 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
                               unsigned Jobs) {
   JsonWriter J(OS);
   J.beginObject();
-  J.key("schema").value("spf-sweep-v3");
+  J.key("schema").value("spf-sweep-v4");
   // Build/run provenance: which binary produced this report, and in
   // which process. Consumers diffing reports across runs must ignore
   // this section (run_id differs by construction).
@@ -482,63 +463,41 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
     J.key("self_check_ok").value(R.SelfCheckOk);
     J.key("load_sites").value(static_cast<uint64_t>(R.Sites.size()));
     J.key("site_stats_hash").value(siteStatsHash(R.Sites));
-    // Cycle-accounting facets, conditional on the cell sampling a
-    // timeline — classic sweeps carry none of these keys and stay
-    // byte-identical. cycle_breakdown is the CPI stack: every simulated
-    // cycle charged to exactly one category, summing to `cycles`. The
-    // GC-pause share is split out of compute here at the report layer
-    // (each collection charges exactly one tick(exec::GcPauseTicks) in
-    // the interpreter, so the split is exact, not an estimate).
-    if (C.Opt.TimelineEvery) {
-      auto WriteAcctKeys = [&](const sim::CycleAccounting &A) {
-        for (size_t L = 0; L != A.Level.size(); ++L)
-          J.key("l" + std::to_string(L + 1)).value(A.Level[L]);
-        J.key("wait").value(A.Wait);
-        J.key("mem_penalty").value(A.MemPenalty);
-        J.key("translation").value(A.Translation);
-        J.key("guard_fault").value(A.GuardFault);
-        J.key("prefetch_issue").value(A.PrefetchIssue);
-      };
-      uint64_t GcPause =
-          R.GcCollections * exec::GcPauseTicks * C.Opt.Machine.ComputeCycles;
-      if (GcPause > R.Acct.Compute)
-        GcPause = R.Acct.Compute;
-      J.key("cycle_breakdown").beginObject();
-      J.key("compute").value(R.Acct.Compute - GcPause);
-      J.key("gc_pause").value(GcPause);
-      WriteAcctKeys(R.Acct);
-      J.key("total").value(R.Acct.total());
+    // Cycle attribution, on every cell. cycle_breakdown is the CPI
+    // stack: every simulated cycle charged to exactly one category,
+    // summing to `cycles`. The GC-pause share is split out of compute
+    // here at the report layer (each collection charges exactly one
+    // tick(exec::GcPauseTicks) in the interpreter, so the split is
+    // exact, not an estimate). top_sites lists the load sites that
+    // stalled longest.
+    const sim::CycleAccounting &A = R.Acct;
+    uint64_t GcPause = std::min(
+        R.GcCollections * exec::GcPauseTicks * C.Opt.Machine.ComputeCycles,
+        A.Compute);
+    J.key("cycle_breakdown").beginObject();
+    J.key("compute").value(A.Compute - GcPause);
+    J.key("gc_pause").value(GcPause);
+    for (size_t L = 0; L != A.Level.size(); ++L)
+      J.key("l" + std::to_string(L + 1)).value(A.Level[L]);
+    J.key("wait").value(A.Wait);
+    J.key("mem_penalty").value(A.MemPenalty);
+    J.key("translation").value(A.Translation);
+    J.key("guard_fault").value(A.GuardFault);
+    J.key("prefetch_issue").value(A.PrefetchIssue);
+    J.key("total").value(A.total());
+    J.endObject();
+    J.key("top_sites").beginArray();
+    for (const auto &[Site, S] : topStallSites(R.Sites)) {
+      J.beginObject();
+      J.key("site").value(static_cast<uint64_t>(Site));
+      J.key("loads").value(S.Loads);
+      J.key("stall_cycles").value(S.StallCycles);
+      J.key("l1_misses").value(S.L1Misses);
+      J.key("l2_misses").value(S.L2Misses);
+      J.key("dtlb_misses").value(S.DtlbMisses);
       J.endObject();
-      J.key("timeline").beginArray();
-      for (const obs::TimelineSample &S : R.Timeline) {
-        J.beginObject();
-        J.key("event").value(S.EventIndex);
-        if (S.Boundary)
-          J.key("boundary").value(true);
-        J.key("cycles").value(S.Cycles);
-        J.key("compute").value(S.Acct.Compute);
-        WriteAcctKeys(S.Acct);
-        J.key("loads").value(S.Loads);
-        J.key("sw_issued").value(S.SwIssued);
-        J.key("sw_useful").value(S.SwUseful);
-        J.key("sw_late").value(S.SwLate);
-        J.key("sw_unused").value(S.SwUnused);
-        J.endObject();
-      }
-      J.endArray();
-      J.key("top_sites").beginArray();
-      for (const auto &P : topStallSites(R.Sites)) {
-        J.beginObject();
-        J.key("site").value(static_cast<uint64_t>(P.first));
-        J.key("loads").value(P.second.Loads);
-        J.key("stall_cycles").value(P.second.StallCycles);
-        J.key("l1_misses").value(P.second.L1Misses);
-        J.key("l2_misses").value(P.second.L2Misses);
-        J.key("dtlb_misses").value(P.second.DtlbMisses);
-        J.endObject();
-      }
-      J.endArray();
     }
+    J.endArray();
     // Execution bookkeeping: whether the cell's statistics came from a
     // shared execution, and the wall time of its interpretation —
     // consumers comparing reports must ignore interpret_us.
@@ -563,15 +522,6 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
     J.endObject();
   }
   J.endArray();
-
-  // Registry snapshot (counters/gauges/histograms) — only when the
-  // observability hooks are on, so disabled-mode reports carry no
-  // schedule-dependent extras. Cross-run diffs must ignore it (its
-  // wall-clock histograms are scheduling artifacts).
-  if (obs::enabled()) {
-    J.key("stats");
-    obs::stats().writeJson(J);
-  }
 
   J.endObject();
   OS << '\n';

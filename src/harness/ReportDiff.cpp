@@ -77,7 +77,7 @@ void diffAdaptation(const JsonValue &Ref, const JsonValue &Got,
   }
 }
 
-// -- spf-sweep-v3 --------------------------------------------------------
+// -- spf-sweep-v4 --------------------------------------------------------
 
 std::string cellId(const JsonValue &C) {
   std::string Id = C.getString("group") + "/" + C.getString("workload") +
@@ -128,10 +128,11 @@ bool fail(std::string *Error, const std::string &Msg) {
   return false;
 }
 
-/// The cycle-attribution categories of one breakdown/timeline object,
-/// summed. Level keys are l1..lN — probe upward until absent.
+/// The cycle-attribution categories of one cycle_breakdown, summed.
+/// Level keys are l1..lN — probe upward until absent.
 uint64_t sumCategories(const JsonValue &B) {
-  uint64_t Sum = B.getU64("wait") + B.getU64("mem_penalty") +
+  uint64_t Sum = B.getU64("compute") + B.getU64("gc_pause") +
+                 B.getU64("wait") + B.getU64("mem_penalty") +
                  B.getU64("translation") + B.getU64("guard_fault") +
                  B.getU64("prefetch_issue");
   for (unsigned L = 1; B.has("l" + std::to_string(L)); ++L)
@@ -142,7 +143,7 @@ uint64_t sumCategories(const JsonValue &B) {
 bool validateSweep(const JsonValue &V, std::string *Error) {
   const JsonValue &Cells = V.get("cells");
   if (Cells.kind() != JsonValue::Kind::Array)
-    return fail(Error, "spf-sweep-v3: missing cells array");
+    return fail(Error, "spf-sweep-v4: missing cells array");
   unsigned I = 0;
   for (const JsonValue &C : Cells.array()) {
     std::string Id = "cell " + std::to_string(I++) + " (" + cellId(C) + ")";
@@ -151,46 +152,22 @@ bool validateSweep(const JsonValue &V, std::string *Error) {
         return fail(Error, Id + ": missing " + Key);
     if (!C.has("cycles") || !C.has("site_stats_hash"))
       return fail(Error, Id + ": missing cycles/site_stats_hash");
-    if (C.has("cycle_breakdown")) {
-      // The tentpole invariant, checked end to end: every simulated
-      // cycle charged to exactly one category.
-      const JsonValue &B = C.get("cycle_breakdown");
-      uint64_t Sum = sumCategories(B) + B.getU64("compute") +
-                     B.getU64("gc_pause");
-      if (Sum != B.getU64("total"))
-        return fail(Error, Id + ": cycle_breakdown categories sum to " +
-                               std::to_string(Sum) + ", total says " +
-                               std::to_string(B.getU64("total")));
-      if (C.getBool("ran") && Sum != C.getU64("cycles"))
-        return fail(Error, Id + ": cycle_breakdown total " +
-                               std::to_string(Sum) + " != cycles " +
-                               std::to_string(C.getU64("cycles")));
-      if (!C.has("timeline"))
-        return fail(Error, Id + ": cycle_breakdown without timeline");
-      const JsonValue &TL = C.get("timeline");
-      if (TL.kind() != JsonValue::Kind::Array)
-        return fail(Error, Id + ": timeline is not an array");
-      uint64_t PrevEvent = 0, PrevCycles = 0;
-      bool First = true;
-      for (const JsonValue &S : TL.array()) {
-        uint64_t Sum = sumCategories(S) + S.getU64("compute");
-        if (Sum != S.getU64("cycles"))
-          return fail(Error, Id + ": timeline sample at event " +
-                                 std::to_string(S.getU64("event")) +
-                                 " categories sum to " + std::to_string(Sum) +
-                                 ", cycles says " +
-                                 std::to_string(S.getU64("cycles")));
-        if (!First && (S.getU64("event") < PrevEvent ||
-                       S.getU64("cycles") < PrevCycles))
-          return fail(Error, Id + ": timeline not monotone at event " +
-                                 std::to_string(S.getU64("event")));
-        PrevEvent = S.getU64("event");
-        PrevCycles = S.getU64("cycles");
-        First = false;
-      }
-      if (C.getBool("ran") && TL.array().empty())
-        return fail(Error, Id + ": ran cell with empty timeline");
-    }
+    if (!C.getBool("ran"))
+      continue;
+    // The attribution invariant, checked end to end: every simulated
+    // cycle of a ran cell charged to exactly one category.
+    if (!C.has("cycle_breakdown"))
+      return fail(Error, Id + ": ran cell without cycle_breakdown");
+    const JsonValue &B = C.get("cycle_breakdown");
+    uint64_t Sum = sumCategories(B);
+    if (Sum != B.getU64("total"))
+      return fail(Error, Id + ": cycle_breakdown categories sum to " +
+                             std::to_string(Sum) + ", total says " +
+                             std::to_string(B.getU64("total")));
+    if (Sum != C.getU64("cycles"))
+      return fail(Error, Id + ": cycle_breakdown total " +
+                             std::to_string(Sum) + " != cycles " +
+                             std::to_string(C.getU64("cycles")));
   }
   return true;
 }
@@ -236,7 +213,7 @@ DiffResult harness::diffReports(const JsonValue &Ref, const JsonValue &Got,
   Out.Schema = RefSchema;
   if (RefSchema == "spf-bench-adaptation-v1")
     diffAdaptation(Ref, Got, T, Out);
-  else if (RefSchema == "spf-sweep-v3")
+  else if (RefSchema == "spf-sweep-v4")
     diffSweep(Ref, Got, T, Out);
   else {
     Out.Comparable = false;
@@ -247,7 +224,7 @@ DiffResult harness::diffReports(const JsonValue &Ref, const JsonValue &Got,
 
 bool harness::validateReport(const JsonValue &V, std::string *Error) {
   std::string Schema = V.getString("schema");
-  if (Schema == "spf-sweep-v3")
+  if (Schema == "spf-sweep-v4")
     return validateSweep(V, Error);
   if (Schema == "spf-bench-adaptation-v1")
     return validateAdaptation(V, Error);

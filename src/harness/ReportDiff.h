@@ -10,7 +10,7 @@
 /// (both sides must agree):
 ///  - spf-bench-adaptation-v1: per-variant/per-workload recovery; an
 ///    absolute recovery drop beyond the threshold is a regression.
-///  - spf-sweep-v3: per-cell simulated cycles, matched by
+///  - spf-sweep-v4: per-cell simulated cycles, matched by
 ///    (group, workload, machine, algorithm, prefetch_mode); a
 ///    fractional cycle increase beyond the threshold is a regression.
 ///
@@ -38,7 +38,7 @@ struct DiffThresholds {
   /// spf-bench-adaptation-v1: absolute recovery drop (recovery is a
   /// 0..1 fraction) that counts as a regression.
   double RecoveryDrop = 0.20;
-  /// spf-sweep-v3: fractional per-cell cycle increase that counts as a
+  /// spf-sweep-v4: fractional per-cell cycle increase that counts as a
   /// regression. Simulated cycles are deterministic, so the default is
   /// tight; any nonzero delta is still reported as informational.
   double CyclesIncreaseFrac = 0.02;
@@ -78,9 +78,8 @@ DiffResult diffReports(const JsonValue &Ref, const JsonValue &Got,
                        const DiffThresholds &T);
 
 /// Structural validation of one report: recognized schema, required
-/// keys present, and — for spf-sweep-v3 cells carrying a
-/// cycle_breakdown — the attribution invariant (categories sum to the
-/// cell's cycles, timeline samples monotone and internally consistent).
+/// keys present, and — on every ran spf-sweep-v4 cell — the attribution
+/// invariant (cycle_breakdown categories sum to the cell's cycles).
 /// Returns false and sets \p Error on the first violation.
 bool validateReport(const JsonValue &V, std::string *Error);
 

@@ -3,6 +3,7 @@
 #include "obs/Tracer.h"
 
 #include "harness/JsonWriter.h"
+#include "support/Env.h"
 
 #include <algorithm>
 #include <chrono>
@@ -11,9 +12,34 @@
 namespace spf {
 namespace obs {
 
+namespace {
+/// -1: follow the SPF_OBS environment knob; 0/1: test override.
+std::atomic<int> RuntimeOverride{-1};
+} // namespace
+
+bool enabled() {
+#if SPF_OBS
+  int Override = RuntimeOverride.load(std::memory_order_relaxed);
+  if (Override >= 0)
+    return Override != 0;
+  static const bool FromEnv = support::envU64("SPF_OBS", 1) != 0;
+  return FromEnv;
+#else
+  return false;
+#endif
+}
+
+void setEnabled(bool On) {
+#if SPF_OBS
+  RuntimeOverride.store(On ? 1 : 0, std::memory_order_relaxed);
+#else
+  (void)On;
+#endif
+}
+
 Tracer &Tracer::instance() {
-  // Intentionally leaked, like StatRegistry::global(): the bench atexit
-  // flush must be able to drain it after other statics are gone.
+  // Intentionally leaked: the bench atexit flush must be able to drain
+  // it after other statics are gone.
   static Tracer *T = new Tracer;
   return *T;
 }
@@ -68,17 +94,14 @@ static void writeEventJson(harness::JsonWriter &J, const TraceEvent &E,
   J.beginObject();
   J.key("name").value(E.Name);
   J.key("cat").value(E.Cat);
-  J.key("ph").value(std::string(1, E.Ph));
+  J.key("ph").value("X");
   J.key("ts").value(E.TsUs);
-  if (E.Ph == 'X')
-    J.key("dur").value(E.DurUs);
+  J.key("dur").value(E.DurUs);
   J.key("pid").value(Pid);
   J.key("tid").value(E.Tid);
-  if (!E.Args.empty() || !E.NumArgs.empty()) {
+  if (!E.Args.empty()) {
     J.key("args").beginObject();
     for (const auto &[K, V] : E.Args)
-      J.key(K).value(V);
-    for (const auto &[K, V] : E.NumArgs)
       J.key(K).value(V);
     J.endObject();
   }

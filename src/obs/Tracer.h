@@ -5,9 +5,8 @@
 /// ("Trace Event Format"), so a whole sweep — one lane per ThreadPool
 /// worker — renders as one timeline in chrome://tracing or Perfetto.
 ///
-/// Model: RAII `Span` objects produce complete ("X") events; the cycle
-/// timeline adds counter ("C") events. Timestamps are CLOCK_MONOTONIC
-/// microseconds.
+/// Model: RAII `Span` objects produce complete ("X") events. Timestamps
+/// are CLOCK_MONOTONIC microseconds.
 ///
 /// Cost discipline: when the tracer is inactive a Span constructor is a
 /// relaxed load and two dead stores. Recording appends to a mutex-
@@ -33,20 +32,15 @@
 namespace spf {
 namespace obs {
 
-/// One trace event in Chrome trace_event terms.
+/// One complete ("X") trace event in Chrome trace_event terms.
 struct TraceEvent {
   std::string Name;
   std::string Cat = "spf";
-  char Ph = 'X';      ///< 'X' complete span, 'C' counter.
   uint64_t TsUs = 0;  ///< CLOCK_MONOTONIC microseconds.
-  uint64_t DurUs = 0; ///< Span duration ('X' only).
+  uint64_t DurUs = 0; ///< Span duration.
   uint64_t Tid = 0;
   /// Extra "args" key/value pairs (serialized as strings).
   std::vector<std::pair<std::string, std::string>> Args;
-  /// Numeric "args" entries, serialized as JSON numbers — required for
-  /// 'C' counter events, whose values chrome://tracing plots as stacked
-  /// series. Written after Args in the args object.
-  std::vector<std::pair<std::string, uint64_t>> NumArgs;
 };
 
 /// Process-wide event collector. Inactive (and free) until enable().

@@ -4,7 +4,6 @@
 
 #include "core/PrefetchCodeGen.h"
 #include "obs/Obs.h"
-#include "obs/StatRegistry.h"
 #include "obs/Tracer.h"
 #include "workloads/ProgramPopulation.h"
 
@@ -73,23 +72,6 @@ public:
 
 private:
   std::vector<exec::AccessSink *> Sinks;
-};
-
-/// The timing side of one group member: its machine, plus the timeline
-/// sampler in front of it when the member samples one.
-struct MemberSim {
-  sim::MemorySystem Mem;
-  std::optional<obs::TimelineSampler> Sampler;
-
-  explicit MemberSim(const RunOptions &Opts) : Mem(Opts.Machine) {
-    if (Opts.TimelineEvery)
-      Sampler.emplace(Mem, Opts.TimelineEvery);
-  }
-  exec::AccessSink &sink() {
-    if (Sampler)
-      return *Sampler;
-    return Mem;
-  }
 };
 
 } // namespace
@@ -166,16 +148,16 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   }
 
   // Execute once, simulating on every member's machine. A deque keeps
-  // each MemorySystem at a fixed address for its sampler.
-  std::deque<MemberSim> Sims;
+  // each MemorySystem at a fixed address for the fan-out sink.
+  std::deque<sim::MemorySystem> Sims;
   std::vector<exec::AccessSink *> Sinks;
   for (const RunOptions &M : Members)
-    Sinks.push_back(&Sims.emplace_back(M).sink());
+    Sinks.push_back(&Sims.emplace_back(M.Machine));
   std::optional<FanOutSink> FanOut;
   exec::AccessSink *Sink = Sinks.front();
   if (Sinks.size() > 1)
     Sink = &FanOut.emplace(Sinks);
-  sim::MemorySystem &Mem = Sims.front().Mem; // The governor's evidence.
+  sim::MemorySystem &Mem = Sims.front(); // The governor's evidence.
   unsigned Epochs = Opts.Epochs ? Opts.Epochs : 1;
   exec::Interpreter Interp(*W.Heap, *Sink, &W.Roots);
   if (Opts.TimeoutSeconds > 0.0)
@@ -214,9 +196,6 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
       addRefArgRoots(CU.M, CU.Args, Roots);
     Interp.gc().collect(*W.Heap, Roots);
     Sink->tick(exec::GcPauseTicks); // Same pause the interpreter charges.
-    for (MemberSim &S : Sims)
-      if (S.Sampler)
-        S.Sampler->boundary();
 
     if (Opts.PhaseChange && E == (Epochs + 1) / 2)
       applyPhaseChange(*W.Heap, Opts.Config.Seed);
@@ -283,42 +262,20 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   if (W.Expected)
     Result.SelfCheckOk = Result.ReturnValue == *W.Expected;
 
-  // Stats are harvested after the timed region.
-  if (obs::enabled()) {
-    obs::StatRegistry &S = obs::stats();
-    S.counter("spf_runs_total").inc();
-    S.counter("spf_prefetches_emitted_total")
-        .inc(Result.Prefetch.CodeGen.Prefetches);
-    S.counter("spf_spec_loads_emitted_total")
-        .inc(Result.Prefetch.CodeGen.SpecLoads);
-    S.counter("spf_loops_visited_total").inc(Result.Prefetch.LoopsVisited);
-    S.counter("spf_loops_degraded_total").inc(Result.Prefetch.LoopsDegraded);
-    S.histogram("spf_jit_us").observe(
-        static_cast<uint64_t>(Result.JitTotalUs));
-    S.histogram("spf_interpret_us")
-        .observe(static_cast<uint64_t>(Result.InterpretUs));
-  }
-
   // One result per member: the shared execution side plus the member's
   // own machine statistics.
   std::vector<RunResult> Results;
   for (size_t K = 0; K != Sims.size(); ++K) {
-    MemberSim &S = Sims[K];
+    const sim::MemorySystem &S = Sims[K];
     RunResult &R = Results.emplace_back(Result);
     if (K) {
       R.Replayed = true;
       R.InterpretUs = 0;
     }
-    R.CompiledCycles = S.Mem.cycles();
-    R.Mem = S.Mem.stats();
-    R.Acct = S.Mem.acct();
-    R.Sites = S.Mem.siteStats();
-    if (S.Sampler) {
-      S.Sampler->finish();
-      R.Timeline = S.Sampler->takeSamples();
-      obs::emitTimelineCounters(R.Timeline,
-                                std::string("timeline:") + Spec.Name);
-    }
+    R.CompiledCycles = S.cycles();
+    R.Mem = S.stats();
+    R.Acct = S.acct();
+    R.Sites = S.siteStats();
   }
   return Results;
 }

@@ -20,7 +20,6 @@
 #include "exec/Interpreter.h"
 #include "jit/CompileManager.h"
 #include "obs/DecisionLog.h"
-#include "obs/Timeline.h"
 #include "opt/Governor.h"
 #include "sim/MemorySystem.h"
 #include "workloads/Workload.h"
@@ -79,15 +78,6 @@ struct RunOptions {
   /// share their execution (executionSignature returns "").
   bool Governor = false;
   opt::GovernorConfig GovernorCfg;
-
-  /// Timeline sampling cadence: snapshot the cycle attribution every N
-  /// memory events (obs::TimelineSampler), plus one flagged sample per
-  /// epoch boundary. 0 (the default) disables sampling entirely —
-  /// RunResult::Timeline stays empty and the run is byte-identical to a
-  /// pre-timeline run. Per member of a shared execution, and excluded
-  /// from executionSignature: sampling observes the event stream, never
-  /// shapes it.
-  uint64_t TimelineEvery = 0;
 };
 
 /// Everything measured in one run.
@@ -99,9 +89,6 @@ struct RunResult {
   sim::CycleAccounting Acct;
   /// Per-load-site attribution (index = exec::SiteId).
   std::vector<sim::SiteStats> Sites;
-  /// Attribution time series (RunOptions::TimelineEvery > 0 only; never
-  /// empty then — the sampler always appends a final sample).
-  std::vector<obs::TimelineSample> Timeline;
   exec::ExecStats Exec;
   double JitTotalUs = 0;    ///< Total JIT compilation time.
   double JitPrefetchUs = 0; ///< Prefetch pass share of it.
@@ -138,8 +125,7 @@ core::PrefetchPassOptions passOptionsFor(const sim::MachineConfig &M,
 
 /// Builds and compiles \p Spec once under the execution options of
 /// \p Members[0], interprets it once, and simulates the event stream on
-/// one MemorySystem per member (behind that member's TimelineSampler
-/// when its TimelineEvery is set). Returns one result per member, in
+/// one MemorySystem per member. Returns one result per member, in
 /// order; each equals runWorkload(Spec, Members[K]) in every simulated
 /// statistic. Members after the first come back with Replayed set.
 /// Precondition: every member has Members[0]'s non-empty
@@ -161,8 +147,6 @@ RunResult runWorkload(const WorkloadSpec &Spec, const RunOptions &Opts);
 /// runs never invoke the planner, so their signature has no machine
 /// facet at all and one baseline execution serves every machine.
 /// Returns "" for runs that cannot be keyed (TunePass without TuneKey).
-/// TimelineEvery never enters the signature: sampling is a pure
-/// observer of the stream the signature describes.
 std::string executionSignature(const WorkloadSpec &Spec,
                                const RunOptions &Opts);
 

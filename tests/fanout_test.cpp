@@ -4,8 +4,8 @@
 // keys exactly what an access-event stream depends on, and a group of
 // runs with one signature, interpreted once by runWorkloadGroup and fanned
 // out to one MemorySystem per member, gives every member the result of a
-// solo runWorkload on its machine, bit for bit — timeline samples and
-// epoch-boundary samples included.
+// solo runWorkload on its machine, bit for bit — across epoch boundaries
+// too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -188,9 +188,8 @@ void expectGroupMatchesSoloRuns(
     EXPECT_EQ(G.CompiledCycles, Solo.CompiledCycles) << Tag;
     EXPECT_EQ(G.Retired, Solo.Retired) << Tag;
     EXPECT_EQ(G.ReturnValue, Solo.ReturnValue) << Tag;
+    EXPECT_EQ(G.GcCollections, Solo.GcCollections) << Tag;
     EXPECT_TRUE(G.SelfCheckOk) << Tag;
-    EXPECT_EQ(G.Timeline, Solo.Timeline) << Tag;
-    EXPECT_EQ(G.Timeline.empty(), Members[K].TimelineEvery == 0) << Tag;
   }
   if (Out)
     *Out = std::move(Group);
@@ -229,18 +228,16 @@ TEST(FanOutTest, InterIntraGroupMatchesSoloRuns) {
   expectGroupMatchesSoloRuns(*Spec, Members);
 }
 
-TEST(FanOutTest, EpochGroupFiresBoundarySamplesOnEveryMember) {
+TEST(FanOutTest, EpochGroupMatchesSoloRunsOnEveryMember) {
   // Three epochs under the mark-sweep variant: two boundary collections,
-  // each announced to every member's sampler. Members sample at
-  // different cadences (one not at all) to show the samplers are
-  // independent of each other.
+  // whose pause ticks reach every member's machine through the fan-out.
+  // Each member must still equal its solo run in Acct, Sites, Mem and
+  // GcCollections.
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("jess");
   ASSERT_NE(Spec, nullptr);
   std::vector<workloads::RunOptions> Members(3);
   Members[0].Machine = machine("pentium4");
-  Members[0].TimelineEvery = 500;
   Members[1].Machine = machine("athlonmp");
-  Members[1].TimelineEvery = 1300;
   Members[2].Machine = machine("modern3l");
   for (workloads::RunOptions &M : Members) {
     M.Config = tinyConfig();
@@ -250,13 +247,9 @@ TEST(FanOutTest, EpochGroupFiresBoundarySamplesOnEveryMember) {
   std::vector<workloads::RunResult> Group;
   expectGroupMatchesSoloRuns(*Spec, Members, &Group);
   ASSERT_EQ(Group.size(), Members.size());
-  for (size_t K = 0; K != 2; ++K) {
-    unsigned Boundaries = 0;
-    for (const obs::TimelineSample &S : Group[K].Timeline)
-      Boundaries += S.Boundary;
-    EXPECT_EQ(Boundaries, 2u) << "member " << K;
-    EXPECT_EQ(Group[K].Epochs, 3u);
-    EXPECT_GE(Group[K].GcCollections, 2u);
+  for (size_t K = 0; K != Group.size(); ++K) {
+    EXPECT_EQ(Group[K].Epochs, 3u) << "member " << K;
+    EXPECT_GE(Group[K].GcCollections, 2u) << "member " << K;
   }
 }
 

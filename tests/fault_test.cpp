@@ -150,11 +150,16 @@ TEST(EnvFailFastDeathTest, OutOfRangeJobsFlagExitsWithConfigError) {
               "invalid --jobs=\"0\"");
 }
 
-TEST(EnvFailFastDeathTest, SuffixedTimelineEveryFlagExitsWithConfigError) {
-  const char *Argv[] = {"sweep", "--timeline-every=5k"};
-  EXPECT_EXIT(bench::init(2, const_cast<char **>(Argv)),
-              ::testing::ExitedWithCode(support::ConfigErrorExit),
-              "invalid --timeline-every=\"5k\"");
+// SPF_SCALE follows the same rule: a non-number, a scale <= 0 or a
+// suffix exits 2 instead of silently running at full scale.
+TEST(EnvFailFastDeathTest, MalformedSpfScaleExitsWithConfigError) {
+  for (const char *Bad : {"abc", "0", "-1", "0.1x"}) {
+    ScopedEnv E("SPF_SCALE", Bad);
+    EXPECT_EXIT(bench::scaleFromEnv(),
+                ::testing::ExitedWithCode(support::ConfigErrorExit),
+                std::string("invalid SPF_SCALE=\"") + Bad + "\"")
+        << Bad;
+  }
 }
 
 TEST(EnvFailFastTest, WellFormedValuesParse) {
@@ -163,18 +168,19 @@ TEST(EnvFailFastTest, WellFormedValuesParse) {
     EXPECT_DOUBLE_EQ(support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0), 2.5);
   }
   {
-    ScopedEnv E("SPF_TIMELINE", "512");
-    EXPECT_EQ(support::envU64("SPF_TIMELINE", 0), 512u);
+    ScopedEnv E("SPF_OBS", "0");
+    EXPECT_EQ(support::envU64("SPF_OBS", 1), 0u);
   }
   {
-    ScopedEnv E("SPF_TIMELINE", nullptr);
-    EXPECT_EQ(support::envU64("SPF_TIMELINE", 7), 7u); // Unset: default.
+    ScopedEnv E("SPF_SCALE", "0.25");
+    EXPECT_DOUBLE_EQ(bench::scaleFromEnv(), 0.25);
+  }
+  {
+    ScopedEnv E("SPF_SCALE", nullptr);
+    EXPECT_DOUBLE_EQ(bench::scaleFromEnv(), 1.0); // Unset: full scale.
   }
   const char *Argv[] = {"sweep", "--jobs", "3"};
   EXPECT_EQ(bench::jobsFromArgs(3, const_cast<char **>(Argv)), 3u);
-  EXPECT_EQ(bench::parseCountOrExit("--timeline-every", "5000", 0, UINT64_MAX,
-                                    "unused"),
-            5000u);
 }
 
 // -- Injector determinism --------------------------------------------------

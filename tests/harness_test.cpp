@@ -9,7 +9,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/Experiment.h"
+#include "harness/JsonReader.h"
 #include "harness/JsonWriter.h"
+#include "harness/ReportDiff.h"
 #include "harness/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -432,7 +434,7 @@ TEST(JsonReportTest, ReportCarriesTheCellStats) {
   writeJsonReport(OS, Plan, R, 0.05, 2);
   std::string S = OS.str();
 
-  EXPECT_NE(S.find("\"schema\":\"spf-sweep-v3\""), std::string::npos);
+  EXPECT_NE(S.find("\"schema\":\"spf-sweep-v4\""), std::string::npos);
   EXPECT_NE(S.find("\"jobs\":2"), std::string::npos);
   EXPECT_NE(S.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(S.find("\"group\":\"json\""), std::string::npos);
@@ -443,13 +445,39 @@ TEST(JsonReportTest, ReportCarriesTheCellStats) {
   EXPECT_NE(S.find("\"failures\":[]"), std::string::npos);
   // Clean run: nothing quarantined.
   EXPECT_NE(S.find("\"quarantine\":[]"), std::string::npos);
-  // v3 carries no retry, isolation, journal or interruption keys.
+  // No retry, isolation, journal, interruption, stats or timeline keys.
   for (const char *Gone : {"\"attempts\"", "\"isolated\"", "\"journal\"",
-                           "\"interrupted\"", "\"cells_skipped\""})
+                           "\"interrupted\"", "\"cells_skipped\"",
+                           "\"stats\"", "\"timeline\""})
     EXPECT_EQ(S.find(Gone), std::string::npos) << Gone;
   // The recorded cycles round-trip exactly.
   EXPECT_NE(S.find("\"cycles\":" + std::to_string(R.run(0).CompiledCycles)),
             std::string::npos);
+
+  // Every ran cell carries its cycle attribution: a breakdown summing to
+  // its cycles, and top stall sites in descending stall order.
+  std::string Error;
+  std::unique_ptr<JsonValue> Doc = JsonValue::parse(S, &Error);
+  ASSERT_TRUE(Doc) << Error;
+  EXPECT_TRUE(validateReport(*Doc, &Error)) << Error;
+  const JsonValue &Cells = Doc->get("cells");
+  ASSERT_EQ(Cells.array().size(), 2u);
+  for (const JsonValue &C : Cells.array()) {
+    ASSERT_TRUE(C.getBool("ran"));
+    const JsonValue &B = C.get("cycle_breakdown");
+    uint64_t Sum = 0;
+    for (const auto &[Key, V] : B.objectMembers())
+      if (Key != "total")
+        Sum += B.getU64(Key);
+    EXPECT_EQ(Sum, C.getU64("cycles"));
+    EXPECT_EQ(B.getU64("total"), C.getU64("cycles"));
+    const JsonValue &Top = C.get("top_sites");
+    ASSERT_EQ(Top.kind(), JsonValue::Kind::Array);
+    EXPECT_FALSE(Top.array().empty());
+    for (size_t I = 1; I < Top.array().size(); ++I)
+      EXPECT_GE(Top.array()[I - 1].getU64("stall_cycles"),
+                Top.array()[I].getU64("stall_cycles"));
+  }
 }
 
 TEST(JsonWriterTest, EscapesAndNests) {

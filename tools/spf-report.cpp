@@ -4,13 +4,13 @@
 /// The report toolchain the CI gates run through:
 ///
 ///   spf-report show <report.json>
-///     CPI-stack table (one row per cell with a cycle_breakdown) and the
-///     per-site top-K stall attribution tables.
+///     CPI-stack table (one row per cell) and the per-site top-K stall
+///     attribution tables.
 ///
 ///   spf-report validate <report.json>...
 ///     Structural validation: recognized schema, required keys, and the
-///     cycle-attribution sum invariant on every breakdown and timeline
-///     sample. Exit 1 on the first violation. `--validate` is accepted
+///     cycle-attribution sum invariant on every ran cell's breakdown.
+///     Exit 1 on the first violation. `--validate` is accepted
 ///     as an alias for the subcommand spelling.
 ///
 ///   spf-report diff <baseline.json> <fresh.json> [thresholds]
@@ -116,8 +116,7 @@ int showSweep(const JsonValue &V) {
         MaxLevels = L - 1;
     }
   if (!MaxLevels) {
-    std::printf("no cycle_breakdown in this report (run the sweep with "
-                "--timeline-every N)\n");
+    std::printf("no cycle_breakdown in this report\n");
     return 0;
   }
   std::printf("CPI stack (%% of simulated cycles)\n");
@@ -172,7 +171,7 @@ int cmdShow(const std::vector<std::string> &Args) {
   if (!V)
     return 2;
   std::string Schema = V->getString("schema");
-  if (Schema == "spf-sweep-v3")
+  if (Schema == "spf-sweep-v4")
     return showSweep(*V);
   // Non-sweep schemas: validation doubles as the useful summary.
   std::string Error;
