@@ -43,6 +43,20 @@ void BM_TlbAccess(benchmark::State &State) {
 }
 BENCHMARK(BM_TlbAccess);
 
+/// The DTLB miss path on the Athlon's 256-entry TLB: cycling over twice
+/// as many pages as it holds, every access misses and evicts the LRU page.
+void BM_TlbMissPath(benchmark::State &State) {
+  constexpr unsigned Entries = 256;
+  sim::Tlb T(Entries, 4096);
+  uint64_t Page = 0;
+  for (auto _ : State) {
+    benchmark::DoNotOptimize(T.access(Page * 4096));
+    Page = (Page + 1) % (2 * Entries);
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_TlbMissPath);
+
 void BM_MemorySystemLoad(benchmark::State &State) {
   sim::MemorySystem Mem(*sim::MachineConfig::byName("pentium4"));
   uint64_t Addr = 0x100000000ull;

@@ -4,8 +4,10 @@
 
 #include "harness/JsonReader.h"
 #include "harness/JsonWriter.h"
+#include "sim/Tlb.h"
 
 #include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -192,6 +194,9 @@ std::string MachineConfig::validate() const {
   }
   if (TlbEntries == 0)
     Bad("TLB needs at least one entry");
+  else if (TlbEntries > Tlb::MaxEntries)
+    Bad("TLB entries must be at most " + std::to_string(Tlb::MaxEntries) +
+        ", got " + std::to_string(TlbEntries));
   if (!isPowerOfTwo(PageBytes) || PageBytes < 2)
     Bad("page bytes must be a power of two >= 2, got " +
         std::to_string(PageBytes));
@@ -240,6 +245,21 @@ MachineConfig::fromJsonText(const std::string &Text, std::string *Error) {
   if (Doc->kind() != harness::JsonValue::Kind::Object)
     return Fail("machine file must be a JSON object");
 
+  // Every count and latency is a 32-bit field: a larger value is an
+  // error, not a silent wrap.
+  std::string TooWide;
+  auto U32 = [&TooWide](const harness::JsonValue &Obj, const char *Key,
+                        unsigned Default) -> unsigned {
+    uint64_t V = Obj.getU64(Key, Default);
+    if (V > UINT32_MAX) {
+      if (TooWide.empty())
+        TooWide = std::string("\"") + Key + "\" = " + std::to_string(V) +
+                  " does not fit in 32 bits";
+      return Default;
+    }
+    return static_cast<unsigned>(V);
+  };
+
   MachineConfig C;
   C.Levels.clear();
   C.Name = Doc->getString("name");
@@ -254,14 +274,14 @@ MachineConfig::fromJsonText(const std::string &Text, std::string *Error) {
     Lvl.Label = L.getString("label",
                             "L" + std::to_string(C.Levels.size() + 1));
     Lvl.Geometry.SizeBytes = L.getU64("size_bytes", 0);
-    Lvl.Geometry.LineBytes = static_cast<unsigned>(L.getU64("line_bytes", 0));
-    Lvl.Geometry.Assoc = static_cast<unsigned>(L.getU64("assoc", 0));
-    Lvl.HitCycles = static_cast<unsigned>(L.getU64("hit_cycles", 1));
+    Lvl.Geometry.LineBytes = U32(L, "line_bytes", 0);
+    Lvl.Geometry.Assoc = U32(L, "assoc", 0);
+    Lvl.HitCycles = U32(L, "hit_cycles", 1);
     C.Levels.push_back(std::move(Lvl));
   }
 
-  C.TlbEntries = static_cast<unsigned>(Doc->getU64("tlb_entries", 64));
-  C.PageBytes = static_cast<unsigned>(Doc->getU64("page_bytes", 4096));
+  C.TlbEntries = U32(*Doc, "tlb_entries", 64);
+  C.PageBytes = U32(*Doc, "page_bytes", 4096);
 
   const harness::JsonValue &Tlb = Doc->get("tlb");
   if (!Tlb.isNull()) {
@@ -273,28 +293,19 @@ MachineConfig::fromJsonText(const std::string &Text, std::string *Error) {
       return Fail("unknown tlb walk mode \"" + WalkStr +
                   "\" (expected \"flat\" or \"walked\")");
     C.Walk = *W;
-    C.TlbMissPenalty =
-        static_cast<unsigned>(Tlb.getU64("miss_penalty", C.TlbMissPenalty));
-    C.WalkLevels =
-        static_cast<unsigned>(Tlb.getU64("walk_levels", C.WalkLevels));
-    C.WalkEntryBytes = static_cast<unsigned>(
-        Tlb.getU64("walk_entry_bytes", C.WalkEntryBytes));
-    C.WalkIndexBits = static_cast<unsigned>(
-        Tlb.getU64("walk_index_bits", C.WalkIndexBits));
+    C.TlbMissPenalty = U32(Tlb, "miss_penalty", C.TlbMissPenalty);
+    C.WalkLevels = U32(Tlb, "walk_levels", C.WalkLevels);
+    C.WalkEntryBytes = U32(Tlb, "walk_entry_bytes", C.WalkEntryBytes);
+    C.WalkIndexBits = U32(Tlb, "walk_index_bits", C.WalkIndexBits);
   }
 
-  C.ComputeCycles =
-      static_cast<unsigned>(Doc->getU64("compute_cycles", C.ComputeCycles));
-  C.MemPenalty =
-      static_cast<unsigned>(Doc->getU64("mem_penalty", C.MemPenalty));
-  C.PrefetchIssueCost = static_cast<unsigned>(
-      Doc->getU64("prefetch_issue_cost", C.PrefetchIssueCost));
-  C.GuardedLoadCost = static_cast<unsigned>(
-      Doc->getU64("guarded_load_cost", C.GuardedLoadCost));
-  C.GuardFaultCost = static_cast<unsigned>(
-      Doc->getU64("guard_fault_cost", C.GuardFaultCost));
-  C.PrefetchFillLatency = static_cast<unsigned>(
-      Doc->getU64("prefetch_fill_latency", C.PrefetchFillLatency));
+  C.ComputeCycles = U32(*Doc, "compute_cycles", C.ComputeCycles);
+  C.MemPenalty = U32(*Doc, "mem_penalty", C.MemPenalty);
+  C.PrefetchIssueCost = U32(*Doc, "prefetch_issue_cost", C.PrefetchIssueCost);
+  C.GuardedLoadCost = U32(*Doc, "guarded_load_cost", C.GuardedLoadCost);
+  C.GuardFaultCost = U32(*Doc, "guard_fault_cost", C.GuardFaultCost);
+  C.PrefetchFillLatency =
+      U32(*Doc, "prefetch_fill_latency", C.PrefetchFillLatency);
 
   // The software-prefetch fill level is named by label, so machine files
   // read the way the paper talks ("fills the L2").
@@ -324,15 +335,12 @@ MachineConfig::fromJsonText(const std::string &Text, std::string *Error) {
       return Fail("unknown hw_prefetch kind \"" + KindStr +
                   "\" (expected \"none\", \"stream\" or \"rpt\")");
     C.HwPrefetch = *K;
-    C.HwPrefetchStreams = static_cast<unsigned>(
-        Hw.getU64("streams", C.HwPrefetchStreams));
-    C.HwPrefetchDegree =
-        static_cast<unsigned>(Hw.getU64("degree", C.HwPrefetchDegree));
-    C.RptEntries =
-        static_cast<unsigned>(Hw.getU64("entries", C.RptEntries));
+    C.HwPrefetchStreams = U32(Hw, "streams", C.HwPrefetchStreams);
+    C.HwPrefetchDegree = U32(Hw, "degree", C.HwPrefetchDegree);
+    C.RptEntries = U32(Hw, "entries", C.RptEntries);
   }
 
-  std::string Invalid = C.validate();
+  std::string Invalid = TooWide.empty() ? C.validate() : TooWide;
   if (!Invalid.empty())
     return Fail("invalid machine config" +
                 (C.Name.empty() ? std::string() : " \"" + C.Name + "\"") +

@@ -2,6 +2,9 @@
 
 #include "sim/Tlb.h"
 
+#include <algorithm>
+#include <cassert>
+
 using namespace spf;
 using namespace spf::sim;
 
@@ -10,23 +13,43 @@ Tlb::Tlb(unsigned Entries, unsigned PageBytes)
       PageShift((PageBytes & (PageBytes - 1)) == 0
                     ? static_cast<unsigned>(std::countr_zero(PageBytes))
                     : 0) {
+  assert(Entries >= 1 && Entries <= MaxEntries && "TLB size out of range");
   // Capacity 2x the entry count (power of two, >= 8): at most half the
   // slots are ever live, keeping linear probes short.
-  size_t Cap = std::bit_ceil(static_cast<size_t>(Entries ? Entries : 1) * 2);
+  uint32_t Cap = std::bit_ceil(Entries * 2u);
   if (Cap < 8)
     Cap = 8;
   Mask = Cap - 1;
   HashShift = 64 - static_cast<unsigned>(std::countr_zero(Cap));
   Pages.assign(Cap, EmptyPage);
-  Stamps.assign(Cap, 0);
+  Links.resize(Cap);
+  Order.reserve(Entries);
+}
+
+void Tlb::unlink(uint32_t I) {
+  Link L = Links[I];
+  (L.Prev != Nil ? Links[L.Prev].Next : Head) = L.Next;
+  (L.Next != Nil ? Links[L.Next].Prev : Tail) = L.Prev;
+}
+
+void Tlb::pushFront(uint32_t I) {
+  Links[I] = {Nil, Head};
+  (Head != Nil ? Links[Head].Prev : Tail) = I;
+  Head = I;
+}
+
+void Tlb::touch(uint32_t I) {
+  // Callers reach here only for a page other than MruPage, so I is never
+  // the head already.
+  unlink(I);
+  pushFront(I);
+  MruPage = Pages[I];
 }
 
 bool Tlb::accessSlow(uint64_t Page) {
-  size_t I = findSlot(Page);
+  uint32_t I = findSlot(Page);
   if (I != NotFound) {
-    Stamps[I] = ++UseClock;
-    MruPage = Page;
-    MruIdx = I;
+    touch(I);
     return true;
   }
   ++DemandMisses;
@@ -35,53 +58,18 @@ bool Tlb::accessSlow(uint64_t Page) {
 }
 
 void Tlb::evictLru() {
-  // Evict the minimum stamp: exact LRU, since every touch assigns a
-  // fresh monotonic stamp. O(capacity) on the rare miss path, in
-  // exchange for probe-only hits.
-  size_t Victim = NotFound;
-  uint64_t Min = ~uint64_t(0);
-  size_t Cap = Mask + 1;
-  for (size_t I = 0; I != Cap; ++I)
-    if (Pages[I] < TombPage && Stamps[I] < Min) {
-      Min = Stamps[I];
-      Victim = I;
-    }
-  if (Pages[Victim] == MruPage) // Only possible when Entries == 1.
-    MruPage = NoPage;
+  uint32_t Victim = Tail;
+  unlink(Victim);
   Pages[Victim] = TombPage;
   --LiveCount;
+  if (Head == Nil) // The victim was the MRU entry (Entries == 1).
+    MruPage = NoPage;
 }
 
-void Tlb::rebuild() {
-  // Drop tombstones, keeping every live (page, stamp) pair: LRU state is
-  // carried entirely by the stamps, so slot placement is unobservable.
-  std::vector<uint64_t> OldPages = std::move(Pages);
-  std::vector<uint64_t> OldStamps = std::move(Stamps);
-  size_t Cap = Mask + 1;
-  Pages.assign(Cap, EmptyPage);
-  Stamps.assign(Cap, 0);
-  UsedCount = LiveCount;
-  for (size_t I = 0; I != Cap; ++I) {
-    if (OldPages[I] >= TombPage)
-      continue;
-    size_t J = hashIdx(OldPages[I]);
-    while (Pages[J] != EmptyPage)
-      J = (J + 1) & Mask;
-    Pages[J] = OldPages[I];
-    Stamps[J] = OldStamps[I];
-    if (OldPages[I] == MruPage)
-      MruIdx = J;
-  }
-}
-
-void Tlb::insertPage(uint64_t Page) {
-  if (LiveCount >= Entries)
-    evictLru();
-  if ((UsedCount + 1) * 4 > (Mask + 1) * 3)
-    rebuild();
-  // The caller guarantees Page is absent, so the first tombstone (or the
-  // terminal empty slot) on its probe chain is a valid home.
-  size_t I = hashIdx(Page);
+void Tlb::place(uint64_t Page) {
+  // Page is absent, so the first tombstone (or the terminal empty slot)
+  // on its probe chain is a valid home.
+  uint32_t I = hashIdx(Page);
   for (;;) {
     uint64_t P = Pages[I];
     if (P == TombPage)
@@ -93,34 +81,46 @@ void Tlb::insertPage(uint64_t Page) {
     I = (I + 1) & Mask;
   }
   Pages[I] = Page;
-  Stamps[I] = ++UseClock;
+  pushFront(I);
   ++LiveCount;
+}
+
+void Tlb::rebuild() {
+  // Drop tombstones. Re-inserting the live pages from LRU to MRU, each
+  // at the head, reproduces the recency list exactly.
+  Order.clear();
+  for (uint32_t I = Tail; I != Nil; I = Links[I].Prev)
+    Order.push_back(Pages[I]);
+  std::fill(Pages.begin(), Pages.end(), EmptyPage);
+  Head = Tail = Nil;
+  LiveCount = UsedCount = 0;
+  for (uint64_t Page : Order)
+    place(Page);
+}
+
+void Tlb::insertPage(uint64_t Page) {
+  if (LiveCount >= Entries)
+    evictLru();
+  if ((UsedCount + 1) * 4 > (Mask + 1) * 3)
+    rebuild();
+  place(Page);
   MruPage = Page;
-  MruIdx = I;
 }
 
 void Tlb::fill(uint64_t Addr) {
   uint64_t Page = pageOf(Addr);
-  if (Page == MruPage) {
-    Stamps[MruIdx] = ++UseClock;
+  if (Page == MruPage)
     return;
-  }
-  size_t I = findSlot(Page);
-  if (I != NotFound) {
-    Stamps[I] = ++UseClock;
-    MruPage = Page;
-    MruIdx = I;
-    return;
-  }
-  insertPage(Page);
+  uint32_t I = findSlot(Page);
+  if (I != NotFound)
+    touch(I);
+  else
+    insertPage(Page);
 }
 
 void Tlb::reset() {
-  Pages.assign(Pages.size(), EmptyPage);
-  Stamps.assign(Stamps.size(), 0);
-  LiveCount = 0;
-  UsedCount = 0;
-  UseClock = 0;
+  std::fill(Pages.begin(), Pages.end(), EmptyPage);
+  Head = Tail = Nil;
+  LiveCount = UsedCount = 0;
   MruPage = NoPage;
-  MruIdx = 0;
 }

@@ -10,10 +10,14 @@ using namespace spf::vm;
 static uint64_t alignUp8(uint64_t N) { return (N + 7) & ~7ull; }
 
 Heap::Heap(const TypeTable &Types, Config Cfg)
-    : Types(Types), Cfg(Cfg), Storage(Cfg.HeapBytes),
+    : Types(Types), Cfg(Cfg),
+      Storage(static_cast<uint8_t *>(
+          std::calloc(Cfg.HeapBytes ? Cfg.HeapBytes : 1, 1))),
       StaticsStorage(Cfg.StaticsBytes) {
   assert(Cfg.StaticsBase + Cfg.StaticsBytes <= Cfg.HeapBase &&
          "statics area must not overlap the heap");
+  if (!Storage)
+    reportFatalError("cannot reserve the simulated heap arena");
 }
 
 void Heap::formatFiller(Addr A, uint64_t Size) {

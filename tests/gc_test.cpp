@@ -340,6 +340,37 @@ TEST_F(GcTest, MarkSweepHolesAreReusedByAllocation) {
   EXPECT_EQ(valOf(Reused), 99);
 }
 
+TEST_F(GcTest, AllocationOverDirtyArenaBytesReadsZero) {
+  // The arena is zeroed only lazily, once, by the OS; bytes a dead object
+  // left behind are reused after compaction, so allocation itself must
+  // zero them.
+  Addr Live = makeNode(7);
+  for (int I = 0; I < 32; ++I) {
+    Addr A = makeNode(-1 - I);
+    H->store(A + FNext->Offset, ir::Type::Ref, ~uint64_t(0));
+    Addr Arr = H->allocArray(ir::Type::I64, 5);
+    for (uint64_t E = 0; E != 5; ++E)
+      H->store(H->elemAddr(Arr, E), ir::Type::I64, ~uint64_t(0));
+  }
+  Addr OldTop = H->heapTop();
+  std::vector<Addr *> Roots = {&Live};
+  Gc.collect(*H, Roots); // Sliding compaction: the garbage stays dirty.
+  ASSERT_LT(H->heapTop(), OldTop);
+
+  for (int I = 0; I < 32; ++I) {
+    Addr N = H->allocObject(*Node);
+    ASSERT_LT(N, OldTop);
+    EXPECT_EQ(H->load(N + FNext->Offset, ir::Type::Ref), 0u);
+    EXPECT_EQ(valOf(N), 0);
+    Addr Arr = H->allocArray(ir::Type::I64, 5);
+    ASSERT_LT(Arr, OldTop);
+    EXPECT_EQ(H->arrayLength(Arr), 5u);
+    for (uint64_t E = 0; E != 5; ++E)
+      EXPECT_EQ(H->load(H->elemAddr(Arr, E), ir::Type::I64), 0u);
+  }
+  EXPECT_EQ(valOf(Live), 7);
+}
+
 TEST_F(GcTest, AddressShuffleBreaksLiveObjectOrder) {
   std::vector<Addr> Live;
   for (int I = 0; I < 64; ++I)

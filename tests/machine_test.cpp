@@ -248,6 +248,50 @@ TEST(MachineFileTest, MalformedInputIsRejectedWithADiagnostic) {
   }
 }
 
+/// The Pentium 4's machine file with the first \p From replaced by \p To.
+std::string p4TextWith(const std::string &From, const std::string &To) {
+  std::string Text = MachineConfig::pentium4().toJsonText();
+  size_t At = Text.find(From);
+  EXPECT_NE(At, std::string::npos) << From;
+  return Text.replace(At, From.size(), To);
+}
+
+TEST(MachineFileTest, ValuesWiderThan32BitsAreRejected) {
+  // 2^32 + 1 and 2^32 + 64 used to wrap to 1 and 64 and pass validation.
+  struct WideCase {
+    const char *From;
+    const char *To;
+  } Cases[] = {
+      {"\"tlb_entries\":64", "\"tlb_entries\":4294967297"},
+      {"\"line_bytes\":64", "\"line_bytes\":4294967360"},
+      {"\"assoc\":4", "\"assoc\":4294967300"},
+      {"\"miss_penalty\":35", "\"miss_penalty\":4294967331"},
+  };
+  for (const WideCase &W : Cases) {
+    std::string Err;
+    auto C = MachineConfig::fromJsonText(p4TextWith(W.From, W.To), &Err);
+    EXPECT_FALSE(C.has_value()) << W.To;
+    EXPECT_NE(Err.find("does not fit in 32 bits"), std::string::npos)
+        << W.To << ": got \"" << Err << "\"";
+  }
+}
+
+TEST(MachineFileTest, TlbEntriesAreBoundedByTheRecencyLinks) {
+  std::string Max = std::to_string(Tlb::MaxEntries);
+  std::string Err;
+  auto C = MachineConfig::fromJsonText(
+      p4TextWith("\"tlb_entries\":64", "\"tlb_entries\":" + Max), &Err);
+  ASSERT_TRUE(C.has_value()) << Err;
+  EXPECT_EQ(C->TlbEntries, Tlb::MaxEntries);
+
+  std::string Over = std::to_string(Tlb::MaxEntries + 1);
+  C = MachineConfig::fromJsonText(
+      p4TextWith("\"tlb_entries\":64", "\"tlb_entries\":" + Over), &Err);
+  EXPECT_FALSE(C.has_value());
+  EXPECT_NE(Err.find("TLB entries must be at most " + Max), std::string::npos)
+      << Err;
+}
+
 TEST(MachineFileTest, FromFileReportsUnreadablePaths) {
   std::string Err;
   EXPECT_FALSE(

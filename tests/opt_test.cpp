@@ -167,6 +167,67 @@ TEST_F(OptTest, DceKeepsLoopCarriedPhis) {
   EXPECT_TRUE(verifyMethod(Fn));
 }
 
+TEST_F(OptTest, DceRemovesDeepDeadChainInOneCall) {
+  Method *Fn = M.addMethod("f", Type::I32, {Type::I32});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  Value *V = Fn->arg(0);
+  for (int I = 0; I != 100; ++I)
+    V = B.add(V, B.i32(1)); // Each link is used only by the next.
+  B.ret(Fn->arg(0));
+
+  EXPECT_EQ(opt::eliminateDeadCode(Fn), 100u);
+  EXPECT_TRUE(verifyMethod(Fn));
+  EXPECT_EQ(countInstructions(Fn), 1u); // ret.
+  EXPECT_EQ(opt::eliminateDeadCode(Fn), 0u);
+}
+
+TEST_F(OptTest, DceReleasesEveryUseOfARepeatedOperand) {
+  Method *Fn = M.addMethod("f", Type::I32, {Type::I32});
+  IRBuilder B(M);
+  B.setInsertPoint(Fn->addBlock("entry"));
+  Value *X = B.add(Fn->arg(0), B.i32(3));
+  B.mul(X, X); // Dead; x's only two uses.
+  Value *Y = B.add(Fn->arg(0), B.i32(4));
+  B.mul(Y, Y); // Dead, but y is also returned.
+  B.ret(Y);
+
+  EXPECT_EQ(opt::eliminateDeadCode(Fn), 3u);
+  EXPECT_TRUE(verifyMethod(Fn));
+  EXPECT_EQ(countInstructions(Fn), 2u); // y + ret.
+  EXPECT_EQ(Fn->blocks().front()->front(), Y);
+}
+
+TEST_F(OptTest, DceKeepsDeadLoopCarriedCycle) {
+  // A phi and its increment use only each other: neither ever reaches
+  // zero uses, so DCE keeps the cycle (it removes unused values, it does
+  // not prove liveness).
+  Method *Fn = M.addMethod("f", Type::I32, {Type::I32});
+  IRBuilder B(M);
+  BasicBlock *Entry = Fn->addBlock("entry");
+  BasicBlock *H = Fn->addBlock("h");
+  BasicBlock *Body = Fn->addBlock("body");
+  BasicBlock *Exit = Fn->addBlock("exit");
+  B.setInsertPoint(Entry);
+  B.jump(H);
+  B.setInsertPoint(H);
+  PhiInst *P = B.phi(Type::I32);
+  B.br(B.cmpLt(Fn->arg(0), B.i32(10)), Body, Exit);
+  B.setInsertPoint(Body);
+  Value *P1 = B.add(P, B.i32(1));
+  B.jump(H);
+  B.setInsertPoint(Exit);
+  B.ret(Fn->arg(0));
+  Fn->recomputePreds();
+  P->addIncoming(Entry, M.intConst(Type::I32, 0));
+  P->addIncoming(Body, P1);
+
+  unsigned Before = countInstructions(Fn);
+  EXPECT_EQ(opt::eliminateDeadCode(Fn), 0u);
+  EXPECT_TRUE(verifyMethod(Fn));
+  EXPECT_EQ(countInstructions(Fn), Before);
+}
+
 TEST_F(OptTest, PipelineCombinationReachesFixpoint) {
   Method *Fn = M.addMethod("f", Type::I32, {Type::I32});
   IRBuilder B(M);

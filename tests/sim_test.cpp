@@ -1,8 +1,13 @@
 //===- tests/sim_test.cpp - Cache, TLB, prefetcher, memory system ---------===//
 
 #include "sim/MemorySystem.h"
+#include "support/SplitMix64.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
+#include <vector>
 
 using namespace spf;
 using namespace spf::sim;
@@ -138,6 +143,89 @@ TEST(TlbTest, FillPrimesWithoutCountingDemand) {
   EXPECT_TRUE(T.access(0x5000));
   EXPECT_EQ(T.demandMisses(), 0u);
 }
+
+/// The classic linked-list LRU the TLB must match exactly: most recent
+/// page at the front.
+class ListLruTlb {
+public:
+  explicit ListLruTlb(size_t Entries) : Entries(Entries) {}
+
+  bool access(uint64_t Page) {
+    bool Hit = touch(Page);
+    if (!Hit)
+      ++Misses;
+    return Hit;
+  }
+  void fill(uint64_t Page) { touch(Page); }
+  bool contains(uint64_t Page) const {
+    return std::find(Pages.begin(), Pages.end(), Page) != Pages.end();
+  }
+  void reset() { Pages.clear(); }
+  uint64_t misses() const { return Misses; }
+  const std::list<uint64_t> &pages() const { return Pages; }
+
+private:
+  bool touch(uint64_t Page) {
+    auto It = std::find(Pages.begin(), Pages.end(), Page);
+    if (It != Pages.end()) {
+      Pages.splice(Pages.begin(), Pages, It);
+      return true;
+    }
+    Pages.push_front(Page);
+    if (Pages.size() > Entries)
+      Pages.pop_back();
+    return false;
+  }
+
+  size_t Entries;
+  std::list<uint64_t> Pages;
+  uint64_t Misses = 0;
+};
+
+class TlbModelTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(TlbModelTest, MatchesListLruUnderRandomTraffic) {
+  const unsigned Entries = GetParam();
+  const uint64_t PageBytes = 4096;
+  // Three times the capacity in distinct pages: steady misses evict,
+  // and the tombstones they leave force repeated table rebuilds.
+  const uint64_t Universe = 3 * uint64_t(Entries) + 2;
+  Tlb T(Entries, PageBytes);
+  ListLruTlb Ref(Entries);
+  SplitMix64 Rng(0x5eed0000 + Entries);
+  uint64_t Hot = 0;
+  for (unsigned Op = 0; Op != 6000; ++Op) {
+    // Half the traffic revisits a sliding window about the TLB's size,
+    // so hits, re-ordering and LRU victims all matter.
+    uint64_t Page = Rng.nextBelow(2) ? (Hot + Rng.nextBelow(Entries + 1)) %
+                                           Universe
+                                     : Rng.nextBelow(Universe);
+    Hot = (Hot + Rng.nextBelow(3)) % Universe;
+    uint64_t Addr = Page * PageBytes + Rng.nextBelow(PageBytes);
+    uint64_t Kind = Rng.nextBelow(1000);
+    if (Kind < 700) {
+      ASSERT_EQ(T.access(Addr), Ref.access(Page)) << "op " << Op;
+    } else if (Kind < 850) {
+      T.fill(Addr);
+      Ref.fill(Page);
+    } else if (Kind < 998) {
+      ASSERT_EQ(T.contains(Addr), Ref.contains(Page)) << "op " << Op;
+    } else {
+      T.reset();
+      Ref.reset();
+    }
+    ASSERT_EQ(T.demandMisses(), Ref.misses()) << "op " << Op;
+    std::vector<bool> Resident(Universe);
+    for (uint64_t P : Ref.pages())
+      Resident[P] = true;
+    for (uint64_t P = 0; P != Universe; ++P)
+      ASSERT_EQ(T.contains(P * PageBytes), Resident[P])
+          << "page " << P << " after op " << Op;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, TlbModelTest,
+                         ::testing::Values(1u, 2u, 3u, 64u, 256u));
 
 TEST(HwPrefetcherTest, ConfirmedStreamEmitsNextLines) {
   HardwarePrefetcher P(4, 2, 64, 4096);
