@@ -133,7 +133,7 @@ void printSpeedups(const char *Title,
 /// and which cells shared another cell's execution.
 void printCellTimings(const harness::ExperimentPlan &Plan,
                       const harness::ExperimentResult &Result) {
-  std::printf("\nPer-cell wall clock (one execution per signature)\n");
+  std::printf("\nPer-cell wall clock (one execution per compiled program)\n");
   std::printf("%-12s %-9s %-12s %12s\n", "benchmark", "machine",
               "algorithm", "interpret_us");
   unsigned Shared = 0;

@@ -13,9 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <ostream>
-#include <unordered_map>
+#include <tuple>
 
 using namespace spf;
 using namespace spf::harness;
@@ -228,40 +229,45 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   const support::FaultConfig Faults = support::FaultConfig::fromEnv();
   const double TimeoutSec = support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0);
 
-  // Execution sharing: cells with equal execution signatures form one
-  // group that interprets once and simulates every member's machine
-  // (workloads::runWorkloadGroup). Groups are a function of the plan, so
-  // which cell leads — and which come back Replayed — never depends on
-  // scheduling. Under fault injection every cell runs alone: chaos must
-  // exercise each cell's own execution. Groups are listed in leader
-  // (plan) order.
-  const bool Share = !Faults.anyEnabled();
-  std::vector<std::vector<unsigned>> Groups;
+  // Execution sharing. Cells can share an execution only within a
+  // partner set: the cells of one workload, config, epochs, GC variant and
+  // phase change, none governed (a governed run's code changes mid-run).
+  // Under fault injection every cell is a set of its own: chaos must
+  // exercise each cell's own execution. Sets are listed in the plan order
+  // of their first cell.
+  const std::vector<ExperimentCell> &Cells = Plan.cells();
+  std::vector<std::vector<unsigned>> Sets;
   {
-    std::unordered_map<std::string, size_t> GroupOf;
+    using PartnerKey =
+        std::tuple<const workloads::WorkloadSpec *, double, uint64_t,
+                   uint64_t, unsigned, vm::GcVariant, bool>;
+    std::map<PartnerKey, size_t> SetOf;
     for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
          ++I) {
-      const ExperimentCell &C = Plan.cells()[I];
-      std::string Sig =
-          Share ? workloads::executionSignature(*C.Spec, C.Opt) : "";
-      if (!Sig.empty()) {
-        auto [It, New] = GroupOf.try_emplace(std::move(Sig), Groups.size());
+      const workloads::RunOptions &O = Cells[I].Opt;
+      if (!Faults.anyEnabled() && !O.Governor) {
+        auto [It, New] = SetOf.try_emplace(
+            PartnerKey(Cells[I].Spec, O.Config.Scale, O.Config.Seed,
+                       O.Config.HeapBytes, O.Epochs, O.GcVariant,
+                       O.PhaseChange),
+            Sets.size());
         if (!New) {
-          Groups[It->second].push_back(I);
+          Sets[It->second].push_back(I);
           continue;
         }
       }
-      Groups.push_back({I});
+      Sets.push_back({I});
     }
   }
-  PlanSpan.noteU64("groups", Groups.size());
+  PlanSpan.noteU64("partner_sets", Sets.size());
 
   // Once the stop hook fires, no further group runs.
   std::atomic<bool> Stopped{false};
 
   // Runs one group in process. The verdict is shared by every member:
   // they are one execution.
-  auto RunGroup = [&](const std::vector<unsigned> &G) {
+  auto RunGroup = [&](const std::vector<unsigned> &G,
+                      std::vector<workloads::CompiledProgram> Programs) {
     const unsigned Lead = G.front();
     const ExperimentCell &C = Plan.cells()[Lead];
     CellResult Verdict;
@@ -295,7 +301,8 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
     support::FaultScope Scope(Injector);
     std::vector<workloads::RunResult> Runs;
     try {
-      Runs = workloads::runWorkloadGroup(*C.Spec, Members);
+      Runs =
+          workloads::runWorkloadGroup(*C.Spec, Members, std::move(Programs));
       Verdict.Ran = true;
     } catch (const support::CellTimeout &E) {
       Verdict.TimedOut = true;
@@ -312,13 +319,65 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
     }
   };
 
-  if (Jobs <= 1 || Groups.size() <= 1) {
-    for (const std::vector<unsigned> &G : Groups)
-      RunGroup(G);
+  // One partner set, in two phases. Phase 1 (sets of two or more) builds
+  // and compiles every cell on its own, keeps the cell's compile results
+  // and program hash (workloads::compileProgram) and drops its world.
+  // Phase 2 groups the set's cells by program hash and runs each group
+  // once: workloads::runWorkloadGroup rebuilds and recompiles the leader's
+  // world, interprets it once and simulates every member's machine. The
+  // lowest plan index leads, so which cells come back Replayed depends on
+  // the plan alone. Only one set's phase-1 results per worker are alive at
+  // a time. Once the stop hook has fired, phase 1 is skipped: every group
+  // would stay un-run anyway.
+  auto RunSet = [&](const std::vector<unsigned> &Set) {
+    std::vector<std::optional<workloads::CompiledProgram>> Compiled(
+        Set.size());
+    if (Set.size() > 1 && !Stopped.load(std::memory_order_relaxed))
+      for (size_t K = 0; K != Set.size(); ++K) {
+        const ExperimentCell &C = Cells[Set[K]];
+        obs::Span CompileSpan("compile-program", "harness");
+        CompileSpan.noteU64("index", Set[K]);
+        CompileSpan.note("tag", cellTag(C));
+        try {
+          Compiled[K] = workloads::compileProgram(*C.Spec, C.Opt);
+        } catch (const std::exception &) {
+          // Left uncompiled: the cell runs alone, meets the same failure
+          // there and gets its verdict.
+        }
+      }
+
+    std::vector<std::vector<size_t>> Groups; // Positions in Set.
+    std::map<uint64_t, size_t> GroupOf;
+    for (size_t K = 0; K != Set.size(); ++K) {
+      if (Compiled[K]) {
+        auto [It, New] =
+            GroupOf.try_emplace(Compiled[K]->Hash, Groups.size());
+        if (!New) {
+          Groups[It->second].push_back(K);
+          continue;
+        }
+      }
+      Groups.push_back({K});
+    }
+    for (const std::vector<size_t> &G : Groups) {
+      std::vector<unsigned> Members;
+      std::vector<workloads::CompiledProgram> Programs;
+      for (size_t K : G) {
+        Members.push_back(Set[K]);
+        if (Compiled[K])
+          Programs.push_back(std::move(*Compiled[K]));
+      }
+      RunGroup(Members, std::move(Programs));
+    }
+  };
+
+  if (Jobs <= 1 || Sets.size() <= 1) {
+    for (const std::vector<unsigned> &Set : Sets)
+      RunSet(Set);
   } else {
     ThreadPool Pool(Jobs);
-    for (const std::vector<unsigned> &G : Groups)
-      Pool.async([&RunGroup, &G] { RunGroup(G); });
+    for (const std::vector<unsigned> &Set : Sets)
+      Pool.async([&RunSet, &Set] { RunSet(Set); });
     Pool.wait();
   }
 

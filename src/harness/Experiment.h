@@ -3,13 +3,14 @@
 /// \file
 /// The experiment layer behind every figure/ablation binary: a sweep
 /// (workloads x algorithms x machine configs x scale) expands into
-/// independent cells. Cells with equal execution signatures (BASELINE on
-/// two machines, say) form one group that interprets once and feeds one
-/// MemorySystem per cell (workloads::runWorkloadGroup); every group owns
-/// a private Heap / Interpreter. Groups run concurrently on a fixed-size
-/// ThreadPool and results are aggregated deterministically in plan
-/// order, so they are bit-identical to a serial run regardless of the
-/// worker count (see tests/harness_test.cpp).
+/// independent cells. Cells that compile to the same program (BASELINE on
+/// two machines, or INTER where the pass inserts nothing, say) form one
+/// group that interprets once and feeds one MemorySystem per cell
+/// (workloads::runWorkloadGroup); every group owns a private Heap /
+/// Interpreter. Groups run concurrently on a fixed-size ThreadPool and
+/// results are aggregated deterministically in plan order, so they are
+/// bit-identical to a serial run regardless of the worker count (see
+/// tests/harness_test.cpp).
 ///
 /// Correctness checking is part of the driver: a cell whose workload
 /// self-check fails, or whose return value differs from the baseline
@@ -137,7 +138,8 @@ private:
 /// The stop hook of one plan run.
 struct GovernorOptions {
   /// Polled once per execution group, before the group runs (at Jobs=1
-  /// in plan order, always on the calling thread). Once it returns true,
+  /// always on the calling thread, partner set by partner set; see
+  /// runPlan); never while phase 1 compiles. Once it returns true,
   /// that group and every group polled after it stay un-run (!Ran) and
   /// their cells are Failures. Null = never stop. Perfbench runs its
   /// calibration kernel here between groups.
@@ -168,12 +170,19 @@ struct ExperimentResult {
 /// threads spawned) and returns results in plan order. Jobs of 0 means
 /// defaultJobs().
 ///
-/// Execution sharing: cells with equal, non-empty execution signatures
-/// form one group, interpreted once by workloads::runWorkloadGroup. The
-/// lowest plan index leads; followers come back with Run.Replayed set.
-/// Grouping depends on the plan alone, so results — Replayed included —
-/// are independent of the worker count. Every cell runs alone when a
-/// fault site is armed (SPF_FAULTS).
+/// Execution sharing: a cell can share only with its partner set, the
+/// cells of its workload, config, epochs, GC variant and phase change;
+/// governed cells, and every cell when a fault site is armed
+/// (SPF_FAULTS), run alone. Each set runs as one task, in two phases.
+/// Phase 1 builds and compiles every cell of the set on its own, keeps
+/// its compile results and program hash (workloads::compileProgram) and
+/// drops the world. Phase 2 groups the set's cells by program hash; each
+/// group is interpreted once by workloads::runWorkloadGroup, and every
+/// member reports its own compile results. The lowest plan index leads;
+/// followers come back with Run.Replayed set. Grouping depends on the
+/// plan alone, so results — Replayed included — are independent of the
+/// worker count. At Jobs=1 sets run in the plan order of their first
+/// cell, and a set's groups in leader order.
 ///
 /// Failure containment: each group runs under a per-cell wall-clock
 /// watchdog (SPF_CELL_TIMEOUT seconds; unset or 0 = off, malformed values

@@ -38,6 +38,15 @@ void logDecision(const GovernorDecision &D) {
   if (!DL)
     return;
   char Detail[96];
+  if (D.Action == GovernorAction::Reinspect) {
+    // A whole-program escalation: no site, and its evidence is the count
+    // of sites quarantined this epoch.
+    std::snprintf(Detail, sizeof Detail, "fresh_quarantines=%llu",
+                  static_cast<unsigned long long>(D.Resolved));
+    DL->event("governor", governorActionName(D.Action), "", Detail, 0,
+              D.Resolved);
+    return;
+  }
   std::snprintf(Detail, sizeof Detail, "resolved=%llu accuracy=%.2f",
                 static_cast<unsigned long long>(D.Resolved), D.Accuracy);
   DL->event("governor", governorActionName(D.Action), siteTag(D.Site),

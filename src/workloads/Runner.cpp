@@ -3,13 +3,13 @@
 #include "workloads/Runner.h"
 
 #include "core/PrefetchCodeGen.h"
+#include "ir/IRPrinter.h"
 #include "obs/Obs.h"
 #include "obs/Tracer.h"
 #include "workloads/ProgramPopulation.h"
 
 #include <cassert>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <optional>
@@ -25,54 +25,68 @@ double elapsedUs(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Forwards every event to each member's sink, in member order: the
-/// fan-out of one shared execution. Every member sees exactly the stream
-/// a solo run would have given it (AccessSink's write-only contract).
+/// Forwards every event to each member's MemorySystem, in member order:
+/// the fan-out of one shared execution. Every member sees exactly the
+/// stream a solo run would have given it (AccessSink's write-only
+/// contract). MemorySystem is final, so each forward is a direct call.
 class FanOutSink final : public exec::AccessSink {
 public:
-  explicit FanOutSink(std::vector<exec::AccessSink *> Sinks)
-      : Sinks(std::move(Sinks)) {}
+  explicit FanOutSink(std::vector<sim::MemorySystem *> Sims)
+      : Sims(std::move(Sims)) {}
 
   void tick(uint64_t N) override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->tick(N);
   }
   void load(uint64_t Addr, exec::SiteId Site) override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->load(Addr, Site);
   }
   void store(uint64_t Addr) override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->store(Addr);
   }
   void prefetch(uint64_t Addr) override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->prefetch(Addr);
   }
   void guardedLoad(uint64_t Addr) override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->guardedLoad(Addr);
   }
   void guardedLoadFault() override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->guardedLoadFault();
   }
   void prefetch(uint64_t Addr, exec::SiteId Site) override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->prefetch(Addr, Site);
   }
   void guardedLoad(uint64_t Addr, exec::SiteId Site) override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->guardedLoad(Addr, Site);
   }
   void guardedLoadFault(exec::SiteId Site) override {
-    for (exec::AccessSink *S : Sinks)
+    for (sim::MemorySystem *S : Sims)
       S->guardedLoadFault(Site);
   }
 
 private:
-  std::vector<exec::AccessSink *> Sinks;
+  std::vector<sim::MemorySystem *> Sims;
 };
+
+/// JIT-compiles the hot methods of \p W with their first-invocation
+/// arguments, recording decisions into \p Log when it is non-null and
+/// observability is on.
+void compileUnits(jit::CompileManager &Jit, const BuiltWorkload &W,
+                  obs::DecisionLog *Log) {
+  std::optional<obs::DecisionScope> Scope;
+  if (Log && obs::enabled())
+    Scope.emplace(*Log);
+  obs::Span JitSpan("jit", "runner");
+  for (const CompileUnit &CU : W.CompileUnits)
+    Jit.compile(CU.M, CU.Args);
+}
 
 } // namespace
 
@@ -105,12 +119,66 @@ workloads::passOptionsFor(const sim::MachineConfig &M,
   return Opts;
 }
 
+jit::CompileManager::Options
+workloads::compileOptionsFor(const RunOptions &Opts) {
+  jit::CompileManager::Options CM;
+  CM.EnablePrefetch = Opts.Algo != Algorithm::Baseline;
+  CM.Pass = passOptionsFor(Opts.Machine, Opts.Algo == Algorithm::Inter
+                                             ? core::PrefetchMode::Inter
+                                             : core::PrefetchMode::InterIntra);
+  if (Opts.TunePass)
+    Opts.TunePass(CM.Pass);
+  return CM;
+}
+
+uint64_t workloads::programHash(const WorkloadSpec &Spec,
+                                const WorkloadConfig &Config,
+                                const BuiltWorkload &W) {
+  // The world inputs and entry args seed the chain of method hashes.
+  // Scale is hashed by bit pattern: any representable value keys exactly.
+  uint64_t ScaleBits = 0;
+  std::memcpy(&ScaleBits, &Config.Scale, sizeof(ScaleBits));
+  std::string Inputs = Spec.Name;
+  for (uint64_t V : {ScaleBits, Config.Seed, Config.HeapBytes,
+                     uint64_t(W.EntryArgs.size())})
+    Inputs.append(reinterpret_cast<const char *>(&V), sizeof(V));
+  for (uint64_t V : W.EntryArgs)
+    Inputs.append(reinterpret_cast<const char *>(&V), sizeof(V));
+  uint64_t H = std::hash<std::string>{}(Inputs);
+  for (const CompileUnit &CU : W.CompileUnits)
+    H = ir::hashMethod(CU.M, H);
+  return H;
+}
+
+CompiledProgram workloads::compileProgram(const WorkloadSpec &Spec,
+                                          const RunOptions &Opts) {
+  obs::Span BuildSpan("build-workload", "runner");
+  BuiltWorkload W = Spec.Build(Opts.Config);
+  BuildSpan.end();
+  jit::CompileManager Jit(*W.Heap, compileOptionsFor(Opts));
+  obs::DecisionLog Log;
+  compileUnits(Jit, W, &Log);
+
+  CompiledProgram P;
+  P.Hash = programHash(Spec, Opts.Config, W);
+  P.JitTotalUs = Jit.totalJitUs();
+  P.JitPrefetchUs = Jit.prefetchUs();
+  P.Prefetch = Jit.aggregatePrefetch();
+  // The log waits in memory until the cell's group runs: drop its
+  // growth slack.
+  P.Decisions = Log.take();
+  P.Decisions.shrink_to_fit();
+  return P;
+}
+
 std::vector<RunResult>
 workloads::runWorkloadGroup(const WorkloadSpec &Spec,
-                            std::span<const RunOptions> Members) {
+                            std::span<const RunOptions> Members,
+                            std::vector<CompiledProgram> Compiled) {
   assert(!Members.empty());
+  assert(Compiled.empty() || Compiled.size() == Members.size());
   const RunOptions &Opts = Members.front();
-  assert(!Opts.Governor || Members.size() == 1);
+  assert(!Opts.Governor || (Members.size() == 1 && Compiled.empty()));
   RunResult Result;
 
   obs::Span RunSpan("run-workload", "runner");
@@ -122,41 +190,25 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   BuiltWorkload W = Spec.Build(Opts.Config);
   BuildSpan.end();
 
-  // JIT-compile the hot methods with their first-invocation arguments.
-  // Every member shares these pass options: the execution signature
-  // keys exactly the machine facets passOptionsFor reads. The decision
-  // log records here, at compile time, and is detached before the
-  // simulated (timed) execution below — observability never runs inside
-  // the timed region.
-  jit::CompileManager::Options CM;
-  CM.EnablePrefetch = Opts.Algo != Algorithm::Baseline;
-  CM.Pass = passOptionsFor(Opts.Machine, Opts.Algo == Algorithm::Inter
-                                             ? core::PrefetchMode::Inter
-                                             : core::PrefetchMode::InterIntra);
-  if (Opts.TunePass)
-    Opts.TunePass(CM.Pass);
-  jit::CompileManager Jit(*W.Heap, CM);
+  // JIT-compile under the leader's options: every member compiles to the
+  // same program. The decision log records here, at compile time, unless
+  // the members' own compiles already recorded theirs, and is detached
+  // before the simulated (timed) execution below — observability never
+  // runs inside the timed region.
+  jit::CompileManager Jit(*W.Heap, compileOptionsFor(Opts));
   obs::DecisionLog Log;
-  {
-    std::optional<obs::DecisionScope> Scope;
-    if (obs::enabled())
-      Scope.emplace(Log);
-    obs::Span JitSpan("jit", "runner");
-    for (const CompileUnit &CU : W.CompileUnits)
-      Jit.compile(CU.M, CU.Args);
-    JitSpan.end();
-  }
+  compileUnits(Jit, W, Compiled.empty() ? &Log : nullptr);
 
   // Execute once, simulating on every member's machine. A deque keeps
   // each MemorySystem at a fixed address for the fan-out sink.
   std::deque<sim::MemorySystem> Sims;
-  std::vector<exec::AccessSink *> Sinks;
+  std::vector<sim::MemorySystem *> Ptrs;
   for (const RunOptions &M : Members)
-    Sinks.push_back(&Sims.emplace_back(M.Machine));
+    Ptrs.push_back(&Sims.emplace_back(M.Machine));
   std::optional<FanOutSink> FanOut;
-  exec::AccessSink *Sink = Sinks.front();
-  if (Sinks.size() > 1)
-    Sink = &FanOut.emplace(Sinks);
+  exec::AccessSink *Sink = Ptrs.front();
+  if (Ptrs.size() > 1)
+    Sink = &FanOut.emplace(std::move(Ptrs));
   sim::MemorySystem &Mem = Sims.front(); // The governor's evidence.
   unsigned Epochs = Opts.Epochs ? Opts.Epochs : 1;
   exec::Interpreter Interp(*W.Heap, *Sink, &W.Roots);
@@ -276,6 +328,13 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
     R.Mem = S.stats();
     R.Acct = S.acct();
     R.Sites = S.siteStats();
+    if (!Compiled.empty()) {
+      CompiledProgram &P = Compiled[K];
+      R.JitTotalUs = P.JitTotalUs;
+      R.JitPrefetchUs = P.JitPrefetchUs;
+      R.Prefetch = std::move(P.Prefetch);
+      R.Decisions = std::move(P.Decisions);
+    }
   }
   return Results;
 }
@@ -283,66 +342,6 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
 RunResult workloads::runWorkload(const WorkloadSpec &Spec,
                                  const RunOptions &Opts) {
   return std::move(runWorkloadGroup(Spec, {&Opts, 1}).front());
-}
-
-std::string workloads::executionSignature(const WorkloadSpec &Spec,
-                                          const RunOptions &Opts) {
-  // An arbitrary pass mutation cannot be keyed: without a caller-provided
-  // stable tag, runs with a TunePass never share an execution.
-  if (Opts.TunePass && Opts.TuneKey.empty())
-    return std::string();
-  // Governor-on runs cannot be keyed either: the re-decisions (suppress /
-  // retune / re-JIT) depend on measured per-site health, which depends on
-  // the machine's timing — exactly what the signature must exclude. An
-  // adaptive run must never share its execution.
-  if (Opts.Governor)
-    return std::string();
-
-  // Scale is hashed by bit pattern: any representable value keys exactly.
-  uint64_t ScaleBits = 0;
-  std::memcpy(&ScaleBits, &Opts.Config.Scale, sizeof(ScaleBits));
-
-  char Buf[160];
-  std::snprintf(Buf, sizeof(Buf),
-                "|scale=%016llx|seed=%016llx|heap=%llx",
-                static_cast<unsigned long long>(ScaleBits),
-                static_cast<unsigned long long>(Opts.Config.Seed),
-                static_cast<unsigned long long>(Opts.Config.HeapBytes));
-  std::string Sig = Spec.Name + "|" + algorithmName(Opts.Algo) + Buf;
-
-  // Only the compile-relevant machine facets enter the key (see header
-  // comment), derived through passOptionsFor so the signature can never
-  // drift from what codegen actually consumes: the fill level's line
-  // bytes and the fill-level-derived guarded-load choice. Every other
-  // MachineConfig field — level sizes and hit cycles, TLB geometry and
-  // walk model, hardware-prefetcher kind/enable — shapes timing only,
-  // never the compiled address stream, and must stay out of the key
-  // (pinned by the signature-separation tests). BASELINE never runs the
-  // planner, so its execution is machine-independent.
-  if (Opts.Algo != Algorithm::Baseline) {
-    core::PrefetchPassOptions P = passOptionsFor(
-        Opts.Machine, Opts.Algo == Algorithm::Inter
-                          ? core::PrefetchMode::Inter
-                          : core::PrefetchMode::InterIntra);
-    std::snprintf(Buf, sizeof(Buf), "|line=%u|guard=%d", P.Planner.LineBytes,
-                  P.Planner.GuardedIntraPrefetch ? 1 : 0);
-    Sig += Buf;
-  }
-  if (!Opts.TuneKey.empty())
-    Sig += "|tune=" + Opts.TuneKey;
-  // Epoch / GC-perturbation facets change the access-event stream for
-  // every algorithm (boundary GCs move objects — BASELINE included), so
-  // they key unconditionally; defaults add nothing, keeping classic
-  // signatures untouched.
-  if (Opts.Epochs > 1) {
-    std::snprintf(Buf, sizeof(Buf), "|epochs=%u", Opts.Epochs);
-    Sig += Buf;
-  }
-  if (Opts.GcVariant != vm::GcVariant::SlidingCompact)
-    Sig += std::string("|gc=") + vm::gcVariantName(Opts.GcVariant);
-  if (Opts.PhaseChange)
-    Sig += "|phase=1";
-  return Sig;
 }
 
 double workloads::totalTime(uint64_t CompiledCycles,

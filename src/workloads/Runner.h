@@ -7,10 +7,10 @@
 /// one or more simulated machines, and returns the cycle/miss/compile-time
 /// metrics the paper's figures are drawn from.
 ///
-/// Runs whose execution signatures are equal interpret the same program
-/// over the same heap, so runWorkloadGroup executes such a group once and
-/// fans the access-event stream out to one MemorySystem per member;
-/// runWorkload is the group of one.
+/// Runs whose compiled programs hash equal (programHash) interpret the
+/// same program over the same heap, so runWorkloadGroup executes such a
+/// group once and fans the access-event stream out to one MemorySystem
+/// per member; runWorkload is the group of one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,11 +47,6 @@ struct RunOptions {
   /// Optional hook to adjust the derived pass options (ablation studies:
   /// scheduling distance, guarded loads, inspection iterations, ...).
   std::function<void(core::PrefetchPassOptions &)> TunePass;
-  /// Stable tag describing what TunePass does, so tuned runs can still be
-  /// keyed by execution signature. A run with a TunePass but no TuneKey
-  /// has no signature (executionSignature returns "") and never shares
-  /// its execution.
-  std::string TuneKey;
   /// Wall-clock watchdog for the simulated execution, in seconds; the run
   /// throws support::CellTimeout when exceeded. 0 disables it.
   double TimeoutSeconds = 0.0;
@@ -75,7 +70,7 @@ struct RunOptions {
   /// Online prefetch-health governor: per-site effectiveness tracking is
   /// enabled (sim::MemorySystem::enablePrefetchHealth) and opt::Governor
   /// re-decides each site at every epoch boundary. Governor-on runs never
-  /// share their execution (executionSignature returns "").
+  /// share their execution: their code changes mid-run.
   bool Governor = false;
   opt::GovernorConfig GovernorCfg;
 };
@@ -123,32 +118,54 @@ struct RunResult {
 core::PrefetchPassOptions passOptionsFor(const sim::MachineConfig &M,
                                          core::PrefetchMode Mode);
 
-/// Builds and compiles \p Spec once under the execution options of
-/// \p Members[0], interprets it once, and simulates the event stream on
-/// one MemorySystem per member. Returns one result per member, in
-/// order; each equals runWorkload(Spec, Members[K]) in every simulated
+/// The JIT options a run compiles with: passOptionsFor its machine and
+/// algorithm, adjusted by its TunePass.
+jit::CompileManager::Options compileOptionsFor(const RunOptions &Opts);
+
+/// The identity of the program a built-and-compiled world executes: a
+/// 64-bit hash over the world inputs (workload name, scale bits, seed,
+/// heap bytes), the entry args and every compiled method
+/// (ir::hashMethod). Builds are deterministic and compiling never writes
+/// the heap, so two runs of one WorkloadSpec whose hashes are equal
+/// interpret the same program over the same heap.
+uint64_t programHash(const WorkloadSpec &Spec, const WorkloadConfig &Config,
+                     const BuiltWorkload &W);
+
+/// A run's compile-time results, without the world they were made in.
+struct CompiledProgram {
+  uint64_t Hash = 0; ///< programHash of the compiled world.
+  double JitTotalUs = 0;
+  double JitPrefetchUs = 0;
+  core::PrefetchPassResult Prefetch;
+  std::vector<obs::DecisionEvent> Decisions;
+};
+
+/// Builds \p Spec and JIT-compiles it exactly as runWorkload(Spec, Opts)
+/// would, recording its decisions when observability is on; hashes the
+/// result and drops the world.
+CompiledProgram compileProgram(const WorkloadSpec &Spec,
+                               const RunOptions &Opts);
+
+/// Builds and compiles \p Spec once under the options of \p Members[0],
+/// interprets it once, and simulates the event stream on one
+/// MemorySystem per member. Returns one result per member, in order;
+/// each equals runWorkload(Spec, Members[K]) in every simulated
 /// statistic. Members after the first come back with Replayed set.
-/// Precondition: every member has Members[0]'s non-empty
-/// executionSignature, or the group has exactly one member.
-std::vector<RunResult> runWorkloadGroup(const WorkloadSpec &Spec,
-                                        std::span<const RunOptions> Members);
+/// Precondition: every member compiles to Members[0]'s program (equal
+/// compileProgram hashes) with its Epochs, GcVariant and PhaseChange, or
+/// the group has exactly one member.
+///
+/// \p Compiled, when not empty, holds each member's own compileProgram
+/// result: the group then compiles without recording decisions and
+/// reports Compiled[K]'s JIT times, pass result and decisions for member
+/// K, so a BASELINE member sharing an INTER program still reports its own
+/// (empty) prefetch pass.
+std::vector<RunResult>
+runWorkloadGroup(const WorkloadSpec &Spec, std::span<const RunOptions> Members,
+                 std::vector<CompiledProgram> Compiled = {});
 
 /// Builds, compiles, and runs \p Spec under \p Opts: the group of one.
 RunResult runWorkload(const WorkloadSpec &Spec, const RunOptions &Opts);
-
-/// The *execution signature* of a run: everything its access-event
-/// stream depends on. Two runs with equal signatures interpret the same
-/// program over the same heap and emit bit-identical event streams, so
-/// one execution serves both (runWorkloadGroup). The signature deliberately includes
-/// only the compile-relevant machine facets — PlannerOptions::LineBytes
-/// and the prefetch-fill level (as GuardedIntraPrefetch) — because those
-/// are all the planner reads from the machine; cache sizes, latencies,
-/// and DTLB geometry shape timing, never the address stream. BASELINE
-/// runs never invoke the planner, so their signature has no machine
-/// facet at all and one baseline execution serves every machine.
-/// Returns "" for runs that cannot be keyed (TunePass without TuneKey).
-std::string executionSignature(const WorkloadSpec &Spec,
-                               const RunOptions &Opts);
 
 /// Mixed-mode total-time model: compiled cycles plus the (configuration-
 /// independent) uncompiled time derived from the baseline run and the

@@ -1,19 +1,23 @@
 //===- tests/fanout_test.cpp - Shared executions ---------------------------===//
 //
-// Execution sharing's contract, bottom to top: the execution signature
-// keys exactly what an access-event stream depends on, and a group of
-// runs with one signature, interpreted once by runWorkloadGroup and fanned
-// out to one MemorySystem per member, gives every member the result of a
-// solo runWorkload on its machine, bit for bit — across epoch boundaries
-// too.
+// Execution sharing's contract, bottom to top: the program hash keys
+// exactly the compiled program (equal hashes <=> equal printed IR), and a
+// group of runs with one program, interpreted once by runWorkloadGroup
+// and fanned out to one MemorySystem per member, gives every member the
+// result of a solo runWorkload on its machine, bit for bit — across
+// epoch boundaries too.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ir/IRPrinter.h"
 #include "sim/CountingSink.h"
 #include "workloads/Runner.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <sstream>
 
 using namespace spf;
 
@@ -59,102 +63,103 @@ TEST(CountingSinkTest, CountsEveryCall) {
                 Counts.GuardedLoadFaults);
 }
 
-// -- Execution signatures ---------------------------------------------------
+// -- Program hashes -----------------------------------------------------------
 
-TEST(ExecutionSignatureTest, BaselineIsMachineIndependent) {
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("jess");
-  ASSERT_NE(Spec, nullptr);
-  workloads::RunOptions P4, Athlon;
-  P4.Machine = machine("pentium4");
-  Athlon.Machine = machine("athlonmp");
-  P4.Config = Athlon.Config = tinyConfig();
-
-  // BASELINE never runs the planner: one execution serves every machine.
-  EXPECT_EQ(workloads::executionSignature(*Spec, P4),
-            workloads::executionSignature(*Spec, Athlon));
-
-  // The prefetch algorithms read LineBytes / the guarded-load choice, so
-  // the two machines (L2/128B/guarded vs L1/64B/unguarded) key apart.
-  P4.Algo = Athlon.Algo = workloads::Algorithm::InterIntra;
-  EXPECT_NE(workloads::executionSignature(*Spec, P4),
-            workloads::executionSignature(*Spec, Athlon));
-
-  // Different algorithm, different signature.
-  workloads::RunOptions Inter = P4;
-  Inter.Algo = workloads::Algorithm::Inter;
-  EXPECT_NE(workloads::executionSignature(*Spec, P4),
-            workloads::executionSignature(*Spec, Inter));
-
-  // Different scale, different signature.
-  workloads::RunOptions Scaled = P4;
-  Scaled.Config.Scale = 0.1;
-  EXPECT_NE(workloads::executionSignature(*Spec, P4),
-            workloads::executionSignature(*Spec, Scaled));
+/// The printed form of everything programHash covers: the world inputs,
+/// the entry args and every compiled method.
+std::string printedProgram(const workloads::WorkloadSpec &Spec,
+                           const workloads::WorkloadConfig &Cfg,
+                           const workloads::BuiltWorkload &W) {
+  std::ostringstream OS;
+  OS << Spec.Name << " scale=" << Cfg.Scale << " seed=" << Cfg.Seed
+     << " heap=" << Cfg.HeapBytes << " args=";
+  for (uint64_t A : W.EntryArgs)
+    OS << A << ",";
+  OS << "\n";
+  for (const workloads::CompileUnit &CU : W.CompileUnits)
+    ir::printMethod(OS, CU.M);
+  return OS.str();
 }
 
-TEST(ExecutionSignatureTest, TunedRunsNeedAStableKey) {
+TEST(ProgramHashTest, EqualHashesMeanEqualPrinterText) {
+  // Every Figures 6-10 cell (12 workloads x 3 algorithms x P4/Athlon),
+  // then the INTER+INTRA cells of the workloads that prefetch at this
+  // scale again at scheduling distances 2 and 4: code that differs only
+  // in prefetch displacements.
+  std::vector<std::pair<uint64_t, std::string>> Programs;
+  auto Add = [&Programs](const workloads::WorkloadSpec &Spec,
+                         const workloads::RunOptions &Opt) {
+    workloads::BuiltWorkload W = Spec.Build(Opt.Config);
+    jit::CompileManager Jit(*W.Heap, workloads::compileOptionsFor(Opt));
+    for (const workloads::CompileUnit &CU : W.CompileUnits)
+      Jit.compile(CU.M, CU.Args);
+    uint64_t Hash = workloads::programHash(Spec, Opt.Config, W);
+    Programs.emplace_back(Hash, printedProgram(Spec, Opt.Config, W));
+    // compileProgram is the same build + compile + hash.
+    EXPECT_EQ(workloads::compileProgram(Spec, Opt).Hash, Hash)
+        << Spec.Name << " " << Opt.Machine.Name << " "
+        << workloads::algorithmName(Opt.Algo);
+  };
+  for (const char *M : {"pentium4", "athlonmp"})
+    for (const workloads::WorkloadSpec &Spec : workloads::allWorkloads())
+      for (workloads::Algorithm A :
+           {workloads::Algorithm::Baseline, workloads::Algorithm::Inter,
+            workloads::Algorithm::InterIntra}) {
+        workloads::RunOptions Opt;
+        Opt.Machine = machine(M);
+        Opt.Algo = A;
+        Opt.Config = tinyConfig();
+        Add(Spec, Opt);
+      }
+  ASSERT_EQ(Programs.size(), 72u);
+  for (const char *M : {"pentium4", "athlonmp"})
+    for (const char *Name : {"jess", "db", "RayTracer"})
+      for (unsigned D : {2u, 4u}) {
+        workloads::RunOptions Opt;
+        Opt.Machine = machine(M);
+        Opt.Algo = workloads::Algorithm::InterIntra;
+        Opt.Config = tinyConfig();
+        Opt.TunePass = [D](core::PrefetchPassOptions &P) {
+          P.Planner.ScheduleDistance = D;
+        };
+        Add(*workloads::findWorkload(Name), Opt);
+      }
+
+  std::set<uint64_t> Hashes;
+  std::set<std::string> Texts;
+  for (size_t I = 0; I != Programs.size(); ++I) {
+    Hashes.insert(Programs[I].first);
+    Texts.insert(Programs[I].second);
+    for (size_t J = 0; J != I; ++J)
+      EXPECT_EQ(Programs[I].first == Programs[J].first,
+                Programs[I].second == Programs[J].second)
+          << "cells " << J << " and " << I;
+  }
+  // Fewer programs than cells (the pass often inserts nothing), more
+  // than one per workload (it often does), and new code at every
+  // distance.
+  EXPECT_EQ(Hashes.size(), Texts.size());
+  EXPECT_EQ(Hashes.size(), 22u + 12u);
+}
+
+TEST(ProgramHashTest, HashMovesWithWorldInputsAndPrintedIR) {
+  // The world inputs and the printed IR both key the hash: a new seed or
+  // a renamed value moves it.
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
   ASSERT_NE(Spec, nullptr);
-  workloads::RunOptions Opt;
-  Opt.Config = tinyConfig();
-  Opt.TunePass = [](core::PrefetchPassOptions &P) {
-    P.Planner.ScheduleDistance = 4;
-  };
-  // An arbitrary mutation cannot be keyed...
-  EXPECT_EQ(workloads::executionSignature(*Spec, Opt), "");
-  // ...until the caller names it.
-  Opt.TuneKey = "dist=4";
-  std::string Sig = workloads::executionSignature(*Spec, Opt);
-  EXPECT_NE(Sig, "");
-  EXPECT_NE(Sig.find("tune=dist=4"), std::string::npos);
-}
+  workloads::WorkloadConfig Cfg = tinyConfig();
+  workloads::BuiltWorkload W = Spec->Build(Cfg);
+  const uint64_t Base = workloads::programHash(*Spec, Cfg, W);
+  EXPECT_EQ(workloads::programHash(*Spec, Cfg, W), Base); // Stable.
 
-TEST(ExecutionSignatureTest, EpochAndGcFacetsKeyApart) {
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("jess");
-  ASSERT_NE(Spec, nullptr);
-  workloads::RunOptions Classic;
-  Classic.Config = tinyConfig();
-  std::string Base = workloads::executionSignature(*Spec, Classic);
-  ASSERT_NE(Base, "");
+  workloads::WorkloadConfig Reseeded = Cfg;
+  ++Reseeded.Seed;
+  EXPECT_NE(workloads::programHash(*Spec, Reseeded, W), Base);
 
-  // Defaults (1 epoch, sliding-compact, no phase change) add no facet.
-  workloads::RunOptions Defaults = Classic;
-  Defaults.Epochs = 1;
-  Defaults.GcVariant = vm::GcVariant::SlidingCompact;
-  EXPECT_EQ(workloads::executionSignature(*Spec, Defaults), Base);
-
-  // Every adaptation facet keys its own execution — including for
-  // BASELINE, whose memory behavior changes with the boundary
-  // collections too.
-  workloads::RunOptions Epochs = Classic;
-  Epochs.Epochs = 4;
-  std::string EpochSig = workloads::executionSignature(*Spec, Epochs);
-  EXPECT_NE(EpochSig, Base);
-  EXPECT_NE(EpochSig.find("epochs=4"), std::string::npos);
-
-  workloads::RunOptions Variant = Epochs;
-  Variant.GcVariant = vm::GcVariant::AddressShuffle;
-  std::string VariantSig = workloads::executionSignature(*Spec, Variant);
-  EXPECT_NE(VariantSig, EpochSig);
-  EXPECT_NE(VariantSig.find("gc=address-shuffle"), std::string::npos);
-
-  workloads::RunOptions Phase = Variant;
-  Phase.PhaseChange = true;
-  EXPECT_NE(workloads::executionSignature(*Spec, Phase), VariantSig);
-}
-
-TEST(ExecutionSignatureTest, GovernedRunsAreNeverKeyed) {
-  // Governor re-decisions depend on observed machine timing, so a
-  // governed execution can never serve another machine: like an unnamed
-  // TunePass mutation it gets the empty (unkeyable) signature and always
-  // runs alone.
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("jess");
-  ASSERT_NE(Spec, nullptr);
-  workloads::RunOptions Opt;
-  Opt.Config = tinyConfig();
-  Opt.Epochs = 4;
-  Opt.Governor = true;
-  EXPECT_EQ(workloads::executionSignature(*Spec, Opt), "");
+  ir::Method *M = W.CompileUnits.front().M;
+  ir::BasicBlock *BB = M->blocks().back().get();
+  BB->front()->setName(BB->front()->name() + "x");
+  EXPECT_NE(workloads::programHash(*Spec, Cfg, W), Base);
 }
 
 // -- Differential: a shared execution == solo runs ---------------------------
@@ -166,10 +171,9 @@ void expectGroupMatchesSoloRuns(
     const workloads::WorkloadSpec &Spec,
     const std::vector<workloads::RunOptions> &Members,
     std::vector<workloads::RunResult> *Out = nullptr) {
-  const std::string Sig = workloads::executionSignature(Spec, Members[0]);
-  ASSERT_NE(Sig, "") << Spec.Name;
+  const uint64_t Hash = workloads::compileProgram(Spec, Members[0]).Hash;
   for (const workloads::RunOptions &M : Members)
-    ASSERT_EQ(workloads::executionSignature(Spec, M), Sig) << Spec.Name;
+    ASSERT_EQ(workloads::compileProgram(Spec, M).Hash, Hash) << Spec.Name;
 
   std::vector<workloads::RunResult> Group =
       workloads::runWorkloadGroup(Spec, Members);
@@ -210,10 +214,9 @@ TEST(FanOutTest, BaselineGroupsMatchSoloRunsForEveryWorkload) {
 }
 
 TEST(FanOutTest, InterIntraGroupMatchesSoloRuns) {
-  // INTER+INTRA compiles for the software-prefetch fill line, so only
-  // machines that agree on it share: the Athlon MP and Modern3L both
-  // fill the 64-byte L1, and the hardware prefetcher never enters the
-  // signature.
+  // INTER+INTRA compiles for the software-prefetch fill line: the Athlon
+  // MP and Modern3L both fill the 64-byte L1, and the hardware prefetcher
+  // never reaches the compiler, so all three compile to one program.
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
   ASSERT_NE(Spec, nullptr);
   std::vector<workloads::RunOptions> Members(3);

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <set>
@@ -269,32 +270,175 @@ ExperimentPlan figuresPlan() {
   return Plan;
 }
 
-TEST(RunPlanSharingTest, FiguresPlanSharesOneExecutionPerSignature) {
+TEST(RunPlanSharingTest, FiguresPlanMatchesSoloRunsOnEveryCell) {
   ExperimentPlan Plan = figuresPlan();
   ASSERT_EQ(Plan.size(), 72u);
-  std::set<std::string> Signatures;
-  for (const ExperimentCell &C : Plan.cells())
-    Signatures.insert(executionSignature(*C.Spec, C.Opt));
-  // BASELINE is machine-independent; INTER and INTER+INTRA compile for
-  // each machine's fill line, so only the 12 BASELINE pairs share.
-  ASSERT_EQ(Signatures.size(), 60u);
+
+  // A cell shares iff an earlier cell of its workload compiled to the same
+  // program; at this scale the 72 cells compile to 22 programs.
+  std::vector<uint64_t> Hashes;
+  std::vector<RunResult> Solo;
+  for (const ExperimentCell &C : Plan.cells()) {
+    Hashes.push_back(compileProgram(*C.Spec, C.Opt).Hash);
+    Solo.push_back(runWorkload(*C.Spec, C.Opt));
+  }
+  ASSERT_EQ(std::set<uint64_t>(Hashes.begin(), Hashes.end()).size(), 22u);
 
   for (unsigned Jobs : {1u, 8u}) {
     ExperimentResult R = runPlan(Plan, Jobs);
     EXPECT_TRUE(R.ok()) << (R.Failures.empty() ? "" : R.Failures[0]);
-    unsigned Replayed = 0;
+    unsigned Interpreted = 0;
     for (unsigned I = 0; I != Plan.size(); ++I) {
-      const ExperimentCell &C = Plan.cells()[I];
-      ASSERT_TRUE(R.Cells[I].Ran) << I;
-      Replayed += R.run(I).Replayed;
-      // The follower of each pair is the Athlon MP's BASELINE cell.
-      EXPECT_EQ(R.run(I).Replayed, C.Group == "athlonmp" &&
-                                       C.Opt.Algo == Algorithm::Baseline)
-          << I << " jobs " << Jobs;
-      EXPECT_EQ(R.run(I).InterpretUs == 0, R.run(I).Replayed) << I;
+      const RunResult &G = R.run(I);
+      const RunResult &S = Solo[I];
+      std::string Tag = Plan.cells()[I].Spec->Name + " cell " +
+                        std::to_string(I) + " jobs " + std::to_string(Jobs);
+      ASSERT_TRUE(R.Cells[I].Ran) << Tag;
+      bool Follows = std::find(Hashes.begin(), Hashes.begin() + I,
+                               Hashes[I]) != Hashes.begin() + I;
+      EXPECT_EQ(G.Replayed, Follows) << Tag;
+      EXPECT_EQ(G.InterpretUs == 0, G.Replayed) << Tag;
+      Interpreted += !G.Replayed;
+      EXPECT_EQ(G.Mem, S.Mem) << Tag;
+      EXPECT_EQ(G.Acct, S.Acct) << Tag;
+      EXPECT_EQ(G.Sites, S.Sites) << Tag;
+      EXPECT_EQ(G.CompiledCycles, S.CompiledCycles) << Tag;
+      EXPECT_EQ(G.Retired, S.Retired) << Tag;
+      EXPECT_EQ(G.ReturnValue, S.ReturnValue) << Tag;
+      EXPECT_EQ(G.Prefetch.CodeGen.Prefetches, S.Prefetch.CodeGen.Prefetches)
+          << Tag;
+      EXPECT_EQ(G.Prefetch.CodeGen.SpecLoads, S.Prefetch.CodeGen.SpecLoads)
+          << Tag;
+      EXPECT_EQ(G.Prefetch.LoopsVisited, S.Prefetch.LoopsVisited) << Tag;
     }
-    EXPECT_EQ(Replayed, Plan.size() - Signatures.size()) << "jobs " << Jobs;
+    EXPECT_EQ(Interpreted, 22u) << "jobs " << Jobs;
   }
+}
+
+TEST(RunPlanSharingTest, BaselineSharingAnInterProgramKeepsItsOwnCompile) {
+  // db's INTER pass visits loops but inserts nothing at this scale, so
+  // INTER and BASELINE compile to one program. INTER leads, so the shared
+  // execution compiles with the pass on; the BASELINE follower must still
+  // report its own compile: no pass time, no loops, no decisions.
+  const WorkloadSpec *Db = findWorkload("db");
+  ExperimentPlan Plan;
+  Plan.addSweep({Db}, {Algorithm::Inter, Algorithm::Baseline},
+                {*sim::MachineConfig::byName("pentium4")}, tinyConfig(),
+                "own-compile");
+  ASSERT_EQ(compileProgram(*Db, Plan.cells()[0].Opt).Hash,
+            compileProgram(*Db, Plan.cells()[1].Opt).Hash);
+
+  ExperimentResult R = runPlan(Plan, 1);
+  ASSERT_TRUE(R.ok()) << R.Failures[0];
+  const RunResult &Inter = R.run(0);
+  const RunResult &Base = R.run(1);
+  ASSERT_FALSE(Inter.Replayed);
+  ASSERT_TRUE(Base.Replayed);
+
+  RunResult SoloInter = runWorkload(*Db, Plan.cells()[0].Opt);
+  EXPECT_GT(Inter.Prefetch.LoopsVisited, 0u);
+  EXPECT_EQ(Inter.Prefetch.LoopsVisited, SoloInter.Prefetch.LoopsVisited);
+  EXPECT_GT(Inter.JitPrefetchUs, 0);
+  EXPECT_EQ(Inter.Decisions.size(), SoloInter.Decisions.size());
+
+  EXPECT_EQ(Base.JitPrefetchUs, 0);
+  EXPECT_GT(Base.JitTotalUs, 0);
+  EXPECT_EQ(Base.Prefetch.LoopsVisited, 0u);
+  EXPECT_EQ(Base.Prefetch.CodeGen.Prefetches, 0u);
+  EXPECT_EQ(Base.Prefetch.CodeGen.SpecLoads, 0u);
+  EXPECT_TRUE(Base.Decisions.empty());
+  // The simulated side is the shared execution's, on BASELINE's machine.
+  EXPECT_EQ(Base.Mem, runWorkload(*Db, Plan.cells()[1].Opt).Mem);
+}
+
+TEST(RunPlanSharingTest, TunedCellSharesExactlyWhenItsCodeIsUnchanged) {
+  // A TunePass cell has no name to key it by: it shares when, and only
+  // when, the tuning leaves its compiled program unchanged. db's
+  // INTER+INTRA inserts prefetches at this scale, so a longer scheduling
+  // distance moves their displacements; compress's inserts none, so the
+  // same tuning changes nothing there.
+  auto Distance = [](unsigned D) {
+    return [D](core::PrefetchPassOptions &P) {
+      P.Planner.ScheduleDistance = D;
+    };
+  };
+  ExperimentPlan Plan;
+  for (const char *Name : {"db", "compress"}) {
+    for (unsigned D : {0u, 1u, 4u}) {
+      ExperimentCell C;
+      C.Group = Name;
+      C.Spec = findWorkload(Name);
+      C.Opt.Algo = Algorithm::InterIntra;
+      C.Opt.Config = tinyConfig();
+      if (D)
+        C.Opt.TunePass = Distance(D); // 1 is the default: a no-op.
+      Plan.add(std::move(C));
+    }
+  }
+  std::vector<uint64_t> Hashes;
+  for (const ExperimentCell &C : Plan.cells())
+    Hashes.push_back(compileProgram(*C.Spec, C.Opt).Hash);
+  // The hash first: db's distance-4 code differs, everything else not.
+  EXPECT_EQ(Hashes[1], Hashes[0]);
+  EXPECT_NE(Hashes[2], Hashes[0]);
+  EXPECT_EQ(Hashes[4], Hashes[3]);
+  EXPECT_EQ(Hashes[5], Hashes[3]);
+
+  ExperimentResult R = runPlan(Plan, 2);
+  ASSERT_TRUE(R.ok()) << R.Failures[0];
+  const bool WantReplayed[] = {false, true, false, false, true, true};
+  for (unsigned I = 0; I != Plan.size(); ++I) {
+    EXPECT_EQ(R.run(I).Replayed, WantReplayed[I]) << I;
+    RunResult Solo = runWorkload(*Plan.cells()[I].Spec, Plan.cells()[I].Opt);
+    EXPECT_EQ(R.run(I).Mem, Solo.Mem) << I;
+    EXPECT_EQ(R.run(I).Sites, Solo.Sites) << I;
+  }
+}
+
+TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
+  // One program throughout (jess BASELINE), so only the run facets decide:
+  // cells share only with cells of equal epochs, GC variant and phase
+  // change, and a governed cell (its code changes mid-run) never shares.
+  const sim::MachineConfig P4 = *sim::MachineConfig::byName("pentium4");
+  const sim::MachineConfig Athlon = *sim::MachineConfig::byName("athlonmp");
+  struct Facets {
+    const sim::MachineConfig *M;
+    unsigned Epochs;
+    vm::GcVariant Gc;
+    bool Phase;
+    bool Governor;
+    bool WantReplayed;
+  };
+  const vm::GcVariant Compact = vm::GcVariant::SlidingCompact;
+  const vm::GcVariant MarkSweep = vm::GcVariant::MarkSweep;
+  const Facets Cells[] = {
+      {&P4, 1, Compact, false, false, false},
+      {&Athlon, 1, Compact, false, false, true},
+      {&P4, 3, Compact, false, false, false},
+      {&P4, 3, MarkSweep, false, false, false},
+      {&P4, 3, MarkSweep, true, false, false},
+      {&Athlon, 3, MarkSweep, true, false, true},
+      {&P4, 3, Compact, false, true, false},
+      {&Athlon, 3, Compact, false, true, false},
+  };
+  ExperimentPlan Plan;
+  for (const Facets &F : Cells) {
+    ExperimentCell C;
+    C.Spec = findWorkload("jess");
+    C.Opt.Machine = *F.M;
+    C.Opt.Config = tinyConfig();
+    C.Opt.Epochs = F.Epochs;
+    C.Opt.GcVariant = F.Gc;
+    C.Opt.PhaseChange = F.Phase;
+    C.Opt.Governor = F.Governor;
+    Plan.add(std::move(C));
+  }
+  ExperimentResult R = runPlan(Plan, 1);
+  ASSERT_TRUE(R.ok()) << R.Failures[0];
+  for (unsigned I = 0; I != Plan.size(); ++I)
+    EXPECT_EQ(R.run(I).Replayed, Cells[I].WantReplayed) << I;
+  EXPECT_EQ(R.run(5).Mem, runWorkload(*Plan.cells()[5].Spec,
+                                      Plan.cells()[5].Opt).Mem);
 }
 
 TEST(RunPlanSharingTest, ExecutionFaultSiteDisablesSharing) {

@@ -2,16 +2,13 @@
 ///
 /// Covers the data-driven machine layer: the Baer-Chen RPT confidence
 /// FSM, the builtin registry and its JSON machine-file round trip,
-/// validate() diagnostics, the modeled page-table walk, and the
-/// execution-signature separation contract (compile-relevant machine
-/// facets key shared executions; timing-only facets must not).
+/// validate() diagnostics and the modeled page-table walk.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "sim/MachineConfig.h"
 #include "sim/MemorySystem.h"
 #include "sim/RptPrefetcher.h"
-#include "workloads/Runner.h"
 
 #include <gtest/gtest.h>
 
@@ -318,64 +315,6 @@ TEST(MachineFileTest, CommittedMachineFilesMatchTheBuiltins) {
     ASSERT_TRUE(C.has_value()) << P.File << ": " << Err;
     EXPECT_EQ(*C, P.Builtin) << P.File;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Execution-signature separation (the execution-sharing key contract)
-// ---------------------------------------------------------------------------
-
-std::string sig(const MachineConfig &M, workloads::Algorithm Algo) {
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("jess");
-  workloads::RunOptions Opts;
-  Opts.Machine = M;
-  Opts.Algo = Algo;
-  return workloads::executionSignature(*Spec, Opts);
-}
-
-TEST(SignatureTest, BaselineIsMachineIndependent) {
-  // No compilation facet: one baseline execution serves every machine.
-  EXPECT_EQ(sig(MachineConfig::pentium4(), workloads::Algorithm::Baseline),
-            sig(MachineConfig::modern3(), workloads::Algorithm::Baseline));
-}
-
-TEST(SignatureTest, CompileRelevantFacetsNeverShareAnExecution) {
-  // The planner's line size comes from the sw-fill level's geometry.
-  MachineConfig A = MachineConfig::athlonMP();
-  MachineConfig WideLine = A;
-  WideLine.Levels[0].Geometry.LineBytes = 128;
-  WideLine.Levels[1].Geometry.LineBytes = 128;
-  EXPECT_NE(sig(A, workloads::Algorithm::InterIntra),
-            sig(WideLine, workloads::Algorithm::InterIntra));
-
-  // Guarded intra-iteration prefetching is compiled in only when the
-  // fill level is below the L1 — same line size, different code.
-  MachineConfig L2Fill = A; // Athlon L1/L2 lines are both 64B.
-  L2Fill.SwFillLevel = 1;
-  ASSERT_EQ(A.swFillLineBytes(), L2Fill.swFillLineBytes());
-  EXPECT_NE(sig(A, workloads::Algorithm::InterIntra),
-            sig(L2Fill, workloads::Algorithm::InterIntra));
-}
-
-TEST(SignatureTest, TimingOnlyFacetsShareTheExecution) {
-  // Everything the compiler cannot see must NOT key the signature:
-  // level sizes and hit penalties, the TLB model, the hardware
-  // prefetcher. One execution serves all of them.
-  MachineConfig M = MachineConfig::modern3();
-  std::string Base = sig(M, workloads::Algorithm::InterIntra);
-
-  MachineConfig Timing = M;
-  Timing.Name = "Modern3L-detuned";
-  Timing.MemPenalty += 100;
-  Timing.Levels[1].HitCycles += 7;
-  Timing.Levels[2].Geometry.SizeBytes *= 2;
-  Timing.Walk = TlbWalk::Flat;
-  Timing.TlbEntries = 16;
-  Timing.HwPrefetch = HwPrefetchKind::Stream;
-  EXPECT_EQ(sig(Timing, workloads::Algorithm::InterIntra), Base);
-
-  MachineConfig HwOff = M;
-  HwOff.HwPrefetchEnabled = false; // The per-cell experiment facet.
-  EXPECT_EQ(sig(HwOff, workloads::Algorithm::InterIntra), Base);
 }
 
 // ---------------------------------------------------------------------------
