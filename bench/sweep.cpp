@@ -133,7 +133,8 @@ void printSpeedups(const char *Title,
 /// and which cells shared another cell's execution.
 void printCellTimings(const harness::ExperimentPlan &Plan,
                       const harness::ExperimentResult &Result) {
-  std::printf("\nPer-cell wall clock (one execution per compiled program)\n");
+  std::printf("\nPer-cell wall clock (one execution per compiled program, "
+              "one simulation per machine)\n");
   std::printf("%-12s %-9s %-12s %12s\n", "benchmark", "machine",
               "algorithm", "interpret_us");
   unsigned Shared = 0;

@@ -5,11 +5,11 @@
 /// (workloads x algorithms x machine configs x scale) expands into
 /// independent cells. Cells that compile to the same program (BASELINE on
 /// two machines, or INTER where the pass inserts nothing, say) form one
-/// group that interprets once and feeds one MemorySystem per cell
-/// (workloads::runWorkloadGroup); every group owns a private Heap /
-/// Interpreter. Groups run concurrently on a fixed-size ThreadPool and
-/// results are aggregated deterministically in plan order, so they are
-/// bit-identical to a serial run regardless of the worker count (see
+/// group that interprets once and feeds one MemorySystem per distinct
+/// machine (workloads::runWorkloadGroup); every group owns a private
+/// Heap / Interpreter. Groups run concurrently on a fixed-size ThreadPool
+/// and results are aggregated deterministically in plan order, so they
+/// are bit-identical to a serial run regardless of the worker count (see
 /// tests/harness_test.cpp).
 ///
 /// Correctness checking is part of the driver: a cell whose workload

@@ -25,10 +25,11 @@ double elapsedUs(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Forwards every event to each member's MemorySystem, in member order:
-/// the fan-out of one shared execution. Every member sees exactly the
-/// stream a solo run would have given it (AccessSink's write-only
-/// contract). MemorySystem is final, so each forward is a direct call.
+/// Forwards every event to each distinct machine's MemorySystem, in
+/// first-member order: the fan-out of one shared execution. Every machine
+/// sees exactly the stream a solo run would have given it (AccessSink's
+/// write-only contract). MemorySystem is final, so each forward is a
+/// direct call.
 class FanOutSink final : public exec::AccessSink {
 public:
   explicit FanOutSink(std::vector<sim::MemorySystem *> Sims)
@@ -199,12 +200,22 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   obs::DecisionLog Log;
   compileUnits(Jit, W, Compiled.empty() ? &Log : nullptr);
 
-  // Execute once, simulating on every member's machine. A deque keeps
-  // each MemorySystem at a fixed address for the fan-out sink.
+  // Execute once, simulating once per distinct machine: a MemorySystem is
+  // a function of its MachineConfig and its events, so members on equal
+  // machines share one. A deque keeps each MemorySystem at a fixed
+  // address for the fan-out sink.
   std::deque<sim::MemorySystem> Sims;
   std::vector<sim::MemorySystem *> Ptrs;
-  for (const RunOptions &M : Members)
-    Ptrs.push_back(&Sims.emplace_back(M.Machine));
+  std::vector<size_t> SimOf; // Member -> index into Sims.
+  for (const RunOptions &M : Members) {
+    size_t I = 0;
+    while (I != Sims.size() && !(Sims[I].config() == M.Machine))
+      ++I;
+    if (I == Sims.size())
+      Ptrs.push_back(&Sims.emplace_back(M.Machine));
+    SimOf.push_back(I);
+  }
+  RunSpan.noteU64("simulators", Sims.size());
   std::optional<FanOutSink> FanOut;
   exec::AccessSink *Sink = Ptrs.front();
   if (Ptrs.size() > 1)
@@ -317,8 +328,8 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   // One result per member: the shared execution side plus the member's
   // own machine statistics.
   std::vector<RunResult> Results;
-  for (size_t K = 0; K != Sims.size(); ++K) {
-    const sim::MemorySystem &S = Sims[K];
+  for (size_t K = 0; K != Members.size(); ++K) {
+    const sim::MemorySystem &S = Sims[SimOf[K]];
     RunResult &R = Results.emplace_back(Result);
     if (K) {
       R.Replayed = true;

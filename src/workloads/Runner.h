@@ -10,7 +10,8 @@
 /// Runs whose compiled programs hash equal (programHash) interpret the
 /// same program over the same heap, so runWorkloadGroup executes such a
 /// group once and fans the access-event stream out to one MemorySystem
-/// per member; runWorkload is the group of one.
+/// per distinct machine; members on one machine share its statistics.
+/// runWorkload is the group of one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,8 +100,8 @@ struct RunResult {
   /// Statistics from a shared execution: an earlier member of this run's
   /// group did the interpreting (see runWorkloadGroup).
   bool Replayed = false;
-  /// Wall time of the interpretation, simulation of every member
-  /// included (0 when Replayed).
+  /// Wall time of the interpretation, the simulation on every distinct
+  /// machine of the group included (0 when Replayed).
   double InterpretUs = 0;
 
   // Epoch/governor accounting (all zero for classic single-epoch runs):
@@ -148,9 +149,12 @@ CompiledProgram compileProgram(const WorkloadSpec &Spec,
 
 /// Builds and compiles \p Spec once under the options of \p Members[0],
 /// interprets it once, and simulates the event stream on one
-/// MemorySystem per member. Returns one result per member, in order;
-/// each equals runWorkload(Spec, Members[K]) in every simulated
-/// statistic. Members after the first come back with Replayed set.
+/// MemorySystem per distinct machine (MachineConfig::operator==, in
+/// first-member order; a single machine is driven directly, without a
+/// fan-out). Returns one result per member, in order, with its machine's
+/// statistics; each equals runWorkload(Spec, Members[K]) in every
+/// simulated statistic. Members after the first come back with Replayed
+/// set.
 /// Precondition: every member compiles to Members[0]'s program (equal
 /// compileProgram hashes) with its Epochs, GcVariant and PhaseChange, or
 /// the group has exactly one member.

@@ -3,19 +3,22 @@
 // Execution sharing's contract, bottom to top: the program hash keys
 // exactly the compiled program (equal hashes <=> equal printed IR), and a
 // group of runs with one program, interpreted once by runWorkloadGroup
-// and fanned out to one MemorySystem per member, gives every member the
-// result of a solo runWorkload on its machine, bit for bit — across
-// epoch boundaries too.
+// and fanned out to one MemorySystem per distinct machine, gives every
+// member the result of a solo runWorkload on its machine, bit for bit —
+// across epoch boundaries too.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRPrinter.h"
+#include "obs/Tracer.h"
 #include "sim/CountingSink.h"
 #include "workloads/Runner.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -165,19 +168,35 @@ TEST(ProgramHashTest, HashMovesWithWorldInputsAndPrintedIR) {
 // -- Differential: a shared execution == solo runs ---------------------------
 
 /// Runs \p Members as one group and each member alone, and checks that
-/// every member's grouped result equals its solo result. The grouped
-/// results go to \p Out when it is non-null.
+/// every member's grouped result equals its solo result, and that the
+/// group's traced run-workload span simulated \p Simulators machines.
+/// The grouped results go to \p Out when it is non-null.
 void expectGroupMatchesSoloRuns(
     const workloads::WorkloadSpec &Spec,
-    const std::vector<workloads::RunOptions> &Members,
+    const std::vector<workloads::RunOptions> &Members, size_t Simulators,
     std::vector<workloads::RunResult> *Out = nullptr) {
   const uint64_t Hash = workloads::compileProgram(Spec, Members[0]).Hash;
   for (const workloads::RunOptions &M : Members)
     ASSERT_EQ(workloads::compileProgram(Spec, M).Hash, Hash) << Spec.Name;
 
+  obs::Tracer &T = obs::Tracer::instance();
+  T.drain();
+  T.enable();
   std::vector<workloads::RunResult> Group =
       workloads::runWorkloadGroup(Spec, Members);
+  T.disable();
   ASSERT_EQ(Group.size(), Members.size()) << Spec.Name;
+  if (obs::compiledIn()) {
+    std::vector<obs::TraceEvent> Evs = T.drain();
+    auto Run = std::find_if(Evs.begin(), Evs.end(), [](const auto &E) {
+      return E.Name == "run-workload";
+    });
+    ASSERT_NE(Run, Evs.end()) << Spec.Name;
+    std::map<std::string, std::string> Args(Run->Args.begin(),
+                                            Run->Args.end());
+    EXPECT_EQ(Args["members"], std::to_string(Members.size())) << Spec.Name;
+    EXPECT_EQ(Args["simulators"], std::to_string(Simulators)) << Spec.Name;
+  }
   for (size_t K = 0; K != Members.size(); ++K) {
     const workloads::RunResult Solo = workloads::runWorkload(Spec, Members[K]);
     const workloads::RunResult &G = Group[K];
@@ -209,14 +228,15 @@ TEST(FanOutTest, BaselineGroupsMatchSoloRunsForEveryWorkload) {
       Members[K].Machine = machine(Names[K]);
       Members[K].Config = tinyConfig();
     }
-    expectGroupMatchesSoloRuns(Spec, Members);
+    expectGroupMatchesSoloRuns(Spec, Members, 3);
   }
 }
 
 TEST(FanOutTest, InterIntraGroupMatchesSoloRuns) {
   // INTER+INTRA compiles for the software-prefetch fill line: the Athlon
   // MP and Modern3L both fill the 64-byte L1, and the hardware prefetcher
-  // never reaches the compiler, so all three compile to one program.
+  // never reaches the compiler, so all three compile to one program. The
+  // two Athlons differ only in HwPrefetchEnabled: three simulators.
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
   ASSERT_NE(Spec, nullptr);
   std::vector<workloads::RunOptions> Members(3);
@@ -228,7 +248,25 @@ TEST(FanOutTest, InterIntraGroupMatchesSoloRuns) {
     M.Algo = workloads::Algorithm::InterIntra;
     M.Config = tinyConfig();
   }
-  expectGroupMatchesSoloRuns(*Spec, Members);
+  expectGroupMatchesSoloRuns(*Spec, Members, 3);
+}
+
+TEST(FanOutTest, MembersOnOneMachineShareOneSimulator) {
+  // compress compiles to one program under all three algorithms on both
+  // machines: six members, interleaved by machine, on two simulators.
+  const workloads::WorkloadSpec *Spec = workloads::findWorkload("compress");
+  ASSERT_NE(Spec, nullptr);
+  std::vector<workloads::RunOptions> Members;
+  for (workloads::Algorithm A :
+       {workloads::Algorithm::Baseline, workloads::Algorithm::Inter,
+        workloads::Algorithm::InterIntra})
+    for (const char *M : {"pentium4", "athlonmp"}) {
+      workloads::RunOptions &Opt = Members.emplace_back();
+      Opt.Machine = machine(M);
+      Opt.Algo = A;
+      Opt.Config = tinyConfig();
+    }
+  expectGroupMatchesSoloRuns(*Spec, Members, 2);
 }
 
 TEST(FanOutTest, EpochGroupMatchesSoloRunsOnEveryMember) {
@@ -248,7 +286,31 @@ TEST(FanOutTest, EpochGroupMatchesSoloRunsOnEveryMember) {
     M.GcVariant = vm::GcVariant::MarkSweep;
   }
   std::vector<workloads::RunResult> Group;
-  expectGroupMatchesSoloRuns(*Spec, Members, &Group);
+  expectGroupMatchesSoloRuns(*Spec, Members, 3, &Group);
+  ASSERT_EQ(Group.size(), Members.size());
+  for (size_t K = 0; K != Group.size(); ++K) {
+    EXPECT_EQ(Group[K].Epochs, 3u) << "member " << K;
+    EXPECT_GE(Group[K].GcCollections, 2u) << "member " << K;
+  }
+}
+
+TEST(FanOutTest, SameMachineEpochGroupDrivesOneSimulatorDirectly) {
+  // jack BASELINE and INTER+INTRA on the Pentium 4 compile to one program:
+  // one simulator, driven by the interpreter without a fan-out, across
+  // two address-shuffling boundary collections.
+  const workloads::WorkloadSpec *Spec = workloads::findWorkload("jack");
+  ASSERT_NE(Spec, nullptr);
+  std::vector<workloads::RunOptions> Members(2);
+  Members[0].Algo = workloads::Algorithm::Baseline;
+  Members[1].Algo = workloads::Algorithm::InterIntra;
+  for (workloads::RunOptions &M : Members) {
+    M.Machine = machine("pentium4");
+    M.Config = tinyConfig();
+    M.Epochs = 3;
+    M.GcVariant = vm::GcVariant::AddressShuffle;
+  }
+  std::vector<workloads::RunResult> Group;
+  expectGroupMatchesSoloRuns(*Spec, Members, 1, &Group);
   ASSERT_EQ(Group.size(), Members.size());
   for (size_t K = 0; K != Group.size(); ++K) {
     EXPECT_EQ(Group[K].Epochs, 3u) << "member " << K;
