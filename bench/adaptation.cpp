@@ -31,8 +31,8 @@
 ///   --workloads CSV     workload subset (default: db,jack,MonteCarlo)
 ///   --epochs N          epochs per cell, >= 2 (default 10; or SPF_EPOCHS)
 ///   --min-recovered N   how many address-shuffle workloads must clear the
-///                       50% recovery bar (default 3, clamped to the
-///                       workload count)
+///                       50% recovery bar: an integer >= 1 (default 3,
+///                       clamped to the workload count)
 ///   --check-against F   also load a previous report and fail (exit 1) if
 ///                       any address-shuffle recovery fraction regressed
 ///                       by more than 20 points of its baseline value —
@@ -88,7 +88,6 @@ struct RowResult {
   bool Recovered = false;      ///< Recovery >= 0.5 with a real regression.
   bool NeverWorse = false;     ///< on <= disabled * (1 + NeverWorseTolerance).
   unsigned Quarantined = 0;
-  unsigned Retunes = 0;
   unsigned Reinspections = 0;
 };
 
@@ -135,7 +134,6 @@ RowResult foldRow(const WorkloadRow &Row,
   R.OnCycles = Result.run(Row.On).CompiledCycles;
   const RunResult &On = Result.run(Row.On);
   R.Quarantined = On.GovernorQuarantined;
-  R.Retunes = On.GovernorRetunes;
   R.Reinspections = On.GovernorReinspections;
   auto Pct = [&](uint64_t Cycles) {
     return R.CompactCycles
@@ -177,7 +175,6 @@ void writeRowJson(harness::JsonWriter &J, const RowResult &R) {
   J.key("recovered").value(R.Recovered);
   J.key("never_worse_than_disabled").value(R.NeverWorse);
   J.key("governor_quarantined").value(static_cast<uint64_t>(R.Quarantined));
-  J.key("governor_retunes").value(static_cast<uint64_t>(R.Retunes));
   J.key("governor_reinspections")
       .value(static_cast<uint64_t>(R.Reinspections));
   J.endObject();
@@ -230,6 +227,11 @@ int main(int argc, char **argv) {
   std::string WorkloadCsv = "db,jack,MonteCarlo";
   std::string CheckPath;
   unsigned MinRecovered = 3;
+  auto ParseMinRecovered = [](const std::string &V) {
+    return static_cast<unsigned>(parseCountOrExit(
+        "--min-recovered", V, 1, 1000000,
+        "expected an integer workload count >= 1"));
+  };
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
     if (A == "--out" && I + 1 < argc)
@@ -245,9 +247,9 @@ int main(int argc, char **argv) {
     else if (A.rfind("--check-against=", 0) == 0)
       CheckPath = A.substr(16);
     else if (A == "--min-recovered" && I + 1 < argc)
-      MinRecovered = static_cast<unsigned>(std::atoi(argv[++I]));
+      MinRecovered = ParseMinRecovered(argv[++I]);
     else if (A.rfind("--min-recovered=", 0) == 0)
-      MinRecovered = static_cast<unsigned>(std::atoi(A.c_str() + 16));
+      MinRecovered = ParseMinRecovered(A.substr(16));
   }
   AdaptationKnobs Knobs = adaptationFromArgs(argc, argv);
   // Adaptation needs epoch boundaries to act at; --epochs 1 (or the
@@ -259,8 +261,8 @@ int main(int argc, char **argv) {
     reportFailure("no workloads selected");
     return exitCode();
   }
-  MinRecovered = std::min<unsigned>(
-      MinRecovered ? MinRecovered : 1, static_cast<unsigned>(Specs.size()));
+  MinRecovered =
+      std::min<unsigned>(MinRecovered, static_cast<unsigned>(Specs.size()));
 
   const sim::MachineConfig Machine =
       *sim::MachineConfig::byName("pentium4");
@@ -308,19 +310,18 @@ int main(int argc, char **argv) {
     unsigned Recovered = 0;
     std::printf("\n%s: cycles [regression vs compacting reference]\n",
                 vm::gcVariantName(V));
-    std::printf("%-12s %12s %12s %12s %12s %9s %6s %6s %6s\n", "benchmark",
+    std::printf("%-12s %12s %12s %12s %12s %9s %6s %6s\n", "benchmark",
                 "compact", "disabled", "gov-off", "gov-on", "recovery",
-                "quar", "retune", "reinsp");
+                "quar", "reinsp");
     for (const WorkloadRow &Row : VariantRows[K]) {
       RowResult R = foldRow(Row, Result);
-      std::printf("%-12s %12llu %12llu %12llu %12llu %8.0f%% %6u %6u %6u\n",
+      std::printf("%-12s %12llu %12llu %12llu %12llu %8.0f%% %6u %6u\n",
                   R.Workload.c_str(),
                   static_cast<unsigned long long>(R.CompactCycles),
                   static_cast<unsigned long long>(R.DisabledCycles),
                   static_cast<unsigned long long>(R.OffCycles),
                   static_cast<unsigned long long>(R.OnCycles),
-                  100.0 * R.Recovery, R.Quarantined, R.Retunes,
-                  R.Reinspections);
+                  100.0 * R.Recovery, R.Quarantined, R.Reinspections);
       if (!R.NeverWorse)
         reportFailure("governed run slower than prefetch-disabled on " +
                       R.Workload + " under " + vm::gcVariantName(V) + " (" +

@@ -38,10 +38,10 @@
 ///                     address-shuffle | promotion-order (or
 ///                     SPF_GC_VARIANT)
 ///   --governor on|off enable the online prefetch-health governor, which
-///                     re-decides each prefetch site (keep / retune /
-///                     quarantine / re-inspect) at epoch boundaries;
-///                     governed cells never share an execution (or
-///                     SPF_GOVERNOR)
+///                     quarantines inaccurate prefetch sites at epoch
+///                     boundaries and re-inspects once when two or more
+///                     go in one epoch; governed cells never share an
+///                     execution (or SPF_GOVERNOR)
 ///   --phase-change    shuffle every Ref array's element order at the
 ///                     middle epoch boundary, breaking inspected stride
 ///                     patterns mid-run (or SPF_PHASE_CHANGE=1)

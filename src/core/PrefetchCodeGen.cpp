@@ -20,7 +20,6 @@ CodeGenStats core::applyPlan(const LoopPlan &Plan) {
       auto Pf = std::make_unique<PrefetchInst>(A.Base, A.Index, A.Scale,
                                                A.AnchorDisp, A.PlainGuarded);
       Pf->setAnchor(A.Anchor);
-      Pf->setStrideBytes(A.InterStride);
       InsertPos = BB->insertAfter(InsertPos, std::move(Pf));
       ++Stats.Prefetches;
       if (DL)
@@ -37,15 +36,13 @@ CodeGenStats core::applyPlan(const LoopPlan &Plan) {
     auto SpecI = std::make_unique<SpecLoadInst>(A.Base, A.Index, A.Scale,
                                                 A.AnchorDisp);
     SpecI->setAnchor(A.Anchor);
-    SpecI->setStrideBytes(A.InterStride);
     Instruction *Spec = BB->insertAfter(InsertPos, std::move(SpecI));
     Spec->setName("pref");
     ++Stats.SpecLoads;
     InsertPos = Spec;
 
     // prefetch(F(a) [+ S]) for each planned dereference target. The
-    // derefs share the anchor (one governor decision covers the chain)
-    // but carry no stride: distance retuning shifts the spec load only.
+    // derefs share the anchor: one governor decision covers the chain.
     unsigned Guarded = 0;
     for (const DerefPrefetch &D : A.Derefs) {
       auto Pf = std::make_unique<PrefetchInst>(Spec, nullptr, 0, D.Offset,

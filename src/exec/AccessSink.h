@@ -47,33 +47,19 @@ public:
   /// Demand store at \p Addr.
   virtual void store(uint64_t Addr) = 0;
 
+  // Prefetch events carry the IR load site whose plan issued them (the
+  // governor's per-site health evidence). Ungoverned runs do not
+  // attribute prefetches and pass site 0.
+
   /// Software prefetch instruction targeting \p Addr.
-  virtual void prefetch(uint64_t Addr) = 0;
+  virtual void prefetch(uint64_t Addr, SiteId Site) = 0;
 
   /// Guarded load whose software exception check passed: a real access
   /// at \p Addr that primes the DTLB and fills the caches.
-  virtual void guardedLoad(uint64_t Addr) = 0;
+  virtual void guardedLoad(uint64_t Addr, SiteId Site) = 0;
 
   /// Guarded load whose check failed: recovery-path cost only.
-  virtual void guardedLoadFault() = 0;
-
-  // Site-attributed prefetch events. The interpreter uses these when
-  // per-site prefetch-health accounting is active (the governor's
-  // evidence stream); \p Site is the IR load site whose plan issued the
-  // prefetch. Semantically identical to the unattributed forms — the
-  // defaults forward, so sinks that don't track health need no changes.
-  virtual void prefetch(uint64_t Addr, SiteId Site) {
-    (void)Site;
-    prefetch(Addr);
-  }
-  virtual void guardedLoad(uint64_t Addr, SiteId Site) {
-    (void)Site;
-    guardedLoad(Addr);
-  }
-  virtual void guardedLoadFault(SiteId Site) {
-    (void)Site;
-    guardedLoadFault();
-  }
+  virtual void guardedLoadFault(SiteId Site) = 0;
 };
 
 } // namespace exec

@@ -589,23 +589,25 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
       O.Site = siteOf(O.I);
     return O.Site;
   };
-  // Governor mode: a prefetch or spec load reports its anchor load's site
-  // (its own when unanchored) and consults that site's runtime control.
-  auto controlFor = [&](Op &O) -> const PrefetchControl * {
+  // A prefetch or spec load reports its anchor load's site (its own when
+  // unanchored) in governor mode, and site 0 otherwise: ungoverned runs
+  // assign prefetch ops no site, so site numbering stays pinned.
+  auto prefetchSite = [&](Op &O) -> SiteId {
+    if (!Governed)
+      return 0;
     if (O.Site == NoSite) {
       const auto *AI = static_cast<const AddressedInst *>(O.I);
       O.Site = siteOf(AI->anchor() ? AI->anchor() : AI);
     }
-    auto It = Controls.find(O.Site);
-    return It == Controls.end() ? nullptr : &It->second;
+    return O.Site;
   };
-  auto prefetchAddr = [&](const Op &O, int32_t Extra) {
+  auto suppressed = [&](SiteId Site) {
+    return Site < Suppressed.size() && Suppressed[Site];
+  };
+  auto prefetchAddr = [&](const Op &O) {
     vm::Addr A = R[O.A] + static_cast<uint64_t>(
                               O.Imm + static_cast<int64_t>(R[O.B]) *
                                           static_cast<int64_t>(O.X));
-    if (Extra)
-      A += static_cast<uint64_t>(
-          static_cast<const AddressedInst *>(O.I)->strideBytes() * Extra);
     // Chaos: model the planner having computed a garbage prefetch
     // address — exactly what the guard exists to contain.
     if (SPF_FAULT_POINT(support::FaultSite::GuardAddr))
@@ -842,56 +844,39 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
     case Op::Prefetch: {
       // A quarantined site's prefetch is a nop (modeling the JIT patching
       // it out) — zero cost, zero events.
-      const PrefetchControl *Ctl = Governed ? controlFor(O) : nullptr;
-      if (Ctl && Ctl->Suppress)
+      SiteId Site = prefetchSite(O);
+      if (suppressed(Site))
         break;
       ++Stats.PrefetchRelated;
-      vm::Addr A = prefetchAddr(O, Ctl ? Ctl->ExtraDistance : 0);
+      vm::Addr A = prefetchAddr(O);
       flushTicks();
-      if (O.Guarded) {
-        // Software exception check: only touch mapped memory. A failed
-        // check takes the recovery branch — no cache or TLB fill.
-        if (Heap.isValidAccess(A, 8)) {
-          if (Governed)
-            Sink.guardedLoad(A, O.Site);
-          else
-            Sink.guardedLoad(A);
-        } else {
-          if (Governed)
-            Sink.guardedLoadFault(O.Site);
-          else
-            Sink.guardedLoadFault();
-        }
-      } else {
-        if (Governed)
-          Sink.prefetch(A, O.Site);
-        else
-          Sink.prefetch(A);
-      }
+      // A guarded prefetch's software exception check only touches mapped
+      // memory. A failed check takes the recovery branch — no cache or
+      // TLB fill.
+      if (!O.Guarded)
+        Sink.prefetch(A, Site);
+      else if (Heap.isValidAccess(A, 8))
+        Sink.guardedLoad(A, Site);
+      else
+        Sink.guardedLoadFault(Site);
       break;
     }
     case Op::SpecLoad: {
-      const PrefetchControl *Ctl = Governed ? controlFor(O) : nullptr;
-      if (Ctl && Ctl->Suppress) {
+      SiteId Site = prefetchSite(O);
+      if (suppressed(Site)) {
         // The chain's prefetches share this site and are suppressed with
         // it; a null result keeps the dataflow well-defined.
         R[O.Dst] = 0;
         break;
       }
       ++Stats.PrefetchRelated;
-      vm::Addr A = prefetchAddr(O, Ctl ? Ctl->ExtraDistance : 0);
+      vm::Addr A = prefetchAddr(O);
       flushTicks();
       if (Heap.isValidAccess(A, 8)) {
-        if (Governed)
-          Sink.guardedLoad(A, O.Site);
-        else
-          Sink.guardedLoad(A);
+        Sink.guardedLoad(A, Site);
         R[O.Dst] = Heap.load(A, Type::Ref);
       } else {
-        if (Governed)
-          Sink.guardedLoadFault(O.Site);
-        else
-          Sink.guardedLoadFault();
+        Sink.guardedLoadFault(Site);
         R[O.Dst] = 0;
       }
       break;

@@ -36,10 +36,12 @@
 #include "ir/Module.h"
 #include "vm/GarbageCollector.h"
 
+#include <cassert>
 #include <chrono>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace spf {
 namespace exec {
@@ -108,30 +110,24 @@ public:
 
   // -- Prefetch-health governance (opt::Governor) --------------------------
 
-  /// Runtime re-decision for one load site's prefetch code.
-  struct PrefetchControl {
-    /// Quarantined: the site's prefetches / spec loads execute as nops
-    /// (modeling the JIT patching them out) — zero cost, zero events.
-    bool Suppress = false;
-    /// Extra iterations of lookahead: each prefetch address is shifted by
-    /// ExtraDistance * strideBytes (no effect on strideless prefetches).
-    int32_t ExtraDistance = 0;
-  };
-
   /// Turns on governor mode: prefetch/guarded-load events carry the
   /// anchor load's SiteId (the sink's per-site health attribution), and
-  /// the control table below is consulted per prefetch. Off by default —
-  /// the prefetch execution path is then byte-identical to the
-  /// pre-governor interpreter.
+  /// each prefetch checks its site's suppressed flag. Off by default:
+  /// prefetch ops then get no SiteId of their own (site numbering stays
+  /// that of the demand loads) and their events report site 0.
   void enablePrefetchGovernance() { Governed = true; }
-  bool prefetchGovernanceEnabled() const { return Governed; }
 
-  /// Installs/replaces the control for \p Site (governor re-decisions).
-  void setPrefetchControl(SiteId Site, const PrefetchControl &C) {
-    Controls[Site] = C;
+  /// Quarantines \p Site (governor mode only): its prefetches and spec
+  /// loads execute as nops, modeling the JIT patching them out, at zero
+  /// cost and with zero events; a suppressed spec load yields null.
+  void suppressPrefetchSite(SiteId Site) {
+    assert(Governed && "prefetch suppression needs governor mode");
+    if (Site >= Suppressed.size())
+      Suppressed.resize(Site + 1);
+    Suppressed[Site] = true;
   }
-  /// Drops all controls (after re-inspection rebuilds the prefetch code).
-  void clearPrefetchControls() { Controls.clear(); }
+  /// Releases every site (after re-inspection rebuilds the prefetch code).
+  void clearPrefetchSuppression() { Suppressed.clear(); }
 
   /// Drops every decoded method. Must be called after any out-of-band IR
   /// rewrite (governor-triggered re-JIT), between runs: the decoded ops
@@ -209,8 +205,8 @@ private:
   unsigned CallDepth = 0;
   /// Governor mode (enablePrefetchGovernance()).
   bool Governed = false;
-  /// Per-site runtime controls, keyed by anchor SiteId.
-  std::unordered_map<SiteId, PrefetchControl> Controls;
+  /// Quarantined anchor sites, indexed by SiteId.
+  std::vector<bool> Suppressed;
 };
 
 } // namespace exec

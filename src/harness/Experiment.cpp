@@ -506,8 +506,6 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
       J.key("governor").value(true);
       J.key("governor_quarantined")
           .value(static_cast<uint64_t>(R.GovernorQuarantined));
-      J.key("governor_retunes")
-          .value(static_cast<uint64_t>(R.GovernorRetunes));
       J.key("governor_reinspections")
           .value(static_cast<uint64_t>(R.GovernorReinspections));
       J.key("sw_prefetches_useful").value(R.Mem.SwPrefetchesUseful);

@@ -481,12 +481,6 @@ public:
   const Instruction *anchor() const { return Anchor; }
   void setAnchor(const Instruction *A) { Anchor = A; }
 
-  /// The plan's inter-iteration stride in bytes (0 for dereference
-  /// targets and pointer chases): the unit of governor-driven
-  /// prefetch-distance retuning.
-  int64_t strideBytes() const { return StrideBytes; }
-  void setStrideBytes(int64_t S) { StrideBytes = S; }
-
   static bool classof(const Value *V) {
     auto *I = dyn_cast<Instruction>(V);
     return I && (I->opcode() == Opcode::Prefetch ||
@@ -510,7 +504,6 @@ private:
   int64_t Disp;
   bool HasIndex;
   const Instruction *Anchor = nullptr;
-  int64_t StrideBytes = 0;
 };
 
 /// A software prefetch of the cache line at the computed address.

@@ -4,26 +4,27 @@
 
 #include "obs/DecisionLog.h"
 
+#include <cstdint>
 #include <cstdio>
 
 using namespace spf;
 using namespace spf::opt;
 
-const char *opt::governorActionName(GovernorAction A) {
-  switch (A) {
-  case GovernorAction::Keep:
-    return "keep";
-  case GovernorAction::Retune:
-    return "retune";
-  case GovernorAction::Quarantine:
-    return "quarantine";
-  case GovernorAction::Reinspect:
-    return "reinspect";
-  }
-  return "?";
-}
-
 namespace {
+
+/// Resolved tagged fills (useful + late + unused) a site needs in one
+/// epoch before its accuracy is trusted; below this it keeps its code.
+constexpr uint64_t MinResolved = 32;
+/// Resolved-accuracy floor (useful / resolved); below it the site is
+/// quarantined. Set from measurement, not from a bandwidth model: on both
+/// paper machines the scale-0.1 adaptation bench shows prefetching
+/// turning net-negative below roughly 70% accuracy, where the
+/// evicted-unused fills pollute more than the useful ones cover.
+constexpr double AccuracyFloor = 0.7;
+/// Fresh quarantines in one epoch that escalate to re-inspection.
+constexpr unsigned ReinspectQuorum = 2;
+/// Re-inspections allowed per run (each strips + re-JITs every unit).
+constexpr unsigned MaxReinspects = 1;
 
 /// "site#N" label for DecisionLog events (sites here are runtime
 /// SiteIds, not IR values, so obs::siteLabel does not apply).
@@ -33,88 +34,65 @@ std::string siteTag(exec::SiteId Site) {
   return Buf;
 }
 
-void logDecision(const GovernorDecision &D) {
+void logQuarantine(exec::SiteId Site, uint64_t Resolved, double Accuracy) {
   obs::DecisionLog *DL = obs::DecisionScope::current();
   if (!DL)
     return;
   char Detail[96];
-  if (D.Action == GovernorAction::Reinspect) {
-    // A whole-program escalation: no site, and its evidence is the count
-    // of sites quarantined this epoch.
-    std::snprintf(Detail, sizeof Detail, "fresh_quarantines=%llu",
-                  static_cast<unsigned long long>(D.Resolved));
-    DL->event("governor", governorActionName(D.Action), "", Detail, 0,
-              D.Resolved);
-    return;
-  }
   std::snprintf(Detail, sizeof Detail, "resolved=%llu accuracy=%.2f",
-                static_cast<unsigned long long>(D.Resolved), D.Accuracy);
-  DL->event("governor", governorActionName(D.Action), siteTag(D.Site),
-            Detail, D.ExtraDistance, D.Resolved, D.Accuracy);
+                static_cast<unsigned long long>(Resolved), Accuracy);
+  DL->event("governor", "quarantine", siteTag(Site), Detail, 0, Resolved,
+            Accuracy);
+}
+
+void logReinspect(unsigned FreshQuarantines) {
+  obs::DecisionLog *DL = obs::DecisionScope::current();
+  if (!DL)
+    return;
+  // A whole-program escalation: no site, and its evidence is the count
+  // of sites quarantined this epoch.
+  char Detail[48];
+  std::snprintf(Detail, sizeof Detail, "fresh_quarantines=%u",
+                FreshQuarantines);
+  DL->event("governor", "reinspect", "", Detail, 0, FreshQuarantines);
 }
 
 } // namespace
 
-std::vector<GovernorDecision>
-Governor::endEpoch(const std::vector<sim::SiteStats> &Cumulative) {
-  std::vector<GovernorDecision> Decisions;
+EpochVerdict Governor::endEpoch(const std::vector<sim::SiteStats> &Cumulative) {
+  EpochVerdict V;
   if (States.size() < Cumulative.size())
     States.resize(Cumulative.size());
 
-  unsigned FreshQuarantines = 0;
   for (size_t I = 0; I != Cumulative.size(); ++I) {
     const sim::SiteStats &Cum = Cumulative[I];
     SiteState &St = States[I];
     // The epoch's fresh evidence: cumulative minus last snapshot.
     uint64_t Useful = Cum.SwUseful - St.Prev.SwUseful;
-    uint64_t Late = Cum.SwLate - St.Prev.SwLate;
-    uint64_t Unused = Cum.SwUnused - St.Prev.SwUnused;
+    uint64_t Resolved = Useful + (Cum.SwLate - St.Prev.SwLate) +
+                        (Cum.SwUnused - St.Prev.SwUnused);
     St.Prev = Cum;
-    if (St.Quarantined)
-      continue; // Suppressed sites issue nothing; nothing to re-decide.
-
-    uint64_t Resolved = Useful + Late + Unused;
-    if (Resolved < Cfg.MinResolved)
-      continue; // Keep: not enough evidence this epoch.
+    if (St.Quarantined || Resolved < MinResolved)
+      continue; // Suppressed, or not enough evidence this epoch.
     double Accuracy = static_cast<double>(Useful) / Resolved;
-    if (Accuracy >= Cfg.AccuracyFloor)
-      continue; // Keep: healthy.
+    if (Accuracy >= AccuracyFloor)
+      continue; // Healthy.
 
-    GovernorDecision D;
-    D.Site = static_cast<exec::SiteId>(I);
-    D.Resolved = Resolved;
-    D.Accuracy = Accuracy;
-    double LateFrac = static_cast<double>(Late) / Resolved;
-    if (LateFrac >= Cfg.LateFraction && St.Retunes < Cfg.MaxRetunes) {
-      // The fills arrive — just not in time. Stretch the lookahead.
-      ++St.Retunes;
-      ++NumRetunes;
-      St.ExtraDistance += Cfg.RetuneStep;
-      D.Action = GovernorAction::Retune;
-      D.ExtraDistance = St.ExtraDistance;
-    } else {
-      St.Quarantined = true;
-      ++NumQuarantined;
-      ++FreshQuarantines;
-      D.Action = GovernorAction::Quarantine;
-    }
-    logDecision(D);
-    Decisions.push_back(D);
+    St.Quarantined = true;
+    ++NumQuarantined;
+    V.Quarantined.push_back(static_cast<exec::SiteId>(I));
+    logQuarantine(static_cast<exec::SiteId>(I), Resolved, Accuracy);
   }
 
-  if (FreshQuarantines >= Cfg.ReinspectQuorum &&
-      ReinspectsUsed < Cfg.MaxReinspects) {
+  if (V.Quarantined.size() >= ReinspectQuorum &&
+      Reinspected < MaxReinspects) {
     // The stride model itself is suspect (heap reordered / phase change):
     // escalate to a full re-inspection against the current layout.
-    ++ReinspectsUsed;
-    GovernorDecision D;
-    D.Action = GovernorAction::Reinspect;
-    D.Resolved = FreshQuarantines;
-    logDecision(D);
-    Decisions.push_back(D);
+    ++Reinspected;
+    V.Reinspect = true;
+    logReinspect(static_cast<unsigned>(V.Quarantined.size()));
   }
-
-  return Decisions;
+  return V;
 }
 
 void Governor::noteReinspected(const std::vector<sim::SiteStats> &Cumulative) {

@@ -8,22 +8,19 @@
 /// prefetches into pure cache pollution. The governor closes the loop:
 /// after each epoch it reads the per-site prefetch-health counters that
 /// sim::MemorySystem accumulates (issued / useful / late / evicted-unused
-/// tagged fills) and re-decides each site:
+/// tagged fills) and makes two decisions:
 ///
-///   - Keep        healthy, or not enough fresh evidence this epoch.
-///   - Retune      mostly *late* fills: the stride is still right but the
-///                 lookahead is short — shift the prefetch address by
-///                 extra iterations of the stride (bounded retries).
-///   - Quarantine  inaccurate (fills evicted unused): suppress the site's
-///                 prefetch code, modeling the JIT nop-patching it.
+///   - Quarantine  a site with enough fresh evidence and too few useful
+///                 fills: suppress its prefetch code for good, modeling
+///                 the JIT nop-patching it.
 ///   - Reinspect   enough sites quarantined in one epoch that the stride
 ///                 model itself is suspect (e.g. the GC shuffled the
 ///                 heap): strip all prefetch code and re-run inspection +
-///                 JIT against the *current* heap layout.
+///                 JIT against the *current* heap layout, once per run.
 ///
-/// Decisions are pure data (the workload runner applies them through
-/// exec::Interpreter::setPrefetchControl / the re-JIT path) and each
-/// non-keep decision is recorded as a Pass="governor" DecisionLog event.
+/// The verdict is pure data (the workload runner applies it through
+/// exec::Interpreter::suppressPrefetchSite / the re-JIT path) and each
+/// decision is recorded as a Pass="governor" DecisionLog event.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,56 +30,18 @@
 #include "exec/AccessSink.h"
 #include "sim/MemorySystem.h"
 
-#include <cstdint>
 #include <vector>
 
 namespace spf {
 namespace opt {
 
-/// Governor policy knobs. Defaults are deliberately conservative: a site
-/// is only touched on MinResolved resolved fills of fresh evidence, and
-/// re-inspection needs ReinspectQuorum quarantines in a single epoch.
-struct GovernorConfig {
-  /// Minimum resolved tagged fills (useful+late+unused) per epoch before
-  /// a site's accuracy is trusted; below this the site keeps its code.
-  uint64_t MinResolved = 32;
-  /// Resolved-accuracy floor (useful / resolved); below it the site is
-  /// late-triaged and then quarantined. Set from measurement, not from a
-  /// bandwidth model: on both paper machines the adaptation bench shows
-  /// prefetching turning net-negative below roughly 70% accuracy — the
-  /// evicted-unused fills pollute more than the useful ones cover.
-  double AccuracyFloor = 0.7;
-  /// When at least this fraction of resolved fills were late (in flight
-  /// at first use), the stride is right but the distance is short:
-  /// retune instead of quarantining.
-  double LateFraction = 0.5;
-  /// Extra iterations of lookahead added per retune.
-  int32_t RetuneStep = 2;
-  /// Retunes allowed per site before falling through to quarantine.
-  unsigned MaxRetunes = 2;
-  /// Fresh quarantines in one epoch that escalate to re-inspection.
-  unsigned ReinspectQuorum = 2;
-  /// Re-inspections allowed per run (each strips + re-JITs every unit).
-  unsigned MaxReinspects = 1;
-};
-
-enum class GovernorAction : uint8_t { Keep, Retune, Quarantine, Reinspect };
-
-/// Name for logs/reports ("keep", "retune", "quarantine", "reinspect").
-const char *governorActionName(GovernorAction A);
-
-/// One per-site re-decision (Action != Keep; keeps are implicit). For
-/// Retune, ExtraDistance is the site's *cumulative* extra lookahead. The
-/// epoch-wide Reinspect escalation is reported as a decision on site 0
-/// with Action == Reinspect.
-struct GovernorDecision {
-  exec::SiteId Site = 0;
-  GovernorAction Action = GovernorAction::Keep;
-  int32_t ExtraDistance = 0;
-  /// Evidence behind the decision: resolved fills this epoch and the
-  /// accuracy (useful / resolved) they showed.
-  uint64_t Resolved = 0;
-  double Accuracy = 0;
+/// What one epoch's evaluation decided.
+struct EpochVerdict {
+  /// Sites quarantined this epoch, in ascending SiteId order.
+  std::vector<exec::SiteId> Quarantined;
+  /// Escalate: the caller must strip + re-JIT and then call
+  /// noteReinspected().
+  bool Reinspect = false;
 };
 
 /// Per-site epoch-over-epoch health evaluator. Single-threaded, one per
@@ -90,41 +49,31 @@ struct GovernorDecision {
 /// evaluation sees only the fresh epoch's evidence.
 class Governor {
 public:
-  explicit Governor(GovernorConfig Cfg = {}) : Cfg(Cfg) {}
-
   /// Evaluates the epoch that just ended. \p Cumulative is the memory
   /// system's full per-site table (cumulative since the run started);
   /// the governor diffs it against its snapshot from the previous call.
-  /// Returns the non-keep decisions, each already recorded on the
-  /// active DecisionLog (Pass="governor"). If the last element's action
-  /// is Reinspect, the caller must strip + re-JIT and then call
-  /// noteReinspected().
-  std::vector<GovernorDecision>
-  endEpoch(const std::vector<sim::SiteStats> &Cumulative);
+  /// Every decision is already recorded on the active DecisionLog
+  /// (Pass="governor").
+  EpochVerdict endEpoch(const std::vector<sim::SiteStats> &Cumulative);
 
   /// Resets per-site state after the caller performed a re-inspection:
-  /// quarantines/retunes are void (the code was rebuilt) and the health
-  /// baseline restarts at \p Cumulative.
+  /// quarantines are void (the code was rebuilt) and the health baseline
+  /// restarts at \p Cumulative.
   void noteReinspected(const std::vector<sim::SiteStats> &Cumulative);
 
-  /// Sites currently quarantined / total retunes applied (for reports).
+  /// Sites currently quarantined / re-inspections performed (reports).
   unsigned quarantinedSites() const { return NumQuarantined; }
-  unsigned retunesApplied() const { return NumRetunes; }
-  unsigned reinspections() const { return ReinspectsUsed; }
+  unsigned reinspections() const { return Reinspected; }
 
 private:
   struct SiteState {
     sim::SiteStats Prev;
-    unsigned Retunes = 0;
-    int32_t ExtraDistance = 0;
     bool Quarantined = false;
   };
 
-  GovernorConfig Cfg;
   std::vector<SiteState> States;
   unsigned NumQuarantined = 0;
-  unsigned NumRetunes = 0;
-  unsigned ReinspectsUsed = 0;
+  unsigned Reinspected = 0;
 };
 
 } // namespace opt

@@ -38,9 +38,9 @@ public:
       LoadSites = Site + 1;
   }
   void store(uint64_t) override { ++Stores; }
-  void prefetch(uint64_t) override { ++Prefetches; }
-  void guardedLoad(uint64_t) override { ++GuardedLoads; }
-  void guardedLoadFault() override { ++GuardedLoadFaults; }
+  void prefetch(uint64_t, exec::SiteId) override { ++Prefetches; }
+  void guardedLoad(uint64_t, exec::SiteId) override { ++GuardedLoads; }
+  void guardedLoadFault(exec::SiteId) override { ++GuardedLoadFaults; }
 
   /// Memory events + tick calls (how many sink calls were consumed).
   uint64_t totalCalls() const {

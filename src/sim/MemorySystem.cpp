@@ -262,7 +262,7 @@ uint64_t MemorySystem::swFillReadyAt(uint64_t Addr) const {
   return Cfg.PrefetchFillLatency;
 }
 
-void MemorySystem::prefetchImpl(uint64_t Addr, exec::SiteId Site) {
+void MemorySystem::prefetch(uint64_t Addr, exec::SiteId Site) {
   ++Stats.SwPrefetchesIssued;
   if (SwHealth)
     ++siteFor(Site).SwIssued;
@@ -287,7 +287,7 @@ void MemorySystem::prefetchImpl(uint64_t Addr, exec::SiteId Site) {
                                   Site);
 }
 
-void MemorySystem::guardedLoadImpl(uint64_t Addr, exec::SiteId Site) {
+void MemorySystem::guardedLoad(uint64_t Addr, exec::SiteId Site) {
   ++Stats.GuardedLoads;
   if (SwHealth)
     ++siteFor(Site).SwIssued;
@@ -317,7 +317,7 @@ void MemorySystem::guardedLoadImpl(uint64_t Addr, exec::SiteId Site) {
                                   Site);
 }
 
-void MemorySystem::guardedLoadFaultImpl(exec::SiteId Site) {
+void MemorySystem::guardedLoadFault(exec::SiteId Site) {
   ++Stats.GuardedLoadFaults;
   // A faulted guard is an issue that can never become useful: it drags
   // the site's accuracy down, which is exactly what the governor should

@@ -137,8 +137,8 @@ struct SiteStats {
   /// Prefetch-health attribution (opt::Governor's evidence). Sw* counts
   /// the site's plan prefetches / guarded loads and the resolution of
   /// their tagged fills; populated only when health tracking is enabled
-  /// AND the producer attributes issues (the site-aware prefetch
-  /// overloads below) — zero otherwise. Rpt* attributes the hardware
+  /// (governed runs, whose interpreter attributes each issue to its
+  /// anchor load's site) — zero otherwise. Rpt* attributes the hardware
   /// RPT's fills to the load site that trained them.
   uint64_t SwIssued = 0;
   uint64_t SwUseful = 0;
@@ -179,39 +179,26 @@ public:
 
   /// Hardware prefetch instruction: cancelled when the target page is not
   /// in the DTLB; otherwise fills the configured levels with the line
-  /// becoming usable PrefetchFillLatency cycles from now.
-  void prefetch(uint64_t Addr) override { prefetchImpl(Addr, 0); }
-
-  /// Site-attributed form: identical timing and global stats; when
+  /// becoming usable PrefetchFillLatency cycles from now. When
   /// prefetch-health tracking is on, the issue and its fill's fate are
-  /// charged to \p Site 's SiteStats.
-  void prefetch(uint64_t Addr, exec::SiteId Site) override {
-    prefetchImpl(Addr, Site);
-  }
+  /// charged to \p Site 's SiteStats; timing and global stats do not
+  /// depend on \p Site.
+  void prefetch(uint64_t Addr, exec::SiteId Site) override;
 
   /// Guarded load: a real access that fills the DTLB (TLB priming — on a
   /// walked-TLB machine the walk's page-table accesses go through the
   /// caches, warming them for the demand walk that never happens) and
   /// all cache levels, costing only the issue overhead — its latency is
   /// hidden by out-of-order execution since no computation consumes its
-  /// result.
-  void guardedLoad(uint64_t Addr) override { guardedLoadImpl(Addr, 0); }
-
-  /// Site-attributed form (see prefetch(Addr, Site)).
-  void guardedLoad(uint64_t Addr, exec::SiteId Site) override {
-    guardedLoadImpl(Addr, Site);
-  }
+  /// result. \p Site as for prefetch().
+  void guardedLoad(uint64_t Addr, exec::SiteId Site) override;
 
   /// Guarded load whose guard failed: the software exception check
   /// rejected the address, so no memory access happens — only the
-  /// recovery branch's cost. Caches and the DTLB are untouched.
-  void guardedLoadFault() override { guardedLoadFaultImpl(0); }
-
-  /// Site-attributed form: a fault still counts as an issue against the
-  /// site under health tracking (it can never become useful).
-  void guardedLoadFault(exec::SiteId Site) override {
-    guardedLoadFaultImpl(Site);
-  }
+  /// recovery branch's cost. Caches and the DTLB are untouched. Under
+  /// health tracking it still counts as an issue against \p Site (it can
+  /// never become useful).
+  void guardedLoadFault(exec::SiteId Site) override;
 
   /// Turns on per-site prefetch-health accounting: software prefetch /
   /// guarded-load fills are tagged in the cache and their resolution
@@ -240,9 +227,6 @@ public:
   const RptPrefetcher &rpt() const { return Rpt; }
 
 private:
-  void prefetchImpl(uint64_t Addr, exec::SiteId Site);
-  void guardedLoadImpl(uint64_t Addr, exec::SiteId Site);
-  void guardedLoadFaultImpl(exec::SiteId Site);
   /// Sites[Site], grown on demand.
   SiteStats &siteFor(exec::SiteId Site) {
     if (Site >= Sites.size())

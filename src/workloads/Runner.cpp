@@ -6,6 +6,7 @@
 #include "ir/IRPrinter.h"
 #include "obs/Obs.h"
 #include "obs/Tracer.h"
+#include "opt/Governor.h"
 #include "workloads/ProgramPopulation.h"
 
 #include <cassert>
@@ -46,18 +47,6 @@ public:
   void store(uint64_t Addr) override {
     for (sim::MemorySystem *S : Sims)
       S->store(Addr);
-  }
-  void prefetch(uint64_t Addr) override {
-    for (sim::MemorySystem *S : Sims)
-      S->prefetch(Addr);
-  }
-  void guardedLoad(uint64_t Addr) override {
-    for (sim::MemorySystem *S : Sims)
-      S->guardedLoad(Addr);
-  }
-  void guardedLoadFault() override {
-    for (sim::MemorySystem *S : Sims)
-      S->guardedLoadFault();
   }
   void prefetch(uint64_t Addr, exec::SiteId Site) override {
     for (sim::MemorySystem *S : Sims)
@@ -230,7 +219,7 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
     Mem.enablePrefetchHealth();
     Interp.enablePrefetchGovernance();
   }
-  opt::Governor Gov(Opts.GovernorCfg);
+  opt::Governor Gov;
 
   // Ref-typed argument slots are GC roots across epoch boundaries: entry
   // args are re-run every epoch, and compile-unit args feed governor
@@ -269,36 +258,22 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
       std::optional<obs::DecisionScope> Scope;
       if (obs::enabled())
         Scope.emplace(Log);
-      for (const opt::GovernorDecision &D :
-           Gov.endEpoch(Mem.siteStats())) {
-        switch (D.Action) {
-        case opt::GovernorAction::Retune: {
-          exec::Interpreter::PrefetchControl C;
-          C.ExtraDistance = D.ExtraDistance;
-          Interp.setPrefetchControl(D.Site, C);
-          break;
+      opt::EpochVerdict V = Gov.endEpoch(Mem.siteStats());
+      if (V.Reinspect) {
+        // Strip every unit's prefetch code and re-run the pipeline
+        // against the *current* (post-GC) heap layout; every quarantine,
+        // this epoch's included, is void with the code it suppressed.
+        for (const CompileUnit &CU : W.CompileUnits) {
+          core::CodeGenStats Stripped = core::stripPrefetchCode(*CU.M);
+          if (Stripped.Prefetches || Stripped.SpecLoads)
+            Jit.compile(CU.M, CU.Args);
         }
-        case opt::GovernorAction::Quarantine: {
-          exec::Interpreter::PrefetchControl C;
-          C.Suppress = true;
-          Interp.setPrefetchControl(D.Site, C);
-          break;
-        }
-        case opt::GovernorAction::Reinspect:
-          // Strip every unit's prefetch code and re-run the pipeline
-          // against the *current* (post-GC) heap layout.
-          for (const CompileUnit &CU : W.CompileUnits) {
-            core::CodeGenStats Stripped = core::stripPrefetchCode(*CU.M);
-            if (Stripped.Prefetches || Stripped.SpecLoads)
-              Jit.compile(CU.M, CU.Args);
-          }
-          Interp.clearPrefetchControls();
-          Interp.invalidateMethodInfo();
-          Gov.noteReinspected(Mem.siteStats());
-          break;
-        case opt::GovernorAction::Keep:
-          break;
-        }
+        Interp.clearPrefetchSuppression();
+        Interp.invalidateMethodInfo();
+        Gov.noteReinspected(Mem.siteStats());
+      } else {
+        for (exec::SiteId Site : V.Quarantined)
+          Interp.suppressPrefetchSite(Site);
       }
     }
     Interp.run(W.Entry, W.EntryArgs);
@@ -318,7 +293,6 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   Result.Epochs = Epochs;
   Result.GcCollections = Interp.gc().collectionCount();
   Result.GovernorQuarantined = Gov.quarantinedSites();
-  Result.GovernorRetunes = Gov.retunesApplied();
   Result.GovernorReinspections = Gov.reinspections();
   // Self-check uses epoch 0's return value (captured above): later
   // epochs legitimately diverge once the phase change reorders data.

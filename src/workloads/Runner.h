@@ -21,7 +21,6 @@
 #include "exec/Interpreter.h"
 #include "jit/CompileManager.h"
 #include "obs/DecisionLog.h"
-#include "opt/Governor.h"
 #include "sim/MemorySystem.h"
 #include "workloads/Workload.h"
 
@@ -73,7 +72,6 @@ struct RunOptions {
   /// re-decides each site at every epoch boundary. Governor-on runs never
   /// share their execution: their code changes mid-run.
   bool Governor = false;
-  opt::GovernorConfig GovernorCfg;
 };
 
 /// Everything measured in one run.
@@ -108,7 +106,6 @@ struct RunResult {
   unsigned Epochs = 1;          ///< Epochs actually executed.
   uint64_t GcCollections = 0;   ///< Collections (boundary + pressure).
   unsigned GovernorQuarantined = 0; ///< Sites quarantined at run end.
-  unsigned GovernorRetunes = 0;     ///< Distance retunes applied.
   unsigned GovernorReinspections = 0; ///< Strip + re-JIT escalations.
 };
 

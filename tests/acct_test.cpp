@@ -40,9 +40,9 @@ TEST(CycleAccountingTest, SyntheticEventsChargeTheRightCategories) {
   EXPECT_EQ(Mem.acct().Compute, 10 * Cfg.ComputeCycles);
   Mem.load(0x10000, 0);   // Cold miss: L1 base + deeper levels + memory.
   Mem.load(0x10008, 0);   // Hot hit: L1 base cost only.
-  Mem.prefetch(0x20000);
-  Mem.guardedLoad(0x30000);
-  Mem.guardedLoadFault();
+  Mem.prefetch(0x20000, 0);
+  Mem.guardedLoad(0x30000, 0);
+  Mem.guardedLoadFault(0);
   const sim::CycleAccounting &A = Mem.acct();
   EXPECT_GT(A.Level[0], 0u);
   EXPECT_GT(A.MemPenalty, 0u);

@@ -46,11 +46,11 @@ TEST(CountingSinkTest, CountsEveryCall) {
     Counts.load(0x900000 + 4096 * I, 1);
     Counts.store(0x400000 + 8 * (I % 512));
     if (I % 3 == 0)
-      Counts.prefetch(0x100000 + 24 * (I + 4));
+      Counts.prefetch(0x100000 + 24 * (I + 4), 0);
     if (I % 5 == 0)
-      Counts.guardedLoad(0x800000 + 64 * I);
+      Counts.guardedLoad(0x800000 + 64 * I, 0);
     if (I % 1024 == 0)
-      Counts.guardedLoadFault();
+      Counts.guardedLoadFault(0);
   }
   EXPECT_EQ(Counts.TickCalls, 20000u);
   EXPECT_EQ(Counts.TicksTotal, 60000u);

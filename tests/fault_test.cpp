@@ -340,7 +340,7 @@ TEST(GuardFaultTest, MemorySystemChargesTheFaultCostWithoutFills) {
   uint64_t Before = Mem.cycles();
   sim::MemoryStats Stats0 = Mem.stats();
 
-  Mem.guardedLoadFault();
+  Mem.guardedLoadFault(0);
 
   EXPECT_EQ(Mem.stats().GuardedLoadFaults, Stats0.GuardedLoadFaults + 1);
   EXPECT_EQ(Mem.cycles(), Before + Cfg.GuardFaultCost);

@@ -44,17 +44,17 @@ public:
     Log.push_back({EventKind::Store, Addr, 0});
     Inner.store(Addr);
   }
-  void prefetch(uint64_t Addr) override {
-    Log.push_back({EventKind::Prefetch, Addr, 0});
-    Inner.prefetch(Addr);
+  void prefetch(uint64_t Addr, exec::SiteId Site) override {
+    Log.push_back({EventKind::Prefetch, Addr, Site});
+    Inner.prefetch(Addr, Site);
   }
-  void guardedLoad(uint64_t Addr) override {
-    Log.push_back({EventKind::GuardedLoad, Addr, 0});
-    Inner.guardedLoad(Addr);
+  void guardedLoad(uint64_t Addr, exec::SiteId Site) override {
+    Log.push_back({EventKind::GuardedLoad, Addr, Site});
+    Inner.guardedLoad(Addr, Site);
   }
-  void guardedLoadFault() override {
-    Log.push_back({EventKind::GuardedLoadFault, 0, 0});
-    Inner.guardedLoadFault();
+  void guardedLoadFault(exec::SiteId Site) override {
+    Log.push_back({EventKind::GuardedLoadFault, 0, Site});
+    Inner.guardedLoadFault(Site);
   }
 
   /// Sites of the logged loads, in order; clears the log.
@@ -62,6 +62,18 @@ public:
     std::vector<exec::SiteId> Sites;
     for (const AccessEvent &E : Log)
       if (E.Kind == EventKind::Load)
+        Sites.push_back(E.Site);
+    Log.clear();
+    return Sites;
+  }
+
+  /// Sites of the logged prefetch, guarded-load and guard-fault events, in
+  /// order; clears the log.
+  std::vector<exec::SiteId> takePrefetchSites() {
+    std::vector<exec::SiteId> Sites;
+    for (const AccessEvent &E : Log)
+      if (E.Kind == EventKind::Prefetch || E.Kind == EventKind::GuardedLoad ||
+          E.Kind == EventKind::GuardedLoadFault)
         Sites.push_back(E.Site);
     Log.clear();
     return Sites;
@@ -281,6 +293,59 @@ TEST_F(InterpTest, PrefetchInstructionsAreCountedAndHarmless) {
   EXPECT_EQ(Interp.stats().PrefetchRelated, 3u * 64);
   EXPECT_GT(Mem.stats().SwPrefetchesIssued, 0u);
   EXPECT_GT(Mem.stats().GuardedLoads, 0u);
+}
+
+TEST_F(InterpTest, SuppressedSiteEmitsNoPrefetchEvents) {
+  // A ref array whose slot 0 holds an object for the spec load to read.
+  vm::Addr Obj = Heap.allocArray(Type::I32, 4);
+  vm::Addr Arr = Heap.allocArray(Type::Ref, 2);
+  Heap.store(Heap.elemAddr(Arr, 0), Type::Ref, Obj);
+  const auto Slot0 = static_cast<int64_t>(Heap.elemAddr(Arr, 0) - Arr);
+
+  Method *Fn = M.addMethod("quarantine", Type::Ref, {Type::Ref});
+  IRBuilder B(M);
+  BasicBlock *Entry = Fn->addBlock("entry");
+  B.setInsertPoint(Entry);
+  B.aload(Fn->arg(0), B.i32(1), Type::Ref);                  // Site 0.
+  Value *Anchor = B.aload(Fn->arg(0), B.i32(0), Type::Ref); // Site 1.
+  B.prefetch(Fn->arg(0), nullptr, 0, 64);
+  Value *Spec = B.specLoad(Fn->arg(0), nullptr, 0, Slot0);
+  B.prefetch(Spec, nullptr, 0, 0, /*Guarded=*/true);
+  B.ret(Spec);
+  // The prefetch code is the anchor load's, as PrefetchCodeGen emits it.
+  for (const auto &I : Entry->instructions())
+    if (auto *AI = dyn_cast<AddressedInst>(I.get()))
+      AI->setAnchor(cast<Instruction>(Anchor));
+  ASSERT_TRUE(verifyMethod(Fn));
+
+  sim::CountingSink Counts;
+  LoggingSink Log(Counts);
+  const std::vector<exec::SiteId> AllAnchor = {1, 1, 1};
+
+  // Ungoverned: every prefetch event reports site 0.
+  exec::Interpreter Plain(Heap, Log);
+  EXPECT_EQ(Plain.run(Fn, {Arr}), Obj);
+  EXPECT_EQ(Log.takePrefetchSites(), (std::vector<exec::SiteId>{0, 0, 0}));
+
+  exec::Interpreter Gov(Heap, Log);
+  Gov.enablePrefetchGovernance();
+  EXPECT_EQ(Gov.run(Fn, {Arr}), Obj);
+  EXPECT_EQ(Log.takePrefetchSites(), AllAnchor);
+  EXPECT_EQ(Gov.stats().PrefetchRelated, 3u);
+
+  // Quarantined: the prefetch, the spec load and the prefetch of its
+  // result emit nothing and count for nothing; the spec load yields null.
+  Gov.suppressPrefetchSite(1);
+  EXPECT_EQ(Gov.run(Fn, {Arr}), 0u);
+  EXPECT_TRUE(Log.takePrefetchSites().empty());
+  EXPECT_EQ(Gov.stats().PrefetchRelated, 3u);
+
+  // Released: the events come back, still on the anchor's site.
+  Gov.clearPrefetchSuppression();
+  EXPECT_EQ(Gov.run(Fn, {Arr}), Obj);
+  EXPECT_EQ(Log.takePrefetchSites(), AllAnchor);
+  EXPECT_EQ(Gov.stats().PrefetchRelated, 6u);
+  EXPECT_EQ(Gov.loadSiteCount(), 2u); // Prefetch ops took no site of their own.
 }
 
 TEST_F(InterpTest, SpecLoadOfInvalidAddressYieldsNull) {

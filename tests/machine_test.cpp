@@ -357,7 +357,7 @@ TEST(PageWalkTest, NeighborPagesShareUpperLevelEntries) {
 TEST(PageWalkTest, GuardedLoadPrimingWalksButChargesNothing) {
   MemorySystem Mem(walkedMachine());
   uint64_t Addr = 1 << 20;
-  Mem.guardedLoad(Addr);
+  Mem.guardedLoad(Addr, 0);
   EXPECT_EQ(Mem.stats().PageWalks, 1u); // The priming walk happened...
   EXPECT_EQ(Mem.stats().PageWalkCycles, 0u); // ... latency-hidden.
   EXPECT_EQ(Mem.stats().DtlbLoadMisses, 0u); // Not a demand miss.

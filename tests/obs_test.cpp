@@ -232,7 +232,7 @@ TEST(DecisionLogTest, GovernorGoldenEvents) {
   // as compile-time decisions (Pass="governor"), so --explain and
   // --decisions-out show *runtime* adaptation next to the static plan.
   DecisionLog Log;
-  std::vector<opt::GovernorDecision> Decisions;
+  opt::EpochVerdict Verdict;
   {
     DecisionScope Scope(Log);
     opt::Governor Gov;
@@ -244,31 +244,31 @@ TEST(DecisionLogTest, GovernorGoldenEvents) {
       S.SwUnused = Unused;
       return S;
     };
-    // Site 0 late (retune), sites 1+2 inaccurate (quarantine x2 ->
-    // reinspect escalation).
+    // Site 0 mostly late, sites 1+2 mostly unused: all three are below
+    // the accuracy floor (quarantine x3 -> reinspect escalation).
     std::vector<sim::SiteStats> T = {Health(10, 50, 4), Health(4, 4, 56),
                                      Health(2, 2, 60)};
-    Decisions = Gov.endEpoch(T);
+    Verdict = Gov.endEpoch(T);
   }
-  ASSERT_EQ(Decisions.size(), 4u);
+  EXPECT_EQ(Verdict.Quarantined, (std::vector<exec::SiteId>{0, 1, 2}));
+  EXPECT_TRUE(Verdict.Reinspect);
 
   std::vector<DecisionEvent> Evs = Log.take();
   ASSERT_EQ(Evs.size(), 4u);
-  EXPECT_EQ(Evs[0].Pass, "governor");
-  EXPECT_EQ(Evs[0].Event, "retune");
-  EXPECT_EQ(Evs[0].Site, "site#0");
-  EXPECT_EQ(Evs[0].Stride, 2); // The retuned extra lookahead.
-  EXPECT_EQ(Evs[0].Samples, 64u);
-  EXPECT_EQ(Evs[1].Event, "quarantine");
-  EXPECT_EQ(Evs[1].Site, "site#1");
-  EXPECT_EQ(Evs[2].Event, "quarantine");
-  EXPECT_EQ(Evs[2].Site, "site#2");
+  for (unsigned I = 0; I != 3; ++I) {
+    EXPECT_EQ(Evs[I].Pass, "governor");
+    EXPECT_EQ(Evs[I].Event, "quarantine");
+    EXPECT_EQ(Evs[I].Site, "site#" + std::to_string(I));
+    EXPECT_EQ(Evs[I].Samples, 64u); // Resolved fills behind the decision.
+  }
+  EXPECT_EQ(Evs[0].Detail, "resolved=64 accuracy=0.16");
+  EXPECT_NEAR(Evs[0].Confidence, 10.0 / 64.0, 1e-9);
   EXPECT_EQ(Evs[3].Event, "reinspect");
-  EXPECT_EQ(Evs[3].Samples, 2u); // Quarantines behind the escalation.
+  EXPECT_EQ(Evs[3].Samples, 3u); // Quarantines behind the escalation.
   // The escalation re-inspects the whole program: no site, and no
   // per-site fill evidence to report.
   EXPECT_EQ(Evs[3].Site, "");
-  EXPECT_EQ(Evs[3].Detail, "fresh_quarantines=2");
+  EXPECT_EQ(Evs[3].Detail, "fresh_quarantines=3");
   for (const DecisionEvent &E : Evs) {
     // Human rendering stays readable for runtime events with no method
     // attribution.
@@ -290,9 +290,7 @@ TEST(DecisionLogTest, GovernorWithoutScopeStillDecides) {
   S.SwUseful = 2;
   S.SwUnused = 62;
   std::vector<sim::SiteStats> T = {S};
-  std::vector<opt::GovernorDecision> D = Gov.endEpoch(T);
-  ASSERT_EQ(D.size(), 1u);
-  EXPECT_EQ(D[0].Action, opt::GovernorAction::Quarantine);
+  EXPECT_EQ(Gov.endEpoch(T).Quarantined, (std::vector<exec::SiteId>{0}));
 }
 
 // -- Observability never changes results ------------------------------------

@@ -263,95 +263,74 @@ TEST(GovernorTest, HealthySitesAreKept) {
   opt::Governor Gov;
   // 64 resolved, 60 useful: comfortably above the accuracy floor.
   std::vector<sim::SiteStats> T = {health(64, 60, 2, 2)};
-  EXPECT_TRUE(Gov.endEpoch(T).empty());
+  opt::EpochVerdict V = Gov.endEpoch(T);
+  EXPECT_TRUE(V.Quarantined.empty());
+  EXPECT_FALSE(V.Reinspect);
   EXPECT_EQ(Gov.quarantinedSites(), 0u);
 }
 
 TEST(GovernorTest, ThinEvidenceNeverTriggersADecision) {
-  opt::Governor Gov; // MinResolved = 32.
+  opt::Governor Gov; // 32 resolved fills are needed.
   // 100% useless, but only 8 resolved fills: keep (no evidence).
   std::vector<sim::SiteStats> T = {health(8, 0, 0, 8)};
-  EXPECT_TRUE(Gov.endEpoch(T).empty());
+  EXPECT_TRUE(Gov.endEpoch(T).Quarantined.empty());
 }
 
 TEST(GovernorTest, InaccurateSiteIsQuarantined) {
   opt::Governor Gov;
   std::vector<sim::SiteStats> T = {health(64, 4, 4, 56)};
-  std::vector<opt::GovernorDecision> D = Gov.endEpoch(T);
-  ASSERT_EQ(D.size(), 1u);
-  EXPECT_EQ(D[0].Action, opt::GovernorAction::Quarantine);
-  EXPECT_EQ(D[0].Site, 0u);
-  EXPECT_EQ(D[0].Resolved, 64u);
-  EXPECT_NEAR(D[0].Accuracy, 4.0 / 64.0, 1e-9);
+  opt::EpochVerdict V = Gov.endEpoch(T);
+  EXPECT_EQ(V.Quarantined, (std::vector<exec::SiteId>{0}));
+  EXPECT_FALSE(V.Reinspect); // One site is below the quorum.
   EXPECT_EQ(Gov.quarantinedSites(), 1u);
 
   // Quarantined sites are left alone afterwards, whatever their stats.
   std::vector<sim::SiteStats> T2 = {health(128, 8, 8, 112)};
-  EXPECT_TRUE(Gov.endEpoch(T2).empty());
+  EXPECT_TRUE(Gov.endEpoch(T2).Quarantined.empty());
+  EXPECT_EQ(Gov.quarantinedSites(), 1u);
 }
 
-TEST(GovernorTest, LateSiteIsRetunedThenEventuallyQuarantined) {
-  opt::Governor Gov; // RetuneStep = 2, MaxRetunes = 2.
-  // Inaccurate by the floor but mostly *late*: stride right, distance
-  // short. Epoch evidence is the delta, so keep the table cumulative.
+TEST(GovernorTest, LateDominatedSiteIsQuarantinedOnItsFirstBadEpoch) {
+  opt::Governor Gov;
+  // Inaccurate by the floor but mostly *late*: the fills arrive, just not
+  // in time. Late fills earn nothing either, so the site goes at once.
   std::vector<sim::SiteStats> T = {health(64, 10, 50, 4)};
-  std::vector<opt::GovernorDecision> D = Gov.endEpoch(T);
-  ASSERT_EQ(D.size(), 1u);
-  EXPECT_EQ(D[0].Action, opt::GovernorAction::Retune);
-  EXPECT_EQ(D[0].ExtraDistance, 2);
-
-  T[0].SwIssued += 64;
-  T[0].SwUseful += 10;
-  T[0].SwLate += 50;
-  T[0].SwUnused += 4;
-  D = Gov.endEpoch(T);
-  ASSERT_EQ(D.size(), 1u);
-  EXPECT_EQ(D[0].Action, opt::GovernorAction::Retune);
-  EXPECT_EQ(D[0].ExtraDistance, 4); // Cumulative lookahead.
-  EXPECT_EQ(Gov.retunesApplied(), 2u);
-
-  // Third bad epoch: retune budget spent, fall through to quarantine.
-  T[0].SwIssued += 64;
-  T[0].SwUseful += 10;
-  T[0].SwLate += 50;
-  T[0].SwUnused += 4;
-  D = Gov.endEpoch(T);
-  ASSERT_EQ(D.size(), 1u);
-  EXPECT_EQ(D[0].Action, opt::GovernorAction::Quarantine);
+  opt::EpochVerdict V = Gov.endEpoch(T);
+  EXPECT_EQ(V.Quarantined, (std::vector<exec::SiteId>{0}));
   EXPECT_EQ(Gov.quarantinedSites(), 1u);
 }
 
 TEST(GovernorTest, QuarantineQuorumEscalatesToReinspectOnce) {
-  opt::Governor Gov; // ReinspectQuorum = 2, MaxReinspects = 1.
+  opt::Governor Gov; // Two fresh quarantines escalate, once per run.
   std::vector<sim::SiteStats> T = {health(64, 2, 2, 60),
+                                   health(64, 50, 4, 10),
                                    health(64, 3, 1, 60)};
-  std::vector<opt::GovernorDecision> D = Gov.endEpoch(T);
-  ASSERT_EQ(D.size(), 3u);
-  EXPECT_EQ(D[0].Action, opt::GovernorAction::Quarantine);
-  EXPECT_EQ(D[1].Action, opt::GovernorAction::Quarantine);
-  EXPECT_EQ(D.back().Action, opt::GovernorAction::Reinspect);
-  EXPECT_EQ(D.back().Resolved, 2u); // Fresh quarantines behind it.
+  opt::EpochVerdict V = Gov.endEpoch(T);
+  EXPECT_EQ(V.Quarantined, (std::vector<exec::SiteId>{0, 2}));
+  EXPECT_TRUE(V.Reinspect);
+  EXPECT_EQ(Gov.reinspections(), 1u);
 
   // The caller re-inspected: all prior decisions are void and the health
   // baseline restarts at the current cumulative counters.
   Gov.noteReinspected(T);
   EXPECT_EQ(Gov.quarantinedSites(), 0u);
-  EXPECT_EQ(Gov.reinspections(), 1u);
-  EXPECT_TRUE(Gov.endEpoch(T).empty()); // Zero fresh evidence: keeps.
+  V = Gov.endEpoch(T); // Zero fresh evidence: keeps.
+  EXPECT_TRUE(V.Quarantined.empty());
+  EXPECT_FALSE(V.Reinspect);
 
-  // A second quorum cannot escalate again (budget spent): plain
-  // quarantines only.
+  // A second quorum cannot escalate again: plain quarantines only.
   std::vector<sim::SiteStats> T2 = {health(128, 4, 4, 120),
+                                    health(128, 100, 8, 20),
                                     health(128, 6, 2, 120)};
-  D = Gov.endEpoch(T2);
-  ASSERT_EQ(D.size(), 2u);
-  EXPECT_EQ(D[0].Action, opt::GovernorAction::Quarantine);
-  EXPECT_EQ(D[1].Action, opt::GovernorAction::Quarantine);
+  V = Gov.endEpoch(T2);
+  EXPECT_EQ(V.Quarantined, (std::vector<exec::SiteId>{0, 2}));
+  EXPECT_FALSE(V.Reinspect);
+  EXPECT_EQ(Gov.reinspections(), 1u);
 }
 
 TEST(GovernorTest, RptHealthIsObservedButNotGoverned) {
   // Hardware-RPT fills are attributed per site for the reports, but the
-  // governor can only act on *software* prefetch code (suppress/retune a
+  // governor can only act on *software* prefetch code (suppress a
   // prefetch instruction); it must not quarantine a site on RPT evidence
   // alone — there is nothing to patch.
   opt::Governor Gov;
@@ -360,17 +339,7 @@ TEST(GovernorTest, RptHealthIsObservedButNotGoverned) {
   S.RptUseful = 2;
   S.RptUnused = 62;
   std::vector<sim::SiteStats> T = {S};
-  EXPECT_TRUE(Gov.endEpoch(T).empty());
-}
-
-TEST(GovernorTest, ActionNamesAreStable) {
-  EXPECT_STREQ(opt::governorActionName(opt::GovernorAction::Keep), "keep");
-  EXPECT_STREQ(opt::governorActionName(opt::GovernorAction::Retune),
-               "retune");
-  EXPECT_STREQ(opt::governorActionName(opt::GovernorAction::Quarantine),
-               "quarantine");
-  EXPECT_STREQ(opt::governorActionName(opt::GovernorAction::Reinspect),
-               "reinspect");
+  EXPECT_TRUE(Gov.endEpoch(T).Quarantined.empty());
 }
 
 } // namespace

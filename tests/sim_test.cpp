@@ -284,7 +284,7 @@ TEST_F(MemorySystemTest, ColdLoadPaysFullPenaltyThenHitsL1) {
 
 TEST_F(MemorySystemTest, PrefetchCancelledOnTlbMiss) {
   // Nothing touched the page yet: the hardware prefetch must cancel.
-  Mem.prefetch(0x300000);
+  Mem.prefetch(0x300000, 0);
   EXPECT_EQ(Mem.stats().SwPrefetchesCancelled, 1u);
   // The line was not brought in.
   uint64_t Before = Mem.cycles();
@@ -296,7 +296,7 @@ TEST_F(MemorySystemTest, PrefetchCancelledOnTlbMiss) {
 TEST_F(MemorySystemTest, PrefetchAfterTlbWarmupFillsL2) {
   const MachineConfig &C = Mem.config();
   Mem.load(0x300000); // Warm the page's TLB entry.
-  Mem.prefetch(0x300000 + 2 * C.Levels[1].Geometry.LineBytes);
+  Mem.prefetch(0x300000 + 2 * C.Levels[1].Geometry.LineBytes, 0);
   EXPECT_EQ(Mem.stats().SwPrefetchesCancelled, 0u);
   // Let the fill complete.
   Mem.tick(C.PrefetchFillLatency);
@@ -309,7 +309,7 @@ TEST_F(MemorySystemTest, PrefetchAfterTlbWarmupFillsL2) {
 
 TEST_F(MemorySystemTest, GuardedLoadPrimesTlbAndFillsL1) {
   const MachineConfig &C = Mem.config();
-  Mem.guardedLoad(0x400000);
+  Mem.guardedLoad(0x400000, 0);
   EXPECT_EQ(Mem.stats().GuardedLoads, 1u);
   Mem.tick(C.PrefetchFillLatency);
   uint64_t Before = Mem.cycles();
@@ -322,7 +322,7 @@ TEST_F(MemorySystemTest, GuardedLoadPrimesTlbAndFillsL1) {
 TEST_F(MemorySystemTest, LatePrefetchPaysPartialLatency) {
   const MachineConfig &C = Mem.config();
   Mem.load(0x500000); // TLB warmup.
-  Mem.prefetch(0x500000 + 4 * C.Levels[1].Geometry.LineBytes);
+  Mem.prefetch(0x500000 + 4 * C.Levels[1].Geometry.LineBytes, 0);
   // Access immediately: the fill is in flight.
   uint64_t Before = Mem.cycles();
   Mem.load(0x500000 + 4 * C.Levels[1].Geometry.LineBytes);
@@ -338,7 +338,7 @@ TEST(MemorySystemAthlonTest, SwPrefetchFillsL1OnAthlon) {
   MachineConfig C = *MachineConfig::byName("athlon");
   MemorySystem Mem(C);
   Mem.load(0x600000); // TLB warmup.
-  Mem.prefetch(0x600000 + 4 * C.Levels[0].Geometry.LineBytes);
+  Mem.prefetch(0x600000 + 4 * C.Levels[0].Geometry.LineBytes, 0);
   Mem.tick(C.PrefetchFillLatency);
   uint64_t Before = Mem.cycles();
   Mem.load(0x600000 + 4 * C.Levels[0].Geometry.LineBytes);
