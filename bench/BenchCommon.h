@@ -25,6 +25,7 @@
 #include "support/Env.h"
 #include "workloads/Runner.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -377,6 +378,12 @@ runPlanCli(const harness::ExperimentPlan &Plan) {
   harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
   emitDecisions(Plan, Result);
   return Result;
+}
+
+/// The (upper) median of the non-empty \p V: wall-clock samples.
+inline double median(std::vector<double> V) {
+  std::nth_element(V.begin(), V.begin() + V.size() / 2, V.end());
+  return V[V.size() / 2];
 }
 
 /// Writes the JSON report for one finished plan to \p Path ("-" =

@@ -33,6 +33,16 @@ jessCell(std::function<void(core::PrefetchPassOptions &)> T) {
   return Cell;
 }
 
+/// Median prefetch-pass time of \p Cell's whole program over 5 compiles
+/// on this thread (workloads::measureCompileTime): wall-clock, so it is
+/// measured after the plan, not taken from its concurrent cells.
+static double passUs(const harness::ExperimentCell &Cell) {
+  std::vector<double> Us;
+  for (unsigned R = 0; R != 5; ++R)
+    Us.push_back(measureCompileTime(*Cell.Spec, Cell.Opt).PrefetchUs);
+  return median(Us);
+}
+
 int main(int argc, char **argv) {
   init(argc, argv);
   // All four sections share one plan and one worker pool.
@@ -51,12 +61,10 @@ int main(int argc, char **argv) {
       P.Stride.MajorityThreshold = T;
     }));
 
-  const unsigned FollowRepeats = 3; // Best-of-3 wall time.
   for (bool Follow : {false, true})
-    for (unsigned I = 0; I != FollowRepeats; ++I)
-      Plan.add(jessCell([Follow](core::PrefetchPassOptions &P) {
-        P.Inspector.FollowCalls = Follow;
-      }));
+    Plan.add(jessCell([Follow](core::PrefetchPassOptions &P) {
+      P.Inspector.FollowCalls = Follow;
+    }));
 
   for (bool Weak : {false, true}) {
     harness::ExperimentCell Cell;
@@ -78,9 +86,9 @@ int main(int argc, char **argv) {
   std::printf("%4s %10s %10s %12s\n", "N", "speclds", "prefetch",
               "pass us");
   for (unsigned N : Iterations) {
-    const RunResult &R = Result.run(I++);
+    const RunResult &R = Result.run(I);
     std::printf("%4u %10u %10u %12.1f\n", N, R.Prefetch.CodeGen.SpecLoads,
-                R.Prefetch.CodeGen.Prefetches, R.JitPrefetchUs);
+                R.Prefetch.CodeGen.Prefetches, passUs(Plan.cells()[I++]));
   }
 
   std::printf("\nAblation B: majority threshold (jess)\n");
@@ -95,19 +103,11 @@ int main(int argc, char **argv) {
   std::printf("%-14s %10s %10s %12s\n", "calls", "speclds", "prefetch",
               "pass us");
   for (bool Follow : {false, true}) {
-    double Best = 1e18;
-    RunResult Last;
-    for (unsigned R = 0; R != FollowRepeats; ++R) {
-      const RunResult &Res = Result.run(I++);
-      if (Res.JitPrefetchUs < Best) {
-        Best = Res.JitPrefetchUs;
-        Last = Res;
-      }
-    }
+    const RunResult &R = Result.run(I);
     std::printf("%-14s %10u %10u %12.1f\n",
                 Follow ? "followed" : "skipped (paper)",
-                Last.Prefetch.CodeGen.SpecLoads,
-                Last.Prefetch.CodeGen.Prefetches, Best);
+                R.Prefetch.CodeGen.SpecLoads, R.Prefetch.CodeGen.Prefetches,
+                passUs(Plan.cells()[I++]));
   }
 
   std::printf("\nAblation D: weak/phased stride exploitation (db, P4)\n");

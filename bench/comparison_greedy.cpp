@@ -33,10 +33,8 @@ RunResult runGreedy(const WorkloadSpec &Spec, unsigned &Emitted) {
   jit::CompileManager::Options CM;
   CM.EnablePrefetch = false;
   jit::CompileManager Jit(*W.Heap, CM);
-  for (const CompileUnit &CU : W.CompileUnits) {
+  for (const CompileUnit &CU : W.executedUnits()) {
     Jit.compile(CU.M, CU.Args);
-    if (CU.M->name().rfind("pop.", 0) == 0)
-      continue;
     core::GreedyResult R = core::runGreedyPrefetch(CU.M);
     Emitted += R.Prefetches;
   }

@@ -7,15 +7,20 @@
 ///   spf_cli run --workload db [--machine p4|athlon]
 ///               [--algo baseline|inter|inter+intra] [--scale 0.5] [-c N]
 ///       Build, JIT-compile, and simulate one workload; print the
-///       Figure 6-10 measurements.
+///       Figure 6-10 measurements. --scale takes a number > 0 and -c a
+///       scheduling distance >= 1; anything else exits 2.
 ///   spf_cli dump --workload jess [--prefetch] [--machine p4|athlon]
 ///       Print the hot method's IR, optionally after the prefetch pass.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRPrinter.h"
+#include "support/Env.h"
 #include "workloads/Runner.h"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 
@@ -84,12 +89,22 @@ bool parseArgs(int Argc, char **Argv, Cli &C) {
       const char *V = Next();
       if (!V)
         return false;
-      C.Scale = std::atof(V);
+      char *End = nullptr;
+      C.Scale = std::strtod(V, &End);
+      if (End == V || *End || !std::isfinite(C.Scale) || C.Scale <= 0)
+        support::envConfigError("--scale", V, "expected a scale > 0");
     } else if (A == "-c") {
       const char *V = Next();
       if (!V)
         return false;
-      C.Distance = static_cast<unsigned>(std::atoi(V));
+      char *End = nullptr;
+      errno = 0;
+      unsigned long N = std::strtoul(V, &End, 10);
+      if (*V < '0' || *V > '9' || *End || errno == ERANGE || N < 1 ||
+          N > UINT_MAX)
+        support::envConfigError("-c", V,
+                                "expected a scheduling distance >= 1");
+      C.Distance = static_cast<unsigned>(N);
     } else if (A == "--prefetch") {
       C.Prefetch = true;
     } else {
@@ -114,7 +129,7 @@ int cmdRun(const Cli &C) {
   RunOptions Opt;
   Opt.Machine = C.Machine;
   Opt.Algo = C.Algo;
-  Opt.Config.Scale = C.Scale > 0 ? C.Scale : 1.0;
+  Opt.Config.Scale = C.Scale;
   if (C.Distance != 1)
     Opt.TunePass = [&C](core::PrefetchPassOptions &P) {
       P.Planner.ScheduleDistance = C.Distance;
@@ -134,8 +149,6 @@ int cmdRun(const Cli &C) {
             << R.Mem.SwPrefetchesCancelled << " cancelled)\n";
   std::cout << "  guarded loads:     " << R.Mem.GuardedLoads << "\n";
   std::cout << "  GC runs:           " << R.Exec.GcRuns << "\n";
-  std::cout << "  JIT time:          " << R.JitTotalUs / 1000.0 << " ms ("
-            << R.JitPrefetchUs / 1000.0 << " ms prefetch pass)\n";
   std::cout << "  result:            " << R.ReturnValue
             << (R.SelfCheckOk ? " [self-check ok]" : " [SELF-CHECK FAIL]")
             << "\n";

@@ -514,8 +514,6 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
     }
     J.key("spec_loads").value(R.Prefetch.CodeGen.SpecLoads);
     J.key("prefetches").value(R.Prefetch.CodeGen.Prefetches);
-    J.key("jit_total_us").value(R.JitTotalUs);
-    J.key("jit_prefetch_us").value(R.JitPrefetchUs);
     J.key("return_value").value(R.ReturnValue);
     J.key("self_check_ok").value(R.SelfCheckOk);
     J.key("load_sites").value(static_cast<uint64_t>(R.Sites.size()));

@@ -32,14 +32,6 @@ struct AllocationResult {
   unsigned NumRegisters = 7;
   unsigned Spills = 0;
   unsigned MaxPressure = 0; ///< Peak simultaneous live intervals.
-
-  /// The interval for dense value id \p Id, or null.
-  const LiveInterval *intervalFor(unsigned Id) const {
-    for (const LiveInterval &I : Intervals)
-      if (I.ValueId == Id)
-        return &I;
-    return nullptr;
-  }
 };
 
 /// Allocates \p M 's values to \p NumRegisters registers.

@@ -24,8 +24,6 @@ class Liveness {
 public:
   explicit Liveness(ir::Method *M);
 
-  unsigned numValues() const { return NumValues; }
-
   const std::vector<bool> &liveIn(const ir::BasicBlock *BB) const {
     return LiveIn.at(BB);
   }

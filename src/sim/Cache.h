@@ -70,8 +70,6 @@ class Cache {
 public:
   explicit Cache(CacheParams P);
 
-  unsigned lineBytes() const { return Params.LineBytes; }
-
   /// Demand access at \p Now; fills the line on a miss (ready
   /// immediately, i.e. the pipeline stalls for it — the penalty is charged
   /// by the caller).

@@ -120,7 +120,6 @@ struct MachineConfig {
 
   unsigned numLevels() const { return static_cast<unsigned>(Levels.size()); }
   const CacheLevel &level(unsigned I) const { return Levels[I]; }
-  const CacheLevel &lastLevel() const { return Levels.back(); }
   /// Line size of the level software prefetches fill — the line the
   /// planner schedules against (compile-relevant).
   unsigned swFillLineBytes() const {

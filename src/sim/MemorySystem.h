@@ -207,7 +207,6 @@ public:
   /// governor-driven runs enable it. Cannot be turned off again: tags
   /// already in flight would misreport.
   void enablePrefetchHealth();
-  bool prefetchHealthEnabled() const { return SwHealth; }
 
   uint64_t cycles() const { return Cycles; }
   const MemoryStats &stats() const { return Stats; }
@@ -218,8 +217,6 @@ public:
 
   const Cache &l1() const { return CacheLevels.front(); }
   const Cache &l2() const { return CacheLevels[1]; }
-  const Cache &lastLevelCache() const { return CacheLevels.back(); }
-  const Cache &cacheLevel(unsigned I) const { return CacheLevels[I]; }
   unsigned numCacheLevels() const {
     return static_cast<unsigned>(CacheLevels.size());
   }

@@ -41,8 +41,6 @@ public:
   /// \p Entries must be in [1, MaxEntries].
   Tlb(unsigned Entries, unsigned PageBytes);
 
-  unsigned pageBytes() const { return PageBytes; }
-
   /// Demand translation: returns true on hit. On a miss the entry is
   /// filled (the page walk happened); the caller charges the penalty.
   bool access(uint64_t Addr) {

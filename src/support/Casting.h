@@ -43,11 +43,6 @@ template <typename To, typename From> const To *dyn_cast(const From *Val) {
   return isa<To>(Val) ? static_cast<const To *>(Val) : nullptr;
 }
 
-/// Like dyn_cast<>, but tolerates a null argument (propagating it).
-template <typename To, typename From> To *dyn_cast_or_null(From *Val) {
-  return Val ? dyn_cast<To>(Val) : nullptr;
-}
-
 } // namespace spf
 
 #endif // SPF_SUPPORT_CASTING_H

@@ -152,7 +152,6 @@ public:
   /// still counts in-place holes; subtract freeListBytes() for live+filler
   /// occupancy.
   uint64_t bytesUsed() const { return Top; }
-  uint64_t bytesFree() const { return Cfg.HeapBytes - Top + FreeBytes; }
   uint64_t allocationCount() const { return NumAllocs; }
 
   /// Ref-typed static slots; the GC treats these as roots.

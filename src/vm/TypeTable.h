@@ -104,8 +104,6 @@ public:
   /// Returns the class named \p Name, or null.
   const ClassDesc *findClass(const std::string &Name) const;
 
-  size_t numClasses() const { return Classes.size(); }
-
 private:
   std::vector<std::unique_ptr<ClassDesc>> Classes;
 };

@@ -93,6 +93,7 @@ Method *buildPopulationMethod(Module &Mod, SplitMix64 &Rng,
 void workloads::addCompiledPopulation(BuiltWorkload &B,
                                       unsigned NumMethods, uint64_t Seed) {
   SplitMix64 Rng(Seed ^ 0x9e3779b97f4a7c15ULL);
+  B.PopulationBegin = std::min(B.PopulationBegin, B.CompileUnits.size());
   for (unsigned I = 0; I != NumMethods; ++I) {
     Method *M = buildPopulationMethod(*B.Module, Rng, I);
     // Compiled without argument values, like any method the JIT picks up

@@ -6,8 +6,8 @@
 /// show up in the performance profile; Figure 11's "total JIT compilation
 /// time" denominator is dominated by them. Each workload therefore adds a
 /// deterministic population of ordinary methods (arithmetic, branches,
-/// small counted loops — no profiled heap traffic) that are compiled but
-/// not executed by the harness.
+/// small counted loops — no profiled heap traffic) that nothing executes;
+/// only measureCompileTime compiles them with the executed units.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +21,8 @@ namespace workloads {
 
 /// Generates \p NumMethods compile-only methods into \p B 's module and
 /// registers them (with no argument values, as for any method compiled
-/// before its first profiled invocation) in \p B 's compile units. Call
-/// after World::seal().
+/// before its first profiled invocation) after \p B 's executed compile
+/// units. Call after World::seal() and the executed units.
 void addCompiledPopulation(BuiltWorkload &B, unsigned NumMethods,
                            uint64_t Seed);
 

@@ -65,7 +65,7 @@ private:
   std::vector<sim::MemorySystem *> Sims;
 };
 
-/// JIT-compiles the hot methods of \p W with their first-invocation
+/// JIT-compiles the executed units of \p W with their first-invocation
 /// arguments, recording decisions into \p Log when it is non-null and
 /// observability is on.
 void compileUnits(jit::CompileManager &Jit, const BuiltWorkload &W,
@@ -74,7 +74,7 @@ void compileUnits(jit::CompileManager &Jit, const BuiltWorkload &W,
   if (Log && obs::enabled())
     Scope.emplace(*Log);
   obs::Span JitSpan("jit", "runner");
-  for (const CompileUnit &CU : W.CompileUnits)
+  for (const CompileUnit &CU : W.executedUnits())
     Jit.compile(CU.M, CU.Args);
 }
 
@@ -135,7 +135,7 @@ uint64_t workloads::programHash(const WorkloadSpec &Spec,
   for (uint64_t V : W.EntryArgs)
     Inputs.append(reinterpret_cast<const char *>(&V), sizeof(V));
   uint64_t H = std::hash<std::string>{}(Inputs);
-  for (const CompileUnit &CU : W.CompileUnits)
+  for (const CompileUnit &CU : W.executedUnits())
     H = ir::hashMethod(CU.M, H);
   return H;
 }
@@ -151,14 +151,21 @@ CompiledProgram workloads::compileProgram(const WorkloadSpec &Spec,
 
   CompiledProgram P;
   P.Hash = programHash(Spec, Opts.Config, W);
-  P.JitTotalUs = Jit.totalJitUs();
-  P.JitPrefetchUs = Jit.prefetchUs();
   P.Prefetch = Jit.aggregatePrefetch();
   // The log waits in memory until the cell's group runs: drop its
   // growth slack.
   P.Decisions = Log.take();
   P.Decisions.shrink_to_fit();
   return P;
+}
+
+CompileTime workloads::measureCompileTime(const WorkloadSpec &Spec,
+                                          const RunOptions &Opts) {
+  BuiltWorkload W = Spec.Build(Opts.Config);
+  jit::CompileManager Jit(*W.Heap, compileOptionsFor(Opts));
+  for (const CompileUnit &CU : W.CompileUnits)
+    Jit.compile(CU.M, CU.Args);
+  return {Jit.totalJitUs(), Jit.prefetchUs()};
 }
 
 std::vector<RunResult>
@@ -263,7 +270,7 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
         // Strip every unit's prefetch code and re-run the pipeline
         // against the *current* (post-GC) heap layout; every quarantine,
         // this epoch's included, is void with the code it suppressed.
-        for (const CompileUnit &CU : W.CompileUnits) {
+        for (const CompileUnit &CU : W.executedUnits()) {
           core::CodeGenStats Stripped = core::stripPrefetchCode(*CU.M);
           if (Stripped.Prefetches || Stripped.SpecLoads)
             Jit.compile(CU.M, CU.Args);
@@ -281,10 +288,6 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   Result.InterpretUs = elapsedUs(Start);
   SimSpan.end();
 
-  // JIT totals are harvested after execution: governor re-inspection
-  // re-compiles mid-run and its time belongs in the Figure 11 totals.
-  Result.JitTotalUs = Jit.totalJitUs();
-  Result.JitPrefetchUs = Jit.prefetchUs();
   Result.Prefetch = Jit.aggregatePrefetch();
   Result.Decisions = Log.take();
 
@@ -315,8 +318,6 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
     R.Sites = S.siteStats();
     if (!Compiled.empty()) {
       CompiledProgram &P = Compiled[K];
-      R.JitTotalUs = P.JitTotalUs;
-      R.JitPrefetchUs = P.JitPrefetchUs;
       R.Prefetch = std::move(P.Prefetch);
       R.Decisions = std::move(P.Decisions);
     }

@@ -4,8 +4,8 @@
 /// The measurement harness shared by all benches and the end-to-end tests:
 /// builds a workload, JIT-compiles its hot methods under one of the three
 /// evaluated configurations (BASELINE, INTER, INTER+INTRA), executes it on
-/// one or more simulated machines, and returns the cycle/miss/compile-time
-/// metrics the paper's figures are drawn from.
+/// one or more simulated machines, and returns the cycle and miss metrics
+/// the paper's figures are drawn from (measureCompileTime: Figure 11's).
 ///
 /// Runs whose compiled programs hash equal (programHash) interpret the
 /// same program over the same heap, so runWorkloadGroup executes such a
@@ -84,8 +84,6 @@ struct RunResult {
   /// Per-load-site attribution (index = exec::SiteId).
   std::vector<sim::SiteStats> Sites;
   exec::ExecStats Exec;
-  double JitTotalUs = 0;    ///< Total JIT compilation time.
-  double JitPrefetchUs = 0; ///< Prefetch pass share of it.
   core::PrefetchPassResult Prefetch;
   uint64_t ReturnValue = 0;
   bool SelfCheckOk = true; ///< Entry returned the expected value.
@@ -122,9 +120,9 @@ jit::CompileManager::Options compileOptionsFor(const RunOptions &Opts);
 
 /// The identity of the program a built-and-compiled world executes: a
 /// 64-bit hash over the world inputs (workload name, scale bits, seed,
-/// heap bytes), the entry args and every compiled method
-/// (ir::hashMethod). Builds are deterministic and compiling never writes
-/// the heap, so two runs of one WorkloadSpec whose hashes are equal
+/// heap bytes), the entry args and every executed unit (ir::hashMethod).
+/// Builds are deterministic and compiling never writes the heap, so two
+/// runs of one WorkloadSpec whose hashes are equal
 /// interpret the same program over the same heap.
 uint64_t programHash(const WorkloadSpec &Spec, const WorkloadConfig &Config,
                      const BuiltWorkload &W);
@@ -132,8 +130,6 @@ uint64_t programHash(const WorkloadSpec &Spec, const WorkloadConfig &Config,
 /// A run's compile-time results, without the world they were made in.
 struct CompiledProgram {
   uint64_t Hash = 0; ///< programHash of the compiled world.
-  double JitTotalUs = 0;
-  double JitPrefetchUs = 0;
   core::PrefetchPassResult Prefetch;
   std::vector<obs::DecisionEvent> Decisions;
 };
@@ -142,6 +138,17 @@ struct CompiledProgram {
 /// would, recording its decisions when observability is on; hashes the
 /// result and drops the world.
 CompiledProgram compileProgram(const WorkloadSpec &Spec,
+                               const RunOptions &Opts);
+
+/// Wall-clock JIT time of a whole program, in microseconds.
+struct CompileTime {
+  double TotalUs = 0;    ///< Every pipeline stage of every method.
+  double PrefetchUs = 0; ///< The prefetch pass's share of TotalUs.
+};
+
+/// Builds \p Spec and compiles every unit, the compile-only population
+/// included, under compileOptionsFor(\p Opts): Figure 11's measurement.
+CompileTime measureCompileTime(const WorkloadSpec &Spec,
                                const RunOptions &Opts);
 
 /// Builds and compiles \p Spec once under the options of \p Members[0],
@@ -158,9 +165,9 @@ CompiledProgram compileProgram(const WorkloadSpec &Spec,
 ///
 /// \p Compiled, when not empty, holds each member's own compileProgram
 /// result: the group then compiles without recording decisions and
-/// reports Compiled[K]'s JIT times, pass result and decisions for member
-/// K, so a BASELINE member sharing an INTER program still reports its own
-/// (empty) prefetch pass.
+/// reports Compiled[K]'s pass result and decisions for member K, so a
+/// BASELINE member sharing an INTER program still reports its own (empty)
+/// prefetch pass.
 std::vector<RunResult>
 runWorkloadGroup(const WorkloadSpec &Spec, std::span<const RunOptions> Members,
                  std::vector<CompiledProgram> Compiled = {});

@@ -16,9 +16,12 @@
 #include "ir/IRBuilder.h"
 #include "vm/Heap.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 
 namespace spf {
 namespace workloads {
@@ -48,8 +51,15 @@ struct BuiltWorkload {
   ir::Method *Entry = nullptr;
   std::vector<uint64_t> EntryArgs;
 
-  /// Methods the JIT compiles (with per-method first-invocation args).
+  /// Methods the JIT compiles (with per-method first-invocation args):
+  /// the executed units, then, from PopulationBegin on (SIZE_MAX: none),
+  /// the compile-only population (addCompiledPopulation).
   std::vector<CompileUnit> CompileUnits;
+  size_t PopulationBegin = SIZE_MAX;
+  std::span<const CompileUnit> executedUnits() const {
+    return {CompileUnits.data(),
+            std::min(PopulationBegin, CompileUnits.size())};
+  }
 
   /// GC roots (handles the simulated mutator owns).
   std::vector<vm::Addr> Roots;

@@ -159,11 +159,13 @@ TEST(E2ETest, RetiredInstructionIncreaseIsBounded) {
 TEST(E2ETest, CompileTimeOverheadIsSmallShare) {
   // Figure 11's property at test scale: the pass is a small share of the
   // whole-program JIT time.
-  auto P4 = (*sim::MachineConfig::byName("pentium4"));
+  RunOptions Opt;
+  Opt.Config = e2eConfig();
+  Opt.Algo = Algorithm::InterIntra;
   for (const char *Name : {"jess", "compress", "javac"}) {
-    RunResult R = run(Name, Algorithm::InterIntra, P4);
-    ASSERT_GT(R.JitTotalUs, 0.0) << Name;
-    EXPECT_LT(R.JitPrefetchUs / R.JitTotalUs, 0.25) << Name;
+    CompileTime T = measureCompileTime(*findWorkload(Name), Opt);
+    ASSERT_GT(T.TotalUs, 0.0) << Name;
+    EXPECT_LT(T.PrefetchUs / T.TotalUs, 0.25) << Name;
   }
 }
 

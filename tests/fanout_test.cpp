@@ -69,7 +69,7 @@ TEST(CountingSinkTest, CountsEveryCall) {
 // -- Program hashes -----------------------------------------------------------
 
 /// The printed form of everything programHash covers: the world inputs,
-/// the entry args and every compiled method.
+/// the entry args and every executed compile unit.
 std::string printedProgram(const workloads::WorkloadSpec &Spec,
                            const workloads::WorkloadConfig &Cfg,
                            const workloads::BuiltWorkload &W) {
@@ -79,7 +79,7 @@ std::string printedProgram(const workloads::WorkloadSpec &Spec,
   for (uint64_t A : W.EntryArgs)
     OS << A << ",";
   OS << "\n";
-  for (const workloads::CompileUnit &CU : W.CompileUnits)
+  for (const workloads::CompileUnit &CU : W.executedUnits())
     ir::printMethod(OS, CU.M);
   return OS.str();
 }
@@ -94,7 +94,7 @@ TEST(ProgramHashTest, EqualHashesMeanEqualPrinterText) {
                          const workloads::RunOptions &Opt) {
     workloads::BuiltWorkload W = Spec.Build(Opt.Config);
     jit::CompileManager Jit(*W.Heap, workloads::compileOptionsFor(Opt));
-    for (const workloads::CompileUnit &CU : W.CompileUnits)
+    for (const workloads::CompileUnit &CU : W.executedUnits())
       Jit.compile(CU.M, CU.Args);
     uint64_t Hash = workloads::programHash(Spec, Opt.Config, W);
     Programs.emplace_back(Hash, printedProgram(Spec, Opt.Config, W));

@@ -319,7 +319,7 @@ TEST(RunPlanSharingTest, BaselineSharingAnInterProgramKeepsItsOwnCompile) {
   // db's INTER pass visits loops but inserts nothing at this scale, so
   // INTER and BASELINE compile to one program. INTER leads, so the shared
   // execution compiles with the pass on; the BASELINE follower must still
-  // report its own compile: no pass time, no loops, no decisions.
+  // report its own compile: no loops, no decisions.
   const WorkloadSpec *Db = findWorkload("db");
   ExperimentPlan Plan;
   Plan.addSweep({Db}, {Algorithm::Inter, Algorithm::Baseline},
@@ -338,11 +338,8 @@ TEST(RunPlanSharingTest, BaselineSharingAnInterProgramKeepsItsOwnCompile) {
   RunResult SoloInter = runWorkload(*Db, Plan.cells()[0].Opt);
   EXPECT_GT(Inter.Prefetch.LoopsVisited, 0u);
   EXPECT_EQ(Inter.Prefetch.LoopsVisited, SoloInter.Prefetch.LoopsVisited);
-  EXPECT_GT(Inter.JitPrefetchUs, 0);
   EXPECT_EQ(Inter.Decisions.size(), SoloInter.Decisions.size());
 
-  EXPECT_EQ(Base.JitPrefetchUs, 0);
-  EXPECT_GT(Base.JitTotalUs, 0);
   EXPECT_EQ(Base.Prefetch.LoopsVisited, 0u);
   EXPECT_EQ(Base.Prefetch.CodeGen.Prefetches, 0u);
   EXPECT_EQ(Base.Prefetch.CodeGen.SpecLoads, 0u);
