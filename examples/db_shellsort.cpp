@@ -5,14 +5,17 @@
 /// cycle counts, miss events, and speedups — the experiment behind the
 /// paper's "18.9% on the Pentium 4 and 25.1% on the Athlon MP" headline.
 ///
-/// Build & run:   ./build/examples/db_shellsort        (takes ~30 s)
+/// Build & run:   ./build/examples/db_shellsort        (takes ~3 s)
 ///                SPF_SCALE-style shrinking: pass a scale argument, e.g.
 ///                ./build/examples/db_shellsort 0.2
+///                The scale must be a number > 0; anything else exits 2.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/Env.h"
 #include "workloads/Runner.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -20,9 +23,13 @@ using namespace spf;
 using namespace spf::workloads;
 
 int main(int argc, char **argv) {
-  double Scale = argc > 1 ? std::atof(argv[1]) : 1.0;
-  if (Scale <= 0)
-    Scale = 1.0;
+  double Scale = 1.0;
+  if (argc > 1) {
+    char *End = nullptr;
+    Scale = std::strtod(argv[1], &End);
+    if (End == argv[1] || *End || !std::isfinite(Scale) || Scale <= 0)
+      support::envConfigError("scale", argv[1], "expected a number > 0");
+  }
 
   const WorkloadSpec *Db = findWorkload("db");
   std::printf("209_db shell sort, scale %.2f (records > L2, pages > DTLB)\n",

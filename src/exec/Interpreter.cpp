@@ -388,6 +388,21 @@ void Interpreter::setDeadline(double Seconds) {
   scheduleCheck();
 }
 
+void Interpreter::continueFrom(const Interpreter &Other) {
+  assert(!Governed && !Other.Governed && !Other.MixedModeHook &&
+         Other.ActiveFrames.empty() && "cannot continue this interpreter");
+  Stats = Other.Stats;
+  LoadSites = Other.LoadSites;
+  Gc = Other.Gc;
+  MaxInstructions = Other.MaxInstructions;
+  HasDeadline = Other.HasDeadline;
+  Deadline = Other.Deadline;
+  Gc.setCheckpoint(nullptr); // Other's watchdog.
+  if (HasDeadline)
+    Gc.setCheckpoint([this] { checkDeadline(); });
+  scheduleCheck();
+}
+
 void Interpreter::checkDeadline() const {
   if (HasDeadline && std::chrono::steady_clock::now() >= Deadline)
     throw support::CellTimeout("cell wall-clock deadline exceeded");

@@ -64,6 +64,8 @@ struct ExecStats {
   uint64_t Calls = 0;
   uint64_t Allocations = 0;
   uint64_t GcRuns = 0;
+
+  bool operator==(const ExecStats &) const = default;
 };
 
 /// Executes IR methods; one instance per simulated machine run.
@@ -133,6 +135,13 @@ public:
   /// rewrite (governor-triggered re-JIT), between runs: the decoded ops
   /// are stale otherwise. Load sites keep their ids across the re-decode.
   void invalidateMethodInfo();
+
+  /// Picks up where \p Other left off between runs, on this interpreter's
+  /// own heap, sink and roots (a copy of \p Other's world): its execution
+  /// statistics, load-site ids, collector (collection count and variant),
+  /// execution budget and deadline. Neither interpreter may be governed
+  /// or mixed-mode.
+  void continueFrom(const Interpreter &Other);
 
   /// Execution budget; exceeding it throws support::RuntimeTrap
   /// (runaway-loop protection).

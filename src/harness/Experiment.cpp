@@ -230,17 +230,19 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   const double TimeoutSec = support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0);
 
   // Execution sharing. Cells can share an execution only within a
-  // partner set: the cells of one workload, config, epochs, GC variant and
-  // phase change, none governed (a governed run's code changes mid-run).
-  // Under fault injection every cell is a set of its own: chaos must
-  // exercise each cell's own execution. Sets are listed in the plan order
-  // of their first cell.
+  // partner set: the cells of one workload, config, epochs and phase
+  // change, none governed. A governed run attributes prefetch events to
+  // anchor sites and its re-inspection rewrites the IR every member would
+  // share. GC variants may differ: the group's execution splits by variant
+  // at each epoch boundary (workloads::runWorkloadGroup). Under fault
+  // injection every cell is a set of its own: chaos must exercise each
+  // cell's own execution. Sets are listed in the plan order of their
+  // first cell.
   const std::vector<ExperimentCell> &Cells = Plan.cells();
   std::vector<std::vector<unsigned>> Sets;
   {
-    using PartnerKey =
-        std::tuple<const workloads::WorkloadSpec *, double, uint64_t,
-                   uint64_t, unsigned, vm::GcVariant, bool>;
+    using PartnerKey = std::tuple<const workloads::WorkloadSpec *, double,
+                                  uint64_t, uint64_t, unsigned, bool>;
     std::map<PartnerKey, size_t> SetOf;
     for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
          ++I) {
@@ -248,8 +250,7 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
       if (!Faults.anyEnabled() && !O.Governor) {
         auto [It, New] = SetOf.try_emplace(
             PartnerKey(Cells[I].Spec, O.Config.Scale, O.Config.Seed,
-                       O.Config.HeapBytes, O.Epochs, O.GcVariant,
-                       O.PhaseChange),
+                       O.Config.HeapBytes, O.Epochs, O.PhaseChange),
             Sets.size());
         if (!New) {
           Sets[It->second].push_back(I);

@@ -154,6 +154,8 @@ public:
     }
   }
 
+  const PrefetchTagObserver *tagObserver() const { return Obs; }
+
   /// True when the line holding \p Addr is present (no LRU update).
   bool contains(uint64_t Addr) const {
     uint64_t LineAddr = Addr >> LineShift;

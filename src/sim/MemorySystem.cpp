@@ -44,6 +44,20 @@ MemorySystem::MemorySystem(const MachineConfig &Cfg)
     CacheLevels.back().setTagObserver(this);
 }
 
+MemorySystem::MemorySystem(const MemorySystem &Other)
+    : exec::AccessSink(Other), PrefetchTagObserver(Other), Cfg(Other.Cfg),
+      CacheLevels(Other.CacheLevels), Dtlb(Other.Dtlb), HwPf(Other.HwPf),
+      Rpt(Other.Rpt), StreamActive(Other.StreamActive),
+      RptActive(Other.RptActive), HwTrainThreshold(Other.HwTrainThreshold),
+      PageShift(Other.PageShift), SwHealth(Other.SwHealth),
+      Cycles(Other.Cycles), Stats(Other.Stats), Acct(Other.Acct),
+      Sites(Other.Sites) { // HwTargets is per-call scratch.
+  const PrefetchTagObserver *OtherObs = &Other;
+  for (Cache &C : CacheLevels)
+    if (C.tagObserver() == OtherObs)
+      C.setTagObserver(this);
+}
+
 void MemorySystem::enablePrefetchHealth() {
   if (SwHealth)
     return;

@@ -158,6 +158,11 @@ class MemorySystem final : public exec::AccessSink,
 public:
   explicit MemorySystem(const MachineConfig &Cfg);
 
+  /// A machine in \p Other's state that continues on its own: caches
+  /// observed by \p Other report their tagged fills to the copy.
+  MemorySystem(const MemorySystem &Other);
+  MemorySystem &operator=(const MemorySystem &) = delete;
+
   const MachineConfig &config() const { return Cfg; }
 
   /// Advances the clock for \p N non-memory instructions.

@@ -12,12 +12,33 @@ static uint64_t alignUp8(uint64_t N) { return (N + 7) & ~7ull; }
 Heap::Heap(const TypeTable &Types, Config Cfg)
     : Types(Types), Cfg(Cfg),
       Storage(static_cast<uint8_t *>(
-          std::calloc(Cfg.HeapBytes ? Cfg.HeapBytes : 1, 1))),
-      StaticsStorage(Cfg.StaticsBytes) {
+          std::calloc(Cfg.HeapBytes ? Cfg.HeapBytes : 1, 1))) {
   assert(Cfg.StaticsBase + Cfg.StaticsBytes <= Cfg.HeapBase &&
          "statics area must not overlap the heap");
   if (!Storage)
     reportFatalError("cannot reserve the simulated heap arena");
+  // One allocation for the whole area; its pages are touched only as
+  // allocStatic hands out slots.
+  Statics.reserve(Cfg.StaticsBytes);
+}
+
+std::unique_ptr<Heap> Heap::clone() const {
+  auto H = std::make_unique<Heap>(Types, Cfg);
+  std::memcpy(H->Storage.get(), Storage.get(), Top);
+  H->Statics = Statics;
+  H->Top = Top;
+  H->NumAllocs = NumAllocs;
+  H->StaticRefSlots = StaticRefSlots;
+  H->FreeList = FreeList;
+  H->FreeBytes = FreeBytes;
+  return H;
+}
+
+bool Heap::sameState(const Heap &Other) const {
+  return Top == Other.Top && NumAllocs == Other.NumAllocs &&
+         FreeBytes == Other.FreeBytes && FreeList == Other.FreeList &&
+         StaticRefSlots == Other.StaticRefSlots && Statics == Other.Statics &&
+         std::memcmp(Storage.get(), Other.Storage.get(), Top) == 0;
 }
 
 void Heap::formatFiller(Addr A, uint64_t Size) {
@@ -104,10 +125,10 @@ Addr Heap::allocArray(ir::Type ElemTy, uint64_t Length) {
 
 Addr Heap::allocStatic(ir::Type Ty) {
   uint64_t Size = ir::storageSize(Ty);
-  uint64_t Offset = (StaticsTop + Size - 1) / Size * Size;
+  uint64_t Offset = (Statics.size() + Size - 1) / Size * Size;
   if (Offset + Size > Cfg.StaticsBytes)
     reportFatalError("statics area exhausted");
-  StaticsTop = Offset + Size;
+  Statics.resize(Offset + Size);
   Addr A = Cfg.StaticsBase + Offset;
   if (Ty == ir::Type::Ref)
     StaticRefSlots.push_back(A);

@@ -9,8 +9,10 @@
 ///
 /// The arena comes from calloc, so the kernel zeroes its pages lazily on
 /// first touch: a world that uses 4 MB of a 96 MB heap never pays for the
-/// other 92. Nothing relies on that zeroing; every allocation (bump or
-/// free-list) zeroes its own bytes.
+/// other 92. Nothing relies on that zeroing: every allocation (bump or
+/// free-list) zeroes its own bytes and nothing reads past the allocation
+/// frontier, so a clone copies only the bytes below it. The statics area
+/// holds only the slots allocated so far.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,6 +56,15 @@ public:
 
   Heap(const Heap &) = delete;
   Heap &operator=(const Heap &) = delete;
+
+  /// A heap in the same state: the used bytes of the arena and the statics
+  /// area, the free list and the counters. Untouched pages stay untouched.
+  std::unique_ptr<Heap> clone() const;
+
+  /// True when \p Other is in the same state: every used byte, the statics,
+  /// the free list and the counters are equal. Equal heaps behave alike
+  /// under every later access, allocation and collection.
+  bool sameState(const Heap &Other) const;
 
   const TypeTable &types() const { return Types; }
 
@@ -130,7 +141,7 @@ public:
     return A >= Cfg.HeapBase && A < Cfg.HeapBase + Top;
   }
   bool isStaticAddress(Addr A) const {
-    return A >= Cfg.StaticsBase && A < Cfg.StaticsBase + StaticsTop;
+    return A >= Cfg.StaticsBase && A < Cfg.StaticsBase + Statics.size();
   }
   /// True when a \p Size -byte access at \p A touches mapped memory; this
   /// is the guard check of a guarded (speculative) load.
@@ -169,6 +180,8 @@ public:
   struct FreeBlock {
     uint64_t Offset = 0; ///< Byte offset from heapBase.
     uint64_t Size = 0;   ///< Multiple of 8, >= ObjectHeaderSize.
+
+    bool operator==(const FreeBlock &) const = default;
   };
 
   const std::vector<FreeBlock> &freeList() const { return FreeList; }
@@ -201,9 +214,9 @@ private:
       assert(A - Cfg.HeapBase < Cfg.HeapBytes && "heap address out of range");
       return Storage.get() + (A - Cfg.HeapBase);
     }
-    assert(A >= Cfg.StaticsBase && A - Cfg.StaticsBase < Cfg.StaticsBytes &&
+    assert(A >= Cfg.StaticsBase && A - Cfg.StaticsBase < Statics.size() &&
            "address in neither heap nor statics area");
-    return StaticsStorage.data() + (A - Cfg.StaticsBase);
+    return Statics.data() + (A - Cfg.StaticsBase);
   }
   const uint8_t *ptr(Addr A) const { return const_cast<Heap *>(this)->ptr(A); }
 
@@ -217,9 +230,9 @@ private:
   };
   /// calloc'd arena of Cfg.HeapBytes: untouched pages cost nothing.
   std::unique_ptr<uint8_t[], FreeDeleter> Storage;
-  std::vector<uint8_t> StaticsStorage;
+  /// The allocated static slots (at most Cfg.StaticsBytes).
+  std::vector<uint8_t> Statics;
   uint64_t Top = 0;
-  uint64_t StaticsTop = 0;
   uint64_t NumAllocs = 0;
   std::vector<Addr> StaticRefSlots;
   std::vector<FreeBlock> FreeList;

@@ -9,10 +9,10 @@
 #include "opt/Governor.h"
 #include "workloads/ProgramPopulation.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <optional>
 
 using namespace spf;
@@ -76,6 +76,214 @@ void compileUnits(jit::CompileManager &Jit, const BuiltWorkload &W,
   obs::Span JitSpan("jit", "runner");
   for (const CompileUnit &CU : W.executedUnits())
     Jit.compile(CU.M, CU.Args);
+}
+
+/// The mutable state of a world: its heap and every handle into it that
+/// outlives an epoch. The IR is not part of it: ungoverned runs never
+/// write it, so every copy of a world shares it.
+struct WorldState {
+  std::unique_ptr<vm::Heap> Heap;
+  std::vector<vm::Addr> Roots;
+  std::vector<uint64_t> EntryArgs;
+  std::vector<CompileUnit> Units;
+
+  WorldState clone() const { return {Heap->clone(), Roots, EntryArgs, Units}; }
+
+  /// True when \p Other behaves alike in every later epoch.
+  bool sameState(const WorldState &Other) const {
+    return Roots == Other.Roots && EntryArgs == Other.EntryArgs &&
+           Units == Other.Units && Heap->sameState(*Other.Heap);
+  }
+
+  /// The epoch-boundary collection under \p Gc. Ref-typed argument slots
+  /// are roots too: entry args are re-run every epoch, and compile-unit
+  /// args feed governor re-inspection; both must track moved referents.
+  void collect(vm::GarbageCollector &Gc, ir::Method *Entry) {
+    std::vector<vm::Addr *> Slots;
+    for (vm::Addr &Handle : Roots)
+      Slots.push_back(&Handle);
+    auto AddRefArgs = [&Slots](ir::Method *M, std::vector<uint64_t> &Args) {
+      size_t N = std::min<size_t>(M->numArgs(), Args.size());
+      for (unsigned I = 0; I != N; ++I)
+        if (M->arg(I)->type() == ir::Type::Ref)
+          Slots.push_back(&Args[I]);
+    };
+    AddRefArgs(Entry, EntryArgs);
+    for (CompileUnit &CU : Units)
+      AddRefArgs(CU.M, CU.Args);
+    Gc.collect(*Heap, Slots);
+  }
+};
+
+/// One line of execution of a group: a world state, the members whose
+/// results it produces, one MemorySystem per distinct machine among them
+/// and the interpreter that drives those.
+struct Branch {
+  WorldState World;
+  std::vector<size_t> Members; ///< Indices into the group's members.
+  std::vector<std::unique_ptr<sim::MemorySystem>> Sims;
+  std::optional<FanOutSink> FanOut;
+  std::unique_ptr<exec::Interpreter> Interp;
+
+  sim::MemorySystem *simFor(const sim::MachineConfig &M) const {
+    for (const std::unique_ptr<sim::MemorySystem> &S : Sims)
+      if (S->config() == M)
+        return S.get();
+    return nullptr;
+  }
+
+  /// Starts a fresh interpreter over this branch's world and machines: a
+  /// single machine is driven directly, several through a fan-out. It
+  /// continues \p From's execution when given. Pressure collections use
+  /// the first member's variant.
+  void start(std::span<const RunOptions> Group,
+             const exec::Interpreter *From) {
+    exec::AccessSink *Sink = Sims.front().get();
+    FanOut.reset();
+    if (Sims.size() > 1) {
+      std::vector<sim::MemorySystem *> Ptrs;
+      for (const std::unique_ptr<sim::MemorySystem> &S : Sims)
+        Ptrs.push_back(S.get());
+      Sink = &FanOut.emplace(std::move(Ptrs));
+    }
+    auto Next =
+        std::make_unique<exec::Interpreter>(*World.Heap, *Sink, &World.Roots);
+    if (From)
+      Next->continueFrom(*From);
+    const RunOptions &Lead = Group[Members.front()];
+    Next->gc().setVariant(Lead.GcVariant, Lead.Config.Seed);
+    Interp = std::move(Next);
+  }
+};
+
+/// The distinct GC variants of \p B's members, in member order.
+std::vector<vm::GcVariant> variantsOf(const Branch &B,
+                                      std::span<const RunOptions> Group) {
+  std::vector<vm::GcVariant> Vs;
+  for (size_t K : B.Members)
+    if (std::find(Vs.begin(), Vs.end(), Group[K].GcVariant) == Vs.end())
+      Vs.push_back(Group[K].GcVariant);
+  return Vs;
+}
+
+/// The epoch boundary of \p Branches[I]: every machine pays the pause,
+/// then the world is collected under each variant of the branch's members
+/// (applying the phase change after each when \p Phase). The first
+/// variant collects in place; every other one collects a copy taken
+/// before. A result equal to an earlier one joins its branch; each
+/// distinct one becomes a new branch at the end of \p Branches that
+/// continues its parent's execution on its parent's machines (moved, or
+/// copied when a sibling needs the same one). Returns the number of
+/// MemorySystems copied.
+size_t boundary(std::vector<std::unique_ptr<Branch>> &Branches, size_t I,
+                std::span<const RunOptions> Group, ir::Method *Entry,
+                bool Phase) {
+  Branch &B = *Branches[I];
+  const uint64_t Seed = Group[B.Members.front()].Config.Seed;
+  for (const std::unique_ptr<sim::MemorySystem> &S : B.Sims)
+    S->tick(exec::GcPauseTicks); // Same pause the interpreter charges.
+  auto Collect = [&](WorldState &World, vm::GarbageCollector &Gc,
+                     vm::GcVariant V) {
+    Gc.setVariant(V, Seed);
+    World.collect(Gc, Entry);
+    if (Phase)
+      applyPhaseChange(*World.Heap, Seed);
+  };
+
+  const std::vector<vm::GcVariant> Variants = variantsOf(B, Group);
+  std::vector<WorldState> Copies;
+  for (size_t V = 1; V != Variants.size(); ++V) {
+    vm::GarbageCollector Gc = B.Interp->gc();
+    Collect(Copies.emplace_back(B.World.clone()), Gc, Variants[V]);
+  }
+  Collect(B.World, B.Interp->gc(), Variants.front());
+  if (Copies.empty())
+    return 0;
+
+  // Siblings: B itself, then each distinct copy in variant order.
+  std::vector<Branch *> Siblings{&B};
+  std::vector<size_t> SiblingOf{0}; // Variant index -> sibling index.
+  for (WorldState &World : Copies) {
+    size_t J = 0;
+    while (J != Siblings.size() && !Siblings[J]->World.sameState(World))
+      ++J;
+    if (J == Siblings.size())
+      Siblings.push_back(
+          Branches.emplace_back(std::make_unique<Branch>(std::move(World)))
+              .get());
+    SiblingOf.push_back(J);
+  }
+  std::vector<size_t> Members = std::move(B.Members);
+  B.Members.clear();
+  for (size_t K : Members) {
+    size_t V = std::find(Variants.begin(), Variants.end(),
+                         Group[K].GcVariant) -
+               Variants.begin();
+    Siblings[SiblingOf[V]]->Members.push_back(K);
+  }
+
+  // B keeps the machines its remaining members use. Every other machine
+  // moves to the first new sibling that needs it; later siblings get
+  // copies, so no branch holds a machine none of its members use.
+  std::vector<std::unique_ptr<sim::MemorySystem>> Spare = std::move(B.Sims);
+  const size_t Had = Spare.size();
+  size_t Copied = 0;
+  for (Branch *C : Siblings)
+    for (size_t K : C->Members) {
+      const sim::MachineConfig &M = Group[K].Machine;
+      if (C->simFor(M))
+        continue;
+      auto It = std::find_if(Spare.begin(), Spare.end(), [&M](const auto &S) {
+        return S && S->config() == M;
+      });
+      if (It != Spare.end()) {
+        C->Sims.push_back(std::move(*It));
+        continue;
+      }
+      for (Branch *From : Siblings)
+        if (const sim::MemorySystem *S = From->simFor(M)) {
+          C->Sims.push_back(std::make_unique<sim::MemorySystem>(*S));
+          ++Copied;
+          break;
+        }
+    }
+  // New siblings continue B's execution; B restarts on fewer machines.
+  for (size_t J = 1; J != Siblings.size(); ++J)
+    Siblings[J]->start(Group, B.Interp.get());
+  if (B.Sims.size() != Had) {
+    std::unique_ptr<exec::Interpreter> Old = std::move(B.Interp);
+    B.start(Group, Old.get());
+  }
+  return Copied;
+}
+
+/// \p Members run as one group per GC variant (first-member order): the
+/// fallback when an allocation-pressure collection hit a shared branch.
+std::vector<RunResult> runByVariant(const WorkloadSpec &Spec,
+                                    std::span<const RunOptions> Members,
+                                    std::vector<CompiledProgram> Compiled) {
+  std::vector<RunResult> Results(Members.size());
+  std::vector<bool> Done(Members.size());
+  for (size_t K = 0; K != Members.size(); ++K) {
+    if (Done[K])
+      continue;
+    std::vector<size_t> Part;
+    std::vector<RunOptions> Opts;
+    std::vector<CompiledProgram> Programs;
+    for (size_t J = K; J != Members.size(); ++J)
+      if (!Done[J] && Members[J].GcVariant == Members[K].GcVariant) {
+        Done[J] = true;
+        Part.push_back(J);
+        Opts.push_back(Members[J]);
+        if (!Compiled.empty())
+          Programs.push_back(std::move(Compiled[J]));
+      }
+    std::vector<RunResult> Rs =
+        runWorkloadGroup(Spec, Opts, std::move(Programs));
+    for (size_t P = 0; P != Part.size(); ++P)
+      Results[Part[P]] = std::move(Rs[P]);
+  }
+  return Results;
 }
 
 } // namespace
@@ -195,69 +403,53 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   jit::CompileManager Jit(*W.Heap, compileOptionsFor(Opts));
   obs::DecisionLog Log;
   compileUnits(Jit, W, Compiled.empty() ? &Log : nullptr);
+  const size_t Executed = W.executedUnits().size();
 
-  // Execute once, simulating once per distinct machine: a MemorySystem is
-  // a function of its MachineConfig and its events, so members on equal
-  // machines share one. A deque keeps each MemorySystem at a fixed
-  // address for the fan-out sink.
-  std::deque<sim::MemorySystem> Sims;
-  std::vector<sim::MemorySystem *> Ptrs;
-  std::vector<size_t> SimOf; // Member -> index into Sims.
-  for (const RunOptions &M : Members) {
-    size_t I = 0;
-    while (I != Sims.size() && !(Sims[I].config() == M.Machine))
-      ++I;
-    if (I == Sims.size())
-      Ptrs.push_back(&Sims.emplace_back(M.Machine));
-    SimOf.push_back(I);
-  }
-  RunSpan.noteU64("simulators", Sims.size());
-  std::optional<FanOutSink> FanOut;
-  exec::AccessSink *Sink = Ptrs.front();
-  if (Ptrs.size() > 1)
-    Sink = &FanOut.emplace(std::move(Ptrs));
-  sim::MemorySystem &Mem = Sims.front(); // The governor's evidence.
-  unsigned Epochs = Opts.Epochs ? Opts.Epochs : 1;
-  exec::Interpreter Interp(*W.Heap, *Sink, &W.Roots);
+  // The first branch runs the built world for every member, on one
+  // MemorySystem per distinct machine. A governed run has one member, so
+  // it never splits: its machine is the governor's evidence throughout.
+  std::vector<size_t> Everyone(Members.size());
+  for (size_t K = 0; K != Members.size(); ++K)
+    Everyone[K] = K;
+  std::vector<std::unique_ptr<Branch>> Branches;
+  Branch &First = *Branches.emplace_back(std::make_unique<Branch>(
+      WorldState{std::move(W.Heap), std::move(W.Roots), W.EntryArgs,
+                 std::move(W.CompileUnits)},
+      std::move(Everyone)));
+  for (const RunOptions &M : Members)
+    if (!First.simFor(M.Machine))
+      First.Sims.push_back(std::make_unique<sim::MemorySystem>(M.Machine));
+  size_t SimsBuilt = First.Sims.size();
+  First.start(Members, nullptr);
   if (Opts.TimeoutSeconds > 0.0)
-    Interp.setDeadline(Opts.TimeoutSeconds);
-  Interp.gc().setVariant(Opts.GcVariant, Opts.Config.Seed);
+    First.Interp->setDeadline(Opts.TimeoutSeconds);
   if (Opts.Governor) {
-    Mem.enablePrefetchHealth();
-    Interp.enablePrefetchGovernance();
+    First.Sims.front()->enablePrefetchHealth();
+    First.Interp->enablePrefetchGovernance();
   }
   opt::Governor Gov;
 
-  // Ref-typed argument slots are GC roots across epoch boundaries: entry
-  // args are re-run every epoch, and compile-unit args feed governor
-  // re-inspection — both must track moved referents.
-  auto addRefArgRoots = [](ir::Method *M, std::vector<uint64_t> &Args,
-                           std::vector<vm::Addr *> &Roots) {
-    for (unsigned I = 0, E = std::min<unsigned>(M->numArgs(),
-                                                static_cast<unsigned>(
-                                                    Args.size()));
-         I != E; ++I)
-      if (M->arg(I)->type() == ir::Type::Ref)
-        Roots.push_back(&Args[I]);
+  // An allocation-pressure collection inside a branch of several GC
+  // variants ran under one of them only: the shared execution is void.
+  auto PressureCollected = [&](const Branch &B) {
+    return B.Interp->stats().GcRuns && variantsOf(B, Members).size() > 1;
   };
+  size_t EpochRuns = 0;
+  unsigned Epochs = Opts.Epochs ? Opts.Epochs : 1;
 
   obs::Span SimSpan("simulate", "runner");
   SimSpan.note("workload", Spec.Name);
   auto Start = std::chrono::steady_clock::now();
-  Result.ReturnValue = Interp.run(W.Entry, W.EntryArgs);
-  for (unsigned E = 1; E < Epochs; ++E) {
-    // -- Epoch boundary: full GC under the selected placement variant. --
-    std::vector<vm::Addr *> Roots;
-    for (vm::Addr &Handle : W.Roots)
-      Roots.push_back(&Handle);
-    addRefArgRoots(W.Entry, W.EntryArgs, Roots);
-    for (CompileUnit &CU : W.CompileUnits)
-      addRefArgRoots(CU.M, CU.Args, Roots);
-    Interp.gc().collect(*W.Heap, Roots);
-    Sink->tick(exec::GcPauseTicks); // Same pause the interpreter charges.
-
-    if (Opts.PhaseChange && E == (Epochs + 1) / 2)
-      applyPhaseChange(*W.Heap, Opts.Config.Seed);
+  Result.ReturnValue = First.Interp->run(W.Entry, First.World.EntryArgs);
+  ++EpochRuns;
+  bool Split = PressureCollected(First);
+  for (unsigned E = 1; E < Epochs && !Split; ++E) {
+    // -- Epoch boundary: a full GC under each member's placement variant.
+    // Every branch collects once per variant among its members; results
+    // that leave equal states stay (or become) one branch.
+    const bool Phase = Opts.PhaseChange && E == (Epochs + 1) / 2;
+    for (size_t I = 0, N = Branches.size(); I != N; ++I)
+      SimsBuilt += boundary(Branches, I, Members, W.Entry, Phase);
 
     if (Opts.Governor) {
       // Governor re-decisions run between epochs — outside the timed
@@ -265,36 +457,43 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
       std::optional<obs::DecisionScope> Scope;
       if (obs::enabled())
         Scope.emplace(Log);
+      const sim::MemorySystem &Mem = *First.Sims.front();
       opt::EpochVerdict V = Gov.endEpoch(Mem.siteStats());
       if (V.Reinspect) {
         // Strip every unit's prefetch code and re-run the pipeline
         // against the *current* (post-GC) heap layout; every quarantine,
         // this epoch's included, is void with the code it suppressed.
-        for (const CompileUnit &CU : W.executedUnits()) {
+        for (const CompileUnit &CU :
+             std::span(First.World.Units).first(Executed)) {
           core::CodeGenStats Stripped = core::stripPrefetchCode(*CU.M);
           if (Stripped.Prefetches || Stripped.SpecLoads)
             Jit.compile(CU.M, CU.Args);
         }
-        Interp.clearPrefetchSuppression();
-        Interp.invalidateMethodInfo();
+        First.Interp->clearPrefetchSuppression();
+        First.Interp->invalidateMethodInfo();
         Gov.noteReinspected(Mem.siteStats());
       } else {
         for (exec::SiteId Site : V.Quarantined)
-          Interp.suppressPrefetchSite(Site);
+          First.Interp->suppressPrefetchSite(Site);
       }
     }
-    Interp.run(W.Entry, W.EntryArgs);
+    for (const std::unique_ptr<Branch> &B : Branches) {
+      B->Interp->run(W.Entry, B->World.EntryArgs);
+      ++EpochRuns;
+      if ((Split = PressureCollected(*B)))
+        break;
+    }
   }
   Result.InterpretUs = elapsedUs(Start);
   SimSpan.end();
+  RunSpan.noteU64("simulators", SimsBuilt);
+  RunSpan.noteU64("epoch_runs", EpochRuns);
+  if (Split)
+    return runByVariant(Spec, Members, std::move(Compiled));
 
   Result.Prefetch = Jit.aggregatePrefetch();
   Result.Decisions = Log.take();
-
-  Result.Retired = Interp.stats().Retired;
-  Result.Exec = Interp.stats();
   Result.Epochs = Epochs;
-  Result.GcCollections = Interp.gc().collectionCount();
   Result.GovernorQuarantined = Gov.quarantinedSites();
   Result.GovernorReinspections = Gov.reinspections();
   // Self-check uses epoch 0's return value (captured above): later
@@ -302,26 +501,30 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   if (W.Expected)
     Result.SelfCheckOk = Result.ReturnValue == *W.Expected;
 
-  // One result per member: the shared execution side plus the member's
-  // own machine statistics.
-  std::vector<RunResult> Results;
-  for (size_t K = 0; K != Members.size(); ++K) {
-    const sim::MemorySystem &S = Sims[SimOf[K]];
-    RunResult &R = Results.emplace_back(Result);
-    if (K) {
-      R.Replayed = true;
-      R.InterpretUs = 0;
+  // One result per member: its branch's execution plus its own machine's
+  // statistics.
+  std::vector<RunResult> Results(Members.size(), Result);
+  for (const std::unique_ptr<Branch> &B : Branches)
+    for (size_t K : B->Members) {
+      const sim::MemorySystem &S = *B->simFor(Members[K].Machine);
+      RunResult &R = Results[K];
+      if (K) {
+        R.Replayed = true;
+        R.InterpretUs = 0;
+      }
+      R.Retired = B->Interp->stats().Retired;
+      R.Exec = B->Interp->stats();
+      R.GcCollections = B->Interp->gc().collectionCount();
+      R.CompiledCycles = S.cycles();
+      R.Mem = S.stats();
+      R.Acct = S.acct();
+      R.Sites = S.siteStats();
+      if (!Compiled.empty()) {
+        CompiledProgram &P = Compiled[K];
+        R.Prefetch = std::move(P.Prefetch);
+        R.Decisions = std::move(P.Decisions);
+      }
     }
-    R.CompiledCycles = S.cycles();
-    R.Mem = S.stats();
-    R.Acct = S.acct();
-    R.Sites = S.siteStats();
-    if (!Compiled.empty()) {
-      CompiledProgram &P = Compiled[K];
-      R.Prefetch = std::move(P.Prefetch);
-      R.Decisions = std::move(P.Decisions);
-    }
-  }
   return Results;
 }
 

@@ -11,7 +11,8 @@
 /// same program over the same heap, so runWorkloadGroup executes such a
 /// group once and fans the access-event stream out to one MemorySystem
 /// per distinct machine; members on one machine share its statistics.
-/// runWorkload is the group of one.
+/// Members of different GC variants share each epoch until their heaps
+/// differ. runWorkload is the group of one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +71,8 @@ struct RunOptions {
   /// Online prefetch-health governor: per-site effectiveness tracking is
   /// enabled (sim::MemorySystem::enablePrefetchHealth) and opt::Governor
   /// re-decides each site at every epoch boundary. Governor-on runs never
-  /// share their execution: their code changes mid-run.
+  /// share their execution: their code changes mid-run, and their
+  /// prefetch events carry anchor sites.
   bool Governor = false;
 };
 
@@ -159,9 +161,18 @@ CompileTime measureCompileTime(const WorkloadSpec &Spec,
 /// statistics; each equals runWorkload(Spec, Members[K]) in every
 /// simulated statistic. Members after the first come back with Replayed
 /// set.
+///
+/// Members may differ in GcVariant. The execution then keeps one branch
+/// per distinct post-collection state: at every epoch boundary a branch
+/// collects once per variant among its members (in place, or on a
+/// clone of its world), and results with equal states stay one branch.
+/// A new branch continues its parent's execution on its parent's
+/// machines, copied when another branch needs one too. If an
+/// allocation-pressure collection hits a branch of several variants,
+/// the members re-run as one group per variant.
 /// Precondition: every member compiles to Members[0]'s program (equal
-/// compileProgram hashes) with its Epochs, GcVariant and PhaseChange, or
-/// the group has exactly one member.
+/// compileProgram hashes) with its Epochs and PhaseChange, and none is
+/// governed, or the group has exactly one member.
 ///
 /// \p Compiled, when not empty, holds each member's own compileProgram
 /// result: the group then compiles without recording decisions and

@@ -39,6 +39,8 @@ struct WorkloadConfig {
 struct CompileUnit {
   ir::Method *M = nullptr;
   std::vector<uint64_t> Args;
+
+  bool operator==(const CompileUnit &) const = default;
 };
 
 /// A fully constructed workload: its world (types/heap/module) and the

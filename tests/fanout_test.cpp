@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -167,14 +168,41 @@ TEST(ProgramHashTest, HashMovesWithWorldInputsAndPrintedIR) {
 
 // -- Differential: a shared execution == solo runs ---------------------------
 
+/// Checks that \p G, a member's result from a group, equals \p Solo, its
+/// solo runWorkload, in every simulated and executed statistic.
+void expectEqualsSolo(const workloads::RunResult &G,
+                      const workloads::RunResult &Solo,
+                      const std::string &Tag) {
+  EXPECT_FALSE(Solo.Replayed) << Tag;
+  EXPECT_EQ(G.Mem, Solo.Mem) << Tag;
+  EXPECT_EQ(G.Acct, Solo.Acct) << Tag;
+  EXPECT_EQ(G.Acct.total(), G.CompiledCycles) << Tag;
+  EXPECT_EQ(G.Sites, Solo.Sites) << Tag;
+  EXPECT_EQ(G.CompiledCycles, Solo.CompiledCycles) << Tag;
+  EXPECT_EQ(G.Retired, Solo.Retired) << Tag;
+  EXPECT_EQ(G.Exec, Solo.Exec) << Tag;
+  EXPECT_EQ(G.ReturnValue, Solo.ReturnValue) << Tag;
+  EXPECT_EQ(G.GcCollections, Solo.GcCollections) << Tag;
+  EXPECT_TRUE(G.SelfCheckOk) << Tag;
+}
+
+std::string memberTag(const workloads::WorkloadSpec &Spec,
+                      const workloads::RunOptions &M, size_t K) {
+  return Spec.Name + " on " + M.Machine.Name + " under " +
+         vm::gcVariantName(M.GcVariant) + " (member " + std::to_string(K) +
+         ")";
+}
+
 /// Runs \p Members as one group and each member alone, and checks that
 /// every member's grouped result equals its solo result, and that the
-/// group's traced run-workload span simulated \p Simulators machines.
+/// group's traced run-workload span simulated \p Simulators machines (and,
+/// when given, ran \p EpochRuns epochs over all its branches).
 /// The grouped results go to \p Out when it is non-null.
 void expectGroupMatchesSoloRuns(
     const workloads::WorkloadSpec &Spec,
     const std::vector<workloads::RunOptions> &Members, size_t Simulators,
-    std::vector<workloads::RunResult> *Out = nullptr) {
+    std::vector<workloads::RunResult> *Out = nullptr,
+    std::optional<size_t> EpochRuns = std::nullopt) {
   const uint64_t Hash = workloads::compileProgram(Spec, Members[0]).Hash;
   for (const workloads::RunOptions &M : Members)
     ASSERT_EQ(workloads::compileProgram(Spec, M).Hash, Hash) << Spec.Name;
@@ -196,23 +224,15 @@ void expectGroupMatchesSoloRuns(
                                             Run->Args.end());
     EXPECT_EQ(Args["members"], std::to_string(Members.size())) << Spec.Name;
     EXPECT_EQ(Args["simulators"], std::to_string(Simulators)) << Spec.Name;
+    if (EpochRuns) {
+      EXPECT_EQ(Args["epoch_runs"], std::to_string(*EpochRuns)) << Spec.Name;
+    }
   }
   for (size_t K = 0; K != Members.size(); ++K) {
-    const workloads::RunResult Solo = workloads::runWorkload(Spec, Members[K]);
-    const workloads::RunResult &G = Group[K];
-    std::string Tag = Spec.Name + " on " + Members[K].Machine.Name +
-                      " (member " + std::to_string(K) + ")";
-    EXPECT_EQ(G.Replayed, K != 0) << Tag;
-    EXPECT_FALSE(Solo.Replayed) << Tag;
-    EXPECT_EQ(G.Mem, Solo.Mem) << Tag;
-    EXPECT_EQ(G.Acct, Solo.Acct) << Tag;
-    EXPECT_EQ(G.Acct.total(), G.CompiledCycles) << Tag;
-    EXPECT_EQ(G.Sites, Solo.Sites) << Tag;
-    EXPECT_EQ(G.CompiledCycles, Solo.CompiledCycles) << Tag;
-    EXPECT_EQ(G.Retired, Solo.Retired) << Tag;
-    EXPECT_EQ(G.ReturnValue, Solo.ReturnValue) << Tag;
-    EXPECT_EQ(G.GcCollections, Solo.GcCollections) << Tag;
-    EXPECT_TRUE(G.SelfCheckOk) << Tag;
+    std::string Tag = memberTag(Spec, Members[K], K);
+    EXPECT_EQ(Group[K].Replayed, K != 0) << Tag;
+    expectEqualsSolo(Group[K], workloads::runWorkload(Spec, Members[K]),
+                     Tag);
   }
   if (Out)
     *Out = std::move(Group);
@@ -316,6 +336,88 @@ TEST(FanOutTest, SameMachineEpochGroupDrivesOneSimulatorDirectly) {
     EXPECT_EQ(Group[K].Epochs, 3u) << "member " << K;
     EXPECT_GE(Group[K].GcCollections, 2u) << "member " << K;
   }
+}
+
+// -- Epoch branches: one execution per program until the heaps differ --------
+
+/// \p Spec under every GC variant at \p Epochs epochs on the Pentium 4.
+std::vector<workloads::RunOptions> everyVariant(unsigned Epochs) {
+  std::vector<workloads::RunOptions> Members;
+  for (vm::GcVariant V :
+       {vm::GcVariant::MarkSweep, vm::GcVariant::AddressShuffle,
+        vm::GcVariant::PromotionOrder, vm::GcVariant::SlidingCompact}) {
+    workloads::RunOptions &M = Members.emplace_back();
+    M.Machine = machine("pentium4");
+    M.Config = tinyConfig();
+    M.Epochs = Epochs;
+    M.GcVariant = V;
+  }
+  return Members;
+}
+
+TEST(FanOutTest, VariantsShareEpochsUntilHeapsDiffer) {
+  // BASELINE under all four variants on the Pentium 4, plus Modern3L
+  // members under address-shuffle and promotion-order. Epoch 0 runs once,
+  // and every boundary splits the execution by variant. The first split
+  // hands Modern3L to the address-shuffle branch and copies it for the
+  // promotion-order one; jess resolves Modern3L's RPT fills after that,
+  // through the tag observer the copy must re-point at itself.
+  //  - db: mark-sweep and sliding-compact leave equal heaps at every
+  //    boundary and stay one branch: 1 + 3 x 3 = 10 epoch runs; 2 machines
+  //    plus 2 Pentium 4 copies and 1 Modern3L copy = 5 simulators.
+  //  - jess: the four variants' heaps all differ: 1 + 3 x 4 = 13 epoch
+  //    runs; one more Pentium 4 copy = 6 simulators.
+  struct Expect {
+    const char *Workload;
+    size_t Simulators;
+    size_t EpochRuns;
+  };
+  for (const Expect &X : {Expect{"db", 5, 10}, Expect{"jess", 6, 13}}) {
+    const workloads::WorkloadSpec *Spec = workloads::findWorkload(X.Workload);
+    ASSERT_NE(Spec, nullptr);
+    std::vector<workloads::RunOptions> Members = everyVariant(4);
+    for (size_t K : {1, 2}) {
+      Members.push_back(Members[K]);
+      Members.back().Machine = machine("modern3l");
+    }
+    expectGroupMatchesSoloRuns(*Spec, Members, X.Simulators, nullptr,
+                               X.EpochRuns);
+  }
+}
+
+TEST(FanOutTest, VariantsThatLeaveEqualHeapsNeverSplit) {
+  // MonteCarlo's heap is the same after every collection under every
+  // variant: one execution of each of its 4 epochs serves all four.
+  const workloads::WorkloadSpec *Spec = workloads::findWorkload("MonteCarlo");
+  ASSERT_NE(Spec, nullptr);
+  expectGroupMatchesSoloRuns(*Spec, everyVariant(4), 1, nullptr, 4);
+}
+
+TEST(FanOutTest, PressureCollectionInASharedBranchSplitsTheGroupByVariant) {
+  // A heap just larger than jess's world: epoch 0's allocations trigger a
+  // collection, which a branch of two variants cannot place. The group
+  // falls back to one execution per variant, so each member still equals
+  // its solo run.
+  const workloads::WorkloadSpec *Spec = workloads::findWorkload("jess");
+  ASSERT_NE(Spec, nullptr);
+  std::vector<workloads::RunOptions> Members(2);
+  Members[0].GcVariant = vm::GcVariant::SlidingCompact;
+  Members[1].GcVariant = vm::GcVariant::AddressShuffle;
+  for (workloads::RunOptions &M : Members) {
+    M.Machine = machine("pentium4");
+    M.Config = tinyConfig();
+    M.Config.HeapBytes = 20480;
+  }
+  std::vector<workloads::RunResult> Group =
+      workloads::runWorkloadGroup(*Spec, Members);
+  ASSERT_EQ(Group.size(), Members.size());
+  for (size_t K = 0; K != Members.size(); ++K) {
+    const workloads::RunResult Solo = workloads::runWorkload(*Spec, Members[K]);
+    EXPECT_GT(Solo.Exec.GcRuns, 0u) << K;
+    EXPECT_FALSE(Group[K].Replayed) << K;
+    expectEqualsSolo(Group[K], Solo, memberTag(*Spec, Members[K], K));
+  }
+  EXPECT_NE(Group[0].CompiledCycles, Group[1].CompiledCycles);
 }
 
 } // namespace

@@ -394,8 +394,9 @@ TEST(RunPlanSharingTest, TunedCellSharesExactlyWhenItsCodeIsUnchanged) {
 
 TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
   // One program throughout (jess BASELINE), so only the run facets decide:
-  // cells share only with cells of equal epochs, GC variant and phase
-  // change, and a governed cell (its code changes mid-run) never shares.
+  // cells share only with cells of equal epochs and phase change, and a
+  // governed cell (its code changes mid-run) never shares. GC variants
+  // share: the execution splits by variant at each epoch boundary.
   const sim::MachineConfig P4 = *sim::MachineConfig::byName("pentium4");
   const sim::MachineConfig Athlon = *sim::MachineConfig::byName("athlonmp");
   struct Facets {
@@ -412,7 +413,7 @@ TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
       {&P4, 1, Compact, false, false, false},
       {&Athlon, 1, Compact, false, false, true},
       {&P4, 3, Compact, false, false, false},
-      {&P4, 3, MarkSweep, false, false, false},
+      {&P4, 3, MarkSweep, false, false, true},
       {&P4, 3, MarkSweep, true, false, false},
       {&Athlon, 3, MarkSweep, true, false, true},
       {&P4, 3, Compact, false, true, false},
@@ -434,8 +435,15 @@ TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
   ASSERT_TRUE(R.ok()) << R.Failures[0];
   for (unsigned I = 0; I != Plan.size(); ++I)
     EXPECT_EQ(R.run(I).Replayed, Cells[I].WantReplayed) << I;
-  EXPECT_EQ(R.run(5).Mem, runWorkload(*Plan.cells()[5].Spec,
-                                      Plan.cells()[5].Opt).Mem);
+  for (unsigned I : {3u, 5u}) {
+    const RunResult Solo = runWorkload(*Plan.cells()[I].Spec,
+                                       Plan.cells()[I].Opt);
+    EXPECT_EQ(R.run(I).Mem, Solo.Mem) << I;
+    EXPECT_EQ(R.run(I).Acct, Solo.Acct) << I;
+    EXPECT_EQ(R.run(I).Sites, Solo.Sites) << I;
+    EXPECT_EQ(R.run(I).Retired, Solo.Retired) << I;
+    EXPECT_EQ(R.run(I).GcCollections, Solo.GcCollections) << I;
+  }
 }
 
 TEST(RunPlanSharingTest, ExecutionFaultSiteDisablesSharing) {
