@@ -55,10 +55,6 @@
 ///   SPF_OBS=0         disable all observability at run time; report
 ///                     statistics are bit-identical either way
 ///   SPF_SCALE=0.1     reduced problem scale, as for every bench binary
-///   SPF_FAULTS=...    chaos mode: seeded fault injection at the
-///                     inspect-read, alloc and guard-addr sites (DESIGN.md,
-///                     "Failure model"); every cell then runs on its own
-///                     execution
 ///   SPF_CELL_TIMEOUT=S  per-cell wall-clock watchdog in seconds; a cell
 ///                     that exceeds it is quarantined and fails the run
 ///

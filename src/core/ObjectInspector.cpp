@@ -4,7 +4,6 @@
 
 #include "obs/DecisionLog.h"
 #include "support/ErrorHandling.h"
-#include "support/FaultInjection.h"
 
 using namespace spf;
 using namespace spf::core;
@@ -53,15 +52,6 @@ private:
 
   bool isPrivate(vm::Addr A) const { return A >= PrivateHeapBase; }
 
-  /// An injected failure of a real-heap read during inspection: the
-  /// value degrades to `unknown`, the lattice's safe response.
-  bool injectedReadFault() {
-    if (!SPF_FAULT_POINT(support::FaultSite::InspectHeapRead))
-      return false;
-    ++Result.FaultsInjected;
-    return true;
-  }
-
   /// Side-effect-free typed load: store buffer first, then the private
   /// heap (zero-initialized), then the real heap.
   IVal loadMem(vm::Addr A, Type Ty) {
@@ -73,11 +63,8 @@ private:
         return IVal::known(0); // Untouched private memory reads as zero.
       return IVal::unknown();
     }
-    if (Heap.isValidAccess(A, ir::storageSize(Ty))) {
-      if (injectedReadFault())
-        return IVal::unknown();
+    if (Heap.isValidAccess(A, ir::storageSize(Ty)))
       return IVal::known(Heap.load(A, Ty));
-    }
     return IVal::unknown();
   }
 
@@ -91,12 +78,9 @@ private:
       return It->second;
     if (isPrivate(Base))
       return IVal::unknown(); // Allocated with unknown length.
-    if (Heap.isValidAccess(Base, vm::ObjectHeaderSize) && Heap.isArray(Base)) {
-      if (injectedReadFault())
-        return IVal::unknown();
+    if (Heap.isValidAccess(Base, vm::ObjectHeaderSize) && Heap.isArray(Base))
       return IVal::known(
           static_cast<uint64_t>(static_cast<int64_t>(Heap.arrayLength(Base))));
-    }
     return IVal::unknown();
   }
 

@@ -93,8 +93,6 @@ struct InspectionResult {
   /// to a broken input, instead of aborting the process.
   bool Degraded = false;
   std::string DegradeReason;
-  /// Heap reads turned into `unknown` by fault injection (chaos runs).
-  uint64_t FaultsInjected = 0;
 
   /// Per graph load: first access address per observed iteration (sparse;
   /// iterations where the address was unknown are absent).

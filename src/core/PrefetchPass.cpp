@@ -3,7 +3,6 @@
 #include "core/PrefetchPass.h"
 
 #include "obs/DecisionLog.h"
-#include "support/FaultInjection.h"
 #include "support/Status.h"
 
 #include <algorithm>
@@ -124,16 +123,12 @@ PrefetchPassResult PrefetchPass::run(Method *M,
       ++Result.LoopsDegraded;
       Report.Degraded = true;
       Report.DegradeReason = InspOrErr.error();
-      // Satellite fix: the degrade reason used to survive only as an
-      // aggregate counter; keep the originating Status message (which
-      // names the FaultSite for injected faults) with the loop.
       if (DL)
         DL->event("inspect", "degraded", "", Report.DegradeReason);
       Result.Loops.push_back(Report);
       continue;
     }
     InspectionResult &Insp = *InspOrErr;
-    Result.InspectionFaultsInjected += Insp.FaultsInjected;
     InspectionStepsLeft -= std::min(InspectionStepsLeft, Insp.StepsUsed);
     Report.Reached = Insp.ReachedTarget;
     Report.IterationsObserved = Insp.IterationsObserved;
@@ -145,12 +140,6 @@ PrefetchPassResult PrefetchPass::run(Method *M,
       Result.Loops.push_back(Report);
       continue;
     }
-    if (DL && Insp.FaultsInjected > 0)
-      DL->event("inspect", "faults-injected", "",
-                std::string(support::faultSiteName(
-                    support::FaultSite::InspectHeapRead)) +
-                    " degraded reads to unknown",
-                0, Insp.FaultsInjected);
 
     // A loop that exits within the small-trip budget is not prefetched
     // directly; its loads are reconsidered with the parent loop.

@@ -42,8 +42,8 @@ struct LoopReport {
   const analysis::Loop *L = nullptr;
   bool Reached = false;
   bool SkippedSmallTrip = false;
-  /// Inspection or planning failed recoverably (malformed IR, injected
-  /// fault, invalid plan): the loop gets no prefetching code.
+  /// Inspection or planning failed recoverably (malformed IR, invalid
+  /// plan): the loop gets no prefetching code.
   bool Degraded = false;
   std::string DegradeReason;
   unsigned IterationsObserved = 0;
@@ -61,10 +61,8 @@ struct PrefetchPassResult {
   unsigned LoopsSkippedSmallTrip = 0;
   unsigned LoopsNotReached = 0;
   /// Loops abandoned on a recoverable failure ("no prefetch for this
-  /// loop"): malformed IR, planner invariant violations, injected faults.
+  /// loop"): malformed IR, planner invariant violations.
   unsigned LoopsDegraded = 0;
-  /// Inspection heap reads degraded to `unknown` by fault injection.
-  uint64_t InspectionFaultsInjected = 0;
   CodeGenStats CodeGen;
   std::vector<LoopReport> Loops;
 };

@@ -3,7 +3,6 @@
 #include "exec/Interpreter.h"
 
 #include "support/ErrorHandling.h"
-#include "support/FaultInjection.h"
 #include "support/Status.h"
 
 #include <algorithm>
@@ -482,6 +481,7 @@ void Interpreter::collectGarbage() {
   if (ExternalRoots)
     for (vm::Addr &Handle : *ExternalRoots)
       Roots.push_back(&Handle);
+  Roots.insert(Roots.end(), RootSlots.begin(), RootSlots.end());
   for (Frame *F : ActiveFrames)
     for (uint32_t Slot : F->Info->RefSlots)
       Roots.push_back(&F->Regs[Slot]);
@@ -501,10 +501,7 @@ vm::Addr Interpreter::allocate(const Op &O, const uint64_t *Regs) {
                            static_cast<uint64_t>(Len));
   };
 
-  // Chaos: an injected allocation fault looks like heap exhaustion on the
-  // first attempt only — the GC-and-retry path absorbs it, so simulated
-  // results stay bit-identical (the extra collection is pure cost).
-  vm::Addr A = SPF_FAULT_POINT(support::FaultSite::Alloc) ? 0 : TryAlloc();
+  vm::Addr A = TryAlloc();
   if (!A) {
     collectGarbage();
     A = TryAlloc();
@@ -619,15 +616,10 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
   auto suppressed = [&](SiteId Site) {
     return Site < Suppressed.size() && Suppressed[Site];
   };
-  auto prefetchAddr = [&](const Op &O) {
-    vm::Addr A = R[O.A] + static_cast<uint64_t>(
-                              O.Imm + static_cast<int64_t>(R[O.B]) *
-                                          static_cast<int64_t>(O.X));
-    // Chaos: model the planner having computed a garbage prefetch
-    // address — exactly what the guard exists to contain.
-    if (SPF_FAULT_POINT(support::FaultSite::GuardAddr))
-      A ^= 0xDEAD000000000000ull;
-    return A;
+  auto prefetchAddr = [&](const Op &O) -> vm::Addr {
+    return R[O.A] + static_cast<uint64_t>(
+                        O.Imm + static_cast<int64_t>(R[O.B]) *
+                                    static_cast<int64_t>(O.X));
   };
 
 // Integer binary ops: the i32 form wraps its result, the i64 form (also

@@ -105,6 +105,14 @@ public:
   const ExecStats &stats() const { return Stats; }
   vm::GarbageCollector &gc() { return Gc; }
 
+  /// Further slots every collection traces and updates after
+  /// ExternalRoots: handles the caller keeps across runs, such as the
+  /// ref-typed arguments it passes again in a later run. The slots must
+  /// outlive the interpreter.
+  void setRootSlots(std::vector<vm::Addr *> Slots) {
+    RootSlots = std::move(Slots);
+  }
+
   /// Distinct static load sites executed so far (dense SiteId space).
   unsigned loadSiteCount() const {
     return static_cast<unsigned>(LoadSites.size());
@@ -216,6 +224,8 @@ private:
   bool Governed = false;
   /// Quarantined anchor sites, indexed by SiteId.
   std::vector<bool> Suppressed;
+  /// Roots after ExternalRoots (setRootSlots()).
+  std::vector<vm::Addr *> RootSlots;
 };
 
 } // namespace exec

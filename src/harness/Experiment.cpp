@@ -7,7 +7,6 @@
 #include "obs/Tracer.h"
 #include "support/BuildInfo.h"
 #include "support/Env.h"
-#include "support/FaultInjection.h"
 #include "support/Status.h"
 
 #include <algorithm>
@@ -222,11 +221,6 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   // contend on first use and spec pointers are stable before the sweep.
   (void)workloads::allWorkloads();
 
-  // Chaos configuration is read once; every group derives its own
-  // injector stream from its leader's plan index, so the fault schedule —
-  // and hence every result — is independent of worker count and task
-  // interleaving.
-  const support::FaultConfig Faults = support::FaultConfig::fromEnv();
   const double TimeoutSec = support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0);
 
   // Execution sharing. Cells can share an execution only within a
@@ -234,10 +228,8 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   // change, none governed. A governed run attributes prefetch events to
   // anchor sites and its re-inspection rewrites the IR every member would
   // share. GC variants may differ: the group's execution splits by variant
-  // at each epoch boundary (workloads::runWorkloadGroup). Under fault
-  // injection every cell is a set of its own: chaos must exercise each
-  // cell's own execution. Sets are listed in the plan order of their
-  // first cell.
+  // at each epoch boundary (workloads::runWorkloadGroup). Sets are listed
+  // in the plan order of their first cell.
   const std::vector<ExperimentCell> &Cells = Plan.cells();
   std::vector<std::vector<unsigned>> Sets;
   {
@@ -247,7 +239,7 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
     for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
          ++I) {
       const workloads::RunOptions &O = Cells[I].Opt;
-      if (!Faults.anyEnabled() && !O.Governor) {
+      if (!O.Governor) {
         auto [It, New] = SetOf.try_emplace(
             PartnerKey(Cells[I].Spec, O.Config.Scale, O.Config.Seed,
                        O.Config.HeapBytes, O.Epochs, O.PhaseChange),
@@ -294,12 +286,7 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
 
     // The execution builds a private Heap/Module, compiles with a private
     // CompileManager, and simulates on private MemorySystems: groups
-    // share nothing mutable, so any schedule yields identical stats. The
-    // salt is the leader index shifted left 8 bits; changing it would
-    // move every chaos run's injection points (and the CI chaos
-    // expectations with them).
-    support::FaultInjector Injector(Faults, uint64_t(Lead) << 8);
-    support::FaultScope Scope(Injector);
+    // share nothing mutable, so any schedule yields identical stats.
     std::vector<workloads::RunResult> Runs;
     try {
       Runs =

@@ -171,9 +171,10 @@ struct ExperimentResult {
 /// defaultJobs().
 ///
 /// Execution sharing: a cell can share only with its partner set, the
-/// cells of its workload, config, epochs, GC variant and phase change;
-/// governed cells, and every cell when a fault site is armed
-/// (SPF_FAULTS), run alone. Each set runs as one task, in two phases.
+/// cells of its workload, config, epochs and phase change; governed cells
+/// run alone. GC variants may differ within a set: a group's execution
+/// splits by variant at each epoch boundary (workloads::runWorkloadGroup).
+/// Each set runs as one task, in two phases.
 /// Phase 1 builds and compiles every cell of the set on its own, keeps
 /// its compile results and program hash (workloads::compileProgram) and
 /// drops the world. Phase 2 groups the set's cells by program hash; each
@@ -186,10 +187,8 @@ struct ExperimentResult {
 ///
 /// Failure containment: each group runs under a per-cell wall-clock
 /// watchdog (SPF_CELL_TIMEOUT seconds; unset or 0 = off, malformed values
-/// exit 2 via support/Env.h) and, when SPF_FAULTS is set, a fault
-/// injector seeded from the leader's plan index, never from scheduling.
-/// A group that throws or times out leaves every member un-run,
-/// quarantined and failed.
+/// exit 2 via support/Env.h). A group that throws or times out leaves
+/// every member un-run, quarantined and failed.
 ExperimentResult runPlan(const ExperimentPlan &Plan, unsigned Jobs = 0,
                          const RunPlanOptions &Opts = {});
 

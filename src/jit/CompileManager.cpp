@@ -113,7 +113,6 @@ CompileResult CompileManager::compile(ir::Method *M,
   Aggregate.LoopsSkippedSmallTrip += Result.Prefetch.LoopsSkippedSmallTrip;
   Aggregate.LoopsNotReached += Result.Prefetch.LoopsNotReached;
   Aggregate.LoopsDegraded += Result.Prefetch.LoopsDegraded;
-  Aggregate.InspectionFaultsInjected += Result.Prefetch.InspectionFaultsInjected;
   Aggregate.CodeGen.Prefetches += Result.Prefetch.CodeGen.Prefetches;
   Aggregate.CodeGen.SpecLoads += Result.Prefetch.CodeGen.SpecLoads;
   for (const auto &LR : Result.Prefetch.Loops)

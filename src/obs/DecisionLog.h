@@ -11,11 +11,10 @@
 /// JSON-lines (--decisions-out) and the human summary printed by
 /// `bench/sweep --explain`.
 ///
-/// Passes find the active log through a thread-local DecisionScope
-/// (same shape as support::FaultScope), so deep helpers like
-/// annotateStrides record events without signature changes. All
-/// recording happens at JIT-compile time — never inside the simulated
-/// (timed) region — and DecisionScope::current() is null when
+/// Passes find the active log through a thread-local DecisionScope, so
+/// deep helpers like annotateStrides record events without signature
+/// changes. All recording happens at JIT-compile time — never inside the
+/// simulated (timed) region — and DecisionScope::current() is null when
 /// observability is off, so the disabled cost is one thread-local read.
 ///
 //===----------------------------------------------------------------------===//
@@ -105,7 +104,7 @@ public:
 
 private:
   DecisionLog *Prev;
-  // constinit: no TLS init-guard wrapper (see FaultScope::Current).
+  // constinit: no TLS init-guard wrapper on every current() call.
   static thread_local constinit DecisionLog *Current;
 };
 

@@ -2,12 +2,11 @@
 ///
 /// \file
 /// Compile-time and runtime gating for the observability subsystem
-/// (Tracer, DecisionLog). Mirrors the fault-injection pattern: the
-/// CMake option SPF_OBSERVABILITY (default ON) defines SPF_OBS to 0 to
-/// compile every hook out; at runtime the SPF_OBS environment variable
-/// (default 1) disables the hooks without a rebuild. Either way the
-/// simulated statistics must be bit-identical — observability may time,
-/// count and explain, never perturb.
+/// (Tracer, DecisionLog). The CMake option SPF_OBSERVABILITY (default
+/// ON) defines SPF_OBS to 0 to compile every hook out; at runtime the
+/// SPF_OBS environment variable (default 1) disables the hooks without a
+/// rebuild. Either way the simulated statistics must be bit-identical —
+/// observability may time, count and explain, never perturb.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -95,13 +95,11 @@ struct WorldState {
            Units == Other.Units && Heap->sameState(*Other.Heap);
   }
 
-  /// The epoch-boundary collection under \p Gc. Ref-typed argument slots
-  /// are roots too: entry args are re-run every epoch, and compile-unit
+  /// The ref-typed argument slots, which every collection must root
+  /// after Roots: entry args are re-run every epoch, and compile-unit
   /// args feed governor re-inspection; both must track moved referents.
-  void collect(vm::GarbageCollector &Gc, ir::Method *Entry) {
+  std::vector<vm::Addr *> argSlots(ir::Method *Entry) {
     std::vector<vm::Addr *> Slots;
-    for (vm::Addr &Handle : Roots)
-      Slots.push_back(&Handle);
     auto AddRefArgs = [&Slots](ir::Method *M, std::vector<uint64_t> &Args) {
       size_t N = std::min<size_t>(M->numArgs(), Args.size());
       for (unsigned I = 0; I != N; ++I)
@@ -111,6 +109,16 @@ struct WorldState {
     AddRefArgs(Entry, EntryArgs);
     for (CompileUnit &CU : Units)
       AddRefArgs(CU.M, CU.Args);
+    return Slots;
+  }
+
+  /// The epoch-boundary collection under \p Gc.
+  void collect(vm::GarbageCollector &Gc, ir::Method *Entry) {
+    std::vector<vm::Addr *> Slots;
+    for (vm::Addr &Handle : Roots)
+      Slots.push_back(&Handle);
+    for (vm::Addr *Slot : argSlots(Entry))
+      Slots.push_back(Slot);
     Gc.collect(*Heap, Slots);
   }
 };
@@ -135,8 +143,8 @@ struct Branch {
   /// Starts a fresh interpreter over this branch's world and machines: a
   /// single machine is driven directly, several through a fan-out. It
   /// continues \p From's execution when given. Pressure collections use
-  /// the first member's variant.
-  void start(std::span<const RunOptions> Group,
+  /// the first member's variant and root what the epoch boundary roots.
+  void start(std::span<const RunOptions> Group, ir::Method *Entry,
              const exec::Interpreter *From) {
     exec::AccessSink *Sink = Sims.front().get();
     FanOut.reset();
@@ -148,6 +156,7 @@ struct Branch {
     }
     auto Next =
         std::make_unique<exec::Interpreter>(*World.Heap, *Sink, &World.Roots);
+    Next->setRootSlots(World.argSlots(Entry));
     if (From)
       Next->continueFrom(*From);
     const RunOptions &Lead = Group[Members.front()];
@@ -249,10 +258,10 @@ size_t boundary(std::vector<std::unique_ptr<Branch>> &Branches, size_t I,
     }
   // New siblings continue B's execution; B restarts on fewer machines.
   for (size_t J = 1; J != Siblings.size(); ++J)
-    Siblings[J]->start(Group, B.Interp.get());
+    Siblings[J]->start(Group, Entry, B.Interp.get());
   if (B.Sims.size() != Had) {
     std::unique_ptr<exec::Interpreter> Old = std::move(B.Interp);
-    B.start(Group, Old.get());
+    B.start(Group, Entry, Old.get());
   }
   return Copied;
 }
@@ -420,7 +429,7 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
     if (!First.simFor(M.Machine))
       First.Sims.push_back(std::make_unique<sim::MemorySystem>(M.Machine));
   size_t SimsBuilt = First.Sims.size();
-  First.start(Members, nullptr);
+  First.start(Members, W.Entry, nullptr);
   if (Opts.TimeoutSeconds > 0.0)
     First.Interp->setDeadline(Opts.TimeoutSeconds);
   if (Opts.Governor) {

@@ -446,38 +446,6 @@ TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
   }
 }
 
-TEST(RunPlanSharingTest, ExecutionFaultSiteDisablesSharing) {
-  // Chaos must exercise every cell's own execution: with a fault site
-  // armed, no cell shares. The armed site is object
-  // inspection, which BASELINE never runs, so every statistic still
-  // matches the shared run.
-  ExperimentPlan Plan;
-  Plan.addSweep({findWorkload("jess")}, {Algorithm::Baseline},
-                {*sim::MachineConfig::byName("pentium4"),
-                 *sim::MachineConfig::byName("athlonmp")},
-                tinyConfig(), "chaos");
-  ExperimentResult Shared = runPlan(Plan, 1);
-  ASSERT_TRUE(Shared.run(1).Replayed);
-
-  const char *Old = std::getenv("SPF_FAULTS");
-  std::string Saved = Old ? Old : "";
-  setenv("SPF_FAULTS", "inspect-read:1:1", 1);
-  ExperimentResult Solo = runPlan(Plan, 1);
-  if (Old)
-    setenv("SPF_FAULTS", Saved.c_str(), 1);
-  else
-    unsetenv("SPF_FAULTS");
-
-  for (unsigned I = 0; I != Plan.size(); ++I) {
-    ASSERT_TRUE(Solo.Cells[I].Ran) << I;
-    EXPECT_FALSE(Solo.run(I).Replayed) << I;
-    EXPECT_GT(Solo.run(I).InterpretUs, 0) << I;
-    EXPECT_EQ(Solo.run(I).Mem, Shared.run(I).Mem) << I;
-    EXPECT_EQ(Solo.run(I).Sites, Shared.run(I).Sites) << I;
-    EXPECT_EQ(Solo.run(I).CompiledCycles, Shared.run(I).CompiledCycles) << I;
-  }
-}
-
 // -- Failure propagation ---------------------------------------------------
 
 /// A copy of \p Name whose built workload expects a corrupted return

@@ -2,8 +2,8 @@
 //
 // Contracts under test: Tracer spans serialize to valid Chrome
 // trace_event JSON; the prefetch pipeline records attributable decision
-// events for every loop it visits (including fault-degraded ones); and
-// enabling observability never changes a run's statistics.
+// events for every loop it visits; and enabling observability never
+// changes a run's statistics.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +15,6 @@
 #include "obs/Obs.h"
 #include "opt/Governor.h"
 #include "obs/Tracer.h"
-#include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
 
@@ -181,25 +180,6 @@ TEST(DecisionLogTest, JessGoldenEvents) {
   EXPECT_GT(Inter->Samples, 0u);
   EXPECT_GT(Inter->Confidence, 0.5);
   EXPECT_FALSE(Inter->Site.empty());
-}
-
-TEST(DecisionLogTest, FaultedInspectionRecordsOrigin) {
-  auto C = support::FaultConfig::parse("inspect-read:1:3");
-  ASSERT_TRUE(C.has_value());
-  support::FaultInjector Injector(*C);
-  support::FaultScope Scope(Injector);
-
-  std::vector<DecisionEvent> Evs = runJessWithLog(jessOpts());
-  // The originating fault site must be on the record (satellite: keep
-  // the FaultSite/Status with the degraded loop, not just a counter).
-  auto It = std::find_if(Evs.begin(), Evs.end(), [](const DecisionEvent &E) {
-    return E.Pass == "inspect" && E.Event == "faults-injected";
-  });
-  ASSERT_NE(It, Evs.end());
-  EXPECT_NE(It->Detail.find(support::faultSiteName(
-                support::FaultSite::InspectHeapRead)),
-            std::string::npos);
-  EXPECT_GT(It->Samples, 0u);
 }
 
 TEST(DecisionLogTest, ScopeIsNullWhenNotInstalled) {
