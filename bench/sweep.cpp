@@ -40,8 +40,9 @@
 ///   --governor on|off enable the online prefetch-health governor, which
 ///                     quarantines inaccurate prefetch sites at epoch
 ///                     boundaries and re-inspects once when two or more
-///                     go in one epoch; governed cells never share an
-///                     execution (or SPF_GOVERNOR)
+///                     go in one epoch; a governed cell shares an
+///                     execution until its governor acts (or
+///                     SPF_GOVERNOR)
 ///   --phase-change    shuffle every Ref array's element order at the
 ///                     middle epoch boundary, breaking inspected stride
 ///                     patterns mid-run (or SPF_PHASE_CHANGE=1)

@@ -388,7 +388,8 @@ void Interpreter::setDeadline(double Seconds) {
 }
 
 void Interpreter::continueFrom(const Interpreter &Other) {
-  assert(!Governed && !Other.Governed && !Other.MixedModeHook &&
+  assert(Governed == Other.Governed && Suppressed.empty() &&
+         Other.Suppressed.empty() && !Other.MixedModeHook &&
          Other.ActiveFrames.empty() && "cannot continue this interpreter");
   Stats = Other.Stats;
   LoadSites = Other.LoadSites;

@@ -147,8 +147,8 @@ public:
   /// Picks up where \p Other left off between runs, on this interpreter's
   /// own heap, sink and roots (a copy of \p Other's world): its execution
   /// statistics, load-site ids, collector (collection count and variant),
-  /// execution budget and deadline. Neither interpreter may be governed
-  /// or mixed-mode.
+  /// execution budget and deadline. Both must be in the same governor
+  /// mode, with no site suppressed yet; neither may be mixed-mode.
   void continueFrom(const Interpreter &Other);
 
   /// Execution budget; exceeding it throws support::RuntimeTrap

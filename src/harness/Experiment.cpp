@@ -225,11 +225,10 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
 
   // Execution sharing. Cells can share an execution only within a
   // partner set: the cells of one workload, config, epochs and phase
-  // change, none governed. A governed run attributes prefetch events to
-  // anchor sites and its re-inspection rewrites the IR every member would
-  // share. GC variants may differ: the group's execution splits by variant
-  // at each epoch boundary (workloads::runWorkloadGroup). Sets are listed
-  // in the plan order of their first cell.
+  // change. GC variants may differ: the group's execution splits by
+  // variant at each epoch boundary. Governed cells share until their
+  // governor acts, then re-run alone (workloads::runSharedExecution).
+  // Sets are listed in the plan order of their first cell.
   const std::vector<ExperimentCell> &Cells = Plan.cells();
   std::vector<std::vector<unsigned>> Sets;
   {
@@ -239,17 +238,13 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
     for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
          ++I) {
       const workloads::RunOptions &O = Cells[I].Opt;
-      if (!O.Governor) {
-        auto [It, New] = SetOf.try_emplace(
-            PartnerKey(Cells[I].Spec, O.Config.Scale, O.Config.Seed,
-                       O.Config.HeapBytes, O.Epochs, O.PhaseChange),
-            Sets.size());
-        if (!New) {
-          Sets[It->second].push_back(I);
-          continue;
-        }
-      }
-      Sets.push_back({I});
+      auto [It, New] = SetOf.try_emplace(
+          PartnerKey(Cells[I].Spec, O.Config.Scale, O.Config.Seed,
+                     O.Config.HeapBytes, O.Epochs, O.PhaseChange),
+          Sets.size());
+      if (New)
+        Sets.emplace_back();
+      Sets[It->second].push_back(I);
     }
   }
   PlanSpan.noteU64("partner_sets", Sets.size());
@@ -258,9 +253,11 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   std::atomic<bool> Stopped{false};
 
   // Runs one group in process. The verdict is shared by every member:
-  // they are one execution.
+  // they are one execution. Returns the plan indices of the members that
+  // left it; each must run again alone.
   auto RunGroup = [&](const std::vector<unsigned> &G,
-                      std::vector<workloads::CompiledProgram> Programs) {
+                      std::vector<workloads::CompiledProgram> Programs)
+      -> std::vector<unsigned> {
     const unsigned Lead = G.front();
     const ExperimentCell &C = Plan.cells()[Lead];
     CellResult Verdict;
@@ -270,7 +267,7 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
       Verdict.Error = "stopped before it ran";
       for (unsigned I : G)
         Result.Cells[I] = Verdict;
-      return;
+      return {};
     }
 
     std::vector<workloads::RunOptions> Members;
@@ -287,10 +284,10 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
     // The execution builds a private Heap/Module, compiles with a private
     // CompileManager, and simulates on private MemorySystems: groups
     // share nothing mutable, so any schedule yields identical stats.
-    std::vector<workloads::RunResult> Runs;
+    workloads::SharedExecution Run;
     try {
-      Runs =
-          workloads::runWorkloadGroup(*C.Spec, Members, std::move(Programs));
+      Run = workloads::runSharedExecution(*C.Spec, Members,
+                                          std::move(Programs));
       Verdict.Ran = true;
     } catch (const support::CellTimeout &E) {
       Verdict.TimedOut = true;
@@ -303,20 +300,37 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
       CellResult &Cell = Result.Cells[G[K]];
       Cell = Verdict;
       if (Verdict.Ran)
-        Cell.Run = std::move(Runs[K]);
+        Cell.Run = std::move(Run.Results[K]);
     }
+    std::vector<unsigned> Left;
+    for (size_t K : Run.Left)
+      Left.push_back(G[K]);
+    return Left;
+  };
+
+  // Each phase-2 group, and each member that leaves one, is a task of its
+  // own on Jobs > 1 workers; at Jobs=1 everything runs in order on the
+  // calling thread, a group's leavers right after it.
+  std::optional<ThreadPool> Pool;
+  if (Jobs > 1)
+    Pool.emplace(Jobs);
+  auto Spawn = [&Pool](std::function<void()> Task) {
+    if (Pool)
+      Pool->async(std::move(Task));
+    else
+      Task();
   };
 
   // One partner set, in two phases. Phase 1 (sets of two or more) builds
   // and compiles every cell on its own, keeps the cell's compile results
   // and program hash (workloads::compileProgram) and drops its world.
   // Phase 2 groups the set's cells by program hash and runs each group
-  // once: workloads::runWorkloadGroup rebuilds and recompiles the leader's
-  // world, interprets it once and simulates every member's machine. The
-  // lowest plan index leads, so which cells come back Replayed depends on
-  // the plan alone. Only one set's phase-1 results per worker are alive at
-  // a time. Once the stop hook has fired, phase 1 is skipped: every group
-  // would stay un-run anyway.
+  // once: workloads::runSharedExecution rebuilds and recompiles the
+  // leader's world, interprets it once and simulates every member's
+  // machine. The lowest plan index leads, so which cells come back
+  // Replayed depends on the plan and on the governors' verdicts alone.
+  // A set's phase-1 results live until its groups run. Once the stop hook
+  // has fired, phase 1 is skipped: every group would stay un-run anyway.
   auto RunSet = [&](const std::vector<unsigned> &Set) {
     std::vector<std::optional<workloads::CompiledProgram>> Compiled(
         Set.size());
@@ -355,19 +369,18 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
         if (Compiled[K])
           Programs.push_back(std::move(*Compiled[K]));
       }
-      RunGroup(Members, std::move(Programs));
+      Spawn([&, Members = std::move(Members),
+             Programs = std::move(Programs)]() mutable {
+        for (unsigned I : RunGroup(Members, std::move(Programs)))
+          Spawn([&RunGroup, I] { RunGroup({I}, {}); });
+      });
     }
   };
 
-  if (Jobs <= 1 || Sets.size() <= 1) {
-    for (const std::vector<unsigned> &Set : Sets)
-      RunSet(Set);
-  } else {
-    ThreadPool Pool(Jobs);
-    for (const std::vector<unsigned> &Set : Sets)
-      Pool.async([&RunSet, &Set] { RunSet(Set); });
-    Pool.wait();
-  }
+  for (const std::vector<unsigned> &Set : Sets)
+    Spawn([&RunSet, &Set] { RunSet(Set); });
+  if (Pool)
+    Pool->wait();
 
   // Correctness verdicts and quarantine, in plan order (deterministic
   // regardless of the completion schedule above).

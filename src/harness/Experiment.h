@@ -6,7 +6,7 @@
 /// independent cells. Cells that compile to the same program (BASELINE on
 /// two machines, or INTER where the pass inserts nothing, say) form one
 /// group that interprets once and feeds one MemorySystem per distinct
-/// machine (workloads::runWorkloadGroup); every group owns a private
+/// machine (workloads::runSharedExecution); every group owns a private
 /// Heap / Interpreter. Groups run concurrently on a fixed-size ThreadPool
 /// and results are aggregated deterministically in plan order, so they
 /// are bit-identical to a serial run regardless of the worker count (see
@@ -171,19 +171,21 @@ struct ExperimentResult {
 /// defaultJobs().
 ///
 /// Execution sharing: a cell can share only with its partner set, the
-/// cells of its workload, config, epochs and phase change; governed cells
-/// run alone. GC variants may differ within a set: a group's execution
-/// splits by variant at each epoch boundary (workloads::runWorkloadGroup).
-/// Each set runs as one task, in two phases.
-/// Phase 1 builds and compiles every cell of the set on its own, keeps
-/// its compile results and program hash (workloads::compileProgram) and
-/// drops the world. Phase 2 groups the set's cells by program hash; each
-/// group is interpreted once by workloads::runWorkloadGroup, and every
-/// member reports its own compile results. The lowest plan index leads;
-/// followers come back with Run.Replayed set. Grouping depends on the
+/// cells of its workload, config, epochs and phase change. GC variants
+/// may differ within a set: a group's execution splits by variant at each
+/// epoch boundary (workloads::runSharedExecution). Each set runs in two
+/// phases. Phase 1 builds and compiles every cell of the set on its own,
+/// keeps its compile results and program hash (workloads::compileProgram)
+/// and drops the world. Phase 2 groups the set's cells by program hash;
+/// each group is interpreted once, and every member reports its own
+/// compile results. The lowest plan index leads; followers come back
+/// with Run.Replayed set. A governed member whose governor acts leaves
+/// its group and runs again alone. Grouping and leaving depend on the
 /// plan alone, so results — Replayed included — are independent of the
-/// worker count. At Jobs=1 sets run in the plan order of their first
-/// cell, and a set's groups in leader order.
+/// worker count. On Jobs > 1 workers each set's phase 1, each group and
+/// each leaver is a task of its own. At Jobs=1 sets run in the plan order
+/// of their first cell, a set's groups in leader order, and a group's
+/// leavers right after it.
 ///
 /// Failure containment: each group runs under a per-cell wall-clock
 /// watchdog (SPF_CELL_TIMEOUT seconds; unset or 0 = off, malformed values

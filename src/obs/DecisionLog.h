@@ -53,6 +53,8 @@ struct DecisionEvent {
   int64_t Stride = 0;   ///< Stride in bytes, when the event has one.
   uint64_t Samples = 0; ///< Inspection samples behind the decision.
   double Confidence = 0; ///< Dominant-stride fraction in [0,1], or 0.
+
+  bool operator==(const DecisionEvent &) const = default;
 };
 
 /// Ordered event collector for one workload run. Single-threaded by

@@ -58,6 +58,14 @@ MemorySystem::MemorySystem(const MemorySystem &Other)
       C.setTagObserver(this);
 }
 
+void sim::clearPrefetchHealth(MemoryStats &Stats,
+                              std::vector<SiteStats> &Sites) {
+  Stats.SwPrefetchesUseful = Stats.SwPrefetchesLate =
+      Stats.SwPrefetchesUnused = 0;
+  for (SiteStats &S : Sites)
+    S.SwIssued = S.SwUseful = S.SwLate = S.SwUnused = 0;
+}
+
 void MemorySystem::enablePrefetchHealth() {
   if (SwHealth)
     return;

@@ -152,6 +152,11 @@ struct SiteStats {
   bool operator==(const SiteStats &) const = default;
 };
 
+/// Zeroes the counters only prefetch-health tracking writes
+/// (MemoryStats::SwPrefetches{Useful,Late,Unused} and SiteStats::Sw*):
+/// what remains equals a health-off run's statistics on the same events.
+void clearPrefetchHealth(MemoryStats &Stats, std::vector<SiteStats> &Sites);
+
 /// The simulated memory hierarchy of one machine.
 class MemorySystem final : public exec::AccessSink,
                            private PrefetchTagObserver {

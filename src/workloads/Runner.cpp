@@ -142,6 +142,7 @@ struct Branch {
 
   /// Starts a fresh interpreter over this branch's world and machines: a
   /// single machine is driven directly, several through a fan-out. It
+  /// runs in governor mode when any member of \p Group is governed, and
   /// continues \p From's execution when given. Pressure collections use
   /// the first member's variant and root what the epoch boundary roots.
   void start(std::span<const RunOptions> Group, ir::Method *Entry,
@@ -157,11 +158,29 @@ struct Branch {
     auto Next =
         std::make_unique<exec::Interpreter>(*World.Heap, *Sink, &World.Roots);
     Next->setRootSlots(World.argSlots(Entry));
+    if (std::any_of(Group.begin(), Group.end(),
+                    [](const RunOptions &O) { return O.Governor; }))
+      Next->enablePrefetchGovernance();
     if (From)
       Next->continueFrom(*From);
     const RunOptions &Lead = Group[Members.front()];
     Next->gc().setVariant(Lead.GcVariant, Lead.Config.Seed);
     Interp = std::move(Next);
+  }
+
+  /// Drops the machines no member uses any more, after a member left;
+  /// the interpreter then continues on the others.
+  void dropIdleSims(std::span<const RunOptions> Group, ir::Method *Entry) {
+    const size_t Had = Sims.size();
+    std::erase_if(Sims, [&](const std::unique_ptr<sim::MemorySystem> &S) {
+      return std::none_of(Members.begin(), Members.end(), [&](size_t K) {
+        return Group[K].Machine == S->config();
+      });
+    });
+    if (Sims.size() != Had) {
+      std::unique_ptr<exec::Interpreter> Old = std::move(Interp);
+      start(Group, Entry, Old.get());
+    }
   }
 };
 
@@ -385,14 +404,13 @@ CompileTime workloads::measureCompileTime(const WorkloadSpec &Spec,
   return {Jit.totalJitUs(), Jit.prefetchUs()};
 }
 
-std::vector<RunResult>
-workloads::runWorkloadGroup(const WorkloadSpec &Spec,
-                            std::span<const RunOptions> Members,
-                            std::vector<CompiledProgram> Compiled) {
+SharedExecution
+workloads::runSharedExecution(const WorkloadSpec &Spec,
+                              std::span<const RunOptions> Members,
+                              std::vector<CompiledProgram> Compiled) {
   assert(!Members.empty());
   assert(Compiled.empty() || Compiled.size() == Members.size());
   const RunOptions &Opts = Members.front();
-  assert(!Opts.Governor || (Members.size() == 1 && Compiled.empty()));
   RunResult Result;
 
   obs::Span RunSpan("run-workload", "runner");
@@ -415,8 +433,8 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   const size_t Executed = W.executedUnits().size();
 
   // The first branch runs the built world for every member, on one
-  // MemorySystem per distinct machine. A governed run has one member, so
-  // it never splits: its machine is the governor's evidence throughout.
+  // MemorySystem per distinct machine; a machine that a governed member
+  // uses tracks prefetch health, the governor's evidence.
   std::vector<size_t> Everyone(Members.size());
   for (size_t K = 0; K != Members.size(); ++K)
     Everyone[K] = K;
@@ -428,15 +446,17 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   for (const RunOptions &M : Members)
     if (!First.simFor(M.Machine))
       First.Sims.push_back(std::make_unique<sim::MemorySystem>(M.Machine));
+  for (const RunOptions &M : Members)
+    if (M.Governor)
+      First.simFor(M.Machine)->enablePrefetchHealth();
   size_t SimsBuilt = First.Sims.size();
   First.start(Members, W.Entry, nullptr);
   if (Opts.TimeoutSeconds > 0.0)
     First.Interp->setDeadline(Opts.TimeoutSeconds);
-  if (Opts.Governor) {
-    First.Sims.front()->enablePrefetchHealth();
-    First.Interp->enablePrefetchGovernance();
-  }
-  opt::Governor Gov;
+  // One governor per governed member, recording into its own log.
+  std::vector<opt::Governor> Govs(Members.size());
+  std::vector<obs::DecisionLog> GovLogs(Members.size());
+  SharedExecution Out;
 
   // An allocation-pressure collection inside a branch of several GC
   // variants ran under one of them only: the shared execution is void.
@@ -460,30 +480,53 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
     for (size_t I = 0, N = Branches.size(); I != N; ++I)
       SimsBuilt += boundary(Branches, I, Members, W.Entry, Phase);
 
-    if (Opts.Governor) {
-      // Governor re-decisions run between epochs — outside the timed
-      // interpretation, like everything else that records decisions.
+    // Governor re-decisions run between epochs — outside the timed
+    // interpretation, like everything else that records decisions. Each
+    // event names its site, not the last loop the JIT compiled.
+    for (size_t K = 0; K != Members.size(); ++K) {
+      if (!Members[K].Governor)
+        continue;
+      auto BIt = std::find_if(Branches.begin(), Branches.end(),
+                              [K](const std::unique_ptr<Branch> &B) {
+                                return std::count(B->Members.begin(),
+                                                  B->Members.end(), K);
+                              });
+      if (BIt == Branches.end())
+        continue; // Left at an earlier boundary.
+      Branch &B = **BIt;
       std::optional<obs::DecisionScope> Scope;
       if (obs::enabled())
-        Scope.emplace(Log);
-      const sim::MemorySystem &Mem = *First.Sims.front();
-      opt::EpochVerdict V = Gov.endEpoch(Mem.siteStats());
-      if (V.Reinspect) {
+        Scope.emplace(GovLogs[K]);
+      GovLogs[K].setContext("", 0);
+      const sim::MemorySystem &Mem = *B.simFor(Members[K].Machine);
+      opt::EpochVerdict V = Govs[K].endEpoch(Mem.siteStats());
+      if (V.Quarantined.empty() && !V.Reinspect)
+        continue;
+      if (Members.size() > 1) {
+        // Acting would change what the other members execute: the
+        // member leaves and re-runs alone.
+        Out.Left.push_back(K);
+        std::erase(B.Members, K);
+        if (B.Members.empty())
+          Branches.erase(BIt);
+        else
+          B.dropIdleSims(Members, W.Entry);
+      } else if (V.Reinspect) {
         // Strip every unit's prefetch code and re-run the pipeline
         // against the *current* (post-GC) heap layout; every quarantine,
         // this epoch's included, is void with the code it suppressed.
         for (const CompileUnit &CU :
-             std::span(First.World.Units).first(Executed)) {
+             std::span(B.World.Units).first(Executed)) {
           core::CodeGenStats Stripped = core::stripPrefetchCode(*CU.M);
           if (Stripped.Prefetches || Stripped.SpecLoads)
             Jit.compile(CU.M, CU.Args);
         }
-        First.Interp->clearPrefetchSuppression();
-        First.Interp->invalidateMethodInfo();
-        Gov.noteReinspected(Mem.siteStats());
+        B.Interp->clearPrefetchSuppression();
+        B.Interp->invalidateMethodInfo();
+        Govs[K].noteReinspected(Mem.siteStats());
       } else {
         for (exec::SiteId Site : V.Quarantined)
-          First.Interp->suppressPrefetchSite(Site);
+          B.Interp->suppressPrefetchSite(Site);
       }
     }
     for (const std::unique_ptr<Branch> &B : Branches) {
@@ -498,26 +541,27 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
   RunSpan.noteU64("simulators", SimsBuilt);
   RunSpan.noteU64("epoch_runs", EpochRuns);
   if (Split)
-    return runByVariant(Spec, Members, std::move(Compiled));
+    return {runByVariant(Spec, Members, std::move(Compiled)), {}};
 
   Result.Prefetch = Jit.aggregatePrefetch();
   Result.Decisions = Log.take();
   Result.Epochs = Epochs;
-  Result.GovernorQuarantined = Gov.quarantinedSites();
-  Result.GovernorReinspections = Gov.reinspections();
   // Self-check uses epoch 0's return value (captured above): later
   // epochs legitimately diverge once the phase change reorders data.
   if (W.Expected)
     Result.SelfCheckOk = Result.ReturnValue == *W.Expected;
 
   // One result per member: its branch's execution plus its own machine's
-  // statistics.
-  std::vector<RunResult> Results(Members.size(), Result);
+  // statistics. The first member that stayed reports the interpretation.
+  size_t Lead = 0;
+  while (std::count(Out.Left.begin(), Out.Left.end(), Lead))
+    ++Lead;
+  Out.Results.resize(Members.size());
   for (const std::unique_ptr<Branch> &B : Branches)
     for (size_t K : B->Members) {
       const sim::MemorySystem &S = *B->simFor(Members[K].Machine);
-      RunResult &R = Results[K];
-      if (K) {
+      RunResult &R = Out.Results[K] = Result;
+      if (K != Lead) {
         R.Replayed = true;
         R.InterpretUs = 0;
       }
@@ -528,18 +572,39 @@ workloads::runWorkloadGroup(const WorkloadSpec &Spec,
       R.Mem = S.stats();
       R.Acct = S.acct();
       R.Sites = S.siteStats();
+      if (!Members[K].Governor)
+        sim::clearPrefetchHealth(R.Mem, R.Sites);
       if (!Compiled.empty()) {
         CompiledProgram &P = Compiled[K];
-        R.Prefetch = std::move(P.Prefetch);
+        // A group of one compiled under its own options, and its re-JIT
+        // adds to that compile: the aggregate above is already its own.
+        if (Members.size() > 1)
+          R.Prefetch = std::move(P.Prefetch);
         R.Decisions = std::move(P.Decisions);
       }
+      std::vector<obs::DecisionEvent> GovEvents = GovLogs[K].take();
+      R.Decisions.insert(R.Decisions.end(),
+                         std::make_move_iterator(GovEvents.begin()),
+                         std::make_move_iterator(GovEvents.end()));
+      R.GovernorQuarantined = Govs[K].quarantinedSites();
+      R.GovernorReinspections = Govs[K].reinspections();
     }
-  return Results;
+  return Out;
+}
+
+std::vector<RunResult>
+workloads::runWorkloadGroup(const WorkloadSpec &Spec,
+                            std::span<const RunOptions> Members,
+                            std::vector<CompiledProgram> Compiled) {
+  SharedExecution Run = runSharedExecution(Spec, Members, std::move(Compiled));
+  for (size_t K : Run.Left)
+    Run.Results[K] = runWorkload(Spec, Members[K]);
+  return std::move(Run.Results);
 }
 
 RunResult workloads::runWorkload(const WorkloadSpec &Spec,
                                  const RunOptions &Opts) {
-  return std::move(runWorkloadGroup(Spec, {&Opts, 1}).front());
+  return std::move(runSharedExecution(Spec, {&Opts, 1}).Results.front());
 }
 
 double workloads::totalTime(uint64_t CompiledCycles,

@@ -12,7 +12,8 @@
 /// group once and fans the access-event stream out to one MemorySystem
 /// per distinct machine; members on one machine share its statistics.
 /// Members of different GC variants share each epoch until their heaps
-/// differ. runWorkload is the group of one.
+/// differ; governed members share until their governor acts. runWorkload
+/// is the group of one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,9 +71,9 @@ struct RunOptions {
   bool PhaseChange = false;
   /// Online prefetch-health governor: per-site effectiveness tracking is
   /// enabled (sim::MemorySystem::enablePrefetchHealth) and opt::Governor
-  /// re-decides each site at every epoch boundary. Governor-on runs never
-  /// share their execution: their code changes mid-run, and their
-  /// prefetch events carry anchor sites.
+  /// re-decides each site at every epoch boundary. A governed run shares
+  /// its group's execution until its governor first acts, then re-runs
+  /// alone (runWorkloadGroup).
   bool Governor = false;
 };
 
@@ -95,8 +96,8 @@ struct RunResult {
   std::vector<obs::DecisionEvent> Decisions;
 
   // Execution-sharing accounting (wall clock, not simulated):
-  /// Statistics from a shared execution: an earlier member of this run's
-  /// group did the interpreting (see runWorkloadGroup).
+  /// Statistics from a shared execution: another member of this run's
+  /// group did the interpreting (see runSharedExecution).
   bool Replayed = false;
   /// Wall time of the interpretation, the simulation on every distinct
   /// machine of the group included (0 when Replayed).
@@ -153,14 +154,24 @@ struct CompileTime {
 CompileTime measureCompileTime(const WorkloadSpec &Spec,
                                const RunOptions &Opts);
 
+/// A group's shared execution, without the solo re-runs it may owe.
+struct SharedExecution {
+  /// One result per member, in order; empty for the members in Left.
+  std::vector<RunResult> Results;
+  /// Governed members whose governor acted while the group had more than
+  /// one member, in member order. Each left the execution at that epoch
+  /// boundary and must re-run alone (runWorkload).
+  std::vector<size_t> Left;
+};
+
 /// Builds and compiles \p Spec once under the options of \p Members[0],
 /// interprets it once, and simulates the event stream on one
 /// MemorySystem per distinct machine (MachineConfig::operator==, in
 /// first-member order; a single machine is driven directly, without a
-/// fan-out). Returns one result per member, in order, with its machine's
+/// fan-out). Returns one result per member with its machine's
 /// statistics; each equals runWorkload(Spec, Members[K]) in every
-/// simulated statistic. Members after the first come back with Replayed
-/// set.
+/// simulated statistic. The first member that did not leave carries the
+/// interpretation time; every other one comes back with Replayed set.
 ///
 /// Members may differ in GcVariant. The execution then keeps one branch
 /// per distinct post-collection state: at every epoch boundary a branch
@@ -170,15 +181,28 @@ CompileTime measureCompileTime(const WorkloadSpec &Spec,
 /// machines, copied when another branch needs one too. If an
 /// allocation-pressure collection hits a branch of several variants,
 /// the members re-run as one group per variant.
-/// Precondition: every member compiles to Members[0]'s program (equal
-/// compileProgram hashes) with its Epochs and PhaseChange, and none is
-/// governed, or the group has exactly one member.
+///
+/// Members may be governed: the group then interprets in governor mode,
+/// a governed member's machine tracks prefetch health (ungoverned results
+/// drop those counters, sim::clearPrefetchHealth), and each governed
+/// member runs its own opt::Governor over its branch's machine. A group
+/// of one applies the verdicts in place; in a larger group the first
+/// non-empty verdict, which would change code the others share, makes
+/// the member leave (SharedExecution::Left). Precondition: every member compiles to Members[0]'s program (equal
+/// compileProgram hashes) with its Epochs and PhaseChange.
 ///
 /// \p Compiled, when not empty, holds each member's own compileProgram
 /// result: the group then compiles without recording decisions and
 /// reports Compiled[K]'s pass result and decisions for member K, so a
 /// BASELINE member sharing an INTER program still reports its own (empty)
-/// prefetch pass.
+/// prefetch pass. A group of one reports its own compile's pass result
+/// instead, which counts a re-inspection's re-JIT too.
+SharedExecution runSharedExecution(const WorkloadSpec &Spec,
+                                   std::span<const RunOptions> Members,
+                                   std::vector<CompiledProgram> Compiled = {});
+
+/// runSharedExecution, then each member that left re-runs alone, in
+/// member order: one result per member, each equal to its runWorkload.
 std::vector<RunResult>
 runWorkloadGroup(const WorkloadSpec &Spec, std::span<const RunOptions> Members,
                  std::vector<CompiledProgram> Compiled = {});

@@ -428,4 +428,145 @@ TEST(FanOutTest, PressureCollectionInASharedBranchSplitsTheGroupByVariant) {
   }
 }
 
+// -- Governed members: one execution until the governor acts ----------------
+
+/// Checks that \p G reports \p Solo's compile results, decisions and
+/// governor counters (expectEqualsSolo covers the simulated statistics).
+void expectSameCompileAndGovernor(const workloads::RunResult &G,
+                                  const workloads::RunResult &Solo,
+                                  const std::string &Tag) {
+  EXPECT_EQ(G.Prefetch.LoopsVisited, Solo.Prefetch.LoopsVisited) << Tag;
+  EXPECT_EQ(G.Prefetch.LoopsDegraded, Solo.Prefetch.LoopsDegraded) << Tag;
+  EXPECT_EQ(G.Prefetch.Loops.size(), Solo.Prefetch.Loops.size()) << Tag;
+  EXPECT_EQ(G.Prefetch.CodeGen.Prefetches, Solo.Prefetch.CodeGen.Prefetches)
+      << Tag;
+  EXPECT_EQ(G.Prefetch.CodeGen.SpecLoads, Solo.Prefetch.CodeGen.SpecLoads)
+      << Tag;
+  EXPECT_EQ(G.Decisions, Solo.Decisions) << Tag;
+  EXPECT_EQ(G.GovernorQuarantined, Solo.GovernorQuarantined) << Tag;
+  EXPECT_EQ(G.GovernorReinspections, Solo.GovernorReinspections) << Tag;
+}
+
+/// \p Algo on \p Machine over \p Epochs epochs: an ungoverned and a
+/// governed member under each of \p Variants.
+std::vector<workloads::RunOptions>
+governedGrid(const char *Machine, workloads::Algorithm Algo, unsigned Epochs,
+             std::initializer_list<vm::GcVariant> Variants) {
+  std::vector<workloads::RunOptions> Members;
+  for (vm::GcVariant V : Variants)
+    for (bool Governor : {false, true}) {
+      workloads::RunOptions &M = Members.emplace_back();
+      M.Machine = machine(Machine);
+      M.Algo = Algo;
+      M.Config = tinyConfig();
+      M.Epochs = Epochs;
+      M.GcVariant = V;
+      M.Governor = Governor;
+    }
+  return Members;
+}
+
+/// Runs \p Members as one group and checks that every member equals its
+/// solo run, governed members in their health counters too, and that
+/// exactly the members in \p WantLeft left the shared execution. Returns
+/// the useful prefetches the governed members' machines resolved.
+uint64_t expectGovernedGroupMatchesSoloRuns(
+    const workloads::WorkloadSpec &Spec,
+    const std::vector<workloads::RunOptions> &Members,
+    const std::vector<size_t> &WantLeft) {
+  EXPECT_EQ(workloads::runSharedExecution(Spec, Members).Left, WantLeft)
+      << Spec.Name;
+  std::vector<workloads::RunResult> Group =
+      workloads::runWorkloadGroup(Spec, Members);
+  EXPECT_EQ(Group.size(), Members.size()) << Spec.Name;
+  uint64_t Useful = 0;
+  bool LeadSeen = false; // The first member that stayed reports the run.
+  for (size_t K = 0; K != std::min(Group.size(), Members.size()); ++K) {
+    std::string Tag = memberTag(Spec, Members[K], K) +
+                      (Members[K].Governor ? " governed" : "");
+    const bool Left =
+        std::find(WantLeft.begin(), WantLeft.end(), K) != WantLeft.end();
+    const workloads::RunResult Solo = workloads::runWorkload(Spec, Members[K]);
+    EXPECT_EQ(Group[K].Replayed, !Left && LeadSeen) << Tag;
+    LeadSeen |= !Left;
+    expectEqualsSolo(Group[K], Solo, Tag);
+    expectSameCompileAndGovernor(Group[K], Solo, Tag);
+    EXPECT_EQ(Solo.GovernorQuarantined + Solo.GovernorReinspections > 0, Left)
+        << Tag;
+    if (Members[K].Governor)
+      Useful += Group[K].Mem.SwPrefetchesUseful;
+    else
+      EXPECT_EQ(Group[K].Mem.SwPrefetchesUseful, 0u) << Tag;
+  }
+  return Useful;
+}
+
+TEST(GovernedSharingTest, RidersEqualSoloRuns) {
+  // The perfbench adaptation grid's INTER+INTRA members at 4 epochs on the
+  // Pentium 4: each perturbing variant governed and not, plus the
+  // compacting reference. Governed members ride the shared execution, on
+  // the health-tracking machine their ungoverned partners share. As on
+  // perfbench's grid, only db's governor under address-shuffle (member 3)
+  // acts, at the first boundary; it leaves, and the others ride to the
+  // end.
+  uint64_t Useful = 0;
+  for (const char *Name : {"db", "jack", "MonteCarlo"}) {
+    const std::vector<size_t> WantLeft =
+        std::string(Name) == "db" ? std::vector<size_t>{3}
+                                  : std::vector<size_t>{};
+    const workloads::WorkloadSpec *Spec = workloads::findWorkload(Name);
+    ASSERT_NE(Spec, nullptr);
+    std::vector<workloads::RunOptions> Members = governedGrid(
+        "pentium4", workloads::Algorithm::InterIntra, 4,
+        {vm::GcVariant::MarkSweep, vm::GcVariant::AddressShuffle,
+         vm::GcVariant::PromotionOrder});
+    Members.push_back(Members.front());
+    Members.back().GcVariant = vm::GcVariant::SlidingCompact;
+    Useful += expectGovernedGroupMatchesSoloRuns(*Spec, Members, WantLeft);
+  }
+  EXPECT_GT(Useful, 0u); // db's prefetches resolve on the shared machine.
+}
+
+TEST(GovernedSharingTest, MemberLeavesOnQuarantine) {
+  // Euler INTER on the Athlon MP under address-shuffle quarantines one
+  // site at the first boundary, too few to re-inspect: the governed member
+  // leaves and its solo re-run suppresses the site in place.
+  const workloads::WorkloadSpec *Spec = workloads::findWorkload("Euler");
+  ASSERT_NE(Spec, nullptr);
+  std::vector<workloads::RunOptions> Members = governedGrid(
+      "athlonmp", workloads::Algorithm::Inter, 3,
+      {vm::GcVariant::AddressShuffle});
+  expectGovernedGroupMatchesSoloRuns(*Spec, Members, {1});
+  const workloads::RunResult Solo = workloads::runWorkload(*Spec, Members[1]);
+  EXPECT_GT(Solo.GovernorQuarantined, 0u);
+  EXPECT_EQ(Solo.GovernorReinspections, 0u);
+}
+
+TEST(GovernedSharingTest, MemberLeavesOnReinspection) {
+  // db INTER+INTRA on the Pentium 4 under address-shuffle quarantines two
+  // sites at the first boundary and re-inspects. The governed leader
+  // leaves, so its ungoverned partner under the same variant reports the
+  // execution; the mark-sweep pair keeps sharing it, on the same machine.
+  const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
+  ASSERT_NE(Spec, nullptr);
+  std::vector<workloads::RunOptions> Members = governedGrid(
+      "pentium4", workloads::Algorithm::InterIntra, 3,
+      {vm::GcVariant::AddressShuffle, vm::GcVariant::MarkSweep});
+  std::swap(Members[0], Members[1]);
+  expectGovernedGroupMatchesSoloRuns(*Spec, Members, {0});
+  const workloads::RunResult Solo = workloads::runWorkload(*Spec, Members[0]);
+  EXPECT_EQ(Solo.GovernorReinspections, 1u);
+  // Governor events name their site, not the loop the JIT compiled last.
+  unsigned GovernorEvents = 0;
+  for (const obs::DecisionEvent &E : Solo.Decisions)
+    if (E.Pass == "governor") {
+      ++GovernorEvents;
+      EXPECT_EQ(E.Method, "");
+      EXPECT_EQ(E.Loop, 0u);
+    }
+  if (obs::enabled()) {
+    EXPECT_EQ(GovernorEvents, 3u); // Two quarantines and the re-inspection.
+  }
+}
+
 } // namespace

@@ -392,11 +392,12 @@ TEST(RunPlanSharingTest, TunedCellSharesExactlyWhenItsCodeIsUnchanged) {
   }
 }
 
-TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
+TEST(RunPlanSharingTest, EpochFacetsKeepExecutionsApartGovernedCellsRide) {
   // One program throughout (jess BASELINE), so only the run facets decide:
-  // cells share only with cells of equal epochs and phase change, and a
-  // governed cell (its code changes mid-run) never shares. GC variants
-  // share: the execution splits by variant at each epoch boundary.
+  // cells share only with cells of equal epochs and phase change. GC
+  // variants share: the execution splits by variant at each epoch
+  // boundary. Governed cells share too while their governor does not act
+  // (BASELINE has no prefetch site to judge).
   const sim::MachineConfig P4 = *sim::MachineConfig::byName("pentium4");
   const sim::MachineConfig Athlon = *sim::MachineConfig::byName("athlonmp");
   struct Facets {
@@ -416,8 +417,8 @@ TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
       {&P4, 3, MarkSweep, false, false, true},
       {&P4, 3, MarkSweep, true, false, false},
       {&Athlon, 3, MarkSweep, true, false, true},
-      {&P4, 3, Compact, false, true, false},
-      {&Athlon, 3, Compact, false, true, false},
+      {&P4, 3, Compact, false, true, true},
+      {&Athlon, 3, Compact, false, true, true},
   };
   ExperimentPlan Plan;
   for (const Facets &F : Cells) {
@@ -435,7 +436,7 @@ TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
   ASSERT_TRUE(R.ok()) << R.Failures[0];
   for (unsigned I = 0; I != Plan.size(); ++I)
     EXPECT_EQ(R.run(I).Replayed, Cells[I].WantReplayed) << I;
-  for (unsigned I : {3u, 5u}) {
+  for (unsigned I : {3u, 5u, 6u, 7u}) {
     const RunResult Solo = runWorkload(*Plan.cells()[I].Spec,
                                        Plan.cells()[I].Opt);
     EXPECT_EQ(R.run(I).Mem, Solo.Mem) << I;
@@ -443,7 +444,82 @@ TEST(RunPlanSharingTest, EpochGcAndGovernorFacetsKeepExecutionsApart) {
     EXPECT_EQ(R.run(I).Sites, Solo.Sites) << I;
     EXPECT_EQ(R.run(I).Retired, Solo.Retired) << I;
     EXPECT_EQ(R.run(I).GcCollections, Solo.GcCollections) << I;
+    EXPECT_EQ(R.run(I).GovernorQuarantined, Solo.GovernorQuarantined) << I;
+    EXPECT_EQ(R.run(I).GovernorReinspections, Solo.GovernorReinspections)
+        << I;
   }
+}
+
+TEST(RunPlanSharingTest, GovernedCellAloneInItsGroupReportsItsReJit) {
+  // db INTER+INTRA under address-shuffle quarantines two sites at the
+  // first boundary and re-inspects. Its BASELINE partner compiles to
+  // another program, so the governed cell is a group of one that phase 1
+  // compiled: it must report the prefetch pass and decisions of its own
+  // run, re-JIT included, not its phase-1 compile.
+  ExperimentPlan Plan;
+  for (workloads::Algorithm A :
+       {workloads::Algorithm::Baseline, workloads::Algorithm::InterIntra}) {
+    ExperimentCell C;
+    C.Spec = findWorkload("db");
+    C.Opt.Algo = A;
+    C.Opt.Config = tinyConfig();
+    C.Opt.Epochs = 3;
+    C.Opt.GcVariant = vm::GcVariant::AddressShuffle;
+    C.Opt.Governor = A == workloads::Algorithm::InterIntra;
+    Plan.add(std::move(C));
+  }
+  ExperimentResult R = runPlan(Plan, 1);
+  ASSERT_TRUE(R.ok()) << R.Failures[0];
+  const RunResult &Gov = R.run(1);
+  const RunResult Solo = runWorkload(*Plan.cells()[1].Spec,
+                                     Plan.cells()[1].Opt);
+  ASSERT_EQ(Solo.GovernorReinspections, 1u);
+  EXPECT_FALSE(Gov.Replayed);
+  EXPECT_EQ(Gov.GovernorReinspections, 1u);
+  EXPECT_EQ(Gov.GovernorQuarantined, Solo.GovernorQuarantined);
+  EXPECT_EQ(Gov.Prefetch.CodeGen.Prefetches, Solo.Prefetch.CodeGen.Prefetches);
+  EXPECT_EQ(Gov.Prefetch.CodeGen.SpecLoads, Solo.Prefetch.CodeGen.SpecLoads);
+  EXPECT_EQ(Gov.Prefetch.LoopsVisited, Solo.Prefetch.LoopsVisited);
+  EXPECT_EQ(Gov.Decisions, Solo.Decisions);
+  EXPECT_EQ(Gov.Mem, Solo.Mem);
+  EXPECT_EQ(Gov.Sites, Solo.Sites);
+}
+
+TEST(RunPlanSharingTest, LeaversRunAloneAtAnyJobCount) {
+  // db INTER+INTRA under address-shuffle, ungoverned then governed: one
+  // program, so one group, which the governed cell leaves at the first
+  // boundary. On 4 workers its solo re-run is a task of its own, spawned
+  // from the group's task; every result matches the serial run's.
+  ExperimentPlan Plan;
+  for (bool Governor : {false, true}) {
+    ExperimentCell C;
+    C.Spec = findWorkload("db");
+    C.Opt.Algo = workloads::Algorithm::InterIntra;
+    C.Opt.Config = tinyConfig();
+    C.Opt.Epochs = 3;
+    C.Opt.GcVariant = vm::GcVariant::AddressShuffle;
+    C.Opt.Governor = Governor;
+    Plan.add(std::move(C));
+  }
+  const ExperimentResult Serial = runPlan(Plan, 1);
+  const ExperimentResult Parallel = runPlan(Plan, 4);
+  ASSERT_TRUE(Serial.ok()) << Serial.Failures[0];
+  ASSERT_TRUE(Parallel.ok()) << Parallel.Failures[0];
+  EXPECT_EQ(Serial.run(1).GovernorReinspections, 1u);
+  for (unsigned I = 0; I != Plan.size(); ++I) {
+    const RunResult &A = Serial.run(I), &B = Parallel.run(I);
+    EXPECT_FALSE(A.Replayed) << I; // The lead, and the leaver.
+    EXPECT_EQ(B.Replayed, A.Replayed) << I;
+    EXPECT_EQ(B.Mem, A.Mem) << I;
+    EXPECT_EQ(B.Sites, A.Sites) << I;
+    EXPECT_EQ(B.Decisions, A.Decisions) << I;
+    EXPECT_EQ(B.GovernorQuarantined, A.GovernorQuarantined) << I;
+    EXPECT_EQ(B.GovernorReinspections, A.GovernorReinspections) << I;
+  }
+  const RunResult Solo = runWorkload(*Plan.cells()[1].Spec,
+                                     Plan.cells()[1].Opt);
+  EXPECT_EQ(Serial.run(1).Mem, Solo.Mem);
+  EXPECT_EQ(Serial.run(1).Decisions, Solo.Decisions);
 }
 
 // -- Failure propagation ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include "sim/MemorySystem.h"
 #include "support/SplitMix64.h"
+#include "workloads/Runner.h"
 
 #include <gtest/gtest.h>
 
@@ -421,3 +422,38 @@ TEST(MemorySystemTest2, WarmerIsNeverSlower) {
 }
 
 } // namespace moresim
+
+namespace health {
+
+TEST(PrefetchHealthTest, ClearedHealthCountersEqualAHealthOffRun) {
+  // The contract that lets governed and ungoverned runs share a machine:
+  // a governed run (governor-mode interpreter, health-tracking
+  // MemorySystem) over one epoch, where the governor never decides, equals
+  // the ungoverned run in every statistic once the health counters are
+  // cleared: timing, demand stats, cycle ledger and load-site numbering.
+  // INTER+INTRA, so every workload that prefetches issues some.
+  uint64_t Resolved = 0;
+  for (const workloads::WorkloadSpec &Spec : workloads::allWorkloads())
+    for (const char *Name : {"pentium4", "athlonmp", "modern3l"}) {
+      workloads::RunOptions Off;
+      Off.Machine = *MachineConfig::byName(Name);
+      Off.Algo = workloads::Algorithm::InterIntra;
+      Off.Config.Scale = 0.05;
+      workloads::RunOptions On = Off;
+      On.Governor = true;
+      const workloads::RunResult ROff = workloads::runWorkload(Spec, Off);
+      workloads::RunResult ROn = workloads::runWorkload(Spec, On);
+      const std::string Tag = Spec.Name + " on " + Name;
+      Resolved += ROn.Mem.SwPrefetchesUseful + ROn.Mem.SwPrefetchesLate +
+                  ROn.Mem.SwPrefetchesUnused;
+      clearPrefetchHealth(ROn.Mem, ROn.Sites);
+      EXPECT_EQ(ROn.Mem, ROff.Mem) << Tag;
+      EXPECT_EQ(ROn.Sites, ROff.Sites) << Tag;
+      EXPECT_EQ(ROn.Acct, ROff.Acct) << Tag;
+      EXPECT_EQ(ROn.CompiledCycles, ROff.CompiledCycles) << Tag;
+      EXPECT_EQ(ROn.Exec, ROff.Exec) << Tag;
+    }
+  EXPECT_GT(Resolved, 0u); // Health tracking saw fills resolve.
+}
+
+} // namespace health
