@@ -57,6 +57,8 @@ struct InspectorOptions {
   bool FollowCalls = false;
   /// Maximum call depth when FollowCalls is enabled.
   unsigned MaxCallDepth = 2;
+
+  bool operator==(const InspectorOptions &) const = default;
 };
 
 /// Observed entry/iteration counts of a loop during inspection.

@@ -4,6 +4,8 @@
 
 #include "obs/DecisionLog.h"
 
+#include <unordered_map>
+
 using namespace spf;
 using namespace spf::core;
 using namespace spf::ir;
@@ -64,23 +66,67 @@ CodeGenStats core::applyPlan(const LoopPlan &Plan) {
 
 CodeGenStats core::stripPrefetchCode(ir::Method &M) {
   CodeGenStats Stats;
-  for (const auto &BB : M.blocks()) {
-    // Prefetches first (they may use spec loads), spec loads second —
-    // erase() requires the instruction to be user-free.
-    std::vector<Instruction *> Prefetches;
-    std::vector<Instruction *> SpecLoads;
-    for (const auto &IP : BB->instructions()) {
-      if (isa<PrefetchInst>(IP.get()))
-        Prefetches.push_back(IP.get());
-      else if (isa<SpecLoadInst>(IP.get()))
-        SpecLoads.push_back(IP.get());
-    }
-    for (Instruction *I : Prefetches)
-      BB->erase(I);
-    for (Instruction *I : SpecLoads)
-      BB->erase(I);
-    Stats.Prefetches += static_cast<unsigned>(Prefetches.size());
-    Stats.SpecLoads += static_cast<unsigned>(SpecLoads.size());
-  }
+  for (const DetachedCode::Entry &E : detachPrefetchCode(M).Entries)
+    ++(isa<PrefetchInst>(E.I.get()) ? Stats.Prefetches : Stats.SpecLoads);
   return Stats;
+}
+
+DetachedCode core::detachPrefetchCode(ir::Method &M) {
+  DetachedCode Code;
+  for (const auto &BB : M.blocks()) {
+    std::vector<Instruction *> Lifted;
+    Instruction *Prev = nullptr;
+    for (const auto &IP : BB->instructions()) {
+      if (isa<AddressedInst>(IP.get())) {
+        Code.Entries.push_back({BB.get(), Prev, nullptr});
+        Lifted.push_back(IP.get());
+      }
+      Prev = IP.get();
+    }
+    const size_t First = Code.Entries.size() - Lifted.size();
+    for (size_t K = 0; K != Lifted.size(); ++K)
+      Code.Entries[First + K].I = BB->detach(Lifted[K]);
+  }
+  return Code;
+}
+
+void core::attachPrefetchCode(DetachedCode Code) {
+  for (DetachedCode::Entry &E : Code.Entries) {
+    if (E.After)
+      E.Block->insertAfter(E.After, std::move(E.I));
+    else if (E.Block->empty())
+      E.Block->append(std::move(E.I));
+    else
+      E.Block->insertBefore(E.Block->front(), std::move(E.I));
+  }
+}
+
+bool core::samePrefetchCode(const DetachedCode &A, const DetachedCode &B) {
+  if (A.Entries.size() != B.Entries.size())
+    return false;
+  std::unordered_map<const Value *, size_t> InA, InB;
+  for (size_t K = 0; K != A.Entries.size(); ++K) {
+    InA.emplace(A.Entries[K].I.get(), K);
+    InB.emplace(B.Entries[K].I.get(), K);
+  }
+  auto Same = [&](const Value *X, const Value *Y) {
+    auto KX = InA.find(X), KY = InB.find(Y);
+    if (KX == InA.end() || KY == InB.end())
+      return KX == InA.end() && KY == InB.end() && X == Y;
+    return KX->second == KY->second;
+  };
+  for (size_t K = 0; K != A.Entries.size(); ++K) {
+    const DetachedCode::Entry &EA = A.Entries[K], &EB = B.Entries[K];
+    const auto *X = cast<AddressedInst>(EA.I.get());
+    const auto *Y = cast<AddressedInst>(EB.I.get());
+    const auto *PX = dyn_cast<PrefetchInst>(X);
+    const auto *PY = dyn_cast<PrefetchInst>(Y);
+    if (EA.Block != EB.Block || !Same(EA.After, EB.After) ||
+        X->opcode() != Y->opcode() || (PX && PX->isGuarded() != PY->isGuarded()) ||
+        !Same(X->base(), Y->base()) || !Same(X->index(), Y->index()) ||
+        X->scale() != Y->scale() || X->displacement() != Y->displacement() ||
+        !Same(X->anchor(), Y->anchor()) || X->name() != Y->name())
+      return false;
+  }
+  return true;
 }

@@ -35,6 +35,8 @@ struct PrefetchPassOptions {
   /// A loop whose own observed trip count is at most this is not
   /// prefetched directly (its loads are handled by the parent loop).
   double SmallTripMax = 16.0;
+
+  bool operator==(const PrefetchPassOptions &) const = default;
 };
 
 /// Diagnostic record for one processed loop.

@@ -51,6 +51,8 @@ struct PlannerOptions {
   /// algorithm exploits strong single strides only, so this is off by
   /// default; the ablation bench measures the difference.
   bool ExploitWeakStrides = false;
+
+  bool operator==(const PlannerOptions &) const = default;
 };
 
 /// One prefetch relative to the value a spec_load produced.

@@ -33,6 +33,8 @@ struct StrideOptions {
   /// Nested loops whose observed average trip count is at most this are
   /// "small trip count" and their loads are kept in the parent's graph.
   double SmallTripMax = 16.0;
+
+  bool operator==(const StrideOptions &) const = default;
 };
 
 /// Finds the dominant value of \p Samples; returns it when it reaches the

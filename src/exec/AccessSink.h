@@ -11,9 +11,11 @@
 /// The contract that makes execution sharing exact: the interpreter
 /// never reads anything back from the sink — the event stream is
 /// write-only and is a function of the program alone. So one execution
-/// can feed several sinks at once (workloads::runWorkloadGroup fans the
-/// stream out to one MemorySystem per machine), and every sink sees
-/// exactly the stream a solo run would have given it.
+/// can feed several sinks at once (workloads::runSharedExecution fans the
+/// demand stream out to one MemorySystem per machine and prefetch-code
+/// owner, and each owner's prefetch events to its own), and every sink
+/// sees exactly the stream a solo run would have given it, up to how its
+/// tick runs are split.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -75,6 +75,7 @@ struct Interpreter::Op {
 
   Code C = FellOff;
   bool Guarded = false; ///< Prefetch: the guarded-load flavor.
+  uint16_t Owner = 0;   ///< Prefetch and SpecLoad: the code's owner.
   uint32_t Dst = 0;     ///< Result slot.
   /// Operand slots. Branch: A is the condition, B and X the true and false
   /// edges; Jump: B is the edge; Call: A and B delimit the argument slots
@@ -113,7 +114,9 @@ struct Interpreter::MethodInfo {
     uint32_t Dst, Src;
   };
 
-  explicit MethodInfo(Method &M);
+  /// Decodes \p M, leaving out the prefetch code of every owner that
+  /// \p OwnerSinks routes nowhere. Reads the IR only.
+  MethodInfo(const Method &M, const std::vector<AccessSink *> &OwnerSinks);
 
   std::vector<Op> Ops;
   std::vector<Edge> Edges;
@@ -121,8 +124,9 @@ struct Interpreter::MethodInfo {
   std::vector<Move> Moves;
   /// Call operands of all call ops, concatenated.
   std::vector<uint32_t> ArgSlots;
-  /// Initial frame: arguments and instruction results (ids from
-  /// Method::renumber), then constants, then scratch slots.
+  /// Initial frame: arguments and instruction results (in program
+  /// order, as Method::renumber numbers them), then constants, then
+  /// scratch slots.
   std::vector<uint64_t> FrameTemplate;
   /// Slots of Ref-typed arguments and instructions: the frame's GC roots.
   std::vector<uint32_t> RefSlots;
@@ -133,6 +137,8 @@ private:
   uint32_t addEdge(const BasicBlock *Pred, const BasicBlock *Succ);
   void addMoves(std::vector<Move> Parallel);
 
+  /// Slots of the arguments and instructions.
+  std::unordered_map<const Value *, uint32_t> ValueSlots;
   std::unordered_map<const Constant *, uint32_t> ConstSlots;
   /// Parallel-copy cycle breaker; allocated on first use.
   uint32_t ScratchSlot = ~0u;
@@ -148,7 +154,7 @@ uint32_t Interpreter::MethodInfo::newSlot(uint64_t Init) {
 uint32_t Interpreter::MethodInfo::slotOf(const Value *V) {
   const auto *C = dyn_cast<Constant>(V);
   if (!C)
-    return V->id(); // Arguments and instructions share the id space.
+    return ValueSlots.at(V);
   auto It = ConstSlots.find(C);
   if (It != ConstSlots.end())
     return It->second;
@@ -200,7 +206,7 @@ uint32_t Interpreter::MethodInfo::addEdge(const BasicBlock *Pred,
       const Value *In = Phi->valueFor(Pred);
       assert(In && "phi has no incoming value for predecessor");
       if (In)
-        Parallel.push_back({Phi->id(), slotOf(In)});
+        Parallel.push_back({slotOf(Phi), slotOf(In)});
     }
   addMoves(std::move(Parallel));
   E.MovesEnd = static_cast<uint32_t>(Moves.size());
@@ -209,19 +215,21 @@ uint32_t Interpreter::MethodInfo::addEdge(const BasicBlock *Pred,
   return static_cast<uint32_t>(Edges.size() - 1);
 }
 
-Interpreter::MethodInfo::MethodInfo(Method &M) {
-  M.renumber();
-  unsigned NumValues = M.numArgs();
+Interpreter::MethodInfo::MethodInfo(const Method &M,
+                                    const std::vector<AccessSink *> &OwnerSinks) {
+  // Arguments and instructions share one slot space, in program order.
+  auto Number = [this](const Value *V) {
+    uint32_t Slot = static_cast<uint32_t>(FrameTemplate.size());
+    ValueSlots.emplace(V, Slot);
+    FrameTemplate.push_back(0);
+    if (V->type() == Type::Ref)
+      RefSlots.push_back(Slot);
+  };
   for (const auto &Arg : M.arguments())
-    if (Arg->type() == Type::Ref)
-      RefSlots.push_back(Arg->id());
+    Number(Arg.get());
   for (const auto &BB : M.blocks())
-    for (const auto &I : BB->instructions()) {
-      ++NumValues;
-      if (I->type() == Type::Ref)
-        RefSlots.push_back(I->id());
-    }
-  FrameTemplate.assign(NumValues, 0);
+    for (const auto &I : BB->instructions())
+      Number(I.get());
   // The index of an address expression without one: 0 * scale adds 0.
   const uint32_t ZeroSlot = newSlot(0);
 
@@ -233,9 +241,13 @@ Interpreter::MethodInfo::MethodInfo(Method &M) {
       const Instruction *I = IP.get();
       if (isa<PhiInst>(I))
         continue; // Lowered to moves on the incoming edges.
+      if (const auto *AI = dyn_cast<AddressedInst>(I))
+        if (AI->owner() &&
+            (AI->owner() >= OwnerSinks.size() || !OwnerSinks[AI->owner()]))
+          continue; // Code of an owner this execution does not simulate.
       Op O;
       O.I = I;
-      O.Dst = I->id();
+      O.Dst = ValueSlots.at(I);
       switch (I->opcode()) {
       case Opcode::Binary: {
         using BinOp = BinaryInst::BinOp;
@@ -341,6 +353,7 @@ Interpreter::MethodInfo::MethodInfo(Method &M) {
       case Opcode::SpecLoad: {
         const auto *AI = cast<AddressedInst>(I);
         O.C = I->opcode() == Opcode::Prefetch ? Op::Prefetch : Op::SpecLoad;
+        O.Owner = static_cast<uint16_t>(AI->owner());
         if (const auto *P = dyn_cast<PrefetchInst>(I))
           O.Guarded = P->isGuarded();
         O.A = slotOf(AI->base());
@@ -391,7 +404,9 @@ void Interpreter::continueFrom(const Interpreter &Other) {
   assert(Governed == Other.Governed && Suppressed.empty() &&
          Other.Suppressed.empty() && !Other.MixedModeHook &&
          Other.ActiveFrames.empty() && "cannot continue this interpreter");
+  assert(Owned.size() == Other.Owned.size() && "owner counts differ");
   Stats = Other.Stats;
+  Owned = Other.Owned;
   LoadSites = Other.LoadSites;
   Gc = Other.Gc;
   MaxInstructions = Other.MaxInstructions;
@@ -428,8 +443,28 @@ void Interpreter::checkpoint() {
 
 Interpreter::Interpreter(vm::Heap &Heap, AccessSink &Sink,
                          std::vector<vm::Addr> *ExternalRoots)
-    : Heap(Heap), Sink(Sink), ExternalRoots(ExternalRoots) {
+    : Heap(Heap), Sink(Sink), ExternalRoots(ExternalRoots),
+      OwnerSinks{&Sink}, Owned(1) {
   scheduleCheck();
+}
+
+void Interpreter::setOwnerSinks(std::vector<AccessSink *> Sinks) {
+  assert(Infos.empty() && "owners routed after decoding");
+  OwnerSinks = std::move(Sinks);
+  if (OwnerSinks.empty())
+    OwnerSinks.push_back(nullptr);
+  OwnerSinks.front() = &Sink;
+  Owned.assign(OwnerSinks.size(), {});
+}
+
+ExecStats Interpreter::statsFor(unsigned Owner) const {
+  ExecStats S = Stats;
+  for (unsigned K = 1; K < Owned.size(); ++K)
+    if (K != Owner) {
+      S.Retired -= Owned[K].Retired;
+      S.PrefetchRelated -= Owned[K].PrefetchRelated;
+    }
+  return S;
 }
 
 Interpreter::~Interpreter() = default;
@@ -451,7 +486,7 @@ void Interpreter::invalidateMethodInfo() {
 Interpreter::MethodInfo &Interpreter::infoFor(Method *M) {
   std::unique_ptr<MethodInfo> &Info = Infos[M];
   if (!Info)
-    Info = std::make_unique<MethodInfo>(*M);
+    Info = std::make_unique<MethodInfo>(*M, OwnerSinks);
   return *Info;
 }
 
@@ -853,24 +888,28 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
       // A quarantined site's prefetch is a nop (modeling the JIT patching
       // it out) — zero cost, zero events.
       SiteId Site = prefetchSite(O);
+      ++Owned[O.Owner].Retired;
       if (suppressed(Site))
         break;
       ++Stats.PrefetchRelated;
+      ++Owned[O.Owner].PrefetchRelated;
       vm::Addr A = prefetchAddr(O);
       flushTicks();
       // A guarded prefetch's software exception check only touches mapped
       // memory. A failed check takes the recovery branch — no cache or
       // TLB fill.
+      AccessSink &To = *OwnerSinks[O.Owner];
       if (!O.Guarded)
-        Sink.prefetch(A, Site);
+        To.prefetch(A, Site);
       else if (Heap.isValidAccess(A, 8))
-        Sink.guardedLoad(A, Site);
+        To.guardedLoad(A, Site);
       else
-        Sink.guardedLoadFault(Site);
+        To.guardedLoadFault(Site);
       break;
     }
     case Op::SpecLoad: {
       SiteId Site = prefetchSite(O);
+      ++Owned[O.Owner].Retired;
       if (suppressed(Site)) {
         // The chain's prefetches share this site and are suppressed with
         // it; a null result keeps the dataflow well-defined.
@@ -878,13 +917,15 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
         break;
       }
       ++Stats.PrefetchRelated;
+      ++Owned[O.Owner].PrefetchRelated;
       vm::Addr A = prefetchAddr(O);
       flushTicks();
+      AccessSink &To = *OwnerSinks[O.Owner];
       if (Heap.isValidAccess(A, 8)) {
-        Sink.guardedLoad(A, Site);
+        To.guardedLoad(A, Site);
         R[O.Dst] = Heap.load(A, Type::Ref);
       } else {
-        Sink.guardedLoadFault(Site);
+        To.guardedLoadFault(Site);
         R[O.Dst] = 0;
       }
       break;

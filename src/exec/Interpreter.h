@@ -6,15 +6,18 @@
 /// JVM's compiled-code execution: the paper's measured quantities (cycles,
 /// retired instructions, cache/DTLB miss events) all originate here — but
 /// the interpreter itself knows nothing about timing. The usual sink is
-/// sim::MemorySystem; workloads::runWorkloadGroup hands it a fan-out sink
-/// so one execution drives several machines at once.
+/// sim::MemorySystem; a shared execution (workloads::runSharedExecution)
+/// hands it a fan-out sink, so one execution drives several machines at
+/// once, and one sink per owner of the union program's prefetch code
+/// (setOwnerSinks), so each machine sees only its own members' prefetches.
 ///
 /// The interpreter does not walk the IR. On a method's first execution it
 /// decodes the method into a flat array of type-specialized ops over
 /// register slots (constants pre-filled in a frame template, phis lowered
 /// to per-edge parallel moves, branch targets as op indices) and runs
-/// that. The decoded form is dropped whenever the IR may have changed:
-/// when the mixed-mode hook compiles a method and on
+/// that. Decoding only reads the IR, so interpreters on several threads
+/// can share one program. The decoded form is dropped whenever the IR may
+/// have changed: when the mixed-mode hook compiles a method and on
 /// invalidateMethodInfo().
 ///
 /// Demand loads are attributed to their static load site (exec::SiteId,
@@ -102,7 +105,22 @@ public:
     return CompiledMethods.count(M) != 0;
   }
 
+  /// Everything this interpreter executed, the code of every owner
+  /// included.
   const ExecStats &stats() const { return Stats; }
+
+  /// What a run with only owner \p Owner's prefetch code would have
+  /// counted: the code every owner runs plus \p Owner's own.
+  ExecStats statsFor(unsigned Owner) const;
+
+  /// Routes a union program's prefetch code (ir::AddressedInst::owner):
+  /// owner K's prefetch and guarded-load events go to \p Sinks[K]. A null
+  /// or missing entry marks an owner this interpreter does not simulate:
+  /// its code is left out when decoding, as if absent. Entry 0 is ignored:
+  /// owner 0's code, demand events and ticks go to the interpreter's own
+  /// sink, which must reach every sink of \p Sinks. Call before the first
+  /// run. The execution budget counts every owner's code.
+  void setOwnerSinks(std::vector<AccessSink *> Sinks);
   vm::GarbageCollector &gc() { return Gc; }
 
   /// Further slots every collection traces and updates after
@@ -145,10 +163,11 @@ public:
   void invalidateMethodInfo();
 
   /// Picks up where \p Other left off between runs, on this interpreter's
-  /// own heap, sink and roots (a copy of \p Other's world): its execution
-  /// statistics, load-site ids, collector (collection count and variant),
-  /// execution budget and deadline. Both must be in the same governor
-  /// mode, with no site suppressed yet; neither may be mixed-mode.
+  /// own heap, sinks and roots (a copy of \p Other's world): its execution
+  /// statistics (per owner too), load-site ids, collector (collection
+  /// count and variant), execution budget and deadline. Both must be in
+  /// the same governor mode, with no site suppressed yet, and route as
+  /// many owners; neither may be mixed-mode.
   void continueFrom(const Interpreter &Other);
 
   /// Execution budget; exceeding it throws support::RuntimeTrap
@@ -218,6 +237,15 @@ private:
   /// Decoded ops cache their id; this map serves each op's first
   /// execution, including after a re-decode.
   std::unordered_map<const ir::Instruction *, SiteId> LoadSites;
+  /// Sinks of the owners' prefetch code; entry 0 is Sink.
+  std::vector<AccessSink *> OwnerSinks;
+  /// The share of Stats each owner's code retired (entry 0: owner-0 code,
+  /// which every owner runs).
+  struct OwnedCounts {
+    uint64_t Retired = 0;
+    uint64_t PrefetchRelated = 0;
+  };
+  std::vector<OwnedCounts> Owned;
   std::vector<Frame *> ActiveFrames;
   unsigned CallDepth = 0;
   /// Governor mode (enablePrefetchGovernance()).

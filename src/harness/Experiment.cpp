@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <ostream>
 #include <tuple>
@@ -252,133 +253,103 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   // Once the stop hook fires, no further group runs.
   std::atomic<bool> Stopped{false};
 
-  // Runs one group in process. The verdict is shared by every member:
-  // they are one execution. Returns the plan indices of the members that
-  // left it; each must run again alone.
-  auto RunGroup = [&](const std::vector<unsigned> &G,
-                      std::vector<workloads::CompiledProgram> Programs)
-      -> std::vector<unsigned> {
-    const unsigned Lead = G.front();
-    const ExperimentCell &C = Plan.cells()[Lead];
-    CellResult Verdict;
-    if (Stopped.load(std::memory_order_relaxed) ||
-        (Opts.Governor.ExternalStop && Opts.Governor.ExternalStop())) {
-      Stopped.store(true, std::memory_order_relaxed);
-      Verdict.Error = "stopped before it ran";
-      for (unsigned I : G)
-        Result.Cells[I] = Verdict;
-      return {};
-    }
-
-    std::vector<workloads::RunOptions> Members;
-    for (unsigned I : G) {
-      Members.push_back(Plan.cells()[I].Opt);
-      Members.back().TimeoutSeconds = TimeoutSec;
-    }
-
-    obs::Span CellSpan("cell", "harness");
-    CellSpan.noteU64("index", Lead);
-    CellSpan.note("tag", cellTag(C));
-    CellSpan.noteU64("members", G.size());
-
-    // The execution builds a private Heap/Module, compiles with a private
-    // CompileManager, and simulates on private MemorySystems: groups
-    // share nothing mutable, so any schedule yields identical stats.
-    workloads::SharedExecution Run;
-    try {
-      Run = workloads::runSharedExecution(*C.Spec, Members,
-                                          std::move(Programs));
-      Verdict.Ran = true;
-    } catch (const support::CellTimeout &E) {
-      Verdict.TimedOut = true;
-      Verdict.Error = E.what();
-    } catch (const std::exception &E) {
-      Verdict.Failed = true;
-      Verdict.Error = E.what();
-    }
-    for (size_t K = 0; K != G.size(); ++K) {
-      CellResult &Cell = Result.Cells[G[K]];
-      Cell = Verdict;
-      if (Verdict.Ran)
-        Cell.Run = std::move(Run.Results[K]);
-    }
-    std::vector<unsigned> Left;
-    for (size_t K : Run.Left)
-      Left.push_back(G[K]);
-    return Left;
-  };
-
-  // Each phase-2 group, and each member that leaves one, is a task of its
-  // own on Jobs > 1 workers; at Jobs=1 everything runs in order on the
-  // calling thread, a group's leavers right after it.
+  // On Jobs > 1 workers each partner set, each branch it splits into and
+  // each member that leaves it is a task of its own; at Jobs=1
+  // everything runs in order on the calling thread, a set's leavers
+  // right after it.
   std::optional<ThreadPool> Pool;
   if (Jobs > 1)
     Pool.emplace(Jobs);
-  auto Spawn = [&Pool](std::function<void()> Task) {
-    if (Pool)
-      Pool->async(std::move(Task));
-    else
-      Task();
-  };
 
-  // One partner set, in two phases. Phase 1 (sets of two or more) builds
-  // and compiles every cell on its own, keeps the cell's compile results
-  // and program hash (workloads::compileProgram) and drops its world.
-  // Phase 2 groups the set's cells by program hash and runs each group
-  // once: workloads::runSharedExecution rebuilds and recompiles the
-  // leader's world, interprets it once and simulates every member's
-  // machine. The lowest plan index leads, so which cells come back
-  // Replayed depends on the plan and on the governors' verdicts alone.
-  // A set's phase-1 results live until its groups run. Once the stop hook
-  // has fired, phase 1 is skipped: every group would stay un-run anyway.
-  auto RunSet = [&](const std::vector<unsigned> &Set) {
-    std::vector<std::optional<workloads::CompiledProgram>> Compiled(
-        Set.size());
-    if (Set.size() > 1 && !Stopped.load(std::memory_order_relaxed))
-      for (size_t K = 0; K != Set.size(); ++K) {
-        const ExperimentCell &C = Cells[Set[K]];
-        obs::Span CompileSpan("compile-program", "harness");
-        CompileSpan.noteU64("index", Set[K]);
-        CompileSpan.note("tag", cellTag(C));
+  // Runs one group in process. The verdict is shared by every member
+  // that stayed: they are one execution. Returns the plan indices of the
+  // members that left it; each runs again alone, as a task of its own
+  // the moment it leaves when there are workers.
+  std::function<std::vector<unsigned>(const std::vector<unsigned> &)>
+      RunGroup = [&](const std::vector<unsigned> &G) {
+        const unsigned Lead = G.front();
+        const ExperimentCell &C = Plan.cells()[Lead];
+        CellResult Verdict;
+        if (Stopped.load(std::memory_order_relaxed) ||
+            (Opts.Governor.ExternalStop && Opts.Governor.ExternalStop())) {
+          Stopped.store(true, std::memory_order_relaxed);
+          Verdict.Error = "stopped before it ran";
+          for (unsigned I : G)
+            Result.Cells[I] = Verdict;
+          return std::vector<unsigned>{};
+        }
+
+        std::vector<workloads::RunOptions> Members;
+        for (unsigned I : G) {
+          Members.push_back(Plan.cells()[I].Opt);
+          Members.back().TimeoutSeconds = TimeoutSec;
+        }
+
+        obs::Span CellSpan("cell", "harness");
+        CellSpan.noteU64("index", Lead);
+        CellSpan.note("tag", cellTag(C));
+        CellSpan.noteU64("members", G.size());
+
+        std::mutex LeftLock;
+        std::vector<unsigned> Left;
+        workloads::ExecutionTasks Tasks;
+        Tasks.OnLeave = [&](size_t K) {
+          {
+            std::lock_guard<std::mutex> L(LeftLock);
+            Left.push_back(G[K]);
+          }
+          if (Pool)
+            Pool->async([&RunGroup, I = G[K]] { RunGroup({I}); });
+        };
+        if (Pool)
+          Tasks.Spawn = [&Pool](std::function<void()> Task) {
+            Pool->async(std::move(Task));
+          };
+
+        // The execution builds a private Heap/Module, compiles with
+        // private CompileManagers, and simulates on private
+        // MemorySystems: groups share nothing mutable, so any schedule
+        // yields identical stats.
+        workloads::SharedExecution Run;
         try {
-          Compiled[K] = workloads::compileProgram(*C.Spec, C.Opt);
-        } catch (const std::exception &) {
-          // Left uncompiled: the cell runs alone, meets the same failure
-          // there and gets its verdict.
+          Run = workloads::runSharedExecution(*C.Spec, Members, Tasks);
+          Verdict.Ran = true;
+        } catch (const support::CellTimeout &E) {
+          Verdict.TimedOut = true;
+          Verdict.Error = E.what();
+        } catch (const std::exception &E) {
+          Verdict.Failed = true;
+          Verdict.Error = E.what();
         }
-      }
-
-    std::vector<std::vector<size_t>> Groups; // Positions in Set.
-    std::map<uint64_t, size_t> GroupOf;
-    for (size_t K = 0; K != Set.size(); ++K) {
-      if (Compiled[K]) {
-        auto [It, New] =
-            GroupOf.try_emplace(Compiled[K]->Hash, Groups.size());
-        if (!New) {
-          Groups[It->second].push_back(K);
-          continue;
+        std::sort(Left.begin(), Left.end());
+        for (size_t K = 0; K != G.size(); ++K) {
+          if (std::binary_search(Left.begin(), Left.end(), G[K]))
+            continue; // Its own run reports it.
+          CellResult &Cell = Result.Cells[G[K]];
+          Cell = Verdict;
+          if (Verdict.Ran)
+            Cell.Run = std::move(Run.Results[K]);
         }
-      }
-      Groups.push_back({K});
-    }
-    for (const std::vector<size_t> &G : Groups) {
-      std::vector<unsigned> Members;
-      std::vector<workloads::CompiledProgram> Programs;
-      for (size_t K : G) {
-        Members.push_back(Set[K]);
-        if (Compiled[K])
-          Programs.push_back(std::move(*Compiled[K]));
-      }
-      Spawn([&, Members = std::move(Members),
-             Programs = std::move(Programs)]() mutable {
-        for (unsigned I : RunGroup(Members, std::move(Programs)))
-          Spawn([&RunGroup, I] { RunGroup({I}, {}); });
-      });
-    }
-  };
+        return Left;
+      };
 
-  for (const std::vector<unsigned> &Set : Sets)
-    Spawn([&RunSet, &Set] { RunSet(Set); });
+  // One group per partner set: workloads::runSharedExecution builds its
+  // world once, runs the prefetch pass once per distinct configuration
+  // into one union program, interprets it once and simulates every
+  // member's (machine, owner) pair. The lowest plan index leads, so which
+  // cells come back Replayed depends on the plan and on the governors'
+  // verdicts alone.
+  for (const std::vector<unsigned> &Set : Sets) {
+    auto RunSet = [&RunGroup, &Pool, &Set] {
+      for (unsigned I : RunGroup(Set))
+        if (!Pool)
+          RunGroup({I});
+    };
+    if (Pool)
+      Pool->async(RunSet);
+    else
+      RunSet();
+  }
   if (Pool)
     Pool->wait();
 

@@ -3,14 +3,14 @@
 /// \file
 /// The experiment layer behind every figure/ablation binary: a sweep
 /// (workloads x algorithms x machine configs x scale) expands into
-/// independent cells. Cells that compile to the same program (BASELINE on
-/// two machines, or INTER where the pass inserts nothing, say) form one
-/// group that interprets once and feeds one MemorySystem per distinct
-/// machine (workloads::runSharedExecution); every group owns a private
-/// Heap / Interpreter. Groups run concurrently on a fixed-size ThreadPool
-/// and results are aggregated deterministically in plan order, so they
-/// are bit-identical to a serial run regardless of the worker count (see
-/// tests/harness_test.cpp).
+/// independent cells. The cells of one workload and config form one group
+/// that builds one world, interprets one union program and feeds one
+/// MemorySystem per distinct (machine, prefetch code) pair
+/// (workloads::runSharedExecution); every group owns a private Heap /
+/// Interpreter. Groups, and the epoch branches they split into, run
+/// concurrently on a fixed-size ThreadPool and results are aggregated
+/// deterministically in plan order, so they are bit-identical to a serial
+/// run regardless of the worker count (see tests/harness_test.cpp).
 ///
 /// Correctness checking is part of the driver: a cell whose workload
 /// self-check fails, or whose return value differs from the baseline
@@ -139,10 +139,10 @@ private:
 struct GovernorOptions {
   /// Polled once per execution group, before the group runs (at Jobs=1
   /// always on the calling thread, partner set by partner set; see
-  /// runPlan); never while phase 1 compiles. Once it returns true,
-  /// that group and every group polled after it stay un-run (!Ran) and
-  /// their cells are Failures. Null = never stop. Perfbench runs its
-  /// calibration kernel here between groups.
+  /// runPlan). Once it returns true, that group and every group polled
+  /// after it stay un-run (!Ran) and their cells are Failures. Null =
+  /// never stop. Perfbench runs its calibration kernel here between
+  /// groups.
   std::function<bool()> ExternalStop;
 };
 
@@ -170,22 +170,20 @@ struct ExperimentResult {
 /// threads spawned) and returns results in plan order. Jobs of 0 means
 /// defaultJobs().
 ///
-/// Execution sharing: a cell can share only with its partner set, the
-/// cells of its workload, config, epochs and phase change. GC variants
-/// may differ within a set: a group's execution splits by variant at each
-/// epoch boundary (workloads::runSharedExecution). Each set runs in two
-/// phases. Phase 1 builds and compiles every cell of the set on its own,
-/// keeps its compile results and program hash (workloads::compileProgram)
-/// and drops the world. Phase 2 groups the set's cells by program hash;
-/// each group is interpreted once, and every member reports its own
-/// compile results. The lowest plan index leads; followers come back
-/// with Run.Replayed set. A governed member whose governor acts leaves
-/// its group and runs again alone. Grouping and leaving depend on the
-/// plan alone, so results — Replayed included — are independent of the
-/// worker count. On Jobs > 1 workers each set's phase 1, each group and
-/// each leaver is a task of its own. At Jobs=1 sets run in the plan order
-/// of their first cell, a set's groups in leader order, and a group's
-/// leavers right after it.
+/// Execution sharing: the cells of one workload, config, epochs and phase
+/// change (a partner set) are one group, interpreted once
+/// (workloads::runSharedExecution): each distinct configuration's
+/// prefetch code joins one union program, and each cell's simulator sees
+/// only its own. GC variants may differ within a set: the execution
+/// splits by variant at each epoch boundary. The lowest plan index
+/// leads; followers come back with Run.Replayed set. A member whose
+/// governor acts, or whose prefetch pass throws, leaves the group and
+/// runs again alone. Grouping and leaving depend on the plan alone, so
+/// results — Replayed included — are independent of the worker count. On
+/// Jobs > 1 workers each set, each branch it splits into and each leaver
+/// is a task of its own, a leaver spawned as it leaves. At Jobs=1 sets
+/// run in the plan order of their first cell, a set's branches epoch by
+/// epoch in turn, and its leavers right after it.
 ///
 /// Failure containment: each group runs under a per-cell wall-clock
 /// watchdog (SPF_CELL_TIMEOUT seconds; unset or 0 = off, malformed values

@@ -481,6 +481,13 @@ public:
   const Instruction *anchor() const { return Anchor; }
   void setAnchor(const Instruction *A) { Anchor = A; }
 
+  /// Which code owns this instruction in a shared execution's union
+  /// program (workloads::buildSharedWorld): 0, the default, executes in
+  /// every run; K > 0 executes only for the simulators of owner K, the
+  /// members whose prefetch pass inserted it (exec::Interpreter).
+  unsigned owner() const { return Owner; }
+  void setOwner(unsigned K) { Owner = K; }
+
   static bool classof(const Value *V) {
     auto *I = dyn_cast<Instruction>(V);
     return I && (I->opcode() == Opcode::Prefetch ||
@@ -503,6 +510,7 @@ private:
   unsigned Scale;
   int64_t Disp;
   bool HasIndex;
+  unsigned Owner = 0;
   const Instruction *Anchor = nullptr;
 };
 

@@ -29,11 +29,18 @@ double microsSince(Clock::time_point Start) {
 
 CompileResult CompileManager::compile(ir::Method *M,
                                       const std::vector<uint64_t> &Args) {
-  CompileResult Result;
-  Result.M = M;
-
   obs::Span CompileSpan("compile", "jit");
   CompileSpan.note("method", M->name());
+  CompileResult Result;
+  if (std::unique_ptr<MethodAnalyses> A = prepare(M, Result))
+    runPass(M, Args, *A, Result);
+  record(Result);
+  return Result;
+}
+
+std::unique_ptr<MethodAnalyses>
+CompileManager::prepare(ir::Method *M, CompileResult &Result) {
+  Result.M = M;
 
   // Stage 1: verification. A malformed input method is a bailout, not a
   // crash: the method simply stays uncompiled this time around.
@@ -43,20 +50,12 @@ CompileResult CompileManager::compile(ir::Method *M,
     obs::Span S("verify", "jit");
     Verified = ir::verifyMethod(M);
   }
+  Result.Timings.VerifyUs = microsSince(T0);
   if (!Verified) {
     Result.VerifyStatus = support::Status::error(
         "method failed verification before compilation");
-    Result.Timings.VerifyUs = microsSince(T0);
-    TotalJitUs += Result.Timings.totalUs();
-    if (auto *DL = obs::DecisionScope::current()) {
-      DL->setContext(M->name(), 0);
-      DL->event("pipeline", "verify-bailout", "",
-                "method failed verification before compilation; left "
-                "uncompiled");
-    }
-    return Result;
+    return nullptr;
   }
-  Result.Timings.VerifyUs = microsSince(T0);
 
   // Stage 2: conventional cleanup optimizations.
   auto T1 = Clock::now();
@@ -73,9 +72,7 @@ CompileResult CompileManager::compile(ir::Method *M,
   auto T2 = Clock::now();
   M->recomputePreds();
   obs::Span AnalysisSpan("analysis", "jit");
-  analysis::DominatorTree DT(M);
-  analysis::LoopInfo LI(M, DT);
-  analysis::DefUse DU(M);
+  auto A = std::make_unique<MethodAnalyses>(M);
   AnalysisSpan.end();
   Result.Timings.AnalysisUs = microsSince(T2);
 
@@ -90,23 +87,36 @@ CompileResult CompileManager::compile(ir::Method *M,
     Result.MaxPressure = RA.MaxPressure;
   }
   Result.Timings.BackendUs = microsSince(T3);
+  return A;
+}
 
+void CompileManager::runPass(ir::Method *M, const std::vector<uint64_t> &Args,
+                             const MethodAnalyses &A, CompileResult &Result) {
   // Stage 5: stride prefetching (the paper's pass).
-  if (Opts.EnablePrefetch) {
-    auto T4 = Clock::now();
-    obs::Span PrefetchSpan("prefetch-pass", "jit");
-    PrefetchSpan.note("method", M->name());
-    core::PrefetchPass Pass(Heap, Opts.Pass);
-    Result.Prefetch = Pass.run(M, Args, LI, DU);
-    PrefetchSpan.noteU64("loops", Result.Prefetch.LoopsVisited);
-    PrefetchSpan.noteU64("prefetches", Result.Prefetch.CodeGen.Prefetches);
-    PrefetchSpan.end();
-    Result.Timings.PrefetchUs = microsSince(T4);
+  if (!Opts.EnablePrefetch)
+    return;
+  auto T4 = Clock::now();
+  obs::Span PrefetchSpan("prefetch-pass", "jit");
+  PrefetchSpan.note("method", M->name());
+  core::PrefetchPass Pass(Heap, Opts.Pass);
+  Result.Prefetch = Pass.run(M, Args, A.LI, A.DU);
+  PrefetchSpan.noteU64("loops", Result.Prefetch.LoopsVisited);
+  PrefetchSpan.noteU64("prefetches", Result.Prefetch.CodeGen.Prefetches);
+  PrefetchSpan.end();
+  Result.Timings.PrefetchUs = microsSince(T4);
 
-    if (!ir::verifyMethod(M))
-      reportFatalError("method failed verification after prefetch pass");
-  }
+  if (!ir::verifyMethod(M))
+    reportFatalError("method failed verification after prefetch pass");
+}
 
+void CompileManager::record(const CompileResult &Result) {
+  if (!Result.VerifyStatus.ok())
+    if (auto *DL = obs::DecisionScope::current()) {
+      DL->setContext(Result.M->name(), 0);
+      DL->event("pipeline", "verify-bailout", "",
+                "method failed verification before compilation; left "
+                "uncompiled");
+    }
   TotalJitUs += Result.Timings.totalUs();
   PrefetchUs += Result.Timings.PrefetchUs;
   Aggregate.LoopsVisited += Result.Prefetch.LoopsVisited;
@@ -117,6 +127,4 @@ CompileResult CompileManager::compile(ir::Method *M,
   Aggregate.CodeGen.SpecLoads += Result.Prefetch.CodeGen.SpecLoads;
   for (const auto &LR : Result.Prefetch.Loops)
     Aggregate.Loops.push_back(LR);
-
-  return Result;
 }

@@ -14,8 +14,13 @@
 #ifndef SPF_JIT_COMPILEMANAGER_H
 #define SPF_JIT_COMPILEMANAGER_H
 
+#include "analysis/DefUse.h"
+#include "analysis/Dominators.h"
+#include "analysis/LoopInfo.h"
 #include "core/PrefetchPass.h"
 #include "support/Status.h"
+
+#include <memory>
 
 namespace spf {
 namespace jit {
@@ -50,23 +55,50 @@ struct CompileResult {
   unsigned MaxPressure = 0; ///< Peak register pressure.
 };
 
+/// The analyses the prefetch pass reads. Inserting or removing prefetch
+/// code keeps them valid: it adds no block, edge or load.
+struct MethodAnalyses {
+  explicit MethodAnalyses(ir::Method *M) : DT(M), LI(M, DT), DU(M) {}
+  analysis::DominatorTree DT;
+  analysis::LoopInfo LI;
+  analysis::DefUse DU;
+};
+
 /// Drives compilation of methods and aggregates pipeline timing.
 class CompileManager {
 public:
   struct Options {
     bool EnablePrefetch = true;
     core::PrefetchPassOptions Pass;
+
+    bool operator==(const Options &) const = default;
   };
 
   CompileManager(const vm::Heap &Heap, Options Opts)
       : Heap(Heap), Opts(std::move(Opts)) {}
 
-  /// Compiles \p M with compile-time argument values \p Args. A method
-  /// failing *pre*-compile verification is skipped recoverably (see
-  /// CompileResult::VerifyStatus); failing verification *after* the
-  /// prefetch pass still aborts — that is our codegen bug, not an input
-  /// error, and must never reach execution.
+  /// Compiles \p M with compile-time argument values \p Args: prepare,
+  /// runPass and record. A method failing *pre*-compile verification is
+  /// skipped recoverably (see CompileResult::VerifyStatus); failing
+  /// verification *after* the prefetch pass still aborts — that is our
+  /// codegen bug, not an input error, and must never reach execution.
   CompileResult compile(ir::Method *M, const std::vector<uint64_t> &Args);
+
+  /// compile()'s conventional stages on \p M (verification, cleanup,
+  /// analyses, backend), timed into \p Result. They read no option, so
+  /// one preparation serves the pass under any options. Null when \p M
+  /// fails verification: it is left as it is.
+  static std::unique_ptr<MethodAnalyses> prepare(ir::Method *M,
+                                                 CompileResult &Result);
+
+  /// compile()'s last stage on a prepared \p M: the prefetch pass, when
+  /// this manager's options enable it, timed into \p Result.
+  void runPass(ir::Method *M, const std::vector<uint64_t> &Args,
+               const MethodAnalyses &A, CompileResult &Result);
+
+  /// Adds \p Result to the totals and the aggregate, and logs a
+  /// verification bailout to the active decision log.
+  void record(const CompileResult &Result);
 
   /// Aggregate timings across everything compiled so far.
   double totalJitUs() const { return TotalJitUs; }

@@ -3,16 +3,18 @@
 #include "workloads/Runner.h"
 
 #include "core/PrefetchCodeGen.h"
-#include "ir/IRPrinter.h"
 #include "obs/Obs.h"
 #include "obs/Tracer.h"
 #include "opt/Governor.h"
 #include "workloads/ProgramPopulation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
-#include <cstring>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <optional>
 
 using namespace spf;
@@ -26,11 +28,11 @@ double elapsedUs(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// Forwards every event to each distinct machine's MemorySystem, in
-/// first-member order: the fan-out of one shared execution. Every machine
-/// sees exactly the stream a solo run would have given it (AccessSink's
-/// write-only contract). MemorySystem is final, so each forward is a
-/// direct call.
+/// Forwards every event to each of its MemorySystems, in first-member
+/// order: the fan-out of one shared execution to all its simulators, or
+/// of one owner's prefetch code to that owner's. Every simulator sees
+/// the stream a solo run would have given it (AccessSink's write-only
+/// contract). MemorySystem is final, so each forward is a direct call.
 class FanOutSink final : public exec::AccessSink {
 public:
   explicit FanOutSink(std::vector<sim::MemorySystem *> Sims)
@@ -65,22 +67,90 @@ private:
   std::vector<sim::MemorySystem *> Sims;
 };
 
-/// JIT-compiles the executed units of \p W with their first-invocation
-/// arguments, recording decisions into \p Log when it is non-null and
-/// observability is on.
-void compileUnits(jit::CompileManager &Jit, const BuiltWorkload &W,
-                  obs::DecisionLog *Log) {
-  std::optional<obs::DecisionScope> Scope;
-  if (Log && obs::enabled())
-    Scope.emplace(*Log);
-  obs::Span JitSpan("jit", "runner");
-  for (const CompileUnit &CU : W.executedUnits())
-    Jit.compile(CU.M, CU.Args);
-}
+/// The epoch steps of one shared execution, in FIFO order. The thread
+/// that drains the queue runs steps, and so does every task the optional
+/// spawner starts: each queued step spawns one task, which runs the first
+/// waiting step, if one still waits. No step ever waits on another, so
+/// lending steps to a fixed pool whose workers drain queues of their own
+/// cannot deadlock.
+class StepQueue {
+public:
+  using Spawner = std::function<void(std::function<void()>)>;
+  explicit StepQueue(Spawner Spawn) : Spawn(std::move(Spawn)) {}
+
+  void push(std::function<void()> Step) {
+    {
+      std::lock_guard<std::mutex> L(Q->Lock);
+      Q->Waiting.push_back(std::move(Step));
+    }
+    Q->Changed.notify_all();
+    if (Spawn)
+      Spawn([Q = Q] { runNext(*Q); });
+  }
+
+  /// Runs steps until none waits or runs, then rethrows the first
+  /// exception a step threw (the steps after it are dropped).
+  void drain() {
+    for (;;) {
+      if (runNext(*Q))
+        continue;
+      std::unique_lock<std::mutex> L(Q->Lock);
+      Q->Changed.wait(
+          L, [this] { return !Q->Waiting.empty() || Q->Running == 0; });
+      if (Q->Waiting.empty() && Q->Running == 0)
+        break;
+    }
+    if (Q->Error)
+      std::rethrow_exception(Q->Error);
+  }
+
+private:
+  /// Outlives the queue: spawned tasks may run after the drain.
+  struct State {
+    std::mutex Lock;
+    std::condition_variable Changed;
+    std::deque<std::function<void()>> Waiting;
+    unsigned Running = 0;
+    std::exception_ptr Error;
+  };
+
+  static bool runNext(State &S) {
+    std::function<void()> Step;
+    bool Dropped;
+    {
+      std::lock_guard<std::mutex> L(S.Lock);
+      if (S.Waiting.empty())
+        return false;
+      Step = std::move(S.Waiting.front());
+      S.Waiting.pop_front();
+      ++S.Running;
+      Dropped = S.Error != nullptr;
+    }
+    std::exception_ptr E;
+    if (!Dropped) {
+      try {
+        Step();
+      } catch (...) {
+        E = std::current_exception();
+      }
+    }
+    {
+      std::lock_guard<std::mutex> L(S.Lock);
+      --S.Running;
+      if (E && !S.Error)
+        S.Error = E;
+    }
+    S.Changed.notify_all();
+    return true;
+  }
+
+  Spawner Spawn;
+  std::shared_ptr<State> Q = std::make_shared<State>();
+};
 
 /// The mutable state of a world: its heap and every handle into it that
-/// outlives an epoch. The IR is not part of it: ungoverned runs never
-/// write it, so every copy of a world shares it.
+/// outlives an epoch. The IR is not part of it: branches only read it,
+/// so every copy of a world shares it.
 struct WorldState {
   std::unique_ptr<vm::Heap> Heap;
   std::vector<vm::Addr> Roots;
@@ -123,110 +193,140 @@ struct WorldState {
   }
 };
 
+/// What every branch of one shared execution reads: its members, their
+/// owners in the union program and its entry method.
+struct Group {
+  std::span<const RunOptions> Members;
+  const SharedWorld &World;
+  ir::Method *Entry;
+  bool Governed; ///< Some member is governed.
+
+  /// The simulator key of member \p K: its machine and its owner.
+  bool simulates(size_t K, const sim::MachineConfig &M, unsigned Owner) const {
+    return Members[K].Machine == M && World.OwnerOf[K] == Owner;
+  }
+};
+
+/// One simulator of a branch: a machine, fed one owner's prefetch code.
+struct Sim {
+  std::unique_ptr<sim::MemorySystem> Mem;
+  unsigned Owner = 0;
+};
+
 /// One line of execution of a group: a world state, the members whose
-/// results it produces, one MemorySystem per distinct machine among them
-/// and the interpreter that drives those.
+/// results it produces, one simulator per distinct (machine, owner) pair
+/// among them and the interpreter that drives those.
 struct Branch {
   WorldState World;
   std::vector<size_t> Members; ///< Indices into the group's members.
-  std::vector<std::unique_ptr<sim::MemorySystem>> Sims;
-  std::optional<FanOutSink> FanOut;
+  std::vector<Sim> Sims;
+  std::deque<FanOutSink> FanOuts;
   std::unique_ptr<exec::Interpreter> Interp;
 
-  sim::MemorySystem *simFor(const sim::MachineConfig &M) const {
-    for (const std::unique_ptr<sim::MemorySystem> &S : Sims)
-      if (S->config() == M)
-        return S.get();
+  sim::MemorySystem *simFor(const Group &G, size_t K) const {
+    for (const Sim &S : Sims)
+      if (G.simulates(K, S.Mem->config(), S.Owner))
+        return S.Mem.get();
     return nullptr;
   }
 
-  /// Starts a fresh interpreter over this branch's world and machines: a
-  /// single machine is driven directly, several through a fan-out. It
-  /// runs in governor mode when any member of \p Group is governed, and
-  /// continues \p From's execution when given. Pressure collections use
-  /// the first member's variant and root what the epoch boundary roots.
-  void start(std::span<const RunOptions> Group, ir::Method *Entry,
-             const exec::Interpreter *From) {
-    exec::AccessSink *Sink = Sims.front().get();
-    FanOut.reset();
-    if (Sims.size() > 1) {
-      std::vector<sim::MemorySystem *> Ptrs;
-      for (const std::unique_ptr<sim::MemorySystem> &S : Sims)
-        Ptrs.push_back(S.get());
-      Sink = &FanOut.emplace(std::move(Ptrs));
+  /// Starts a fresh interpreter over this branch's world and simulators.
+  /// Demand events reach every simulator and each owner's prefetch code
+  /// reaches that owner's: one simulator directly, several through a
+  /// fan-out. It runs in governor mode when any member of the group is
+  /// governed, and continues \p From's execution when given. Pressure
+  /// collections use the first member's variant and root what the epoch
+  /// boundary roots.
+  void start(const Group &G, const exec::Interpreter *From) {
+    FanOuts.clear();
+    auto SinkOf = [this](std::vector<sim::MemorySystem *> Ms)
+        -> exec::AccessSink * {
+      if (Ms.size() < 2)
+        return Ms.empty() ? nullptr : Ms.front();
+      return &FanOuts.emplace_back(std::move(Ms));
+    };
+    std::vector<exec::AccessSink *> OwnerSinks(G.World.Owners);
+    for (unsigned O = 1; O < G.World.Owners; ++O) {
+      std::vector<sim::MemorySystem *> Ms;
+      for (const Sim &S : Sims)
+        if (S.Owner == O)
+          Ms.push_back(S.Mem.get());
+      OwnerSinks[O] = SinkOf(std::move(Ms));
     }
+    std::vector<sim::MemorySystem *> All;
+    for (const Sim &S : Sims)
+      All.push_back(S.Mem.get());
+    exec::AccessSink *Sink = SinkOf(std::move(All));
+
     auto Next =
         std::make_unique<exec::Interpreter>(*World.Heap, *Sink, &World.Roots);
-    Next->setRootSlots(World.argSlots(Entry));
-    if (std::any_of(Group.begin(), Group.end(),
-                    [](const RunOptions &O) { return O.Governor; }))
+    Next->setRootSlots(World.argSlots(G.Entry));
+    Next->setOwnerSinks(std::move(OwnerSinks));
+    if (G.Governed)
       Next->enablePrefetchGovernance();
     if (From)
       Next->continueFrom(*From);
-    const RunOptions &Lead = Group[Members.front()];
+    const RunOptions &Lead = G.Members[Members.front()];
     Next->gc().setVariant(Lead.GcVariant, Lead.Config.Seed);
     Interp = std::move(Next);
   }
 
-  /// Drops the machines no member uses any more, after a member left;
+  /// Drops the simulators no member uses any more, after a member left;
   /// the interpreter then continues on the others.
-  void dropIdleSims(std::span<const RunOptions> Group, ir::Method *Entry) {
+  void dropIdleSims(const Group &G) {
     const size_t Had = Sims.size();
-    std::erase_if(Sims, [&](const std::unique_ptr<sim::MemorySystem> &S) {
+    std::erase_if(Sims, [&](const Sim &S) {
       return std::none_of(Members.begin(), Members.end(), [&](size_t K) {
-        return Group[K].Machine == S->config();
+        return G.simulates(K, S.Mem->config(), S.Owner);
       });
     });
     if (Sims.size() != Had) {
       std::unique_ptr<exec::Interpreter> Old = std::move(Interp);
-      start(Group, Entry, Old.get());
+      start(G, Old.get());
     }
   }
 };
 
 /// The distinct GC variants of \p B's members, in member order.
-std::vector<vm::GcVariant> variantsOf(const Branch &B,
-                                      std::span<const RunOptions> Group) {
+std::vector<vm::GcVariant> variantsOf(const Branch &B, const Group &G) {
   std::vector<vm::GcVariant> Vs;
   for (size_t K : B.Members)
-    if (std::find(Vs.begin(), Vs.end(), Group[K].GcVariant) == Vs.end())
-      Vs.push_back(Group[K].GcVariant);
+    if (std::find(Vs.begin(), Vs.end(), G.Members[K].GcVariant) == Vs.end())
+      Vs.push_back(G.Members[K].GcVariant);
   return Vs;
 }
 
-/// The epoch boundary of \p Branches[I]: every machine pays the pause,
-/// then the world is collected under each variant of the branch's members
+/// The epoch boundary of \p B: every simulator pays the pause, then the
+/// world is collected under each variant of the branch's members
 /// (applying the phase change after each when \p Phase). The first
 /// variant collects in place; every other one collects a copy taken
 /// before. A result equal to an earlier one joins its branch; each
-/// distinct one becomes a new branch at the end of \p Branches that
-/// continues its parent's execution on its parent's machines (moved, or
-/// copied when a sibling needs the same one). Returns the number of
-/// MemorySystems copied.
-size_t boundary(std::vector<std::unique_ptr<Branch>> &Branches, size_t I,
-                std::span<const RunOptions> Group, ir::Method *Entry,
-                bool Phase) {
-  Branch &B = *Branches[I];
-  const uint64_t Seed = Group[B.Members.front()].Config.Seed;
-  for (const std::unique_ptr<sim::MemorySystem> &S : B.Sims)
-    S->tick(exec::GcPauseTicks); // Same pause the interpreter charges.
+/// distinct one becomes a new branch, returned, that continues \p B's
+/// execution on \p B's simulators (moved, or copied when a sibling needs
+/// the same one). Adds the MemorySystems copied to \p Copied.
+std::vector<std::unique_ptr<Branch>> boundary(Branch &B, const Group &G,
+                                              bool Phase, size_t &Copied) {
+  const uint64_t Seed = G.Members[B.Members.front()].Config.Seed;
+  for (const Sim &S : B.Sims)
+    S.Mem->tick(exec::GcPauseTicks); // Same pause the interpreter charges.
   auto Collect = [&](WorldState &World, vm::GarbageCollector &Gc,
                      vm::GcVariant V) {
     Gc.setVariant(V, Seed);
-    World.collect(Gc, Entry);
+    World.collect(Gc, G.Entry);
     if (Phase)
       applyPhaseChange(*World.Heap, Seed);
   };
 
-  const std::vector<vm::GcVariant> Variants = variantsOf(B, Group);
+  const std::vector<vm::GcVariant> Variants = variantsOf(B, G);
   std::vector<WorldState> Copies;
   for (size_t V = 1; V != Variants.size(); ++V) {
     vm::GarbageCollector Gc = B.Interp->gc();
     Collect(Copies.emplace_back(B.World.clone()), Gc, Variants[V]);
   }
   Collect(B.World, B.Interp->gc(), Variants.front());
+  std::vector<std::unique_ptr<Branch>> New;
   if (Copies.empty())
-    return 0;
+    return New;
 
   // Siblings: B itself, then each distinct copy in variant order.
   std::vector<Branch *> Siblings{&B};
@@ -237,81 +337,73 @@ size_t boundary(std::vector<std::unique_ptr<Branch>> &Branches, size_t I,
       ++J;
     if (J == Siblings.size())
       Siblings.push_back(
-          Branches.emplace_back(std::make_unique<Branch>(std::move(World)))
-              .get());
+          New.emplace_back(std::make_unique<Branch>(std::move(World))).get());
     SiblingOf.push_back(J);
   }
   std::vector<size_t> Members = std::move(B.Members);
   B.Members.clear();
   for (size_t K : Members) {
     size_t V = std::find(Variants.begin(), Variants.end(),
-                         Group[K].GcVariant) -
+                         G.Members[K].GcVariant) -
                Variants.begin();
     Siblings[SiblingOf[V]]->Members.push_back(K);
   }
 
-  // B keeps the machines its remaining members use. Every other machine
+  // B keeps the simulators its remaining members use. Every other one
   // moves to the first new sibling that needs it; later siblings get
-  // copies, so no branch holds a machine none of its members use.
-  std::vector<std::unique_ptr<sim::MemorySystem>> Spare = std::move(B.Sims);
+  // copies, so no branch holds a simulator none of its members use.
+  std::vector<Sim> Spare = std::move(B.Sims);
+  B.Sims.clear();
   const size_t Had = Spare.size();
-  size_t Copied = 0;
   for (Branch *C : Siblings)
     for (size_t K : C->Members) {
-      const sim::MachineConfig &M = Group[K].Machine;
-      if (C->simFor(M))
+      if (C->simFor(G, K))
         continue;
-      auto It = std::find_if(Spare.begin(), Spare.end(), [&M](const auto &S) {
-        return S && S->config() == M;
+      auto It = std::find_if(Spare.begin(), Spare.end(), [&](const Sim &S) {
+        return S.Mem && G.simulates(K, S.Mem->config(), S.Owner);
       });
       if (It != Spare.end()) {
         C->Sims.push_back(std::move(*It));
         continue;
       }
       for (Branch *From : Siblings)
-        if (const sim::MemorySystem *S = From->simFor(M)) {
-          C->Sims.push_back(std::make_unique<sim::MemorySystem>(*S));
+        if (const sim::MemorySystem *S = From->simFor(G, K)) {
+          C->Sims.push_back(
+              {std::make_unique<sim::MemorySystem>(*S), G.World.OwnerOf[K]});
           ++Copied;
           break;
         }
     }
-  // New siblings continue B's execution; B restarts on fewer machines.
-  for (size_t J = 1; J != Siblings.size(); ++J)
-    Siblings[J]->start(Group, Entry, B.Interp.get());
+  // New siblings continue B's execution; B restarts on fewer simulators.
+  for (const std::unique_ptr<Branch> &C : New)
+    C->start(G, B.Interp.get());
   if (B.Sims.size() != Had) {
     std::unique_ptr<exec::Interpreter> Old = std::move(B.Interp);
-    B.start(Group, Entry, Old.get());
+    B.start(G, Old.get());
   }
-  return Copied;
+  return New;
 }
 
-/// \p Members run as one group per GC variant (first-member order): the
-/// fallback when an allocation-pressure collection hit a shared branch.
-std::vector<RunResult> runByVariant(const WorkloadSpec &Spec,
-                                    std::span<const RunOptions> Members,
-                                    std::vector<CompiledProgram> Compiled) {
-  std::vector<RunResult> Results(Members.size());
-  std::vector<bool> Done(Members.size());
-  for (size_t K = 0; K != Members.size(); ++K) {
-    if (Done[K])
-      continue;
+/// \p Which of \p Members run as one group per GC variant (first-member
+/// order), their results stored into \p Results: the fallback when an
+/// allocation-pressure collection hit a shared branch.
+void runByVariant(const WorkloadSpec &Spec, std::span<const RunOptions> Members,
+                  std::vector<size_t> Which, std::vector<RunResult> &Results) {
+  while (!Which.empty()) {
+    const vm::GcVariant V = Members[Which.front()].GcVariant;
     std::vector<size_t> Part;
     std::vector<RunOptions> Opts;
-    std::vector<CompiledProgram> Programs;
-    for (size_t J = K; J != Members.size(); ++J)
-      if (!Done[J] && Members[J].GcVariant == Members[K].GcVariant) {
-        Done[J] = true;
-        Part.push_back(J);
-        Opts.push_back(Members[J]);
-        if (!Compiled.empty())
-          Programs.push_back(std::move(Compiled[J]));
-      }
-    std::vector<RunResult> Rs =
-        runWorkloadGroup(Spec, Opts, std::move(Programs));
+    std::erase_if(Which, [&](size_t K) {
+      if (Members[K].GcVariant != V)
+        return false;
+      Part.push_back(K);
+      Opts.push_back(Members[K]);
+      return true;
+    });
+    std::vector<RunResult> Rs = runWorkloadGroup(Spec, Opts);
     for (size_t P = 0; P != Part.size(); ++P)
       Results[Part[P]] = std::move(Rs[P]);
   }
-  return Results;
 }
 
 } // namespace
@@ -357,42 +449,116 @@ workloads::compileOptionsFor(const RunOptions &Opts) {
   return CM;
 }
 
-uint64_t workloads::programHash(const WorkloadSpec &Spec,
-                                const WorkloadConfig &Config,
-                                const BuiltWorkload &W) {
-  // The world inputs and entry args seed the chain of method hashes.
-  // Scale is hashed by bit pattern: any representable value keys exactly.
-  uint64_t ScaleBits = 0;
-  std::memcpy(&ScaleBits, &Config.Scale, sizeof(ScaleBits));
-  std::string Inputs = Spec.Name;
-  for (uint64_t V : {ScaleBits, Config.Seed, Config.HeapBytes,
-                     uint64_t(W.EntryArgs.size())})
-    Inputs.append(reinterpret_cast<const char *>(&V), sizeof(V));
-  for (uint64_t V : W.EntryArgs)
-    Inputs.append(reinterpret_cast<const char *>(&V), sizeof(V));
-  uint64_t H = std::hash<std::string>{}(Inputs);
-  for (const CompileUnit &CU : W.executedUnits())
-    H = ir::hashMethod(CU.M, H);
-  return H;
-}
-
-CompiledProgram workloads::compileProgram(const WorkloadSpec &Spec,
-                                          const RunOptions &Opts) {
+SharedWorld workloads::buildSharedWorld(const WorkloadSpec &Spec,
+                                       std::span<const RunOptions> Members) {
+  assert(!Members.empty());
+  SharedWorld S;
   obs::Span BuildSpan("build-workload", "runner");
-  BuiltWorkload W = Spec.Build(Opts.Config);
+  S.W = Spec.Build(Members.front().Config);
   BuildSpan.end();
-  jit::CompileManager Jit(*W.Heap, compileOptionsFor(Opts));
-  obs::DecisionLog Log;
-  compileUnits(Jit, W, &Log);
 
-  CompiledProgram P;
-  P.Hash = programHash(Spec, Opts.Config, W);
-  P.Prefetch = Jit.aggregatePrefetch();
-  // The log waits in memory until the cell's group runs: drop its
-  // growth slack.
-  P.Decisions = Log.take();
-  P.Decisions.shrink_to_fit();
-  return P;
+  // The distinct compile configurations, in first-member order. Without
+  // the pass, the pass options do not matter. A member whose options
+  // throw (its TunePass) gets a failed configuration of its own.
+  std::vector<jit::CompileManager::Options> Configs;
+  for (const RunOptions &M : Members) {
+    jit::CompileManager::Options O;
+    std::exception_ptr Error;
+    try {
+      O = compileOptionsFor(M);
+    } catch (...) {
+      Error = std::current_exception();
+    }
+    if (!O.EnablePrefetch)
+      O.Pass = {};
+    auto It = Error ? Configs.end()
+                    : std::find(Configs.begin(), Configs.end(), O);
+    S.ConfigOf.push_back(It - Configs.begin());
+    if (It == Configs.end()) {
+      Configs.push_back(std::move(O));
+      S.Failed.push_back(Error);
+    }
+  }
+  const size_t N = Configs.size();
+  for (const jit::CompileManager::Options &O : Configs)
+    S.Jits.emplace_back(*S.W.Heap, O);
+  std::vector<obs::DecisionLog> Logs(N);
+
+  // The conventional pipeline runs once per unit, in unit order; then
+  // each configuration's pass runs on exactly the IR its solo compile
+  // would see: the unit prepared, the units before it carrying that
+  // configuration's own prefetch code and the units after it raw. Each
+  // configuration's code is detached again right after its pass.
+  std::span<const CompileUnit> Units = S.W.executedUnits();
+  std::vector<std::vector<core::DetachedCode>> Code(N);
+  for (std::vector<core::DetachedCode> &C : Code)
+    C.resize(Units.size());
+  obs::Span JitSpan("jit", "runner");
+  for (size_t U = 0; U != Units.size(); ++U) {
+    ir::Method *M = Units[U].M;
+    obs::Span CompileSpan("compile", "jit");
+    CompileSpan.note("method", M->name());
+    jit::CompileResult Prepared;
+    std::unique_ptr<jit::MethodAnalyses> A =
+        jit::CompileManager::prepare(M, Prepared);
+    for (size_t C = 0; C != N; ++C) {
+      if (S.Failed[C])
+        continue;
+      for (size_t J = 0; J != U; ++J)
+        core::attachPrefetchCode(std::move(Code[C][J]));
+      std::optional<obs::DecisionScope> Scope;
+      if (obs::enabled())
+        Scope.emplace(Logs[C]);
+      jit::CompileResult R = Prepared;
+      try {
+        if (A)
+          S.Jits[C].runPass(M, Units[U].Args, *A, R);
+        S.Jits[C].record(R);
+      } catch (...) {
+        S.Failed[C] = std::current_exception();
+      }
+      for (size_t J = 0; J <= U; ++J)
+        Code[C][J] = core::detachPrefetchCode(*Units[J].M);
+    }
+  }
+  JitSpan.end();
+
+  // Owners: configurations whose code is equal share one; a
+  // configuration without code has owner 0. Each owner's code goes back
+  // into the program tagged with its owner.
+  std::vector<unsigned> OwnerOfConfig(N, 0);
+  std::vector<size_t> ConfigOfOwner{N}; // Owner -> representative.
+  for (size_t C = 0; C != N; ++C) {
+    if (S.Failed[C] || std::all_of(Code[C].begin(), Code[C].end(),
+                                   [](const core::DetachedCode &D) {
+                                     return D.Entries.empty();
+                                   }))
+      continue;
+    auto Same = [&](size_t Rep) {
+      for (size_t U = 0; U != Units.size(); ++U)
+        if (!core::samePrefetchCode(Code[Rep][U], Code[C][U]))
+          return false;
+      return true;
+    };
+    unsigned O = 1;
+    while (O != ConfigOfOwner.size() && !Same(ConfigOfOwner[O]))
+      ++O;
+    if (O == ConfigOfOwner.size())
+      ConfigOfOwner.push_back(C);
+    OwnerOfConfig[C] = O;
+  }
+  for (unsigned O = 1; O != ConfigOfOwner.size(); ++O)
+    for (core::DetachedCode &D : Code[ConfigOfOwner[O]]) {
+      for (core::DetachedCode::Entry &E : D.Entries)
+        cast<ir::AddressedInst>(E.I.get())->setOwner(O);
+      core::attachPrefetchCode(std::move(D));
+    }
+  S.Owners = static_cast<unsigned>(ConfigOfOwner.size());
+  for (size_t C : S.ConfigOf)
+    S.OwnerOf.push_back(OwnerOfConfig[C]);
+  for (obs::DecisionLog &L : Logs)
+    S.Decisions.push_back(L.take());
+  return S;
 }
 
 CompileTime workloads::measureCompileTime(const WorkloadSpec &Spec,
@@ -407,9 +573,8 @@ CompileTime workloads::measureCompileTime(const WorkloadSpec &Spec,
 SharedExecution
 workloads::runSharedExecution(const WorkloadSpec &Spec,
                               std::span<const RunOptions> Members,
-                              std::vector<CompiledProgram> Compiled) {
+                              const ExecutionTasks &Tasks) {
   assert(!Members.empty());
-  assert(Compiled.empty() || Compiled.size() == Members.size());
   const RunOptions &Opts = Members.front();
   RunResult Result;
 
@@ -418,103 +583,93 @@ workloads::runSharedExecution(const WorkloadSpec &Spec,
   RunSpan.note("algorithm", algorithmName(Opts.Algo));
   RunSpan.noteU64("members", Members.size());
 
-  obs::Span BuildSpan("build-workload", "runner");
-  BuiltWorkload W = Spec.Build(Opts.Config);
-  BuildSpan.end();
+  // One world and one union program for every member. The decision logs
+  // record at compile time, before the simulated (timed) execution
+  // below — observability never runs inside the timed region.
+  SharedWorld S = buildSharedWorld(Spec, Members);
+  const size_t Executed = S.W.executedUnits().size();
+  ir::Method *Entry = S.W.Entry;
+  const Group G{Members, S, Entry,
+                std::any_of(Members.begin(), Members.end(),
+                            [](const RunOptions &O) { return O.Governor; })};
 
-  // JIT-compile under the leader's options: every member compiles to the
-  // same program. The decision log records here, at compile time, unless
-  // the members' own compiles already recorded theirs, and is detached
-  // before the simulated (timed) execution below — observability never
-  // runs inside the timed region.
-  jit::CompileManager Jit(*W.Heap, compileOptionsFor(Opts));
-  obs::DecisionLog Log;
-  compileUnits(Jit, W, Compiled.empty() ? &Log : nullptr);
-  const size_t Executed = W.executedUnits().size();
+  SharedExecution Out;
+  Out.Results.resize(Members.size());
+  std::mutex Lock; // Guards Out.Left, Branches, SimsBuilt and EpochRuns.
+  auto Leave = [&](size_t K) {
+    {
+      std::lock_guard<std::mutex> L(Lock);
+      Out.Left.push_back(K);
+    }
+    if (Tasks.OnLeave)
+      Tasks.OnLeave(K);
+  };
+
+  // A member whose pass threw cannot share: it runs alone, where the
+  // same exception gives it its own verdict.
+  std::vector<size_t> Everyone;
+  for (size_t K = 0; K != Members.size(); ++K) {
+    if (!S.Failed[S.ConfigOf[K]])
+      Everyone.push_back(K);
+    else if (Members.size() == 1)
+      std::rethrow_exception(S.Failed[S.ConfigOf[K]]);
+    else
+      Leave(K);
+  }
+  if (Everyone.empty())
+    return Out;
 
   // The first branch runs the built world for every member, on one
-  // MemorySystem per distinct machine; a machine that a governed member
-  // uses tracks prefetch health, the governor's evidence.
-  std::vector<size_t> Everyone(Members.size());
-  for (size_t K = 0; K != Members.size(); ++K)
-    Everyone[K] = K;
+  // simulator per distinct (machine, owner) pair; a simulator that a
+  // governed member uses tracks prefetch health, the governor's evidence.
   std::vector<std::unique_ptr<Branch>> Branches;
   Branch &First = *Branches.emplace_back(std::make_unique<Branch>(
-      WorldState{std::move(W.Heap), std::move(W.Roots), W.EntryArgs,
-                 std::move(W.CompileUnits)},
+      WorldState{std::move(S.W.Heap), std::move(S.W.Roots), S.W.EntryArgs,
+                 std::move(S.W.CompileUnits)},
       std::move(Everyone)));
-  for (const RunOptions &M : Members)
-    if (!First.simFor(M.Machine))
-      First.Sims.push_back(std::make_unique<sim::MemorySystem>(M.Machine));
-  for (const RunOptions &M : Members)
-    if (M.Governor)
-      First.simFor(M.Machine)->enablePrefetchHealth();
+  for (size_t K : First.Members)
+    if (!First.simFor(G, K))
+      First.Sims.push_back(
+          {std::make_unique<sim::MemorySystem>(Members[K].Machine),
+           S.OwnerOf[K]});
+  for (size_t K : First.Members)
+    if (Members[K].Governor)
+      First.simFor(G, K)->enablePrefetchHealth();
   size_t SimsBuilt = First.Sims.size();
-  First.start(Members, W.Entry, nullptr);
+  First.start(G, nullptr);
   if (Opts.TimeoutSeconds > 0.0)
     First.Interp->setDeadline(Opts.TimeoutSeconds);
   // One governor per governed member, recording into its own log.
   std::vector<opt::Governor> Govs(Members.size());
   std::vector<obs::DecisionLog> GovLogs(Members.size());
-  SharedExecution Out;
 
-  // An allocation-pressure collection inside a branch of several GC
-  // variants ran under one of them only: the shared execution is void.
-  auto PressureCollected = [&](const Branch &B) {
-    return B.Interp->stats().GcRuns && variantsOf(B, Members).size() > 1;
-  };
-  size_t EpochRuns = 0;
-  unsigned Epochs = Opts.Epochs ? Opts.Epochs : 1;
-
-  obs::Span SimSpan("simulate", "runner");
-  SimSpan.note("workload", Spec.Name);
-  auto Start = std::chrono::steady_clock::now();
-  Result.ReturnValue = First.Interp->run(W.Entry, First.World.EntryArgs);
-  ++EpochRuns;
-  bool Split = PressureCollected(First);
-  for (unsigned E = 1; E < Epochs && !Split; ++E) {
-    // -- Epoch boundary: a full GC under each member's placement variant.
-    // Every branch collects once per variant among its members; results
-    // that leave equal states stay (or become) one branch.
-    const bool Phase = Opts.PhaseChange && E == (Epochs + 1) / 2;
-    for (size_t I = 0, N = Branches.size(); I != N; ++I)
-      SimsBuilt += boundary(Branches, I, Members, W.Entry, Phase);
-
-    // Governor re-decisions run between epochs — outside the timed
-    // interpretation, like everything else that records decisions. Each
-    // event names its site, not the last loop the JIT compiled.
-    for (size_t K = 0; K != Members.size(); ++K) {
+  // Governor re-decisions for \p B's members at an epoch boundary run
+  // between epochs — outside the timed interpretation, like everything
+  // else that records decisions. Each event names its site, not the last
+  // loop the JIT compiled.
+  auto Govern = [&](Branch &B) {
+    const size_t Had = B.Members.size();
+    for (size_t K : std::vector<size_t>(B.Members)) {
       if (!Members[K].Governor)
         continue;
-      auto BIt = std::find_if(Branches.begin(), Branches.end(),
-                              [K](const std::unique_ptr<Branch> &B) {
-                                return std::count(B->Members.begin(),
-                                                  B->Members.end(), K);
-                              });
-      if (BIt == Branches.end())
-        continue; // Left at an earlier boundary.
-      Branch &B = **BIt;
       std::optional<obs::DecisionScope> Scope;
       if (obs::enabled())
         Scope.emplace(GovLogs[K]);
       GovLogs[K].setContext("", 0);
-      const sim::MemorySystem &Mem = *B.simFor(Members[K].Machine);
+      const sim::MemorySystem &Mem = *B.simFor(G, K);
       opt::EpochVerdict V = Govs[K].endEpoch(Mem.siteStats());
       if (V.Quarantined.empty() && !V.Reinspect)
         continue;
       if (Members.size() > 1) {
         // Acting would change what the other members execute: the
         // member leaves and re-runs alone.
-        Out.Left.push_back(K);
         std::erase(B.Members, K);
-        if (B.Members.empty())
-          Branches.erase(BIt);
-        else
-          B.dropIdleSims(Members, W.Entry);
+        Leave(K);
       } else if (V.Reinspect) {
         // Strip every unit's prefetch code and re-run the pipeline
         // against the *current* (post-GC) heap layout; every quarantine,
         // this epoch's included, is void with the code it suppressed.
+        jit::CompileManager &Jit = S.Jits[S.ConfigOf[K]];
         for (const CompileUnit &CU :
              std::span(B.World.Units).first(Executed)) {
           core::CodeGenStats Stripped = core::stripPrefetchCode(*CU.M);
@@ -529,59 +684,117 @@ workloads::runSharedExecution(const WorkloadSpec &Spec,
           B.Interp->suppressPrefetchSite(Site);
       }
     }
-    for (const std::unique_ptr<Branch> &B : Branches) {
-      B->Interp->run(W.Entry, B->World.EntryArgs);
-      ++EpochRuns;
-      if ((Split = PressureCollected(*B)))
-        break;
-    }
-  }
+    if (B.Members.size() != Had && !B.Members.empty())
+      B.dropIdleSims(G);
+  };
+
+  // One step runs branch B's epoch E: the boundary collection before it
+  // (unless B split off there), the governors' verdicts, the run. At
+  // Jobs=1 (no spawner) every step then queues B's next one, so branches
+  // advance epoch by epoch in turn; with workers B carries on in its step
+  // and only the branches it splits off wait for a worker.
+  const unsigned Epochs = Opts.Epochs ? Opts.Epochs : 1;
+  StepQueue Steps(Tasks.Spawn);
+  size_t EpochRuns = 0;
+  // An allocation-pressure collection inside a branch of several GC
+  // variants ran under one of them only: the shared execution is void.
+  std::atomic<bool> Split{false};
+  std::function<void(Branch *, unsigned, bool)> Step =
+      [&](Branch *B, unsigned E, bool Boundary) {
+        for (;; Boundary = true) {
+          if (Split.load())
+            return;
+          if (E > 0) {
+            if (Boundary) {
+              // A full GC under each member's placement variant.
+              const bool Phase = Opts.PhaseChange && E == (Epochs + 1) / 2;
+              size_t Copied = 0;
+              std::vector<std::unique_ptr<Branch>> New =
+                  boundary(*B, G, Phase, Copied);
+              std::vector<Branch *> Started;
+              {
+                std::lock_guard<std::mutex> L(Lock);
+                SimsBuilt += Copied;
+                for (std::unique_ptr<Branch> &C : New)
+                  Started.push_back(Branches.emplace_back(std::move(C)).get());
+              }
+              for (Branch *C : Started)
+                Steps.push([&Step, C, E] { Step(C, E, false); });
+            }
+            Govern(*B);
+            if (B->Members.empty())
+              return;
+          }
+          uint64_t Ret = B->Interp->run(Entry, B->World.EntryArgs);
+          if (E == 0)
+            Result.ReturnValue = Ret;
+          {
+            std::lock_guard<std::mutex> L(Lock);
+            ++EpochRuns;
+          }
+          if (B->Interp->stats().GcRuns && variantsOf(*B, G).size() > 1) {
+            Split = true;
+            return;
+          }
+          if (++E == Epochs)
+            return;
+          if (!Tasks.Spawn) {
+            Steps.push([&Step, B, E] { Step(B, E, true); });
+            return;
+          }
+        }
+      };
+
+  obs::Span SimSpan("simulate", "runner");
+  SimSpan.note("workload", Spec.Name);
+  auto Start = std::chrono::steady_clock::now();
+  Steps.push([&Step, &First] { Step(&First, 0, false); });
+  Steps.drain();
   Result.InterpretUs = elapsedUs(Start);
   SimSpan.end();
   RunSpan.noteU64("simulators", SimsBuilt);
   RunSpan.noteU64("epoch_runs", EpochRuns);
-  if (Split)
-    return {runByVariant(Spec, Members, std::move(Compiled)), {}};
+  std::sort(Out.Left.begin(), Out.Left.end());
+  if (Split) {
+    std::vector<size_t> Stayed;
+    for (size_t K = 0; K != Members.size(); ++K)
+      if (!std::binary_search(Out.Left.begin(), Out.Left.end(), K))
+        Stayed.push_back(K);
+    runByVariant(Spec, Members, std::move(Stayed), Out.Results);
+    return Out;
+  }
 
-  Result.Prefetch = Jit.aggregatePrefetch();
-  Result.Decisions = Log.take();
   Result.Epochs = Epochs;
   // Self-check uses epoch 0's return value (captured above): later
   // epochs legitimately diverge once the phase change reorders data.
-  if (W.Expected)
-    Result.SelfCheckOk = Result.ReturnValue == *W.Expected;
+  if (S.W.Expected)
+    Result.SelfCheckOk = Result.ReturnValue == *S.W.Expected;
 
-  // One result per member: its branch's execution plus its own machine's
-  // statistics. The first member that stayed reports the interpretation.
+  // One result per member: its branch's execution, seen through its
+  // owner's code, plus its own simulator's statistics and its own
+  // compile. The first member that stayed reports the interpretation.
   size_t Lead = 0;
-  while (std::count(Out.Left.begin(), Out.Left.end(), Lead))
+  while (std::binary_search(Out.Left.begin(), Out.Left.end(), Lead))
     ++Lead;
-  Out.Results.resize(Members.size());
   for (const std::unique_ptr<Branch> &B : Branches)
     for (size_t K : B->Members) {
-      const sim::MemorySystem &S = *B->simFor(Members[K].Machine);
+      const sim::MemorySystem &Mem = *B->simFor(G, K);
       RunResult &R = Out.Results[K] = Result;
       if (K != Lead) {
         R.Replayed = true;
         R.InterpretUs = 0;
       }
-      R.Retired = B->Interp->stats().Retired;
-      R.Exec = B->Interp->stats();
+      R.Exec = B->Interp->statsFor(S.OwnerOf[K]);
+      R.Retired = R.Exec.Retired;
       R.GcCollections = B->Interp->gc().collectionCount();
-      R.CompiledCycles = S.cycles();
-      R.Mem = S.stats();
-      R.Acct = S.acct();
-      R.Sites = S.siteStats();
+      R.CompiledCycles = Mem.cycles();
+      R.Mem = Mem.stats();
+      R.Acct = Mem.acct();
+      R.Sites = Mem.siteStats();
       if (!Members[K].Governor)
         sim::clearPrefetchHealth(R.Mem, R.Sites);
-      if (!Compiled.empty()) {
-        CompiledProgram &P = Compiled[K];
-        // A group of one compiled under its own options, and its re-JIT
-        // adds to that compile: the aggregate above is already its own.
-        if (Members.size() > 1)
-          R.Prefetch = std::move(P.Prefetch);
-        R.Decisions = std::move(P.Decisions);
-      }
+      R.Prefetch = S.Jits[S.ConfigOf[K]].aggregatePrefetch();
+      R.Decisions = S.Decisions[S.ConfigOf[K]];
       std::vector<obs::DecisionEvent> GovEvents = GovLogs[K].take();
       R.Decisions.insert(R.Decisions.end(),
                          std::make_move_iterator(GovEvents.begin()),
@@ -594,9 +807,8 @@ workloads::runSharedExecution(const WorkloadSpec &Spec,
 
 std::vector<RunResult>
 workloads::runWorkloadGroup(const WorkloadSpec &Spec,
-                            std::span<const RunOptions> Members,
-                            std::vector<CompiledProgram> Compiled) {
-  SharedExecution Run = runSharedExecution(Spec, Members, std::move(Compiled));
+                            std::span<const RunOptions> Members) {
+  SharedExecution Run = runSharedExecution(Spec, Members);
   for (size_t K : Run.Left)
     Run.Results[K] = runWorkload(Spec, Members[K]);
   return std::move(Run.Results);

@@ -7,13 +7,14 @@
 /// one or more simulated machines, and returns the cycle and miss metrics
 /// the paper's figures are drawn from (measureCompileTime: Figure 11's).
 ///
-/// Runs whose compiled programs hash equal (programHash) interpret the
-/// same program over the same heap, so runWorkloadGroup executes such a
-/// group once and fans the access-event stream out to one MemorySystem
-/// per distinct machine; members on one machine share its statistics.
-/// Members of different GC variants share each epoch until their heaps
-/// differ; governed members share until their governor acts. runWorkload
-/// is the group of one.
+/// Runs of one world share one execution (runSharedExecution): the
+/// world is built once, the prefetch pass runs once per configuration and
+/// its code joins one union program, each instruction owned by the
+/// members that inserted it. One interpretation then drives one
+/// MemorySystem per distinct (machine, owner) pair. Members of different
+/// GC variants share each epoch until their heaps differ; governed
+/// members share until their governor acts. runWorkload is the group of
+/// one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,8 @@
 #include "sim/MemorySystem.h"
 #include "workloads/Workload.h"
 
+#include <deque>
+#include <exception>
 #include <functional>
 #include <span>
 
@@ -73,7 +76,7 @@ struct RunOptions {
   /// enabled (sim::MemorySystem::enablePrefetchHealth) and opt::Governor
   /// re-decides each site at every epoch boundary. A governed run shares
   /// its group's execution until its governor first acts, then re-runs
-  /// alone (runWorkloadGroup).
+  /// alone (runSharedExecution).
   bool Governor = false;
 };
 
@@ -99,8 +102,8 @@ struct RunResult {
   /// Statistics from a shared execution: another member of this run's
   /// group did the interpreting (see runSharedExecution).
   bool Replayed = false;
-  /// Wall time of the interpretation, the simulation on every distinct
-  /// machine of the group included (0 when Replayed).
+  /// Wall time of the interpretation, the simulation on every simulator
+  /// of the group included (0 when Replayed).
   double InterpretUs = 0;
 
   // Epoch/governor accounting (all zero for classic single-epoch runs):
@@ -121,28 +124,6 @@ core::PrefetchPassOptions passOptionsFor(const sim::MachineConfig &M,
 /// algorithm, adjusted by its TunePass.
 jit::CompileManager::Options compileOptionsFor(const RunOptions &Opts);
 
-/// The identity of the program a built-and-compiled world executes: a
-/// 64-bit hash over the world inputs (workload name, scale bits, seed,
-/// heap bytes), the entry args and every executed unit (ir::hashMethod).
-/// Builds are deterministic and compiling never writes the heap, so two
-/// runs of one WorkloadSpec whose hashes are equal
-/// interpret the same program over the same heap.
-uint64_t programHash(const WorkloadSpec &Spec, const WorkloadConfig &Config,
-                     const BuiltWorkload &W);
-
-/// A run's compile-time results, without the world they were made in.
-struct CompiledProgram {
-  uint64_t Hash = 0; ///< programHash of the compiled world.
-  core::PrefetchPassResult Prefetch;
-  std::vector<obs::DecisionEvent> Decisions;
-};
-
-/// Builds \p Spec and JIT-compiles it exactly as runWorkload(Spec, Opts)
-/// would, recording its decisions when observability is on; hashes the
-/// result and drops the world.
-CompiledProgram compileProgram(const WorkloadSpec &Spec,
-                               const RunOptions &Opts);
-
 /// Wall-clock JIT time of a whole program, in microseconds.
 struct CompileTime {
   double TotalUs = 0;    ///< Every pipeline stage of every method.
@@ -154,23 +135,67 @@ struct CompileTime {
 CompileTime measureCompileTime(const WorkloadSpec &Spec,
                                const RunOptions &Opts);
 
+/// A partner set's world, built once and compiled once for all its
+/// members into one union program: the BASELINE program plus the
+/// prefetch code of every owner, each instruction tagged with its owner
+/// (ir::AddressedInst::owner). The conventional pipeline runs once per
+/// executed unit and the prefetch pass once per distinct compile
+/// configuration (compileOptionsFor), each on exactly the IR its solo
+/// compile would see, over the same heap and args. Configurations whose
+/// code is equal (core::samePrefetchCode) share one owner; one that
+/// inserts nothing has owner 0, BASELINE's. Members must share their
+/// WorkloadConfig.
+struct SharedWorld {
+  BuiltWorkload W;
+  unsigned Owners = 1; ///< Owner count, owner 0 included.
+  /// Each member's owner; owners from 1 on are numbered in first-member
+  /// order.
+  std::vector<unsigned> OwnerOf;
+  /// Each member's configuration, which indexes the vectors below.
+  std::vector<size_t> ConfigOf;
+  /// Per configuration: the compile manager its pass results aggregate
+  /// in, its decisions (when observability is on), and what its pass
+  /// threw, if it threw (its code then joins no owner).
+  std::deque<jit::CompileManager> Jits;
+  std::vector<std::vector<obs::DecisionEvent>> Decisions;
+  std::vector<std::exception_ptr> Failed;
+};
+
+SharedWorld buildSharedWorld(const WorkloadSpec &Spec,
+                             std::span<const RunOptions> Members);
+
+/// The work a shared execution may hand to other threads. Empty:
+/// everything runs on the calling thread, branch after branch per epoch.
+struct ExecutionTasks {
+  /// Runs a task on some worker. Given, a branch that splits off at an
+  /// epoch boundary is offered to a worker at once, and carries on there
+  /// to its last epoch; the calling thread runs what no worker took.
+  std::function<void(std::function<void()>)> Spawn;
+  /// Told of each member that leaves the execution, as it leaves, on the
+  /// thread that runs its branch (SharedExecution::Left lists it too).
+  std::function<void(size_t)> OnLeave;
+};
+
 /// A group's shared execution, without the solo re-runs it may owe.
 struct SharedExecution {
   /// One result per member, in order; empty for the members in Left.
   std::vector<RunResult> Results;
-  /// Governed members whose governor acted while the group had more than
-  /// one member, in member order. Each left the execution at that epoch
-  /// boundary and must re-run alone (runWorkload).
+  /// Members that left the execution, in member order: a governed member
+  /// whose governor acted while the group had more than one member left
+  /// at that epoch boundary, and a member whose prefetch pass threw never
+  /// joined. Each must re-run alone (runWorkload).
   std::vector<size_t> Left;
 };
 
-/// Builds and compiles \p Spec once under the options of \p Members[0],
-/// interprets it once, and simulates the event stream on one
-/// MemorySystem per distinct machine (MachineConfig::operator==, in
-/// first-member order; a single machine is driven directly, without a
-/// fan-out). Returns one result per member with its machine's
-/// statistics; each equals runWorkload(Spec, Members[K]) in every
-/// simulated statistic. The first member that did not leave carries the
+/// Builds \p Spec once (buildSharedWorld), interprets its union program
+/// once and simulates the event stream on one MemorySystem per distinct
+/// (machine, owner) pair (MachineConfig::operator==, in first-member
+/// order; a single one is driven directly, without a fan-out). Demand
+/// events and ticks reach every simulator; an owner's prefetch events
+/// reach its own. Returns one result per member with its simulator's
+/// statistics and its own compile's pass results and decisions; each
+/// equals runWorkload(Spec, Members[K]) in every field but Replayed and
+/// InterpretUs. The first member that did not leave carries the
 /// interpretation time; every other one comes back with Replayed set.
 ///
 /// Members may differ in GcVariant. The execution then keeps one branch
@@ -178,34 +203,28 @@ struct SharedExecution {
 /// collects once per variant among its members (in place, or on a
 /// clone of its world), and results with equal states stay one branch.
 /// A new branch continues its parent's execution on its parent's
-/// machines, copied when another branch needs one too. If an
-/// allocation-pressure collection hits a branch of several variants,
-/// the members re-run as one group per variant.
+/// simulators, copied when another branch needs one too, and runs as
+/// a task of its own when \p Tasks can spawn one. If an
+/// allocation-pressure collection hits a branch of several variants, the
+/// members that stayed re-run as one group per variant.
 ///
 /// Members may be governed: the group then interprets in governor mode,
-/// a governed member's machine tracks prefetch health (ungoverned results
-/// drop those counters, sim::clearPrefetchHealth), and each governed
-/// member runs its own opt::Governor over its branch's machine. A group
-/// of one applies the verdicts in place; in a larger group the first
-/// non-empty verdict, which would change code the others share, makes
-/// the member leave (SharedExecution::Left). Precondition: every member compiles to Members[0]'s program (equal
-/// compileProgram hashes) with its Epochs and PhaseChange.
-///
-/// \p Compiled, when not empty, holds each member's own compileProgram
-/// result: the group then compiles without recording decisions and
-/// reports Compiled[K]'s pass result and decisions for member K, so a
-/// BASELINE member sharing an INTER program still reports its own (empty)
-/// prefetch pass. A group of one reports its own compile's pass result
-/// instead, which counts a re-inspection's re-JIT too.
+/// a governed member's simulator tracks prefetch health (ungoverned
+/// results drop those counters, sim::clearPrefetchHealth), and each
+/// governed member runs its own opt::Governor over its branch's
+/// simulator. A group of one applies the verdicts in place; in a larger
+/// group the first non-empty verdict, which would change code the others
+/// share, makes the member leave (SharedExecution::Left). A group of one
+/// reports its compile's pass result with a re-inspection's re-JIT
+/// added. Precondition: the members share their Epochs and PhaseChange.
 SharedExecution runSharedExecution(const WorkloadSpec &Spec,
                                    std::span<const RunOptions> Members,
-                                   std::vector<CompiledProgram> Compiled = {});
+                                   const ExecutionTasks &Tasks = {});
 
 /// runSharedExecution, then each member that left re-runs alone, in
 /// member order: one result per member, each equal to its runWorkload.
-std::vector<RunResult>
-runWorkloadGroup(const WorkloadSpec &Spec, std::span<const RunOptions> Members,
-                 std::vector<CompiledProgram> Compiled = {});
+std::vector<RunResult> runWorkloadGroup(const WorkloadSpec &Spec,
+                                        std::span<const RunOptions> Members);
 
 /// Builds, compiles, and runs \p Spec under \p Opts: the group of one.
 RunResult runWorkload(const WorkloadSpec &Spec, const RunOptions &Opts);

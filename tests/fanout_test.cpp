@@ -1,14 +1,15 @@
 //===- tests/fanout_test.cpp - Shared executions ---------------------------===//
 //
-// Execution sharing's contract, bottom to top: the program hash keys
-// exactly the compiled program (equal hashes <=> equal printed IR), and a
-// group of runs with one program, interpreted once by runWorkloadGroup
-// and fanned out to one MemorySystem per distinct machine, gives every
-// member the result of a solo runWorkload on its machine, bit for bit —
-// across epoch boundaries too.
+// Execution sharing's contract, bottom to top: a partner set's union
+// program is the BASELINE program plus prefetch code only (stripping it
+// gives BASELINE back), and a group interpreted once by runWorkloadGroup
+// and fanned out to one MemorySystem per distinct (machine, owner) pair
+// gives every member the result of a solo runWorkload, bit for bit and
+// field by field — across epoch boundaries, and for governed members too.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExpectSameRun.h"
 #include "ir/IRPrinter.h"
 #include "obs/Tracer.h"
 #include "sim/CountingSink.h"
@@ -67,123 +68,92 @@ TEST(CountingSinkTest, CountsEveryCall) {
                 Counts.GuardedLoadFaults);
 }
 
-// -- Program hashes -----------------------------------------------------------
+// -- The union program -------------------------------------------------------
 
-/// The printed form of everything programHash covers: the world inputs,
-/// the entry args and every executed compile unit.
-std::string printedProgram(const workloads::WorkloadSpec &Spec,
-                           const workloads::WorkloadConfig &Cfg,
-                           const workloads::BuiltWorkload &W) {
-  std::ostringstream OS;
-  OS << Spec.Name << " scale=" << Cfg.Scale << " seed=" << Cfg.Seed
-     << " heap=" << Cfg.HeapBytes << " args=";
-  for (uint64_t A : W.EntryArgs)
-    OS << A << ",";
-  OS << "\n";
-  for (const workloads::CompileUnit &CU : W.executedUnits())
+/// The printed executed units of \p W.
+std::vector<std::string> printedUnits(const workloads::BuiltWorkload &W) {
+  std::vector<std::string> Out;
+  for (const workloads::CompileUnit &CU : W.executedUnits()) {
+    std::ostringstream OS;
     ir::printMethod(OS, CU.M);
-  return OS.str();
-}
-
-TEST(ProgramHashTest, EqualHashesMeanEqualPrinterText) {
-  // Every Figures 6-10 cell (12 workloads x 3 algorithms x P4/Athlon),
-  // then the INTER+INTRA cells of the workloads that prefetch at this
-  // scale again at scheduling distances 2 and 4: code that differs only
-  // in prefetch displacements.
-  std::vector<std::pair<uint64_t, std::string>> Programs;
-  auto Add = [&Programs](const workloads::WorkloadSpec &Spec,
-                         const workloads::RunOptions &Opt) {
-    workloads::BuiltWorkload W = Spec.Build(Opt.Config);
-    jit::CompileManager Jit(*W.Heap, workloads::compileOptionsFor(Opt));
-    for (const workloads::CompileUnit &CU : W.executedUnits())
-      Jit.compile(CU.M, CU.Args);
-    uint64_t Hash = workloads::programHash(Spec, Opt.Config, W);
-    Programs.emplace_back(Hash, printedProgram(Spec, Opt.Config, W));
-    // compileProgram is the same build + compile + hash.
-    EXPECT_EQ(workloads::compileProgram(Spec, Opt).Hash, Hash)
-        << Spec.Name << " " << Opt.Machine.Name << " "
-        << workloads::algorithmName(Opt.Algo);
-  };
-  for (const char *M : {"pentium4", "athlonmp"})
-    for (const workloads::WorkloadSpec &Spec : workloads::allWorkloads())
-      for (workloads::Algorithm A :
-           {workloads::Algorithm::Baseline, workloads::Algorithm::Inter,
-            workloads::Algorithm::InterIntra}) {
-        workloads::RunOptions Opt;
-        Opt.Machine = machine(M);
-        Opt.Algo = A;
-        Opt.Config = tinyConfig();
-        Add(Spec, Opt);
-      }
-  ASSERT_EQ(Programs.size(), 72u);
-  for (const char *M : {"pentium4", "athlonmp"})
-    for (const char *Name : {"jess", "db", "RayTracer"})
-      for (unsigned D : {2u, 4u}) {
-        workloads::RunOptions Opt;
-        Opt.Machine = machine(M);
-        Opt.Algo = workloads::Algorithm::InterIntra;
-        Opt.Config = tinyConfig();
-        Opt.TunePass = [D](core::PrefetchPassOptions &P) {
-          P.Planner.ScheduleDistance = D;
-        };
-        Add(*workloads::findWorkload(Name), Opt);
-      }
-
-  std::set<uint64_t> Hashes;
-  std::set<std::string> Texts;
-  for (size_t I = 0; I != Programs.size(); ++I) {
-    Hashes.insert(Programs[I].first);
-    Texts.insert(Programs[I].second);
-    for (size_t J = 0; J != I; ++J)
-      EXPECT_EQ(Programs[I].first == Programs[J].first,
-                Programs[I].second == Programs[J].second)
-          << "cells " << J << " and " << I;
+    Out.push_back(OS.str());
   }
-  // Fewer programs than cells (the pass often inserts nothing), more
-  // than one per workload (it often does), and new code at every
-  // distance.
-  EXPECT_EQ(Hashes.size(), Texts.size());
-  EXPECT_EQ(Hashes.size(), 22u + 12u);
+  return Out;
 }
 
-TEST(ProgramHashTest, HashMovesWithWorldInputsAndPrintedIR) {
-  // The world inputs and the printed IR both key the hash: a new seed or
-  // a renamed value moves it.
-  const workloads::WorkloadSpec *Spec = workloads::findWorkload("db");
-  ASSERT_NE(Spec, nullptr);
-  workloads::WorkloadConfig Cfg = tinyConfig();
-  workloads::BuiltWorkload W = Spec->Build(Cfg);
-  const uint64_t Base = workloads::programHash(*Spec, Cfg, W);
-  EXPECT_EQ(workloads::programHash(*Spec, Cfg, W), Base); // Stable.
+/// The Figures 6-10 cells of one workload: 3 algorithms x P4/Athlon.
+std::vector<workloads::RunOptions> sweepSet() {
+  std::vector<workloads::RunOptions> Members;
+  for (const char *M : {"pentium4", "athlonmp"})
+    for (workloads::Algorithm A :
+         {workloads::Algorithm::Baseline, workloads::Algorithm::Inter,
+          workloads::Algorithm::InterIntra}) {
+      workloads::RunOptions &Opt = Members.emplace_back();
+      Opt.Machine = machine(M);
+      Opt.Algo = A;
+      Opt.Config = tinyConfig();
+    }
+  return Members;
+}
 
-  workloads::WorkloadConfig Reseeded = Cfg;
-  ++Reseeded.Seed;
-  EXPECT_NE(workloads::programHash(*Spec, Reseeded, W), Base);
+TEST(UnionProgramTest, StrippingThePrefetchCodeGivesTheBaselineProgram) {
+  // Every workload's sweep set plus one ablation cell, INTER+INTRA on the
+  // Pentium 4 at scheduling distance 4. Stripping every owner's code
+  // from the union program must leave exactly what a BASELINE compile
+  // prints, unit by unit; the owners are as many as the distinct
+  // programs the cells compile to: 22 for the 72 sweep cells at this
+  // scale, and the distance changes the code wherever there is any.
+  unsigned Programs = 0;
+  for (const workloads::WorkloadSpec &Spec : workloads::allWorkloads()) {
+    std::vector<workloads::RunOptions> Members = sweepSet();
+    workloads::RunOptions &Tuned = Members.emplace_back(Members[2]);
+    Tuned.TunePass = [](core::PrefetchPassOptions &P) {
+      P.Planner.ScheduleDistance = 4;
+    };
+    workloads::SharedWorld S = workloads::buildSharedWorld(Spec, Members);
+    ASSERT_EQ(S.OwnerOf.size(), Members.size()) << Spec.Name;
+    EXPECT_EQ(S.OwnerOf[0], 0u) << Spec.Name;
+    EXPECT_EQ(S.OwnerOf[3], 0u) << Spec.Name;
+    if (S.OwnerOf[2]) {
+      EXPECT_NE(S.OwnerOf[6], S.OwnerOf[2]) << Spec.Name;
+    }
+    Programs += std::set<unsigned>(S.OwnerOf.begin(), S.OwnerOf.end() - 1)
+                    .size();
 
-  ir::Method *M = W.CompileUnits.front().M;
-  ir::BasicBlock *BB = M->blocks().back().get();
-  BB->front()->setName(BB->front()->name() + "x");
-  EXPECT_NE(workloads::programHash(*Spec, Cfg, W), Base);
+    // Every owner's code is in the program, tagged with its owner.
+    std::set<unsigned> Tagged;
+    for (const workloads::CompileUnit &CU : S.W.executedUnits())
+      for (const auto &BB : CU.M->blocks())
+        for (const auto &I : BB->instructions())
+          if (const auto *AI = dyn_cast<ir::AddressedInst>(I.get()))
+            Tagged.insert(AI->owner());
+    std::set<unsigned> Owners(S.OwnerOf.begin(), S.OwnerOf.end());
+    Owners.erase(0);
+    EXPECT_EQ(Tagged, Owners) << Spec.Name;
+
+    for (const workloads::CompileUnit &CU : S.W.executedUnits())
+      core::stripPrefetchCode(*CU.M);
+    workloads::BuiltWorkload Base = Spec.Build(tinyConfig());
+    jit::CompileManager Jit(*Base.Heap, workloads::compileOptionsFor(
+                                            Members[0]));
+    for (const workloads::CompileUnit &CU : Base.executedUnits())
+      Jit.compile(CU.M, CU.Args);
+    EXPECT_EQ(printedUnits(S.W), printedUnits(Base)) << Spec.Name;
+  }
+  EXPECT_EQ(Programs, 22u);
 }
 
 // -- Differential: a shared execution == solo runs ---------------------------
 
 /// Checks that \p G, a member's result from a group, equals \p Solo, its
-/// solo runWorkload, in every simulated and executed statistic.
+/// solo runWorkload, in every field but Replayed and InterpretUs.
 void expectEqualsSolo(const workloads::RunResult &G,
                       const workloads::RunResult &Solo,
                       const std::string &Tag) {
   EXPECT_FALSE(Solo.Replayed) << Tag;
-  EXPECT_EQ(G.Mem, Solo.Mem) << Tag;
-  EXPECT_EQ(G.Acct, Solo.Acct) << Tag;
   EXPECT_EQ(G.Acct.total(), G.CompiledCycles) << Tag;
-  EXPECT_EQ(G.Sites, Solo.Sites) << Tag;
-  EXPECT_EQ(G.CompiledCycles, Solo.CompiledCycles) << Tag;
-  EXPECT_EQ(G.Retired, Solo.Retired) << Tag;
-  EXPECT_EQ(G.Exec, Solo.Exec) << Tag;
-  EXPECT_EQ(G.ReturnValue, Solo.ReturnValue) << Tag;
-  EXPECT_EQ(G.GcCollections, Solo.GcCollections) << Tag;
   EXPECT_TRUE(G.SelfCheckOk) << Tag;
+  expectSameRun(G, Solo, Tag, /*WithReplayed=*/false);
 }
 
 std::string memberTag(const workloads::WorkloadSpec &Spec,
@@ -195,7 +165,7 @@ std::string memberTag(const workloads::WorkloadSpec &Spec,
 
 /// Runs \p Members as one group and each member alone, and checks that
 /// every member's grouped result equals its solo result, and that the
-/// group's traced run-workload span simulated \p Simulators machines (and,
+/// group's traced run-workload span built \p Simulators simulators (and,
 /// when given, ran \p EpochRuns epochs over all its branches).
 /// The grouped results go to \p Out when it is non-null.
 void expectGroupMatchesSoloRuns(
@@ -203,10 +173,6 @@ void expectGroupMatchesSoloRuns(
     const std::vector<workloads::RunOptions> &Members, size_t Simulators,
     std::vector<workloads::RunResult> *Out = nullptr,
     std::optional<size_t> EpochRuns = std::nullopt) {
-  const uint64_t Hash = workloads::compileProgram(Spec, Members[0]).Hash;
-  for (const workloads::RunOptions &M : Members)
-    ASSERT_EQ(workloads::compileProgram(Spec, M).Hash, Hash) << Spec.Name;
-
   obs::Tracer &T = obs::Tracer::instance();
   T.drain();
   T.enable();
@@ -250,6 +216,24 @@ TEST(FanOutTest, BaselineGroupsMatchSoloRunsForEveryWorkload) {
     }
     expectGroupMatchesSoloRuns(Spec, Members, 3);
   }
+}
+
+TEST(FanOutTest, EverySweepSetMatchesSoloRuns) {
+  // Each workload's six Figures 6-10 cells are one execution of their
+  // union program, on one simulator per distinct (machine, owner) pair:
+  // 38 over the 72 cells at this scale.
+  size_t Simulators = 0;
+  for (const workloads::WorkloadSpec &Spec : workloads::allWorkloads()) {
+    const std::vector<workloads::RunOptions> Members = sweepSet();
+    const workloads::SharedWorld S =
+        workloads::buildSharedWorld(Spec, Members);
+    std::set<std::pair<std::string, unsigned>> Pairs;
+    for (size_t K = 0; K != Members.size(); ++K)
+      Pairs.emplace(Members[K].Machine.Name, S.OwnerOf[K]);
+    Simulators += Pairs.size();
+    expectGroupMatchesSoloRuns(Spec, Members, Pairs.size());
+  }
+  EXPECT_EQ(Simulators, 38u);
 }
 
 TEST(FanOutTest, InterIntraGroupMatchesSoloRuns) {
@@ -430,23 +414,6 @@ TEST(FanOutTest, PressureCollectionInASharedBranchSplitsTheGroupByVariant) {
 
 // -- Governed members: one execution until the governor acts ----------------
 
-/// Checks that \p G reports \p Solo's compile results, decisions and
-/// governor counters (expectEqualsSolo covers the simulated statistics).
-void expectSameCompileAndGovernor(const workloads::RunResult &G,
-                                  const workloads::RunResult &Solo,
-                                  const std::string &Tag) {
-  EXPECT_EQ(G.Prefetch.LoopsVisited, Solo.Prefetch.LoopsVisited) << Tag;
-  EXPECT_EQ(G.Prefetch.LoopsDegraded, Solo.Prefetch.LoopsDegraded) << Tag;
-  EXPECT_EQ(G.Prefetch.Loops.size(), Solo.Prefetch.Loops.size()) << Tag;
-  EXPECT_EQ(G.Prefetch.CodeGen.Prefetches, Solo.Prefetch.CodeGen.Prefetches)
-      << Tag;
-  EXPECT_EQ(G.Prefetch.CodeGen.SpecLoads, Solo.Prefetch.CodeGen.SpecLoads)
-      << Tag;
-  EXPECT_EQ(G.Decisions, Solo.Decisions) << Tag;
-  EXPECT_EQ(G.GovernorQuarantined, Solo.GovernorQuarantined) << Tag;
-  EXPECT_EQ(G.GovernorReinspections, Solo.GovernorReinspections) << Tag;
-}
-
 /// \p Algo on \p Machine over \p Epochs epochs: an ungoverned and a
 /// governed member under each of \p Variants.
 std::vector<workloads::RunOptions>
@@ -490,7 +457,6 @@ uint64_t expectGovernedGroupMatchesSoloRuns(
     EXPECT_EQ(Group[K].Replayed, !Left && LeadSeen) << Tag;
     LeadSeen |= !Left;
     expectEqualsSolo(Group[K], Solo, Tag);
-    expectSameCompileAndGovernor(Group[K], Solo, Tag);
     EXPECT_EQ(Solo.GovernorQuarantined + Solo.GovernorReinspections > 0, Left)
         << Tag;
     if (Members[K].Governor)
@@ -525,6 +491,37 @@ TEST(GovernedSharingTest, RidersEqualSoloRuns) {
     Useful += expectGovernedGroupMatchesSoloRuns(*Spec, Members, WantLeft);
   }
   EXPECT_GT(Useful, 0u); // db's prefetches resolve on the shared machine.
+}
+
+TEST(GovernedSharingTest, AdaptationGridMatchesSoloRuns) {
+  // bench/adaptation's grid at 3 epochs: the compacting INTER+INTRA
+  // reference, then per perturbing variant the BASELINE floor and
+  // INTER+INTRA ungoverned and governed. BASELINE and INTER+INTRA are two
+  // owners of one union program, so each workload is one execution; only
+  // db's governor under address-shuffle (member 6) acts, and leaves.
+  for (const char *Name : {"db", "jack", "MonteCarlo"}) {
+    const workloads::WorkloadSpec *Spec = workloads::findWorkload(Name);
+    ASSERT_NE(Spec, nullptr);
+    std::vector<workloads::RunOptions> Members = governedGrid(
+        "pentium4", workloads::Algorithm::InterIntra, 3,
+        {vm::GcVariant::SlidingCompact});
+    Members.pop_back(); // The reference is ungoverned.
+    for (vm::GcVariant V :
+         {vm::GcVariant::MarkSweep, vm::GcVariant::AddressShuffle,
+          vm::GcVariant::PromotionOrder}) {
+      workloads::RunOptions &Floor = Members.emplace_back(Members.front());
+      Floor.Algo = workloads::Algorithm::Baseline;
+      Floor.GcVariant = V;
+      for (const workloads::RunOptions &M :
+           governedGrid("pentium4", workloads::Algorithm::InterIntra, 3, {V}))
+        Members.push_back(M);
+    }
+    ASSERT_EQ(Members.size(), 10u);
+    expectGovernedGroupMatchesSoloRuns(
+        *Spec, Members,
+        std::string(Name) == "db" ? std::vector<size_t>{6}
+                                  : std::vector<size_t>{});
+  }
 }
 
 TEST(GovernedSharingTest, MemberLeavesOnQuarantine) {

@@ -367,6 +367,29 @@ TEST(HarnessContainmentTest, TimeoutIsQuarantinedAndFailed) {
   EXPECT_NE(R.Failures[0].find("timed out"), std::string::npos);
 }
 
+TEST(HarnessContainmentTest, ACellWhoseCompileThrowsFailsAlone) {
+  // Three cells of one partner set; the second one's pass tuning throws.
+  // It leaves the shared execution and fails on its own; the others
+  // share the execution as if it were not there.
+  harness::ExperimentPlan Plan = tinyJessPlan(3);
+  Plan.cells()[1].Opt.Algo = workloads::Algorithm::InterIntra;
+  Plan.cells()[1].Opt.TunePass = [](core::PrefetchPassOptions &) {
+    throw std::runtime_error("bad tuning");
+  };
+  for (unsigned Jobs : {1u, 4u}) {
+    harness::ExperimentResult R = harness::runPlan(Plan, Jobs);
+    EXPECT_FALSE(R.ok()) << Jobs;
+    ASSERT_EQ(R.Quarantine.size(), 1u) << Jobs;
+    EXPECT_EQ(R.Quarantine[0].CellIndex, 1u) << Jobs;
+    EXPECT_TRUE(R.Cells[1].Failed) << Jobs;
+    EXPECT_EQ(R.Cells[1].Error, "bad tuning") << Jobs;
+    ASSERT_TRUE(R.Cells[0].Ran && R.Cells[2].Ran) << Jobs;
+    EXPECT_FALSE(R.run(0).Replayed) << Jobs;
+    EXPECT_TRUE(R.run(2).Replayed) << Jobs;
+    EXPECT_EQ(R.run(2).Mem, R.run(0).Mem) << Jobs;
+  }
+}
+
 TEST(HarnessContainmentTest, CleanRunIsNotQuarantined) {
   ScopedEnv T("SPF_CELL_TIMEOUT", nullptr);
   harness::ExperimentPlan Plan = tinyJessPlan(1);

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ExpectSameRun.h"
 #include "harness/Experiment.h"
 #include "harness/JsonReader.h"
 #include "harness/JsonWriter.h"
@@ -274,15 +275,11 @@ TEST(RunPlanSharingTest, FiguresPlanMatchesSoloRunsOnEveryCell) {
   ExperimentPlan Plan = figuresPlan();
   ASSERT_EQ(Plan.size(), 72u);
 
-  // A cell shares iff an earlier cell of its workload compiled to the same
-  // program; at this scale the 72 cells compile to 22 programs.
-  std::vector<uint64_t> Hashes;
+  // A cell shares iff an earlier cell of its workload ran: one execution
+  // per workload, 12 in all.
   std::vector<RunResult> Solo;
-  for (const ExperimentCell &C : Plan.cells()) {
-    Hashes.push_back(compileProgram(*C.Spec, C.Opt).Hash);
+  for (const ExperimentCell &C : Plan.cells())
     Solo.push_back(runWorkload(*C.Spec, C.Opt));
-  }
-  ASSERT_EQ(std::set<uint64_t>(Hashes.begin(), Hashes.end()).size(), 22u);
 
   for (unsigned Jobs : {1u, 8u}) {
     ExperimentResult R = runPlan(Plan, Jobs);
@@ -290,43 +287,36 @@ TEST(RunPlanSharingTest, FiguresPlanMatchesSoloRunsOnEveryCell) {
     unsigned Interpreted = 0;
     for (unsigned I = 0; I != Plan.size(); ++I) {
       const RunResult &G = R.run(I);
-      const RunResult &S = Solo[I];
       std::string Tag = Plan.cells()[I].Spec->Name + " cell " +
                         std::to_string(I) + " jobs " + std::to_string(Jobs);
       ASSERT_TRUE(R.Cells[I].Ran) << Tag;
-      bool Follows = std::find(Hashes.begin(), Hashes.begin() + I,
-                               Hashes[I]) != Hashes.begin() + I;
+      bool Follows = std::any_of(
+          Plan.cells().begin(), Plan.cells().begin() + I,
+          [&](const ExperimentCell &C) {
+            return C.Spec == Plan.cells()[I].Spec;
+          });
       EXPECT_EQ(G.Replayed, Follows) << Tag;
       EXPECT_EQ(G.InterpretUs == 0, G.Replayed) << Tag;
       Interpreted += !G.Replayed;
-      EXPECT_EQ(G.Mem, S.Mem) << Tag;
-      EXPECT_EQ(G.Acct, S.Acct) << Tag;
-      EXPECT_EQ(G.Sites, S.Sites) << Tag;
-      EXPECT_EQ(G.CompiledCycles, S.CompiledCycles) << Tag;
-      EXPECT_EQ(G.Retired, S.Retired) << Tag;
-      EXPECT_EQ(G.ReturnValue, S.ReturnValue) << Tag;
-      EXPECT_EQ(G.Prefetch.CodeGen.Prefetches, S.Prefetch.CodeGen.Prefetches)
-          << Tag;
-      EXPECT_EQ(G.Prefetch.CodeGen.SpecLoads, S.Prefetch.CodeGen.SpecLoads)
-          << Tag;
-      EXPECT_EQ(G.Prefetch.LoopsVisited, S.Prefetch.LoopsVisited) << Tag;
+      expectSameRun(G, Solo[I], Tag, /*WithReplayed=*/false);
     }
-    EXPECT_EQ(Interpreted, 22u) << "jobs " << Jobs;
+    EXPECT_EQ(Interpreted, 12u) << "jobs " << Jobs;
   }
 }
 
 TEST(RunPlanSharingTest, BaselineSharingAnInterProgramKeepsItsOwnCompile) {
   // db's INTER pass visits loops but inserts nothing at this scale, so
-  // INTER and BASELINE compile to one program. INTER leads, so the shared
-  // execution compiles with the pass on; the BASELINE follower must still
-  // report its own compile: no loops, no decisions.
+  // INTER and BASELINE share owner 0 and one simulator. INTER leads; the
+  // BASELINE follower must still report its own compile: no loops, no
+  // decisions.
   const WorkloadSpec *Db = findWorkload("db");
   ExperimentPlan Plan;
   Plan.addSweep({Db}, {Algorithm::Inter, Algorithm::Baseline},
                 {*sim::MachineConfig::byName("pentium4")}, tinyConfig(),
                 "own-compile");
-  ASSERT_EQ(compileProgram(*Db, Plan.cells()[0].Opt).Hash,
-            compileProgram(*Db, Plan.cells()[1].Opt).Hash);
+  std::vector<RunOptions> Members{Plan.cells()[0].Opt, Plan.cells()[1].Opt};
+  ASSERT_EQ(buildSharedWorld(*Db, Members).OwnerOf,
+            (std::vector<unsigned>{0, 0}));
 
   ExperimentResult R = runPlan(Plan, 1);
   ASSERT_TRUE(R.ok()) << R.Failures[0];
@@ -348,12 +338,13 @@ TEST(RunPlanSharingTest, BaselineSharingAnInterProgramKeepsItsOwnCompile) {
   EXPECT_EQ(Base.Mem, runWorkload(*Db, Plan.cells()[1].Opt).Mem);
 }
 
-TEST(RunPlanSharingTest, TunedCellSharesExactlyWhenItsCodeIsUnchanged) {
-  // A TunePass cell has no name to key it by: it shares when, and only
-  // when, the tuning leaves its compiled program unchanged. db's
-  // INTER+INTRA inserts prefetches at this scale, so a longer scheduling
-  // distance moves their displacements; compress's inserts none, so the
-  // same tuning changes nothing there.
+TEST(RunPlanSharingTest, TunedCellGetsItsOwnOwnerExactlyWhenItsCodeDiffers) {
+  // A TunePass cell shares its workload's execution like any other, and
+  // its code joins the union program under an owner of its own exactly
+  // when the tuning changes it. db's INTER+INTRA inserts prefetches at
+  // this scale, so a longer scheduling distance moves their
+  // displacements; compress's inserts none, so the same tuning changes
+  // nothing there.
   auto Distance = [](unsigned D) {
     return [D](core::PrefetchPassOptions &P) {
       P.Planner.ScheduleDistance = D;
@@ -372,23 +363,25 @@ TEST(RunPlanSharingTest, TunedCellSharesExactlyWhenItsCodeIsUnchanged) {
       Plan.add(std::move(C));
     }
   }
-  std::vector<uint64_t> Hashes;
-  for (const ExperimentCell &C : Plan.cells())
-    Hashes.push_back(compileProgram(*C.Spec, C.Opt).Hash);
-  // The hash first: db's distance-4 code differs, everything else not.
-  EXPECT_EQ(Hashes[1], Hashes[0]);
-  EXPECT_NE(Hashes[2], Hashes[0]);
-  EXPECT_EQ(Hashes[4], Hashes[3]);
-  EXPECT_EQ(Hashes[5], Hashes[3]);
+  for (unsigned First : {0u, 3u}) {
+    std::vector<RunOptions> Members;
+    for (unsigned I = First; I != First + 3; ++I)
+      Members.push_back(Plan.cells()[I].Opt);
+    std::vector<unsigned> Want = First ? std::vector<unsigned>{0, 0, 0}
+                                       : std::vector<unsigned>{1, 1, 2};
+    EXPECT_EQ(buildSharedWorld(*Plan.cells()[First].Spec, Members).OwnerOf,
+              Want)
+        << First;
+  }
 
   ExperimentResult R = runPlan(Plan, 2);
   ASSERT_TRUE(R.ok()) << R.Failures[0];
-  const bool WantReplayed[] = {false, true, false, false, true, true};
+  const bool WantReplayed[] = {false, true, true, false, true, true};
   for (unsigned I = 0; I != Plan.size(); ++I) {
     EXPECT_EQ(R.run(I).Replayed, WantReplayed[I]) << I;
     RunResult Solo = runWorkload(*Plan.cells()[I].Spec, Plan.cells()[I].Opt);
-    EXPECT_EQ(R.run(I).Mem, Solo.Mem) << I;
-    EXPECT_EQ(R.run(I).Sites, Solo.Sites) << I;
+    expectSameRun(R.run(I), Solo, "cell " + std::to_string(I),
+                  /*WithReplayed=*/false);
   }
 }
 
@@ -452,10 +445,9 @@ TEST(RunPlanSharingTest, EpochFacetsKeepExecutionsApartGovernedCellsRide) {
 
 TEST(RunPlanSharingTest, GovernedCellAloneInItsGroupReportsItsReJit) {
   // db INTER+INTRA under address-shuffle quarantines two sites at the
-  // first boundary and re-inspects. Its BASELINE partner compiles to
-  // another program, so the governed cell is a group of one that phase 1
-  // compiled: it must report the prefetch pass and decisions of its own
-  // run, re-JIT included, not its phase-1 compile.
+  // first boundary and re-inspects. It shares its BASELINE partner's
+  // execution until then, leaves, and re-runs as a group of one: it must
+  // report the prefetch pass and decisions of that run, re-JIT included.
   ExperimentPlan Plan;
   for (workloads::Algorithm A :
        {workloads::Algorithm::Baseline, workloads::Algorithm::InterIntra}) {
@@ -522,6 +514,48 @@ TEST(RunPlanSharingTest, LeaversRunAloneAtAnyJobCount) {
   EXPECT_EQ(Serial.run(1).Decisions, Solo.Decisions);
 }
 
+TEST(RunPlanSharingTest, BranchTasksMatchTheSerialRun) {
+  // bench/adaptation's grid at 3 epochs: one group per workload, which
+  // splits by GC variant at each boundary and, on db, loses its governed
+  // address-shuffle cell. On 4 workers each branch and the leaver are
+  // tasks of their own; every field of every cell, Replayed included,
+  // matches the serial run.
+  const sim::MachineConfig P4 = *sim::MachineConfig::byName("pentium4");
+  ExperimentPlan Plan;
+  auto Add = [&](const char *Name, Algorithm A, vm::GcVariant V, bool Gov) {
+    ExperimentCell C;
+    C.Spec = findWorkload(Name);
+    C.Opt.Machine = P4;
+    C.Opt.Algo = A;
+    C.Opt.Config = tinyConfig();
+    C.Opt.Epochs = 3;
+    C.Opt.GcVariant = V;
+    C.Opt.Governor = Gov;
+    Plan.add(std::move(C));
+  };
+  for (const char *Name : {"db", "jack", "MonteCarlo"})
+    Add(Name, Algorithm::InterIntra, vm::GcVariant::SlidingCompact, false);
+  for (vm::GcVariant V : {vm::GcVariant::MarkSweep,
+                          vm::GcVariant::AddressShuffle,
+                          vm::GcVariant::PromotionOrder})
+    for (const char *Name : {"db", "jack", "MonteCarlo"}) {
+      Add(Name, Algorithm::Baseline, V, false);
+      Add(Name, Algorithm::InterIntra, V, false);
+      Add(Name, Algorithm::InterIntra, V, true);
+    }
+  const ExperimentResult Serial = runPlan(Plan, 1);
+  const ExperimentResult Parallel = runPlan(Plan, 4);
+  ASSERT_TRUE(Serial.ok()) << Serial.Failures[0];
+  ASSERT_TRUE(Parallel.ok()) << Parallel.Failures[0];
+  unsigned Interpreted = 0;
+  for (unsigned I = 0; I != Plan.size(); ++I) {
+    expectSameRun(Parallel.run(I), Serial.run(I), "cell " + std::to_string(I),
+                  /*WithReplayed=*/true);
+    Interpreted += !Serial.run(I).Replayed;
+  }
+  EXPECT_EQ(Interpreted, 4u); // Three groups and db's leaver.
+}
+
 // -- Failure propagation ---------------------------------------------------
 
 /// A copy of \p Name whose built workload expects a corrupted return
@@ -580,9 +614,9 @@ TEST(RunPlanTest, BaselineMismatchIsRecorded) {
 // -- The stop hook -----------------------------------------------------------
 
 TEST(RunPlanTest, ExternalStopLeavesLaterGroupsUnrunAndFailed) {
-  // Three groups: the shared jess BASELINE pair, then db BASELINE and db
-  // INTER+INTRA on their own. The hook is polled once per group before
-  // it runs, so returning true on the 2nd poll runs exactly the first.
+  // Two groups: the jess BASELINE pair, then the db BASELINE and
+  // INTER+INTRA pair. The hook is polled once per group before it runs,
+  // so returning true on the 2nd poll runs exactly the first.
   ExperimentPlan Plan;
   Plan.addSweep({findWorkload("jess")}, {Algorithm::Baseline},
                 {*sim::MachineConfig::byName("pentium4"),
