@@ -56,12 +56,10 @@
 ///   SPF_OBS=0         disable all observability at run time; report
 ///                     statistics are bit-identical either way
 ///   SPF_SCALE=0.1     reduced problem scale, as for every bench binary
-///   SPF_CELL_TIMEOUT=S  per-cell wall-clock watchdog in seconds; a cell
-///                     that exceeds it is quarantined and fails the run
 ///
-/// Exit code is 1 when any cell fails, times out, fails its workload
-/// self-check or changes a result under prefetching, and 2 for a
-/// malformed flag or SPF_* value. The undocumented
+/// Exit code is 1 when any cell fails, fails its workload self-check or
+/// changes a result under prefetching, and 2 for a malformed flag or
+/// SPF_* value. The undocumented
 /// --inject-self-check-failure flag adds a deliberately failing cell so
 /// CI can regression-test the nonzero-exit path.
 ///
@@ -338,8 +336,8 @@ int main(int argc, char **argv) {
   if (!Result.Quarantine.empty()) {
     std::printf("\nquarantine: %zu cell(s)\n", Result.Quarantine.size());
     for (const harness::QuarantineRecord &Q : Result.Quarantine)
-      std::printf("  [%u] %-40s %-8s %s\n", Q.CellIndex, Q.Tag.c_str(),
-                  Q.Kind.c_str(), Q.Error.c_str());
+      std::printf("  [%u] %-40s %s\n", Q.CellIndex, Q.Tag.c_str(),
+                  Q.Error.c_str());
   }
 
   if (ModeSweep) {

@@ -383,23 +383,6 @@ Interpreter::MethodInfo::MethodInfo(const Method &M,
   }
 }
 
-void Interpreter::setDeadline(double Seconds) {
-  HasDeadline = Seconds > 0.0;
-  if (HasDeadline) {
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(Seconds));
-    // Cover the watchdog's blind spot: GC (and the allocation slow path
-    // that triggers it) retires no instructions, so the per-4096-retired
-    // check below never runs there. The collector polls this checkpoint
-    // at the same cadence inside every collection phase.
-    Gc.setCheckpoint([this] { checkDeadline(); });
-  } else {
-    Gc.setCheckpoint(nullptr);
-  }
-  scheduleCheck();
-}
-
 void Interpreter::continueFrom(const Interpreter &Other) {
   assert(Governed == Other.Governed && Suppressed.empty() &&
          Other.Suppressed.empty() && !Other.MixedModeHook &&
@@ -410,34 +393,17 @@ void Interpreter::continueFrom(const Interpreter &Other) {
   LoadSites = Other.LoadSites;
   Gc = Other.Gc;
   MaxInstructions = Other.MaxInstructions;
-  HasDeadline = Other.HasDeadline;
-  Deadline = Other.Deadline;
-  Gc.setCheckpoint(nullptr); // Other's watchdog.
-  if (HasDeadline)
-    Gc.setCheckpoint([this] { checkDeadline(); });
   scheduleCheck();
 }
 
-void Interpreter::checkDeadline() const {
-  if (HasDeadline && std::chrono::steady_clock::now() >= Deadline)
-    throw support::CellTimeout("cell wall-clock deadline exceeded");
-}
-
 void Interpreter::scheduleCheck() {
-  uint64_t Next = MaxInstructions == ~uint64_t(0) ? MaxInstructions
-                                                  : MaxInstructions + 1;
-  if (HasDeadline)
-    Next = std::min(Next, (Stats.Retired | 0xFFF) + 1);
-  NextCheck = Next;
+  NextCheck = MaxInstructions == ~uint64_t(0) ? MaxInstructions
+                                              : MaxInstructions + 1;
 }
 
 void Interpreter::checkpoint() {
   if (Stats.Retired > MaxInstructions)
     trap("execution budget exceeded (runaway loop?)");
-  // Cooperative watchdog: one clock read per 4096 retired instructions
-  // bounds both the overhead and the overshoot.
-  if (HasDeadline && (Stats.Retired & 0xFFF) == 0)
-    checkDeadline();
   scheduleCheck();
 }
 
@@ -509,10 +475,6 @@ void Interpreter::enableMixedMode(CompileHook Hook, unsigned Threshold,
 }
 
 void Interpreter::collectGarbage() {
-  // The allocation slow path lands here without retiring anything;
-  // check once on entry so even a checkpoint-free tiny heap cannot
-  // extend a cell past its deadline by collecting in a loop.
-  checkDeadline();
   std::vector<vm::Addr *> Roots;
   if (ExternalRoots)
     for (vm::Addr &Handle : *ExternalRoots)

@@ -40,7 +40,6 @@
 #include "vm/GarbageCollector.h"
 
 #include <cassert>
-#include <chrono>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -165,7 +164,7 @@ public:
   /// Picks up where \p Other left off between runs, on this interpreter's
   /// own heap, sinks and roots (a copy of \p Other's world): its execution
   /// statistics (per owner too), load-site ids, collector (collection
-  /// count and variant), execution budget and deadline. Both must be in
+  /// count and variant) and execution budget. Both must be in
   /// the same governor mode, with no site suppressed yet, and route as
   /// many owners; neither may be mixed-mode.
   void continueFrom(const Interpreter &Other);
@@ -177,19 +176,7 @@ public:
     scheduleCheck();
   }
 
-  /// Wall-clock watchdog: execution past the deadline throws
-  /// support::CellTimeout. Checked cooperatively every few thousand
-  /// retired instructions — and, via a GarbageCollector checkpoint, at
-  /// the same cadence inside collections and the allocation slow path,
-  /// so a cell stuck in GC still observes its deadline. Overshoot is
-  /// bounded and cheap runs pay (almost) nothing. \p Seconds <= 0
-  /// disables the watchdog.
-  void setDeadline(double Seconds);
-
 private:
-  /// Throws support::CellTimeout when the deadline has passed.
-  void checkDeadline() const;
-
   /// A method's decoded execution form and one of its ops (both defined
   /// in Interpreter.cpp).
   struct MethodInfo;
@@ -206,10 +193,9 @@ private:
   uint64_t execute(ir::Method *M, const std::vector<uint64_t> &Args);
   vm::Addr allocate(const Op &O, const uint64_t *Regs);
   void collectGarbage();
-  /// Sets NextCheck to the next Retired count that needs a budget or
-  /// deadline check.
+  /// Sets NextCheck to the first Retired count past the budget.
   void scheduleCheck();
-  /// The budget and deadline checks, run when Retired reaches NextCheck.
+  /// The budget check, run when Retired reaches NextCheck.
   void checkpoint();
 
   vm::Heap &Heap;
@@ -225,8 +211,6 @@ private:
   uint64_t MaxInstructions = 4ull << 30;
   /// Retired count at which checkpoint() runs next.
   uint64_t NextCheck = 0;
-  bool HasDeadline = false;
-  std::chrono::steady_clock::time_point Deadline;
   /// Compute ticks not yet handed to the sink. An executing frame keeps
   /// its running sum in a local and parks it here across calls,
   /// allocations and unwinds; run() flushes what is left.

@@ -6,8 +6,6 @@
 #include "harness/ThreadPool.h"
 #include "obs/Tracer.h"
 #include "support/BuildInfo.h"
-#include "support/Env.h"
-#include "support/Status.h"
 
 #include <algorithm>
 #include <atomic>
@@ -222,8 +220,6 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
   // contend on first use and spec pointers are stable before the sweep.
   (void)workloads::allWorkloads();
 
-  const double TimeoutSec = support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0);
-
   // Execution sharing. Cells can share an execution only within a
   // partner set: the cells of one workload, config, epochs and phase
   // change. GC variants may differ: the group's execution splits by
@@ -280,10 +276,8 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
         }
 
         std::vector<workloads::RunOptions> Members;
-        for (unsigned I : G) {
+        for (unsigned I : G)
           Members.push_back(Plan.cells()[I].Opt);
-          Members.back().TimeoutSeconds = TimeoutSec;
-        }
 
         obs::Span CellSpan("cell", "harness");
         CellSpan.noteU64("index", Lead);
@@ -314,9 +308,6 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
         try {
           Run = workloads::runSharedExecution(*C.Spec, Members, Tasks);
           Verdict.Ran = true;
-        } catch (const support::CellTimeout &E) {
-          Verdict.TimedOut = true;
-          Verdict.Error = E.what();
         } catch (const std::exception &E) {
           Verdict.Failed = true;
           Verdict.Error = E.what();
@@ -366,11 +357,9 @@ ExperimentResult harness::runPlan(const ExperimentPlan &Plan, unsigned Jobs,
       QuarantineRecord Q;
       Q.CellIndex = I;
       Q.Tag = Tag;
-      Q.Kind = Cell.TimedOut ? "timeout" : "error";
       Q.Error = Cell.Error;
       Result.Quarantine.push_back(std::move(Q));
-      const char *Verb = Cell.TimedOut ? ": timed out (" : ": failed (";
-      Result.Failures.push_back(Tag + Verb + Cell.Error + ")");
+      Result.Failures.push_back(Tag + ": failed (" + Cell.Error + ")");
       continue;
     }
 
@@ -544,7 +533,7 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
     J.beginObject();
     J.key("cell").value(static_cast<uint64_t>(Q.CellIndex));
     J.key("tag").value(Q.Tag);
-    J.key("kind").value(Q.Kind);
+    J.key("kind").value("error");
     J.key("error").value(Q.Error);
     J.endObject();
   }

@@ -67,13 +67,15 @@ struct ExperimentCell {
 /// Result of one cell, in plan order.
 struct CellResult {
   workloads::RunResult Run;
-  /// The cell produced a result. False when its group failed or timed
-  /// out, or was stopped before it ran (GovernorOptions::ExternalStop).
+  /// The cell produced a result. False when its group failed or was
+  /// stopped before it ran (GovernorOptions::ExternalStop).
   bool Ran = false;
   /// The cell's execution ended in an exception (a real correctness
   /// problem).
   bool Failed = false;
-  /// The cell hit its wall-clock deadline (SPF_CELL_TIMEOUT).
+  /// Always false: no cell has a wall-clock deadline (the instruction
+  /// budget, a RuntimeTrap, is the only runaway guard). Kept because the
+  /// benchmark harness still reads it.
   bool TimedOut = false;
   /// what() of the exception that ended the execution, or why the cell
   /// never ran.
@@ -85,8 +87,7 @@ struct CellResult {
 /// Failure.
 struct QuarantineRecord {
   unsigned CellIndex = 0;
-  std::string Tag;  ///< "workload [ALGO, machine]" as in Failures.
-  std::string Kind; ///< "timeout" | "error".
+  std::string Tag; ///< "workload [ALGO, machine]" as in Failures.
   std::string Error;
 };
 
@@ -155,7 +156,7 @@ struct RunPlanOptions {
 struct ExperimentResult {
   std::vector<CellResult> Cells; ///< Parallel to the plan, plan order.
   /// Human-readable failure lines (self-check failures, baseline
-  /// mismatches, timeouts, cell errors and stopped cells), in plan order.
+  /// mismatches, cell errors and stopped cells), in plan order.
   std::vector<std::string> Failures;
   /// Cells that never produced a result, in plan order.
   std::vector<QuarantineRecord> Quarantine;
@@ -185,10 +186,10 @@ struct ExperimentResult {
 /// run in the plan order of their first cell, a set's branches epoch by
 /// epoch in turn, and its leavers right after it.
 ///
-/// Failure containment: each group runs under a per-cell wall-clock
-/// watchdog (SPF_CELL_TIMEOUT seconds; unset or 0 = off, malformed values
-/// exit 2 via support/Env.h). A group that throws or times out leaves
-/// every member un-run, quarantined and failed.
+/// Failure containment: a group that throws (a RuntimeTrap such as a
+/// null dereference or the exhausted instruction budget, or any other
+/// exception) leaves every member that stayed in it un-run, quarantined
+/// and failed; the other groups run on.
 ExperimentResult runPlan(const ExperimentPlan &Plan, unsigned Jobs = 0,
                          const RunPlanOptions &Opts = {});
 

@@ -22,8 +22,6 @@
 #ifndef SPF_OBS_DECISIONLOG_H
 #define SPF_OBS_DECISIONLOG_H
 
-#include "obs/Obs.h"
-
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -94,15 +92,8 @@ public:
   DecisionScope(const DecisionScope &) = delete;
   DecisionScope &operator=(const DecisionScope &) = delete;
 
-  /// The active log on this thread, or nullptr (always nullptr when the
-  /// observability hooks are compiled out).
-  static DecisionLog *current() {
-#if SPF_OBS
-    return Current;
-#else
-    return nullptr;
-#endif
-  }
+  /// The active log on this thread, or nullptr.
+  static DecisionLog *current() { return Current; }
 
 private:
   DecisionLog *Prev;

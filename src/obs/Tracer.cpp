@@ -3,6 +3,7 @@
 #include "obs/Tracer.h"
 
 #include "harness/JsonWriter.h"
+#include "obs/Obs.h"
 #include "support/Env.h"
 
 #include <algorithm>
@@ -18,23 +19,15 @@ std::atomic<int> RuntimeOverride{-1};
 } // namespace
 
 bool enabled() {
-#if SPF_OBS
   int Override = RuntimeOverride.load(std::memory_order_relaxed);
   if (Override >= 0)
     return Override != 0;
   static const bool FromEnv = support::envU64("SPF_OBS", 1) != 0;
   return FromEnv;
-#else
-  return false;
-#endif
 }
 
 void setEnabled(bool On) {
-#if SPF_OBS
   RuntimeOverride.store(On ? 1 : 0, std::memory_order_relaxed);
-#else
-  (void)On;
-#endif
 }
 
 Tracer &Tracer::instance() {
@@ -44,17 +37,9 @@ Tracer &Tracer::instance() {
   return *T;
 }
 
-void Tracer::enable() {
-#if SPF_OBS
-  Active.store(true, std::memory_order_relaxed);
-#endif
-}
+void Tracer::enable() { Active.store(true, std::memory_order_relaxed); }
 
-void Tracer::disable() {
-#if SPF_OBS
-  Active.store(false, std::memory_order_relaxed);
-#endif
-}
+void Tracer::disable() { Active.store(false, std::memory_order_relaxed); }
 
 void Tracer::record(TraceEvent E) {
   if (E.Tid == 0)

@@ -19,8 +19,6 @@
 #ifndef SPF_OBS_TRACER_H
 #define SPF_OBS_TRACER_H
 
-#include "obs/Obs.h"
-
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -50,13 +48,7 @@ public:
 
   void enable();
   void disable();
-  bool active() const {
-#if SPF_OBS
-    return Active.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  bool active() const { return Active.load(std::memory_order_relaxed); }
 
   /// Appends one finished event (Tid filled in if zero).
   void record(TraceEvent E);

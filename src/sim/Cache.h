@@ -75,7 +75,6 @@ public:
   /// by the caller).
   CacheAccessResult access(uint64_t Addr, uint64_t Now) {
     uint64_t LineAddr = Addr >> LineShift;
-    ++DemandAccesses;
     ++UseClock;
     // One-line MRU filter: unit strides touch the same line repeatedly,
     // so the previous hit's slot is checked before the set scan. Every
@@ -94,7 +93,6 @@ public:
         return hitAt(Base + I, Now);
       }
     }
-    ++DemandMisses;
     size_t V = victimFor(Base);
     if (Obs)
       dropTag(V); // Victim may hold an unresolved tag; demand fill is untagged.
@@ -106,11 +104,10 @@ public:
     return CacheAccessResult{};
   }
 
-  /// Prefetch fill: inserts the line, usable from cycle \p Ready.
-  /// Counted separately from demand statistics. When a tag observer is
-  /// installed, \p Kind / \p Site attach provenance to the inserted line
-  /// (a fill that finds the line already present keeps the line's
-  /// original tag — redundant issues don't re-arm accounting).
+  /// Prefetch fill: inserts the line, usable from cycle \p Ready. When a
+  /// tag observer is installed, \p Kind / \p Site attach provenance to
+  /// the inserted line (a fill that finds the line already present keeps
+  /// the line's original tag — redundant issues don't re-arm accounting).
   void prefetchFill(uint64_t Addr, uint64_t Ready, PfTag Kind = PfTag::None,
                     uint32_t Site = 0) {
     uint64_t LineAddr = Addr >> LineShift;
@@ -128,7 +125,6 @@ public:
         return;
       }
     }
-    ++PrefetchFills;
     size_t V = victimFor(Base);
     if (Obs) {
       dropTag(V);
@@ -144,8 +140,8 @@ public:
 
   /// Installs (or clears, with nullptr) the prefetch-provenance observer.
   /// Off by default: the tag arrays stay untouched and the hot paths pay
-  /// one predictable branch. Timing and demand statistics are identical
-  /// either way — tags are pure accounting.
+  /// one predictable branch. Hits, misses and waits are identical either
+  /// way — tags are pure accounting.
   void setTagObserver(PrefetchTagObserver *O) {
     Obs = O;
     if (Obs && TagKinds.empty()) {
@@ -168,16 +164,8 @@ public:
     return false;
   }
 
-  /// Invalidates all lines (statistics are kept).
+  /// Invalidates all lines.
   void reset();
-
-  // Statistics.
-  uint64_t demandAccesses() const { return DemandAccesses; }
-  uint64_t demandMisses() const { return DemandMisses; }
-  uint64_t prefetchFills() const { return PrefetchFills; }
-  /// Demand accesses that found an in-flight prefetched line and had to
-  /// wait for part of the fill latency.
-  uint64_t lateProbes() const { return LateProbes; }
 
 private:
   static constexpr uint64_t InvalidTag = ~uint64_t(0);
@@ -195,7 +183,6 @@ private:
     uint64_t &Ready = ReadyAt[Slot];
     if (Ready > Now) {
       R.WaitCycles = Ready - Now;
-      ++LateProbes;
       Ready = 0;
     }
     if (Obs && TagKinds[Slot]) {
@@ -231,11 +218,6 @@ private:
   uint64_t MruLine = InvalidTag;
   size_t MruSlot = 0;
   uint64_t UseClock = 0;
-
-  uint64_t DemandAccesses = 0;
-  uint64_t DemandMisses = 0;
-  uint64_t PrefetchFills = 0;
-  uint64_t LateProbes = 0;
 
   /// Prefetch-provenance tracking; arrays parallel Tags, allocated on
   /// first setTagObserver(). TagKinds[I] is a PfTag (0 = untagged).

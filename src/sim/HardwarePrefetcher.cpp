@@ -21,7 +21,6 @@ void HardwarePrefetcher::onDemandMiss(uint64_t Addr,
       if (pageOf(Target) != Page)
         break; // Never cross a page boundary.
       Out.push_back(Target);
-      ++Issued;
     }
     S.NextLine = Line + 1;
     return;

@@ -40,8 +40,6 @@ public:
   /// to \p Out when a stream is confirmed.
   void onDemandMiss(uint64_t Addr, std::vector<uint64_t> &Out);
 
-  uint64_t issuedPrefetches() const { return Issued; }
-
 private:
   struct Stream {
     uint64_t NextLine = 0;
@@ -66,7 +64,6 @@ private:
   unsigned PageShift;
   std::vector<Stream> Streams;
   uint64_t UseClock = 0;
-  uint64_t Issued = 0;
 };
 
 } // namespace sim

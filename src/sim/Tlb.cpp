@@ -52,7 +52,6 @@ bool Tlb::accessSlow(uint64_t Page) {
     touch(I);
     return true;
   }
-  ++DemandMisses;
   insertPage(Page);
   return false;
 }

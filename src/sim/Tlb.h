@@ -45,7 +45,6 @@ public:
   /// filled (the page walk happened); the caller charges the penalty.
   bool access(uint64_t Addr) {
     uint64_t Page = pageOf(Addr);
-    ++DemandAccesses;
     if (Page == MruPage)
       return true;
     return accessSlow(Page);
@@ -61,14 +60,11 @@ public:
     return findSlot(Page) != NotFound;
   }
 
-  /// Fills the entry for \p Addr without counting a demand access
-  /// (TLB priming by a guarded load).
+  /// Fills the entry for \p Addr outside the demand stream (TLB priming
+  /// by a guarded load).
   void fill(uint64_t Addr);
 
   void reset();
-
-  uint64_t demandAccesses() const { return DemandAccesses; }
-  uint64_t demandMisses() const { return DemandMisses; }
 
 private:
   bool accessSlow(uint64_t Page);
@@ -137,9 +133,6 @@ private:
   std::vector<uint64_t> Order;
   /// One-entry MRU filter: Pages[Head], or NoPage when the TLB is empty.
   uint64_t MruPage = NoPage;
-
-  uint64_t DemandAccesses = 0;
-  uint64_t DemandMisses = 0;
 };
 
 } // namespace sim

@@ -18,7 +18,7 @@ void support::envConfigError(const char *Var, const char *Value,
   std::exit(ConfigErrorExit);
 }
 
-double support::envDouble(const char *Var, double Default, double Min) {
+double support::envDouble(const char *Var, double Default) {
   const char *S = std::getenv(Var);
   if (!S || !*S)
     return Default;
@@ -28,11 +28,6 @@ double support::envDouble(const char *Var, double Default, double Min) {
     envConfigError(Var, S, "expected a number");
   if (!std::isfinite(V))
     envConfigError(Var, S, "expected a finite number");
-  if (V < Min) {
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "must be >= %g", Min);
-    envConfigError(Var, S, Buf);
-  }
   return V;
 }
 

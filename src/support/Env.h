@@ -3,7 +3,7 @@
 /// \file
 /// Strict parsing for the SPF_* environment knobs. A malformed value is a
 /// configuration error, not a condition to paper over: silently falling
-/// back to a default turns a typo ("SPF_CELL_TIMEOUT=3O") into an
+/// back to a default turns a typo ("SPF_SCALE=O.1") into an
 /// experiment run under the wrong configuration. Every helper here either
 /// returns a well-formed value or diagnoses the variable on stderr and
 /// exits nonzero before any cell runs.
@@ -27,9 +27,9 @@ inline constexpr int ConfigErrorExit = 2;
 [[noreturn]] void envConfigError(const char *Var, const char *Value,
                                  const std::string &Why);
 
-/// Finite double >= \p Min from \p Var; \p Default when unset or empty.
-/// Anything else (trailing garbage, NaN, below Min) fails fast.
-double envDouble(const char *Var, double Default, double Min = 0.0);
+/// Finite double from \p Var; \p Default when unset or empty. Anything
+/// else (trailing garbage, NaN, infinity) fails fast.
+double envDouble(const char *Var, double Default);
 
 /// Unsigned integer from \p Var; \p Default when unset or empty.
 uint64_t envU64(const char *Var, uint64_t Default);

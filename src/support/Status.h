@@ -7,11 +7,10 @@
 /// degrade gracefully — "no prefetch for this loop" — instead of calling
 /// `reportFatalError` the way invariant violations do.
 ///
-/// Also defines the exception types the failure-containment layer throws
-/// and the harness catches per cell: `RuntimeTrap` for failures of the
+/// Also defines `RuntimeTrap`, the exception the failure-containment
+/// layer throws and the harness catches per cell for failures of the
 /// *simulated* program (a production VM would raise a runtime exception,
-/// not kill the VM process) and `CellTimeout` for the per-cell wall-clock
-/// watchdog.
+/// not kill the VM process).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,12 +75,6 @@ private:
 /// dereference, division by zero, OOM after GC, execution budget): the
 /// harness marks the cell failed and keeps the sweep alive.
 class RuntimeTrap : public std::runtime_error {
-public:
-  using std::runtime_error::runtime_error;
-};
-
-/// Thrown when a cell exceeds its wall-clock budget (SPF_CELL_TIMEOUT).
-class CellTimeout : public std::runtime_error {
 public:
   using std::runtime_error::runtime_error;
 };

@@ -58,19 +58,10 @@ std::optional<GcVariant> vm::parseGcVariant(const std::string &Name) {
   return std::nullopt;
 }
 
-void GarbageCollector::pollCheckpoint() {
-  if (++WorkSinceCheckpoint >= CheckpointInterval) {
-    WorkSinceCheckpoint = 0;
-    if (Checkpoint)
-      Checkpoint();
-  }
-}
-
 GcStats GarbageCollector::sweepInPlace(Heap &H) {
   // Non-compacting: live objects stay put; maximal dead runs (previous
   // fillers included — they are unreachable by construction) coalesce
-  // into free-list holes. The deadline watchdog must keep firing here
-  // exactly as in the compacting phases (tests/gc_test.cpp).
+  // into free-list holes.
   GcStats Stats;
   Addr HoleStart = 0;
   uint64_t HoleBytes = 0;
@@ -82,7 +73,6 @@ GcStats GarbageCollector::sweepInPlace(Heap &H) {
     }
   };
   for (Addr Obj = H.heapBase(), End = H.heapTop(); Obj < End;) {
-    pollCheckpoint();
     uint64_t Size = H.objectSize(Obj);
     if (H.marked(Obj)) {
       H.setMarked(Obj, false);
@@ -113,10 +103,8 @@ GcStats GarbageCollector::collect(Heap &H, const std::vector<Addr *> &Roots) {
   // can be rejected instead of corrupting the trace.
   std::unordered_set<Addr> Starts;
   for (Addr Obj = H.heapBase(), End = H.heapTop(); Obj < End;
-       Obj += H.objectSize(Obj)) {
+       Obj += H.objectSize(Obj))
     Starts.insert(Obj);
-    pollCheckpoint();
-  }
 
   auto IsObjectRef = [&](Addr A) {
     return A && H.isHeapAddress(A) && Starts.count(A);
@@ -147,7 +135,6 @@ GcStats GarbageCollector::collect(Heap &H, const std::vector<Addr *> &Roots) {
     forEachRefSlot(H, Obj, [&](Addr SlotAddr) {
       MarkRoot(H.load(SlotAddr, ir::Type::Ref));
     });
-    pollCheckpoint();
   }
 
   if (Variant == GcVariant::MarkSweep)
@@ -163,7 +150,6 @@ GcStats GarbageCollector::collect(Heap &H, const std::vector<Addr *> &Roots) {
   } else {
     for (Addr Obj = H.heapBase(), End = H.heapTop(); Obj < End;
          Obj += H.objectSize(Obj)) {
-      pollCheckpoint();
       if (H.marked(Obj))
         Order.push_back(Obj);
     }
@@ -175,17 +161,14 @@ GcStats GarbageCollector::collect(Heap &H, const std::vector<Addr *> &Roots) {
     SplitMix64 Rng(ShuffleSeed ^ (Collections * 0x9e3779b97f4a7c15ull));
     for (size_t W0 = 0; W0 < Order.size(); W0 += ShuffleWindow) {
       size_t WE = std::min(W0 + ShuffleWindow, Order.size());
-      for (size_t I = WE - 1; I > W0; --I) {
+      for (size_t I = WE - 1; I > W0; --I)
         std::swap(Order[I], Order[W0 + Rng.nextBelow(I - W0 + 1)]);
-        pollCheckpoint();
-      }
     }
   }
 
   std::unordered_map<Addr, Addr> Forward;
   Addr NextFree = H.heapBase();
   for (Addr Obj : Order) {
-    pollCheckpoint();
     Forward[Obj] = NextFree;
     NextFree += H.objectSize(Obj);
     ++Stats.LiveObjects;
@@ -201,7 +184,6 @@ GcStats GarbageCollector::collect(Heap &H, const std::vector<Addr *> &Roots) {
   // -- Fix references in live objects, statics, and roots ------------------
   for (Addr Obj = H.heapBase(), End = H.heapTop(); Obj < End;
        Obj += H.objectSize(Obj)) {
-    pollCheckpoint();
     if (!H.marked(Obj))
       continue;
     forEachRefSlot(H, Obj, [&](Addr SlotAddr) {
@@ -223,7 +205,6 @@ GcStats GarbageCollector::collect(Heap &H, const std::vector<Addr *> &Roots) {
     // -- Slide live objects down (ascending order; moves never overlap
     //    destructively) and clear marks ------------------------------------
     for (Addr Obj = H.heapBase(), End = H.heapTop(); Obj < End;) {
-      pollCheckpoint();
       // Cache the size: once the object slides down over its old storage
       // the header at the old address is no longer readable.
       uint64_t Size = H.objectSize(Obj);
@@ -240,7 +221,6 @@ GcStats GarbageCollector::collect(Heap &H, const std::vector<Addr *> &Roots) {
     //    direction, so stage the live image in a scratch buffer ------------
     std::vector<uint8_t> Scratch(Stats.LiveBytes);
     for (Addr Obj : Order) {
-      pollCheckpoint();
       uint64_t Size = H.objectSize(Obj);
       uint64_t Off = Forward[Obj] - H.heapBase();
       std::memcpy(Scratch.data() + Off, H.ptr(Obj), Size);

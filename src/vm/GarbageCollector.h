@@ -15,7 +15,6 @@
 
 #include "vm/Heap.h"
 
-#include <functional>
 #include <optional>
 
 namespace spf {
@@ -65,17 +64,6 @@ public:
   /// updated in place when their referents move.
   GcStats collect(Heap &H, const std::vector<Addr *> &Roots);
 
-  /// Installs a cooperative checkpoint polled periodically inside every
-  /// collection phase (indexing, marking, forwarding, fixup, sliding).
-  /// The interpreter wires its wall-clock watchdog here: without it, a
-  /// cell stuck in GC on a huge heap could never observe its deadline
-  /// (the interpreter only checks between retired instructions). The
-  /// hook may throw; collect() is abandoned mid-phase in that case, so
-  /// only unwind into code that discards the heap (the harness does).
-  void setCheckpoint(std::function<void()> Fn) {
-    Checkpoint = std::move(Fn);
-  }
-
   uint64_t collectionCount() const { return Collections; }
 
   /// Selects the placement policy for subsequent collections. \p Seed
@@ -93,19 +81,10 @@ public:
   void setShuffleWindow(unsigned N) { ShuffleWindow = N ? N : 1; }
 
 private:
-  /// Runs the checkpoint every CheckpointInterval pieces of work.
-  void pollCheckpoint();
-
   /// Non-compacting sweep: dead runs become free-list holes in \p H.
   GcStats sweepInPlace(Heap &H);
 
-  /// Loop iterations between checkpoint polls; matches the interpreter's
-  /// per-4096-retired-instructions cadence.
-  static constexpr uint64_t CheckpointInterval = 4096;
-
   uint64_t Collections = 0;
-  uint64_t WorkSinceCheckpoint = 0;
-  std::function<void()> Checkpoint;
   GcVariant Variant = GcVariant::SlidingCompact;
   uint64_t ShuffleSeed = 0;
   unsigned ShuffleWindow = 64;

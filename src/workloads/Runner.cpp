@@ -637,8 +637,6 @@ workloads::runSharedExecution(const WorkloadSpec &Spec,
       First.simFor(G, K)->enablePrefetchHealth();
   size_t SimsBuilt = First.Sims.size();
   First.start(G, nullptr);
-  if (Opts.TimeoutSeconds > 0.0)
-    First.Interp->setDeadline(Opts.TimeoutSeconds);
   // One governor per governed member, recording into its own log.
   std::vector<opt::Governor> Govs(Members.size());
   std::vector<obs::DecisionLog> GovLogs(Members.size());

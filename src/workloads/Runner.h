@@ -52,9 +52,6 @@ struct RunOptions {
   /// Optional hook to adjust the derived pass options (ablation studies:
   /// scheduling distance, guarded loads, inspection iterations, ...).
   std::function<void(core::PrefetchPassOptions &)> TunePass;
-  /// Wall-clock watchdog for the simulated execution, in seconds; the run
-  /// throws support::CellTimeout when exceeded. 0 disables it.
-  double TimeoutSeconds = 0.0;
 
   // -- Epochs, GC perturbation, and the prefetch-health governor -----------
 

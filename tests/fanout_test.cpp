@@ -11,6 +11,7 @@
 
 #include "ExpectSameRun.h"
 #include "ir/IRPrinter.h"
+#include "obs/Obs.h"
 #include "obs/Tracer.h"
 #include "sim/CountingSink.h"
 #include "workloads/Runner.h"
@@ -180,19 +181,16 @@ void expectGroupMatchesSoloRuns(
       workloads::runWorkloadGroup(Spec, Members);
   T.disable();
   ASSERT_EQ(Group.size(), Members.size()) << Spec.Name;
-  if (obs::compiledIn()) {
-    std::vector<obs::TraceEvent> Evs = T.drain();
-    auto Run = std::find_if(Evs.begin(), Evs.end(), [](const auto &E) {
-      return E.Name == "run-workload";
-    });
-    ASSERT_NE(Run, Evs.end()) << Spec.Name;
-    std::map<std::string, std::string> Args(Run->Args.begin(),
-                                            Run->Args.end());
-    EXPECT_EQ(Args["members"], std::to_string(Members.size())) << Spec.Name;
-    EXPECT_EQ(Args["simulators"], std::to_string(Simulators)) << Spec.Name;
-    if (EpochRuns) {
-      EXPECT_EQ(Args["epoch_runs"], std::to_string(*EpochRuns)) << Spec.Name;
-    }
+  std::vector<obs::TraceEvent> Evs = T.drain();
+  auto Run = std::find_if(Evs.begin(), Evs.end(), [](const auto &E) {
+    return E.Name == "run-workload";
+  });
+  ASSERT_NE(Run, Evs.end()) << Spec.Name;
+  std::map<std::string, std::string> Args(Run->Args.begin(), Run->Args.end());
+  EXPECT_EQ(Args["members"], std::to_string(Members.size())) << Spec.Name;
+  EXPECT_EQ(Args["simulators"], std::to_string(Simulators)) << Spec.Name;
+  if (EpochRuns) {
+    EXPECT_EQ(Args["epoch_runs"], std::to_string(*EpochRuns)) << Spec.Name;
   }
   for (size_t K = 0; K != Members.size(); ++K) {
     std::string Tag = memberTag(Spec, Members[K], K);

@@ -2,8 +2,8 @@
 //
 // Coverage for the failure-containment layer on the inputs that reach
 // it: per-loop degradation of inspection, the step-budget abort, the
-// guarded-load fault path, the harness's quarantine/timeout handling, and
-// strict parsing of SPF_* knobs and bench flags.
+// guarded-load fault path, the harness's quarantine of cells that throw,
+// and strict parsing of SPF_* knobs and bench flags.
 // The overarching invariant: a recovery path never changes a simulated
 // program's result or takes the process down.
 //
@@ -16,16 +16,19 @@
 #include "core/PrefetchPlanner.h"
 #include "core/StrideAnalysis.h"
 #include "harness/Experiment.h"
+#include "harness/JsonReader.h"
 #include "obs/DecisionLog.h"
 #include "sim/MemorySystem.h"
 #include "support/Env.h"
 #include "support/Status.h"
+#include "workloads/KernelBuilder.h"
 #include "workloads/Runner.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <sstream>
 
 using namespace spf;
 using namespace spf::core;
@@ -63,14 +66,7 @@ struct ScopedEnv {
 // and exit code 2 (support::ConfigErrorExit) — a typo'd knob that silently
 // meant its default would make a CI job pass vacuously.
 
-TEST(EnvFailFastDeathTest, NegativeSpfCellTimeoutExitsWithConfigError) {
-  ScopedEnv E("SPF_CELL_TIMEOUT", "-3");
-  EXPECT_EXIT(support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0),
-              ::testing::ExitedWithCode(support::ConfigErrorExit),
-              "invalid SPF_CELL_TIMEOUT");
-}
-
-// Bench flags follow the same rule: a value that is not wholly an
+// Bench flags follow the rule: a value that is not wholly an
 // in-range integer exits 2 instead of silently meaning something else.
 TEST(EnvFailFastDeathTest, NonNumericJobsFlagExitsWithConfigError) {
   const char *Argv[] = {"sweep", "--jobs", "abc"};
@@ -99,10 +95,6 @@ TEST(EnvFailFastDeathTest, MalformedSpfScaleExitsWithConfigError) {
 }
 
 TEST(EnvFailFastTest, WellFormedValuesParse) {
-  {
-    ScopedEnv E("SPF_CELL_TIMEOUT", "2.5");
-    EXPECT_DOUBLE_EQ(support::envDouble("SPF_CELL_TIMEOUT", 0.0, 0.0), 2.5);
-  }
   {
     ScopedEnv E("SPF_OBS", "0");
     EXPECT_EQ(support::envU64("SPF_OBS", 1), 0u);
@@ -337,7 +329,7 @@ TEST(GuardFaultTest, GuardFaultsLeaveTheResultUnchanged) {
   EXPECT_TRUE(Guarded.SelfCheckOk);
 }
 
-// -- Harness: quarantine and timeout ---------------------------------------
+// -- Harness: quarantine ---------------------------------------------------
 
 harness::ExperimentPlan tinyJessPlan(unsigned Cells = 1) {
   harness::ExperimentPlan Plan;
@@ -351,20 +343,92 @@ harness::ExperimentPlan tinyJessPlan(unsigned Cells = 1) {
   return Plan;
 }
 
-TEST(HarnessContainmentTest, TimeoutIsQuarantinedAndFailed) {
-  ScopedEnv T("SPF_CELL_TIMEOUT", "0.000001"); // Expires immediately.
-  harness::ExperimentPlan Plan = tinyJessPlan(1);
-  harness::ExperimentResult R = harness::runPlan(Plan, 1);
+/// A program whose entry traps while it runs: `Box.get(null)` reads a
+/// field of a null reference. It has no loop, so the prefetch pass
+/// leaves it alone and the trap comes from the interpreter.
+const workloads::WorkloadSpec &trappingSpec() {
+  static const workloads::WorkloadSpec S = [] {
+    workloads::WorkloadSpec S;
+    S.Name = "null-getfield";
+    S.Description = "reads a field of null";
+    S.CompiledFraction = 1.0;
+    S.Build = [](const workloads::WorkloadConfig &Cfg) {
+      workloads::World W(Cfg);
+      vm::ClassDesc *Box = W.Types->addClass("Box");
+      const vm::FieldDesc *Val = W.Types->addField(Box, "val", ir::Type::I32);
+      ir::Method *Get =
+          W.Module->addMethod("Box.get", ir::Type::I32, {ir::Type::Ref});
+      ir::IRBuilder B(*W.Module);
+      B.setInsertPoint(Get->addBlock("entry"));
+      B.ret(B.getField(Get->arg(0), Val));
+      workloads::BuiltWorkload Built = W.seal(Get, {0}, {});
+      Built.CompileUnits.push_back({Get, Built.EntryArgs});
+      return Built;
+    };
+    return S;
+  }();
+  return S;
+}
 
-  // A timeout is a real problem: the cell is quarantined AND the sweep
-  // fails.
-  EXPECT_FALSE(R.ok());
-  ASSERT_EQ(R.Quarantine.size(), 1u);
-  EXPECT_EQ(R.Quarantine[0].Kind, "timeout");
-  EXPECT_FALSE(R.Cells[0].Ran);
-  EXPECT_TRUE(R.Cells[0].TimedOut);
-  ASSERT_EQ(R.Failures.size(), 1u);
-  EXPECT_NE(R.Failures[0].find("timed out"), std::string::npos);
+TEST(HarnessContainmentTest, ARunTimeTrapFailsOnlyItsPartnerSet) {
+  // Two cells of the trapping program (one partner set) around a jess
+  // cell. The shared execution traps: both its members are quarantined
+  // and failed with the trap's message; jess runs as if they were not
+  // there.
+  harness::ExperimentCell Trapping;
+  Trapping.Group = "containment";
+  Trapping.Spec = &trappingSpec();
+  Trapping.Opt.Config.Scale = 0.05;
+  harness::ExperimentPlan Plan;
+  Plan.add(Trapping);                   // 0: BASELINE.
+  Plan.add(tinyJessPlan(1).cells()[0]); // 1: jess.
+  Trapping.Opt.Algo = workloads::Algorithm::InterIntra;
+  Plan.add(Trapping); // 2: INTER+INTRA, 0's partner.
+  const std::string Trap = "null pointer in getfield";
+  std::vector<std::string> Verdicts;
+  for (unsigned Jobs : {1u, 4u}) {
+    harness::ExperimentResult R = harness::runPlan(Plan, Jobs);
+    EXPECT_FALSE(R.ok()) << Jobs;
+    ASSERT_TRUE(R.Cells[1].Ran) << Jobs;
+    EXPECT_TRUE(R.run(1).SelfCheckOk) << Jobs;
+    ASSERT_EQ(R.Quarantine.size(), 2u) << Jobs;
+    ASSERT_EQ(R.Failures.size(), 2u) << Jobs;
+    for (unsigned K = 0; K != 2; ++K) {
+      const unsigned I = 2 * K; // Plan indices 0 and 2.
+      EXPECT_FALSE(R.Cells[I].Ran) << Jobs;
+      EXPECT_TRUE(R.Cells[I].Failed) << Jobs;
+      EXPECT_FALSE(R.Cells[I].TimedOut) << Jobs;
+      EXPECT_EQ(R.Cells[I].Error, Trap) << Jobs;
+      EXPECT_EQ(R.Quarantine[K].CellIndex, I) << Jobs;
+      EXPECT_EQ(R.Quarantine[K].Error, Trap) << Jobs;
+      EXPECT_NE(R.Failures[K].find(": failed (" + Trap + ")"),
+                std::string::npos)
+          << R.Failures[K];
+    }
+
+    // The report records both, each with the one quarantine kind.
+    std::ostringstream OS;
+    harness::writeJsonReport(OS, Plan, R, 0.05, Jobs);
+    std::string Error;
+    std::unique_ptr<harness::JsonValue> Doc =
+        harness::JsonValue::parse(OS.str(), &Error);
+    ASSERT_TRUE(Doc) << Error;
+    const std::vector<harness::JsonValue> &Q =
+        Doc->get("quarantine").array();
+    ASSERT_EQ(Q.size(), 2u) << Jobs;
+    std::string Verdict;
+    for (const harness::JsonValue &Rec : Q) {
+      EXPECT_EQ(Rec.getString("kind"), "error") << Jobs;
+      EXPECT_EQ(Rec.getString("error"), Trap) << Jobs;
+      Verdict += std::to_string(Rec.getU64("cell")) + ";";
+    }
+    for (const std::string &F : R.Failures)
+      Verdict += F + ";";
+    for (const harness::CellResult &C : R.Cells)
+      Verdict += std::to_string(C.Ran) + std::to_string(C.Failed) + C.Error;
+    Verdicts.push_back(Verdict);
+  }
+  EXPECT_EQ(Verdicts[0], Verdicts[1]); // --jobs 1 and --jobs 4 agree.
 }
 
 TEST(HarnessContainmentTest, ACellWhoseCompileThrowsFailsAlone) {
@@ -391,7 +455,6 @@ TEST(HarnessContainmentTest, ACellWhoseCompileThrowsFailsAlone) {
 }
 
 TEST(HarnessContainmentTest, CleanRunIsNotQuarantined) {
-  ScopedEnv T("SPF_CELL_TIMEOUT", nullptr);
   harness::ExperimentPlan Plan = tinyJessPlan(1);
   harness::ExperimentResult R = harness::runPlan(Plan, 1);
   EXPECT_TRUE(R.ok());

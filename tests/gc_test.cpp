@@ -524,81 +524,4 @@ TEST_F(GcTest, PropertyVariantsPreserveReachabilityAndValues) {
   }
 }
 
-// -- Watchdog checkpoints ---------------------------------------------------
-
-TEST_F(GcTest, CheckpointFiresDuringCollection) {
-  // Enough objects that every phase loop crosses the poll interval at
-  // least once (the interval is 4096 work items; 5000 objects x 5 phases
-  // gives several firings).
-  std::vector<Addr> Keep;
-  for (int I = 0; I != 5000; ++I)
-    Keep.push_back(makeNode(I));
-
-  unsigned Fired = 0;
-  Gc.setCheckpoint([&Fired] { ++Fired; });
-  std::vector<Addr *> Roots;
-  for (Addr &A : Keep)
-    Roots.push_back(&A);
-  GcStats S = Gc.collect(*H, Roots);
-
-  EXPECT_EQ(S.LiveObjects, 5000u);
-  EXPECT_GT(Fired, 0u);
-}
-
-TEST_F(GcTest, CheckpointFiresDuringEveryVariantPhase) {
-  // The watchdog contract extends to the new placement policies: the
-  // sweep loop, the shuffle permutation, and the scratch-copy placement
-  // all poll the checkpoint, so a cell stuck in a perturbing collection
-  // still observes its deadline.
-  for (GcVariant V : {GcVariant::MarkSweep, GcVariant::AddressShuffle,
-                      GcVariant::PromotionOrder}) {
-    HeapConfig HC;
-    HC.HeapBytes = 4u << 20;
-    Heap Local(Types, HC);
-    std::vector<Addr> Keep;
-    for (int I = 0; I != 5000; ++I) {
-      Addr A = Local.allocObject(*Node);
-      ASSERT_NE(A, 0u);
-      Keep.push_back(A);
-    }
-    unsigned Fired = 0;
-    GarbageCollector LocalGc;
-    LocalGc.setVariant(V, /*Seed=*/1);
-    LocalGc.setCheckpoint([&Fired] { ++Fired; });
-    std::vector<Addr *> Roots;
-    for (Addr &A : Keep)
-      Roots.push_back(&A);
-    GcStats S = LocalGc.collect(Local, Roots);
-    EXPECT_EQ(S.LiveObjects, 5000u) << gcVariantName(V);
-    EXPECT_GT(Fired, 0u) << gcVariantName(V);
-  }
-}
-
-TEST_F(GcTest, ThrowingCheckpointAbandonsCollection) {
-  // The interpreter's deadline hook throws support::CellTimeout; any
-  // exception must propagate out of collect() instead of being swallowed
-  // (the harness discards the heap afterwards, so a half-compacted heap
-  // is fine).
-  struct DeadlineHit {};
-  std::vector<Addr> Keep;
-  for (int I = 0; I != 5000; ++I)
-    Keep.push_back(makeNode(I));
-
-  Gc.setCheckpoint([] { throw DeadlineHit(); });
-  std::vector<Addr *> Roots;
-  for (Addr &A : Keep)
-    Roots.push_back(&A);
-  EXPECT_THROW(Gc.collect(*H, Roots), DeadlineHit);
-
-  // Clearing the hook restores normal operation on a fresh heap.
-  Gc.setCheckpoint(nullptr);
-  HeapConfig HC;
-  HC.HeapBytes = 1 << 20;
-  Heap Fresh(Types, HC);
-  Addr Live = Fresh.allocObject(*Node);
-  std::vector<Addr *> FreshRoots = {&Live};
-  GcStats S = Gc.collect(Fresh, FreshRoots);
-  EXPECT_EQ(S.LiveObjects, 1u);
-}
-
 } // namespace

@@ -644,7 +644,7 @@ TEST(RunPlanTest, ExternalStopLeavesLaterGroupsUnrunAndFailed) {
   ASSERT_EQ(R.Quarantine.size(), 2u);
   EXPECT_EQ(R.Quarantine[0].CellIndex, 2u);
   EXPECT_EQ(R.Quarantine[1].CellIndex, 3u);
-  EXPECT_EQ(R.Quarantine[0].Kind, "error");
+  EXPECT_EQ(R.Quarantine[0].Error, "stopped before it ran");
 }
 
 // -- JSON report -----------------------------------------------------------
