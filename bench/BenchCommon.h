@@ -1,14 +1,14 @@
 //===- bench/BenchCommon.h - Shared bench harness ---------------*- C++ -*-===//
 ///
 /// \file
-/// Helpers shared by the bench binaries: command-line and SPF_* knob
+/// Helpers shared by the bench binaries: command-line and SPF_SCALE
 /// parsing, running an experiment plan on the parallel driver
 /// (src/harness), and writing its report and decision log.
 ///
 /// The problem scale can be reduced for quick runs with SPF_SCALE (e.g.
 /// SPF_SCALE=0.1 ./sweep); the recorded EXPERIMENTS.md numbers use the
-/// default 1.0. Worker count comes from --jobs N (or SPF_JOBS;
-/// default: hardware concurrency). Any workload self-check failure or
+/// default 1.0. Worker count comes from --jobs N (default: hardware
+/// concurrency). Any workload self-check failure or
 /// baseline-vs-prefetch result mismatch makes the binary exit nonzero.
 ///
 //===----------------------------------------------------------------------===//
@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -79,48 +80,53 @@ inline sim::MachineConfig machineFromFileOrExit(const std::string &Path) {
   support::envConfigError("--machine-file", Path.c_str(), Error);
 }
 
-/// Machine-selection flags shared by benches that support them:
-///   --machine NAME       a builtin from the registry (repeatable;
-///                        aliases like "p4"/"athlon"/"modern" work)
-///   --machine-file FILE  a JSON machine description (repeatable)
-///   --hw-prefetch KIND   override the hardware prefetcher of every
-///                        selected machine: none | stream | rpt
-/// Returns the selected machines in flag order; empty when no machine
-/// flag was given, in which case callers use their default plan (the
-/// --hw-prefetch override still applies to it via \p HwOverride).
-inline std::vector<sim::MachineConfig>
-machinesFromArgs(int argc, char **argv,
-                 std::optional<sim::HwPrefetchKind> *HwOverride = nullptr) {
-  std::vector<sim::MachineConfig> Machines;
-  std::optional<sim::HwPrefetchKind> Kind;
-  auto ParseKind = [](const std::string &V) {
-    std::optional<sim::HwPrefetchKind> K = sim::parseHwPrefetchKind(V);
-    if (!K)
-      support::envConfigError("--hw-prefetch", V.c_str(),
-                              "expected none|stream|rpt");
-    return *K;
-  };
+/// One command-line flag of a bench binary: "--name VALUE" or
+/// "--name=VALUE" when it takes a value, bare "--name" when it does not.
+/// \p Set receives the value ("" for a switch).
+struct Flag {
+  std::string Name;
+  std::function<void(const std::string &)> Set;
+  bool TakesValue = true;
+};
+
+inline Flag stringFlag(const char *Name, std::string &Out) {
+  return {Name, [&Out](const std::string &V) { Out = V; }};
+}
+
+inline Flag switchFlag(const char *Name, bool &Out) {
+  return {Name, [&Out](const std::string &) { Out = true; }, false};
+}
+
+/// Parses every argument of \p argv against \p Flags, in order. An
+/// argument that names no flag, or a value flag without its value,
+/// exits with support::ConfigErrorExit (2) before any cell runs.
+inline void parseArgs(int argc, char **argv, const std::vector<Flag> &Flags) {
   for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--machine" && I + 1 < argc)
-      Machines.push_back(machineByNameOrExit(argv[++I]));
-    else if (A.rfind("--machine=", 0) == 0)
-      Machines.push_back(machineByNameOrExit(A.substr(10)));
-    else if (A == "--machine-file" && I + 1 < argc)
-      Machines.push_back(machineFromFileOrExit(argv[++I]));
-    else if (A.rfind("--machine-file=", 0) == 0)
-      Machines.push_back(machineFromFileOrExit(A.substr(15)));
-    else if (A == "--hw-prefetch" && I + 1 < argc)
-      Kind = ParseKind(argv[++I]);
-    else if (A.rfind("--hw-prefetch=", 0) == 0)
-      Kind = ParseKind(A.substr(14));
+    const std::string A = argv[I];
+    const Flag *F = nullptr;
+    std::optional<std::string> Value;
+    for (const Flag &Cand : Flags) {
+      if (A == Cand.Name) {
+        F = &Cand;
+        break;
+      }
+      if (Cand.TakesValue && A.rfind(Cand.Name + "=", 0) == 0) {
+        F = &Cand;
+        Value = A.substr(Cand.Name.size() + 1);
+        break;
+      }
+    }
+    if (!F) {
+      std::fprintf(stderr, "spf: unknown argument \"%s\"\n", A.c_str());
+      std::exit(support::ConfigErrorExit);
+    }
+    if (F->TakesValue && !Value) {
+      if (I + 1 == argc)
+        support::envConfigError(F->Name.c_str(), nullptr, "missing value");
+      Value = argv[++I];
+    }
+    F->Set(Value.value_or(""));
   }
-  if (Kind)
-    for (sim::MachineConfig &M : Machines)
-      M.HwPrefetch = *Kind;
-  if (HwOverride)
-    *HwOverride = Kind;
-  return Machines;
 }
 
 /// Parses \p V, the value of \p Flag, as a whole-string decimal integer
@@ -138,15 +144,46 @@ inline uint64_t parseCountOrExit(const char *Flag, const std::string &V,
   return static_cast<uint64_t>(N);
 }
 
+/// Machine-selection flags of bench/sweep:
+///   --machine NAME       a builtin from the registry (repeatable;
+///                        aliases like "p4"/"athlon"/"modern" work)
+///   --machine-file FILE  a JSON machine description (repeatable)
+///   --hw-prefetch KIND   override the hardware prefetcher of every
+///                        selected machine: none | stream | rpt
+/// Machines keeps flag order; it stays empty when no machine flag was
+/// given, in which case the caller uses its default plan.
+struct MachineArgs {
+  std::vector<sim::MachineConfig> Machines;
+  std::optional<sim::HwPrefetchKind> HwOverride;
+
+  std::vector<Flag> flags() {
+    return {
+        {"--machine",
+         [this](const std::string &V) {
+           Machines.push_back(machineByNameOrExit(V));
+         }},
+        {"--machine-file",
+         [this](const std::string &V) {
+           Machines.push_back(machineFromFileOrExit(V));
+         }},
+        {"--hw-prefetch",
+         [this](const std::string &V) {
+           HwOverride = sim::parseHwPrefetchKind(V);
+           if (!HwOverride)
+             support::envConfigError("--hw-prefetch", V.c_str(),
+                                     "expected none|stream|rpt");
+         }},
+    };
+  }
+};
+
 /// Epoch / GC-variant / governor knobs shared by adaptation-aware
 /// benches (bench/adaptation, bench/sweep):
-///   --epochs N            epochs per run, >= 1 (or SPF_EPOCHS)
+///   --epochs N            epochs per run, >= 1
 ///   --gc-variant NAME     sliding-compact | mark-sweep | address-shuffle |
-///                         promotion-order (or SPF_GC_VARIANT)
-///   --governor on|off     online prefetch-health governor (or
-///                         SPF_GOVERNOR=on|off)
+///                         promotion-order
+///   --governor on|off     online prefetch-health governor
 ///   --phase-change        shuffle ref arrays at the midpoint boundary
-///                         (or SPF_PHASE_CHANGE=1)
 /// Invalid values exit with support::ConfigErrorExit (2) before any cell
 /// runs.
 struct AdaptationKnobs {
@@ -161,56 +198,38 @@ struct AdaptationKnobs {
     Opt.Governor = Governor;
     Opt.PhaseChange = PhaseChange;
   }
-};
 
-inline AdaptationKnobs adaptationFromArgs(int argc, char **argv) {
-  AdaptationKnobs K;
-  auto ParseEpochs = [](const char *Flag, const std::string &V) {
-    return static_cast<unsigned>(parseCountOrExit(
-        Flag, V, 1, 1000000, "expected an integer epoch count >= 1"));
-  };
-  auto ParseVariant = [](const char *Flag, const std::string &V) {
-    std::optional<vm::GcVariant> G = vm::parseGcVariant(V);
-    if (!G)
-      support::envConfigError(Flag, V.c_str(),
-                              "expected sliding-compact|mark-sweep|"
-                              "address-shuffle|promotion-order");
-    return *G;
-  };
-  auto ParseOnOff = [](const char *Flag, const std::string &V) {
-    if (V == "on" || V == "1" || V == "true")
-      return true;
-    if (V == "off" || V == "0" || V == "false")
-      return false;
-    support::envConfigError(Flag, V.c_str(), "expected on|off");
-  };
-  if (const char *E = std::getenv("SPF_EPOCHS"))
-    K.Epochs = ParseEpochs("SPF_EPOCHS", E);
-  if (const char *E = std::getenv("SPF_GC_VARIANT"))
-    K.GcVariant = ParseVariant("SPF_GC_VARIANT", E);
-  if (const char *E = std::getenv("SPF_GOVERNOR"))
-    K.Governor = ParseOnOff("SPF_GOVERNOR", E);
-  if (const char *E = std::getenv("SPF_PHASE_CHANGE"))
-    K.PhaseChange = ParseOnOff("SPF_PHASE_CHANGE", E);
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--epochs" && I + 1 < argc)
-      K.Epochs = ParseEpochs("--epochs", argv[++I]);
-    else if (A.rfind("--epochs=", 0) == 0)
-      K.Epochs = ParseEpochs("--epochs", A.substr(9));
-    else if (A == "--gc-variant" && I + 1 < argc)
-      K.GcVariant = ParseVariant("--gc-variant", argv[++I]);
-    else if (A.rfind("--gc-variant=", 0) == 0)
-      K.GcVariant = ParseVariant("--gc-variant", A.substr(13));
-    else if (A == "--governor" && I + 1 < argc)
-      K.Governor = ParseOnOff("--governor", argv[++I]);
-    else if (A.rfind("--governor=", 0) == 0)
-      K.Governor = ParseOnOff("--governor", A.substr(11));
-    else if (A == "--phase-change")
-      K.PhaseChange = true;
+  std::vector<Flag> flags() {
+    return {
+        {"--epochs",
+         [this](const std::string &V) {
+           Epochs = static_cast<unsigned>(
+               parseCountOrExit("--epochs", V, 1, 1000000,
+                                "expected an integer epoch count >= 1"));
+         }},
+        {"--gc-variant",
+         [this](const std::string &V) {
+           std::optional<vm::GcVariant> G = vm::parseGcVariant(V);
+           if (!G)
+             support::envConfigError("--gc-variant", V.c_str(),
+                                     "expected sliding-compact|mark-sweep|"
+                                     "address-shuffle|promotion-order");
+           GcVariant = *G;
+         }},
+        {"--governor",
+         [this](const std::string &V) {
+           if (V == "on" || V == "1" || V == "true")
+             Governor = true;
+           else if (V == "off" || V == "0" || V == "false")
+             Governor = false;
+           else
+             support::envConfigError("--governor", V.c_str(),
+                                     "expected on|off");
+         }},
+        switchFlag("--phase-change", PhaseChange),
+    };
   }
-  return K;
-}
+};
 
 /// Number of correctness failures recorded so far in this binary.
 inline unsigned &failureCount() {
@@ -234,23 +253,6 @@ inline bool reportPlanFailures(const harness::ExperimentResult &Result) {
   for (const std::string &F : Result.Failures)
     reportFailure(F);
   return Result.ok();
-}
-
-/// Worker count: --jobs N / --jobs=N on the command line (an integer in
-/// [1, 1024], else exit 2), else SPF_JOBS, else hardware concurrency.
-inline unsigned jobsFromArgs(int argc, char **argv) {
-  auto Parse = [](const std::string &V) {
-    return static_cast<unsigned>(parseCountOrExit(
-        "--jobs", V, 1, 1024, "expected an integer worker count in [1, 1024]"));
-  };
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--jobs" && I + 1 < argc)
-      return Parse(argv[I + 1]);
-    if (A.rfind("--jobs=", 0) == 0)
-      return Parse(A.substr(7));
-  }
-  return harness::defaultJobs();
 }
 
 /// Per-binary CLI state shared by every bench main, filled by init().
@@ -282,37 +284,30 @@ inline void flushTrace() {
   std::fprintf(stderr, "trace: %zu event(s) -> %s\n", N, C.ProfileOut.c_str());
 }
 
-/// Parses the shared bench flags. Call first in every bench main:
-///   --jobs N             worker threads (or SPF_JOBS)
+/// Parses the command line: the binary's own \p Flags plus the shared
+///   --jobs N             worker threads (default: hardware concurrency)
 ///   --profile-out FILE   Chrome trace of the whole run
-///   --decisions-out FILE one JSON line per compile decision (or
-///                        SPF_DECISIONS_OUT)
+///   --decisions-out FILE one JSON line per compile decision
 ///   --explain            print the per-cell decision summary
-/// Malformed numbers exit with support::ConfigErrorExit (2).
-inline void init(int argc, char **argv) {
+/// Call first in every bench main. A malformed value or an unknown
+/// argument exits with support::ConfigErrorExit (2).
+inline void init(int argc, char **argv, std::vector<Flag> Flags = {}) {
   BenchCli &C = cli();
   C.ProcessLabel = argv[0];
   if (size_t Slash = C.ProcessLabel.find_last_of('/');
       Slash != std::string::npos)
     C.ProcessLabel = C.ProcessLabel.substr(Slash + 1);
-  C.Jobs = jobsFromArgs(argc, argv);
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--profile-out" && I + 1 < argc) {
-      C.ProfileOut = argv[++I];
-    } else if (A.rfind("--profile-out=", 0) == 0) {
-      C.ProfileOut = A.substr(14);
-    } else if (A == "--decisions-out" && I + 1 < argc) {
-      C.DecisionsOut = argv[++I];
-    } else if (A.rfind("--decisions-out=", 0) == 0) {
-      C.DecisionsOut = A.substr(16);
-    } else if (A == "--explain") {
-      C.Explain = true;
-    }
-  }
-  if (C.DecisionsOut.empty())
-    if (const char *E = std::getenv("SPF_DECISIONS_OUT"))
-      C.DecisionsOut = E;
+  Flags.push_back({"--jobs", [&C](const std::string &V) {
+                     C.Jobs = static_cast<unsigned>(parseCountOrExit(
+                         "--jobs", V, 1, 1024,
+                         "expected an integer worker count in [1, 1024]"));
+                   }});
+  Flags.push_back(stringFlag("--profile-out", C.ProfileOut));
+  Flags.push_back(stringFlag("--decisions-out", C.DecisionsOut));
+  Flags.push_back(switchFlag("--explain", C.Explain));
+  parseArgs(argc, argv, Flags);
+  if (!C.Jobs)
+    C.Jobs = harness::defaultJobs();
   if (!C.ProfileOut.empty() && obs::enabled()) {
     obs::Tracer::instance().enable();
     std::atexit(flushTrace);

@@ -23,32 +23,25 @@
 ///
 /// Usage:
 ///   adaptation [--out FILE] [--workloads a,b,c] [--epochs N]
-///              [--min-recovered N] [--check-against FILE] [--jobs N]
+///              [--min-recovered N] [--jobs N]
 ///
 ///   --out FILE          JSON report path (default: BENCH_adaptation.json;
-///                       "-" for stdout). The committed copy at the repo
-///                       root is CI's regression baseline.
+///                       "-" for stdout). CI compares a fresh report
+///                       with the committed copy at the repo root byte
+///                       for byte.
 ///   --workloads CSV     workload subset (default: db,jack,MonteCarlo)
-///   --epochs N          epochs per cell, >= 2 (default 10; or SPF_EPOCHS)
+///   --epochs N          epochs per cell, >= 2 (default 10)
 ///   --min-recovered N   how many address-shuffle workloads must clear the
 ///                       50% recovery bar: an integer >= 1 (default 3,
 ///                       clamped to the workload count)
-///   --check-against F   also load a previous report and fail (exit 1) if
-///                       any address-shuffle recovery fraction regressed
-///                       by more than 20 points of its baseline value —
-///                       the CI gate against the committed report
 ///   SPF_SCALE=0.1       reduced problem scale, as for every bench binary
 ///
-/// Exit code 1 on any self-check failure, contract violation, or
-/// --check-against regression; support::ConfigErrorExit (2) for invalid
-/// flags.
+/// Exit code 1 on any self-check failure or contract violation;
+/// support::ConfigErrorExit (2) for an unknown argument or invalid flag.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-
-#include "harness/JsonReader.h"
-#include "harness/ReportDiff.h"
 
 #include <algorithm>
 #include <fstream>
@@ -180,78 +173,22 @@ void writeRowJson(harness::JsonWriter &J, const RowResult &R) {
   J.endObject();
 }
 
-/// CI gate: diffs this run's report against the committed baseline
-/// through harness::diffReports — the same comparator (and default
-/// thresholds: a recovery drop of more than 0.20 is a regression) that
-/// `spf-report diff` applies, so this gate and the CLI can never drift
-/// apart. \p ReportText is this run's own report JSON.
-void checkAgainst(const std::string &Path, const std::string &ReportText) {
-  std::ifstream IS(Path);
-  if (!IS) {
-    reportFailure("--check-against: cannot read " + Path);
-    return;
-  }
-  std::stringstream SS;
-  SS << IS.rdbuf();
-  std::string Error;
-  std::unique_ptr<harness::JsonValue> Baseline =
-      harness::JsonValue::parse(SS.str(), &Error);
-  if (!Baseline) {
-    reportFailure("--check-against: " + Path + ": " + Error);
-    return;
-  }
-  std::unique_ptr<harness::JsonValue> Fresh =
-      harness::JsonValue::parse(ReportText, &Error);
-  if (!Fresh) {
-    reportFailure("--check-against: this run's report: " + Error);
-    return;
-  }
-  harness::DiffResult D =
-      harness::diffReports(*Baseline, *Fresh, harness::DiffThresholds());
-  if (!D.Comparable) {
-    reportFailure("--check-against: " + D.Error);
-    return;
-  }
-  for (const harness::DiffFinding &F : D.Findings)
-    if (F.Regression)
-      reportFailure("--check-against: " + F.Where + ": " + F.Detail +
-                    " (baseline " + std::to_string(F.Ref) + ", this run " +
-                    std::to_string(F.Got) + ")");
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
-  init(argc, argv);
   std::string OutPath = "BENCH_adaptation.json";
   std::string WorkloadCsv = "db,jack,MonteCarlo";
-  std::string CheckPath;
   unsigned MinRecovered = 3;
-  auto ParseMinRecovered = [](const std::string &V) {
-    return static_cast<unsigned>(parseCountOrExit(
-        "--min-recovered", V, 1, 1000000,
-        "expected an integer workload count >= 1"));
-  };
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--out" && I + 1 < argc)
-      OutPath = argv[++I];
-    else if (A.rfind("--out=", 0) == 0)
-      OutPath = A.substr(6);
-    else if (A == "--workloads" && I + 1 < argc)
-      WorkloadCsv = argv[++I];
-    else if (A.rfind("--workloads=", 0) == 0)
-      WorkloadCsv = A.substr(12);
-    else if (A == "--check-against" && I + 1 < argc)
-      CheckPath = argv[++I];
-    else if (A.rfind("--check-against=", 0) == 0)
-      CheckPath = A.substr(16);
-    else if (A == "--min-recovered" && I + 1 < argc)
-      MinRecovered = ParseMinRecovered(argv[++I]);
-    else if (A.rfind("--min-recovered=", 0) == 0)
-      MinRecovered = ParseMinRecovered(A.substr(16));
-  }
-  AdaptationKnobs Knobs = adaptationFromArgs(argc, argv);
+  AdaptationKnobs Knobs;
+  std::vector<Flag> Flags = Knobs.flags();
+  Flags.push_back(stringFlag("--out", OutPath));
+  Flags.push_back(stringFlag("--workloads", WorkloadCsv));
+  Flags.push_back({"--min-recovered", [&](const std::string &V) {
+                     MinRecovered = static_cast<unsigned>(parseCountOrExit(
+                         "--min-recovered", V, 1, 1000000,
+                         "expected an integer workload count >= 1"));
+                   }});
+  init(argc, argv, std::move(Flags));
   // Adaptation needs epoch boundaries to act at; --epochs 1 (or the
   // default) means "use the bench default" here.
   unsigned Epochs = Knobs.Epochs > 1 ? Knobs.Epochs : 10;
@@ -365,14 +302,6 @@ int main(int argc, char **argv) {
     J.endObject();
     OS << '\n';
   };
-  if (!CheckPath.empty()) {
-    // Diff against the baseline before the final report is written, so
-    // the written report's `failures` count includes any regression the
-    // gate finds (matching the pre-comparator behavior).
-    std::ostringstream Snapshot;
-    WriteReport(Snapshot);
-    checkAgainst(CheckPath, Snapshot.str());
-  }
   if (OutPath == "-") {
     WriteReport(std::cout);
   } else {

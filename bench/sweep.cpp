@@ -12,9 +12,8 @@
 ///         [--phase-change]
 ///         [--profile-out FILE] [--decisions-out FILE] [--explain]
 ///
-///   --jobs N          worker threads, 1..1024 (default: SPF_JOBS, then
-///                     hardware concurrency); results are bit-identical
-///                     for any N
+///   --jobs N          worker threads, 1..1024 (default: hardware
+///                     concurrency); results are bit-identical for any N
 ///   --json FILE       report path (default: sweep_report.json; "-" for
 ///                     stdout)
 ///   --workloads CSV   restrict to a comma-separated subset of Table 3
@@ -32,34 +31,32 @@
 ///                     Pentium4+AthlonMP plan
 ///   --epochs N        run every cell's entry method N times with a full
 ///                     GC at each epoch boundary (default 1 = classic
-///                     single-shot run; or SPF_EPOCHS)
+///                     single-shot run)
 ///   --gc-variant K    GC perturbation variant at epoch boundaries:
 ///                     sliding-compact (default) | mark-sweep |
-///                     address-shuffle | promotion-order (or
-///                     SPF_GC_VARIANT)
+///                     address-shuffle | promotion-order
 ///   --governor on|off enable the online prefetch-health governor, which
 ///                     quarantines inaccurate prefetch sites at epoch
 ///                     boundaries and re-inspects once when two or more
 ///                     go in one epoch; a governed cell shares an
-///                     execution until its governor acts (or
-///                     SPF_GOVERNOR)
+///                     execution until its governor acts
 ///   --phase-change    shuffle every Ref array's element order at the
 ///                     middle epoch boundary, breaking inspected stride
-///                     patterns mid-run (or SPF_PHASE_CHANGE=1)
+///                     patterns mid-run
 ///   --profile-out F   write a Chrome trace_event JSON timeline of the
 ///                     whole sweep (open in chrome://tracing or
 ///                     ui.perfetto.dev)
 ///   --decisions-out F write one JSON line per compile decision —
 ///                     which strides inspection found, what the planner
-///                     pruned, why loops degraded (or SPF_DECISIONS_OUT)
+///                     pruned, why loops degraded
 ///   --explain         print the per-cell compile-decision summary
 ///   SPF_OBS=0         disable all observability at run time; report
 ///                     statistics are bit-identical either way
 ///   SPF_SCALE=0.1     reduced problem scale, as for every bench binary
 ///
 /// Exit code is 1 when any cell fails, fails its workload self-check or
-/// changes a result under prefetching, and 2 for a malformed flag or
-/// SPF_* value. The undocumented
+/// changes a result under prefetching, and 2 for an unknown argument or
+/// a malformed flag or SPF_* value. The undocumented
 /// --inject-self-check-failure flag adds a deliberately failing cell so
 /// CI can regression-test the nonzero-exit path.
 ///
@@ -216,32 +213,31 @@ void printModeTable(const sim::MachineConfig &M,
 } // namespace
 
 int main(int argc, char **argv) {
-  init(argc, argv);
   std::string JsonPath = "sweep_report.json";
   std::string WorkloadCsv;
   bool InjectFailure = false;
-  for (int I = 1; I < argc; ++I) {
-    std::string A = argv[I];
-    if (A == "--json" && I + 1 < argc)
-      JsonPath = argv[++I];
-    else if (A.rfind("--json=", 0) == 0)
-      JsonPath = A.substr(7);
-    else if (A == "--workloads" && I + 1 < argc)
-      WorkloadCsv = argv[++I];
-    else if (A.rfind("--workloads=", 0) == 0)
-      WorkloadCsv = A.substr(12);
-    else if (A == "--inject-self-check-failure")
-      InjectFailure = true;
-  }
-  unsigned Jobs = cli().Jobs;
-
   // --machine/--machine-file select machines for a prefetch-source sweep
   // (none/sw/hw/combined per workload); --hw-prefetch overrides every
   // selected machine's hardware prefetcher kind. Without a machine
   // selection the classic Pentium4+AthlonMP algorithm sweep runs.
-  std::optional<sim::HwPrefetchKind> HwOverride;
-  std::vector<sim::MachineConfig> Machines =
-      machinesFromArgs(argc, argv, &HwOverride);
+  // --epochs/--gc-variant/--governor/--phase-change season every planned
+  // cell; with all four at their defaults the sweep is byte-identical to
+  // the classic single-epoch run.
+  MachineArgs MachineSel;
+  AdaptationKnobs Adapt;
+  std::vector<Flag> Flags = MachineSel.flags();
+  for (Flag &F : Adapt.flags())
+    Flags.push_back(std::move(F));
+  Flags.push_back(stringFlag("--json", JsonPath));
+  Flags.push_back(stringFlag("--workloads", WorkloadCsv));
+  Flags.push_back(switchFlag("--inject-self-check-failure", InjectFailure));
+  init(argc, argv, std::move(Flags));
+  unsigned Jobs = cli().Jobs;
+  std::vector<sim::MachineConfig> &Machines = MachineSel.Machines;
+  const auto &HwOverride = MachineSel.HwOverride;
+  if (HwOverride)
+    for (sim::MachineConfig &M : Machines)
+      M.HwPrefetch = *HwOverride;
   const bool ModeSweep = !Machines.empty();
 
   std::vector<const WorkloadSpec *> Specs = selectWorkloads(WorkloadCsv);
@@ -301,10 +297,6 @@ int main(int argc, char **argv) {
     Plan.add(std::move(Cell));
   }
 
-  // --epochs/--gc-variant/--governor/--phase-change season every planned
-  // cell; with all four at their defaults this is a no-op and the sweep
-  // is byte-identical to the classic single-epoch run.
-  AdaptationKnobs Adapt = adaptationFromArgs(argc, argv);
   for (harness::ExperimentCell &C : Plan.cells())
     Adapt.applyTo(C.Opt);
   if (Adapt.Epochs > 1 || Adapt.Governor)

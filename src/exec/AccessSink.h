@@ -50,8 +50,7 @@ public:
   virtual void store(uint64_t Addr) = 0;
 
   // Prefetch events carry the IR load site whose plan issued them (the
-  // governor's per-site health evidence). Ungoverned runs do not
-  // attribute prefetches and pass site 0.
+  // governor's per-site health evidence).
 
   /// Software prefetch instruction targeting \p Addr.
   virtual void prefetch(uint64_t Addr, SiteId Site) = 0;

@@ -384,7 +384,7 @@ Interpreter::MethodInfo::MethodInfo(const Method &M,
 }
 
 void Interpreter::continueFrom(const Interpreter &Other) {
-  assert(Governed == Other.Governed && Suppressed.empty() &&
+  assert(Suppressed.empty() &&
          Other.Suppressed.empty() && !Other.MixedModeHook &&
          Other.ActiveFrames.empty() && "cannot continue this interpreter");
   assert(Owned.size() == Other.Owned.size() && "owner counts differ");
@@ -600,11 +600,8 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
     return O.Site;
   };
   // A prefetch or spec load reports its anchor load's site (its own when
-  // unanchored) in governor mode, and site 0 otherwise: ungoverned runs
-  // assign prefetch ops no site, so site numbering stays pinned.
+  // unanchored).
   auto prefetchSite = [&](Op &O) -> SiteId {
-    if (!Governed)
-      return 0;
     if (O.Site == NoSite) {
       const auto *AI = static_cast<const AddressedInst *>(O.I);
       O.Site = siteOf(AI->anchor() ? AI->anchor() : AI);

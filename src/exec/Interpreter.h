@@ -137,18 +137,13 @@ public:
 
   // -- Prefetch-health governance (opt::Governor) --------------------------
 
-  /// Turns on governor mode: prefetch/guarded-load events carry the
-  /// anchor load's SiteId (the sink's per-site health attribution), and
-  /// each prefetch checks its site's suppressed flag. Off by default:
-  /// prefetch ops then get no SiteId of their own (site numbering stays
-  /// that of the demand loads) and their events report site 0.
-  void enablePrefetchGovernance() { Governed = true; }
-
-  /// Quarantines \p Site (governor mode only): its prefetches and spec
+  /// Quarantines \p Site, an anchor load's site: its prefetches and spec
   /// loads execute as nops, modeling the JIT patching them out, at zero
   /// cost and with zero events; a suppressed spec load yields null.
+  /// Prefetch and spec-load events carry their anchor load's SiteId (the
+  /// sink's per-site health attribution); prefetch ops get no SiteId of
+  /// their own, so site numbering stays that of the demand loads.
   void suppressPrefetchSite(SiteId Site) {
-    assert(Governed && "prefetch suppression needs governor mode");
     if (Site >= Suppressed.size())
       Suppressed.resize(Site + 1);
     Suppressed[Site] = true;
@@ -164,9 +159,8 @@ public:
   /// Picks up where \p Other left off between runs, on this interpreter's
   /// own heap, sinks and roots (a copy of \p Other's world): its execution
   /// statistics (per owner too), load-site ids, collector (collection
-  /// count and variant) and execution budget. Both must be in
-  /// the same governor mode, with no site suppressed yet, and route as
-  /// many owners; neither may be mixed-mode.
+  /// count and variant) and execution budget. Neither may have a site
+  /// suppressed yet or be mixed-mode, and both must route as many owners.
   void continueFrom(const Interpreter &Other);
 
   /// Execution budget; exceeding it throws support::RuntimeTrap
@@ -232,8 +226,6 @@ private:
   std::vector<OwnedCounts> Owned;
   std::vector<Frame *> ActiveFrames;
   unsigned CallDepth = 0;
-  /// Governor mode (enablePrefetchGovernance()).
-  bool Governed = false;
   /// Quarantined anchor sites, indexed by SiteId.
   std::vector<bool> Suppressed;
   /// Roots after ExternalRoots (setRootSlots()).

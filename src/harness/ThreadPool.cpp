@@ -2,8 +2,6 @@
 
 #include "harness/ThreadPool.h"
 
-#include <cstdlib>
-
 using namespace spf;
 using namespace spf::harness;
 
@@ -85,11 +83,6 @@ void ThreadPool::workerLoop() {
 }
 
 unsigned harness::defaultJobs() {
-  if (const char *S = std::getenv("SPF_JOBS")) {
-    long V = std::atol(S);
-    if (V > 0)
-      return static_cast<unsigned>(V);
-  }
   unsigned HW = std::thread::hardware_concurrency();
   return HW ? HW : 1;
 }

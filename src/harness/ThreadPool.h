@@ -69,9 +69,8 @@ private:
   std::atomic<uint64_t> UncaughtExceptions{0};
 };
 
-/// The worker count the harness should use: SPF_JOBS when set to a
-/// positive integer, otherwise std::thread::hardware_concurrency()
-/// (itself clamped to at least 1).
+/// The worker count the harness should use when none is given:
+/// std::thread::hardware_concurrency(), clamped to at least 1.
 unsigned defaultJobs();
 
 } // namespace harness

@@ -231,7 +231,6 @@ public:
     return static_cast<unsigned>(CacheLevels.size());
   }
   const Tlb &dtlb() const { return Dtlb; }
-  const RptPrefetcher &rpt() const { return Rpt; }
 
 private:
   /// Sites[Site], grown on demand.

@@ -14,7 +14,6 @@ const RptPrefetcher::Entry *RptPrefetcher::entryFor(uint32_t Site) const {
 
 void RptPrefetcher::observe(uint32_t Site, uint64_t Addr,
                             std::vector<uint64_t> &Out) {
-  ++Observed;
   ++UseClock;
 
   Entry *E = nullptr;
@@ -91,6 +90,5 @@ void RptPrefetcher::observe(uint32_t Site, uint64_t Addr,
     if (pageOf(Target) != Page)
       break; // Hardware prefetchers never cross a page (no walker).
     Out.push_back(Target);
-    ++Issued;
   }
 }

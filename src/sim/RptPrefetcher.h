@@ -51,9 +51,6 @@ public:
   /// hardware requires).
   void observe(uint32_t Site, uint64_t Addr, std::vector<uint64_t> &Out);
 
-  uint64_t issuedPrefetches() const { return Issued; }
-  uint64_t observedLoads() const { return Observed; }
-
   /// Test introspection: the live entry for \p Site, or nullptr.
   struct Entry {
     uint32_t Site = 0;
@@ -80,8 +77,6 @@ private:
   unsigned PageShift;
   std::vector<Entry> Entries;
   uint64_t UseClock = 0;
-  uint64_t Issued = 0;
-  uint64_t Observed = 0;
 };
 
 } // namespace sim

@@ -199,7 +199,6 @@ struct Group {
   std::span<const RunOptions> Members;
   const SharedWorld &World;
   ir::Method *Entry;
-  bool Governed; ///< Some member is governed.
 
   /// The simulator key of member \p K: its machine and its owner.
   bool simulates(size_t K, const sim::MachineConfig &M, unsigned Owner) const {
@@ -233,8 +232,7 @@ struct Branch {
   /// Starts a fresh interpreter over this branch's world and simulators.
   /// Demand events reach every simulator and each owner's prefetch code
   /// reaches that owner's: one simulator directly, several through a
-  /// fan-out. It runs in governor mode when any member of the group is
-  /// governed, and continues \p From's execution when given. Pressure
+  /// fan-out. It continues \p From's execution when given. Pressure
   /// collections use the first member's variant and root what the epoch
   /// boundary roots.
   void start(const Group &G, const exec::Interpreter *From) {
@@ -262,8 +260,6 @@ struct Branch {
         std::make_unique<exec::Interpreter>(*World.Heap, *Sink, &World.Roots);
     Next->setRootSlots(World.argSlots(G.Entry));
     Next->setOwnerSinks(std::move(OwnerSinks));
-    if (G.Governed)
-      Next->enablePrefetchGovernance();
     if (From)
       Next->continueFrom(*From);
     const RunOptions &Lead = G.Members[Members.front()];
@@ -589,9 +585,7 @@ workloads::runSharedExecution(const WorkloadSpec &Spec,
   SharedWorld S = buildSharedWorld(Spec, Members);
   const size_t Executed = S.W.executedUnits().size();
   ir::Method *Entry = S.W.Entry;
-  const Group G{Members, S, Entry,
-                std::any_of(Members.begin(), Members.end(),
-                            [](const RunOptions &O) { return O.Governor; })};
+  const Group G{Members, S, Entry};
 
   SharedExecution Out;
   Out.Results.resize(Members.size());

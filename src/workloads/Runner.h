@@ -205,11 +205,10 @@ struct SharedExecution {
 /// allocation-pressure collection hits a branch of several variants, the
 /// members that stayed re-run as one group per variant.
 ///
-/// Members may be governed: the group then interprets in governor mode,
-/// a governed member's simulator tracks prefetch health (ungoverned
-/// results drop those counters, sim::clearPrefetchHealth), and each
-/// governed member runs its own opt::Governor over its branch's
-/// simulator. A group of one applies the verdicts in place; in a larger
+/// Members may be governed: a governed member's simulator tracks
+/// prefetch health (ungoverned results drop those counters,
+/// sim::clearPrefetchHealth), and each governed member runs its own
+/// opt::Governor over its branch's simulator. A group of one applies the verdicts in place; in a larger
 /// group the first non-empty verdict, which would change code the others
 /// share, makes the member leave (SharedExecution::Left). A group of one
 /// reports its compile's pass result with a re-inspection's re-JIT

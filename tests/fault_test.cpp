@@ -66,20 +66,43 @@ struct ScopedEnv {
 // and exit code 2 (support::ConfigErrorExit) — a typo'd knob that silently
 // meant its default would make a CI job pass vacuously.
 
+/// bench::init on \p Argv: the shared flags plus one `--json` flag.
+void initBench(std::vector<const char *> Argv, std::string &Json) {
+  Argv.insert(Argv.begin(), "sweep");
+  bench::init(static_cast<int>(Argv.size()), const_cast<char **>(Argv.data()),
+              {bench::stringFlag("--json", Json)});
+}
+
 // Bench flags follow the rule: a value that is not wholly an
 // in-range integer exits 2 instead of silently meaning something else.
 TEST(EnvFailFastDeathTest, NonNumericJobsFlagExitsWithConfigError) {
-  const char *Argv[] = {"sweep", "--jobs", "abc"};
-  EXPECT_EXIT(bench::jobsFromArgs(3, const_cast<char **>(Argv)),
+  std::string Json;
+  EXPECT_EXIT(initBench({"--jobs", "abc"}, Json),
               ::testing::ExitedWithCode(support::ConfigErrorExit),
               "invalid --jobs=\"abc\"");
 }
 
 TEST(EnvFailFastDeathTest, OutOfRangeJobsFlagExitsWithConfigError) {
-  const char *Argv[] = {"sweep", "--jobs=0"};
-  EXPECT_EXIT(bench::jobsFromArgs(2, const_cast<char **>(Argv)),
+  std::string Json;
+  EXPECT_EXIT(initBench({"--jobs=0"}, Json),
               ::testing::ExitedWithCode(support::ConfigErrorExit),
               "invalid --jobs=\"0\"");
+}
+
+// An argument no flag claims exits 2 rather than running with that
+// setting at its default: a misspelled flag, another binary's flag, a
+// stray word, a switch given a value. So does a value flag that ends the
+// command line.
+TEST(EnvFailFastDeathTest, UnknownArgumentExitsWithConfigError) {
+  std::string Json;
+  for (const char *Bad : {"--jbos", "--epochs", "stray", "--explain=1"})
+    EXPECT_EXIT(initBench({"--json", "x", Bad, "2"}, Json),
+                ::testing::ExitedWithCode(support::ConfigErrorExit),
+                std::string("unknown argument \"") + Bad + "\"")
+        << Bad;
+  EXPECT_EXIT(initBench({"--jobs"}, Json),
+              ::testing::ExitedWithCode(support::ConfigErrorExit),
+              "invalid --jobs=\"\": missing value");
 }
 
 // SPF_SCALE follows the same rule: a non-number, a scale <= 0 or a
@@ -107,8 +130,12 @@ TEST(EnvFailFastTest, WellFormedValuesParse) {
     ScopedEnv E("SPF_SCALE", nullptr);
     EXPECT_DOUBLE_EQ(bench::scaleFromEnv(), 1.0); // Unset: full scale.
   }
-  const char *Argv[] = {"sweep", "--jobs", "3"};
-  EXPECT_EQ(bench::jobsFromArgs(3, const_cast<char **>(Argv)), 3u);
+  // A flag's value is taken whole, even one that looks like a flag.
+  std::string Json;
+  initBench({"--jobs", "3", "--json", "--explain"}, Json);
+  EXPECT_EQ(bench::cli().Jobs, 3u);
+  EXPECT_EQ(Json, "--explain");
+  EXPECT_FALSE(bench::cli().Explain);
 }
 
 // -- Graceful degradation of inspection ------------------------------------

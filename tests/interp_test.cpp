@@ -322,13 +322,8 @@ TEST_F(InterpTest, SuppressedSiteEmitsNoPrefetchEvents) {
   LoggingSink Log(Counts);
   const std::vector<exec::SiteId> AllAnchor = {1, 1, 1};
 
-  // Ungoverned: every prefetch event reports site 0.
-  exec::Interpreter Plain(Heap, Log);
-  EXPECT_EQ(Plain.run(Fn, {Arr}), Obj);
-  EXPECT_EQ(Log.takePrefetchSites(), (std::vector<exec::SiteId>{0, 0, 0}));
-
+  // Every prefetch event reports its anchor's site.
   exec::Interpreter Gov(Heap, Log);
-  Gov.enablePrefetchGovernance();
   EXPECT_EQ(Gov.run(Fn, {Arr}), Obj);
   EXPECT_EQ(Log.takePrefetchSites(), AllAnchor);
   EXPECT_EQ(Gov.stats().PrefetchRelated, 3u);

@@ -1,7 +1,7 @@
-//===- tools/spf-report.cpp - Report inspection and regression gating ----===//
+//===- tools/spf-report.cpp - Report inspection and validation -----------===//
 ///
 /// \file
-/// The report toolchain the CI gates run through:
+/// Reads the JSON reports the bench binaries write:
 ///
 ///   spf-report show <report.json>
 ///     CPI-stack table (one row per cell) and the per-site top-K stall
@@ -13,20 +13,15 @@
 ///     Exit 1 on the first violation. `--validate` is accepted
 ///     as an alias for the subcommand spelling.
 ///
-///   spf-report diff <baseline.json> <fresh.json> [thresholds]
-///     Regression gate through harness::diffReports — the same
-///     comparator bench/adaptation --check-against uses — with
-///     configurable thresholds. Exit 1 when any threshold trips (or the
-///     reports are not comparable), 0 otherwise.
+/// Reports are deterministic: a regression gate compares a fresh report
+/// with a committed one byte for byte (`cmp`).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness/JsonReader.h"
-#include "harness/ReportDiff.h"
+#include "harness/ReportValidate.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -38,17 +33,8 @@ using namespace spf::harness;
 namespace {
 
 int usage() {
-  std::fprintf(
-      stderr,
-      "usage: spf-report show <report.json>\n"
-      "       spf-report validate <report.json>...\n"
-      "       spf-report diff <baseline.json> <fresh.json> [options]\n"
-      "\n"
-      "diff options (defaults reproduce the CI gates):\n"
-      "  --max-recovery-drop <D>         adaptation recovery may drop at\n"
-      "                                  most D below baseline (default 0.2)\n"
-      "  --max-cycles-increase-pct <P>   per-cell cycles may grow at most\n"
-      "                                  P%% over baseline (default 2)\n");
+  std::fprintf(stderr, "usage: spf-report show <report.json>\n"
+                       "       spf-report validate <report.json>...\n");
   return 2;
 }
 
@@ -73,17 +59,6 @@ std::unique_ptr<JsonValue> loadJson(const std::string &Path) {
   if (!V)
     std::fprintf(stderr, "spf-report: %s: %s\n", Path.c_str(),
                  Error.c_str());
-  return V;
-}
-
-double parseDoubleArg(const char *Flag, const char *S) {
-  char *End = nullptr;
-  double V = std::strtod(S, &End);
-  if (End == S || *End != '\0') {
-    std::fprintf(stderr, "spf-report: %s: expected a number, got '%s'\n",
-                 Flag, S);
-    std::exit(2);
-  }
   return V;
 }
 
@@ -180,7 +155,7 @@ int cmdShow(const std::vector<std::string> &Args) {
                  Error.c_str());
     return 1;
   }
-  std::printf("%s: valid %s report (nothing to show; use diff)\n",
+  std::printf("%s: valid %s report (nothing to show)\n",
               Args[0].c_str(), Schema.c_str());
   return 0;
 }
@@ -205,55 +180,6 @@ int cmdValidate(const std::vector<std::string> &Files) {
   return 0;
 }
 
-// -- diff ----------------------------------------------------------------
-
-int cmdDiff(const std::vector<std::string> &Args) {
-  DiffThresholds T;
-  std::vector<std::string> Files;
-  for (size_t I = 0; I != Args.size(); ++I) {
-    const std::string &A = Args[I];
-    auto Next = [&]() -> const char * {
-      if (I + 1 >= Args.size()) {
-        std::fprintf(stderr, "spf-report: %s: missing value\n", A.c_str());
-        std::exit(2);
-      }
-      return Args[++I].c_str();
-    };
-    if (A == "--max-recovery-drop")
-      T.RecoveryDrop = parseDoubleArg(A.c_str(), Next());
-    else if (A == "--max-cycles-increase-pct")
-      T.CyclesIncreaseFrac = parseDoubleArg(A.c_str(), Next()) / 100.0;
-    else if (!A.empty() && A[0] == '-')
-      return usage();
-    else
-      Files.push_back(A);
-  }
-  if (Files.size() != 2)
-    return usage();
-  std::unique_ptr<JsonValue> Ref = loadJson(Files[0]);
-  std::unique_ptr<JsonValue> Got = loadJson(Files[1]);
-  if (!Ref || !Got)
-    return 2;
-  DiffResult D = diffReports(*Ref, *Got, T);
-  if (!D.Comparable) {
-    std::fprintf(stderr, "spf-report: %s\n", D.Error.c_str());
-    return 1;
-  }
-  std::printf("schema: %s\n", D.Schema.c_str());
-  unsigned Regressions = 0;
-  for (const DiffFinding &F : D.Findings) {
-    if (F.Regression)
-      ++Regressions;
-    std::printf("%s %-52s ref=%-14g got=%-14g %s\n",
-                F.Regression ? "REGRESSION" : "        ok", F.Where.c_str(),
-                F.Ref, F.Got, F.Detail.c_str());
-  }
-  if (D.Findings.empty())
-    std::printf("no differences\n");
-  std::printf("%u regression%s\n", Regressions, Regressions == 1 ? "" : "s");
-  return Regressions ? 1 : 0;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -266,7 +192,5 @@ int main(int Argc, char **Argv) {
     return cmdShow(Args);
   if (Cmd == "validate" || Cmd == "--validate")
     return cmdValidate(Args);
-  if (Cmd == "diff" || Cmd == "--diff")
-    return cmdDiff(Args);
   return usage();
 }
