@@ -179,7 +179,7 @@ struct MachineArgs {
 
 /// Epoch / GC-variant / governor knobs shared by adaptation-aware
 /// benches (bench/adaptation, bench/sweep):
-///   --epochs N            epochs per run, >= 1
+///   --epochs N            epochs per run, >= MinEpochs (1 by default)
 ///   --gc-variant NAME     sliding-compact | mark-sweep | address-shuffle |
 ///                         promotion-order
 ///   --governor on|off     online prefetch-health governor
@@ -199,13 +199,15 @@ struct AdaptationKnobs {
     Opt.PhaseChange = PhaseChange;
   }
 
-  std::vector<Flag> flags() {
+  std::vector<Flag> flags(unsigned MinEpochs = 1) {
     return {
         {"--epochs",
-         [this](const std::string &V) {
-           Epochs = static_cast<unsigned>(
-               parseCountOrExit("--epochs", V, 1, 1000000,
-                                "expected an integer epoch count >= 1"));
+         [this, MinEpochs](const std::string &V) {
+           Epochs = static_cast<unsigned>(parseCountOrExit(
+               "--epochs", V, MinEpochs, 1000000,
+               ("expected an integer epoch count >= " +
+                std::to_string(MinEpochs))
+                   .c_str()));
          }},
         {"--gc-variant",
          [this](const std::string &V) {

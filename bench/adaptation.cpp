@@ -179,8 +179,10 @@ int main(int argc, char **argv) {
   std::string OutPath = "BENCH_adaptation.json";
   std::string WorkloadCsv = "db,jack,MonteCarlo";
   unsigned MinRecovered = 3;
+  // Adaptation needs an epoch boundary to act at: --epochs takes >= 2.
   AdaptationKnobs Knobs;
-  std::vector<Flag> Flags = Knobs.flags();
+  Knobs.Epochs = 10;
+  std::vector<Flag> Flags = Knobs.flags(/*MinEpochs=*/2);
   Flags.push_back(stringFlag("--out", OutPath));
   Flags.push_back(stringFlag("--workloads", WorkloadCsv));
   Flags.push_back({"--min-recovered", [&](const std::string &V) {
@@ -189,9 +191,7 @@ int main(int argc, char **argv) {
                          "expected an integer workload count >= 1"));
                    }});
   init(argc, argv, std::move(Flags));
-  // Adaptation needs epoch boundaries to act at; --epochs 1 (or the
-  // default) means "use the bench default" here.
-  unsigned Epochs = Knobs.Epochs > 1 ? Knobs.Epochs : 10;
+  const unsigned Epochs = Knobs.Epochs;
 
   std::vector<const WorkloadSpec *> Specs = selectWorkloads(WorkloadCsv);
   if (Specs.empty()) {

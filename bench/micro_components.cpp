@@ -9,6 +9,8 @@
 
 #include "core/PrefetchPass.h"
 #include "exec/Interpreter.h"
+#include "sim/EventBuffer.h"
+#include "support/SplitMix64.h"
 #include "workloads/KernelBuilder.h"
 #include "workloads/Runner.h"
 
@@ -67,6 +69,44 @@ void BM_MemorySystemLoad(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_MemorySystemLoad);
+
+/// MemorySystem::consume over one buffer's worth of a synthetic mixed
+/// stream, fed owner 1's prefetch code: ticks on most events, demand
+/// loads and stores walking objects with some revisits, and software
+/// prefetches and guarded loads of owners 0, 1 and 2. Reports ns/event.
+void BM_MemorySystemConsume(benchmark::State &State) {
+  sim::MemorySystem Mem(*sim::MachineConfig::byName("pentium4"));
+  std::vector<sim::MemoryEvent> Batch(sim::EventBuffer::DefaultCapacity);
+  SplitMix64 Rng(42);
+  uint64_t Cursor = 0x100000000ull;
+  for (sim::MemoryEvent &E : Batch) {
+    uint64_t Kind = Rng.nextBelow(100);
+    E.Ticks = Rng.nextBelow(4);
+    E.Addr = Rng.nextBelow(4) ? Cursor : Cursor - Rng.nextBelow(1 << 16);
+    E.Site = static_cast<exec::SiteId>(Rng.nextBelow(16));
+    Cursor += 24;
+    if (Kind < 60) {
+      E.K = sim::MemoryEvent::Load;
+    } else if (Kind < 80) {
+      E.K = sim::MemoryEvent::Store;
+    } else {
+      E.K = Kind < 90 ? sim::MemoryEvent::Prefetch
+                      : sim::MemoryEvent::GuardedLoad;
+      E.Addr += 4 * 296;
+      E.Owner = static_cast<uint16_t>(Rng.nextBelow(3));
+    }
+  }
+  for (auto _ : State) {
+    Mem.consume(Batch.data(), Batch.data() + Batch.size(), /*Owner=*/1);
+    benchmark::DoNotOptimize(Mem.cycles());
+  }
+  const double Events = static_cast<double>(State.iterations()) *
+                        static_cast<double>(Batch.size());
+  State.SetItemsProcessed(static_cast<int64_t>(Events));
+  State.counters["ns_per_event"] = benchmark::Counter(
+      Events, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MemorySystemConsume);
 
 /// A ready-to-run jess world for the heavier benches. Each bench keeps one
 /// in a function-local static: Google Benchmark calls a bench function

@@ -5,6 +5,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "sim/MachineConfig.h"
 
 #include <cstdio>
@@ -21,7 +22,8 @@ static void printRow(const MachineConfig &C) {
               C.Levels[1].Geometry.LineBytes, C.TlbEntries);
 }
 
-int main() {
+int main(int argc, char **argv) {
+  spf::bench::parseArgs(argc, argv, {}); // Takes no arguments.
   std::printf("Table 2: parameters related to prefetching\n");
   std::printf("%-10s %8s %8s %8s %8s %7s\n", "Processor", "L1(KB)",
               "L1line", "L2(KB)", "L2line", "#DTLB");

@@ -6,13 +6,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "workloads/Workload.h"
 
 #include <cstdio>
 
 using namespace spf::workloads;
 
-int main() {
+int main(int argc, char **argv) {
+  spf::bench::parseArgs(argc, argv, {}); // Takes no arguments.
   std::printf("Table 3: benchmark descriptions\n");
   std::printf("%-12s %-42s %10s %12s\n", "program", "description",
               "compiled%", "heap bytes");

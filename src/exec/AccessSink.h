@@ -11,11 +11,12 @@
 /// The contract that makes execution sharing exact: the interpreter
 /// never reads anything back from the sink — the event stream is
 /// write-only and is a function of the program alone. So one execution
-/// can feed several sinks at once (workloads::runSharedExecution fans the
-/// demand stream out to one MemorySystem per machine and prefetch-code
-/// owner, and each owner's prefetch events to its own), and every sink
-/// sees exactly the stream a solo run would have given it, up to how its
-/// tick runs are split.
+/// can feed several sinks at once, and a sink may consume its events
+/// later, in batches (workloads::runSharedExecution records the stream
+/// in a sim::EventBuffer that delivers the demand events to one
+/// MemorySystem per machine and prefetch-code owner, and each owner's
+/// prefetch events to its own), and every sink sees exactly the stream a
+/// solo run would have given it, up to how its tick runs are split.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -3,6 +3,7 @@
 #include "exec/Interpreter.h"
 
 #include "support/ErrorHandling.h"
+#include "support/ScopeExit.h"
 #include "support/Status.h"
 
 #include <algorithm>
@@ -12,15 +13,6 @@ using namespace spf::exec;
 using namespace spf::ir;
 
 namespace {
-
-/// Runs a callable on scope exit, including exceptional unwinds; keeps
-/// ActiveFrames/CallDepth consistent when a trap propagates out of a
-/// deeply nested simulated call.
-template <typename Fn> struct ScopeExit {
-  Fn F;
-  ~ScopeExit() { F(); }
-};
-template <typename Fn> ScopeExit(Fn) -> ScopeExit<Fn>;
 
 /// A runtime condition the simulated program cannot recover from. Thrown
 /// (not fatal): the VM process survives, the harness quarantines the cell.

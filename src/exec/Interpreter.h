@@ -7,9 +7,10 @@
 /// retired instructions, cache/DTLB miss events) all originate here — but
 /// the interpreter itself knows nothing about timing. The usual sink is
 /// sim::MemorySystem; a shared execution (workloads::runSharedExecution)
-/// hands it a fan-out sink, so one execution drives several machines at
-/// once, and one sink per owner of the union program's prefetch code
-/// (setOwnerSinks), so each machine sees only its own members' prefetches.
+/// hands it the owner sinks of one sim::EventBuffer instead (the main
+/// sink and one per owner of the union program's prefetch code,
+/// setOwnerSinks), which delivers the events to several machines at
+/// once, each seeing only its own members' prefetches.
 ///
 /// The interpreter does not walk the IR. On a method's first execution it
 /// decodes the method into a flat array of type-specialized ops over
@@ -75,8 +76,8 @@ class Interpreter {
 public:
   /// \p ExternalRoots are mutator handles (workload data-structure roots)
   /// that the GC must trace and may update. \p Sink consumes the memory
-  /// event stream (typically a sim::MemorySystem, possibly behind a
-  /// fan-out sink); the interpreter never reads it back.
+  /// event stream (typically a sim::MemorySystem, or a sim::EventBuffer
+  /// sink feeding several); the interpreter never reads it back.
   Interpreter(vm::Heap &Heap, AccessSink &Sink,
               std::vector<vm::Addr> *ExternalRoots = nullptr);
   ~Interpreter();

@@ -2,6 +2,7 @@
 
 #include "sim/Cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -17,34 +18,16 @@ Cache::Cache(CacheParams P) : Params(P) {
   NumSets = static_cast<unsigned>(P.SizeBytes / (P.LineBytes * P.Assoc));
   assert(NumSets && (NumSets & (NumSets - 1)) == 0 &&
          "set count must be a nonzero power of two");
-  size_t Slots = static_cast<size_t>(NumSets) * P.Assoc;
-  Tags.assign(Slots, InvalidTag);
-  LastUse.assign(Slots, 0);
-  ReadyAt.assign(Slots, 0);
-}
-
-size_t Cache::victimFor(size_t Base) {
-  size_t Victim = Base;
-  for (unsigned I = 0; I != Params.Assoc; ++I) {
-    if (Tags[Base + I] == InvalidTag)
-      return Base + I;
-    if (LastUse[Base + I] < LastUse[Victim])
-      Victim = Base + I;
-  }
-  return Victim;
+  Lines.assign(2 * static_cast<size_t>(NumSets) * P.Assoc, 0);
+  reset();
 }
 
 void Cache::reset() {
-  for (uint64_t &T : Tags)
-    T = InvalidTag;
-  for (uint64_t &U : LastUse)
-    U = 0;
-  for (uint64_t &R : ReadyAt)
-    R = 0;
-  MruLine = InvalidTag;
-  MruSlot = 0;
+  for (size_t Base = 0; Base != Lines.size() / 2; Base += Params.Assoc) {
+    std::fill_n(tagsOf(Base), Params.Assoc, InvalidTag);
+    std::fill_n(readyOf(Base), Params.Assoc, 0);
+  }
   // Tags die silently with their lines: an invalidation is not an
   // eviction verdict on the prefetch that filled them.
-  for (uint8_t &K : TagKinds)
-    K = 0;
+  std::fill(TagKinds.begin(), TagKinds.end(), 0);
 }

@@ -11,11 +11,17 @@
 /// to two probes per demand access), so the lookup is structured for that:
 /// line addresses are shifts (line size is a power of two), tags live in
 /// a packed per-set array an associativity's worth of which fits in one
-/// host cache line, and the hit path is inline. Recency and ready-cycles
-/// are parallel arrays touched only on the slot that hits. An invalid
-/// slot holds InvalidTag, which no reachable line address equals (line
-/// bytes >= 2 keeps line addresses below 2^63), so validity needs no
-/// separate flag and the scan is a single compare per way.
+/// host cache line, and the hit path is inline. Each set keeps its ways
+/// in recency order, most recent first: a hit at way w rotates ways
+/// 0..w, so the line just used is at way 0 (where a run of accesses to
+/// one line finds it on the first compare), and a fill enters at way 0
+/// and evicts the last way — the LRU line — with no use stamps to scan.
+/// A set's ready-cycles follow its tags in one array, so a probe and its
+/// hit bookkeeping touch adjacent host lines; they and the prefetch tags
+/// (parallel arrays) move with their line. An invalid way holds
+/// InvalidTag, which no reachable line address equals (line bytes >= 2
+/// keeps line addresses below 2^63), so validity needs no separate flag
+/// and the scan is a single compare per way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 namespace spf {
@@ -75,33 +82,14 @@ public:
   /// by the caller).
   CacheAccessResult access(uint64_t Addr, uint64_t Now) {
     uint64_t LineAddr = Addr >> LineShift;
-    ++UseClock;
-    // One-line MRU filter: unit strides touch the same line repeatedly,
-    // so the previous hit's slot is checked before the set scan. Every
-    // bookkeeping step (use stamp, ready-cycle drain) is the same as the
-    // scan path — pure shortcut, bit-identical stats.
-    if (LineAddr == MruLine) {
-      LastUse[MruSlot] = UseClock;
-      return hitAt(MruSlot, Now);
-    }
     size_t Base = setBase(LineAddr);
-    for (unsigned I = 0; I != Params.Assoc; ++I) {
-      if (Tags[Base + I] == LineAddr) {
-        LastUse[Base + I] = UseClock;
-        MruLine = LineAddr;
-        MruSlot = Base + I;
-        return hitAt(Base + I, Now);
-      }
+    unsigned W = find(Base, LineAddr);
+    if (W != Params.Assoc) {
+      promote(Base, W);
+      return hitAt(Base, Now);
     }
-    size_t V = victimFor(Base);
-    if (Obs)
-      dropTag(V); // Victim may hold an unresolved tag; demand fill is untagged.
-    Tags[V] = LineAddr;
-    LastUse[V] = UseClock;
-    ReadyAt[V] = 0; // Demand fill: the caller charges the full penalty.
-    MruLine = LineAddr;
-    MruSlot = V;
-    return CacheAccessResult{};
+    insert(Base, LineAddr, 0); // Demand fill: the caller charges the
+    return CacheAccessResult{}; // full penalty; the line is untagged.
   }
 
   /// Prefetch fill: inserts the line, usable from cycle \p Ready. When a
@@ -111,42 +99,29 @@ public:
   void prefetchFill(uint64_t Addr, uint64_t Ready, PfTag Kind = PfTag::None,
                     uint32_t Site = 0) {
     uint64_t LineAddr = Addr >> LineShift;
-    ++UseClock;
-    if (LineAddr == MruLine) {
-      LastUse[MruSlot] = UseClock; // Already present: keep warm,
-      return;                      // keep ReadyAt.
-    }
     size_t Base = setBase(LineAddr);
-    for (unsigned I = 0; I != Params.Assoc; ++I) {
-      if (Tags[Base + I] == LineAddr) {
-        LastUse[Base + I] = UseClock;
-        MruLine = LineAddr;
-        MruSlot = Base + I;
-        return;
-      }
+    unsigned W = find(Base, LineAddr);
+    if (W != Params.Assoc) {
+      promote(Base, W); // Already present: keep warm, keep ReadyAt.
+      return;
     }
-    size_t V = victimFor(Base);
+    insert(Base, LineAddr, Ready);
     if (Obs) {
-      dropTag(V);
-      TagKinds[V] = static_cast<uint8_t>(Kind);
-      TagSites[V] = Site;
+      TagKinds[Base] = static_cast<uint8_t>(Kind);
+      TagSites[Base] = Site;
     }
-    Tags[V] = LineAddr;
-    LastUse[V] = UseClock;
-    ReadyAt[V] = Ready;
-    MruLine = LineAddr;
-    MruSlot = V;
   }
 
-  /// Installs (or clears, with nullptr) the prefetch-provenance observer.
-  /// Off by default: the tag arrays stay untouched and the hot paths pay
-  /// one predictable branch. Hits, misses and waits are identical either
-  /// way — tags are pure accounting.
-  void setTagObserver(PrefetchTagObserver *O) {
-    Obs = O;
-    if (Obs && TagKinds.empty()) {
-      TagKinds.assign(Tags.size(), 0);
-      TagSites.assign(Tags.size(), 0);
+  /// Installs the prefetch-provenance observer, or re-points it (a copied
+  /// cache reports to its new owner); it cannot be removed. Off by
+  /// default: the tag arrays stay unallocated and the hot paths pay one
+  /// predictable branch. Hits, misses and waits are identical either way
+  /// — tags are pure accounting.
+  void setTagObserver(PrefetchTagObserver &O) {
+    Obs = &O;
+    if (TagKinds.empty()) {
+      TagKinds.assign(Lines.size() / 2, 0);
+      TagSites.assign(Lines.size() / 2, 0);
     }
   }
 
@@ -155,13 +130,8 @@ public:
   /// True when the line holding \p Addr is present (no LRU update).
   bool contains(uint64_t Addr) const {
     uint64_t LineAddr = Addr >> LineShift;
-    if (LineAddr == MruLine)
-      return true;
     size_t Base = setBase(LineAddr);
-    for (unsigned I = 0; I != Params.Assoc; ++I)
-      if (Tags[Base + I] == LineAddr)
-        return true;
-    return false;
+    return find(Base, LineAddr) != Params.Assoc;
   }
 
   /// Invalidates all lines.
@@ -174,21 +144,73 @@ private:
     return (static_cast<size_t>(LineAddr) & (NumSets - 1)) * Params.Assoc;
   }
 
-  /// Hit bookkeeping shared by the MRU and scan paths (LastUse is already
-  /// stamped by the caller). A tagged line resolves as used on its first
-  /// demand hit — late when part of the fill latency was still exposed.
-  CacheAccessResult hitAt(size_t Slot, uint64_t Now) {
+  // The set whose first way is slot \p Base: its tags, and its ways'
+  // ready-cycles right after them.
+  uint64_t *tagsOf(size_t Base) { return &Lines[2 * Base]; }
+  const uint64_t *tagsOf(size_t Base) const { return &Lines[2 * Base]; }
+  uint64_t *readyOf(size_t Base) { return &Lines[2 * Base + Params.Assoc]; }
+
+  /// Way of \p LineAddr in the set at \p Base, or Assoc when absent.
+  unsigned find(size_t Base, uint64_t LineAddr) const {
+    const uint64_t *T = tagsOf(Base);
+    unsigned W = 0;
+    while (W != Params.Assoc && T[W] != LineAddr)
+      ++W;
+    return W;
+  }
+
+  /// Moves way \p W of the set at \p Base to way 0, shifting ways
+  /// 0..W-1 one down: every per-line array moves with its line.
+  void promote(size_t Base, unsigned W) {
+    if (W == 0)
+      return;
+    rotate(tagsOf(Base), W);
+    rotate(readyOf(Base), W);
+    if (Obs) {
+      rotate(&TagKinds[Base], W);
+      rotate(&TagSites[Base], W);
+    }
+  }
+
+  /// Puts way \p W of \p A first, keeping the order of ways 0..W-1.
+  template <typename T> static void rotate(T *A, unsigned W) {
+    T Moved = A[W];
+    for (unsigned I = W; I != 0; --I)
+      A[I] = A[I - 1];
+    A[0] = Moved;
+  }
+
+  /// Evicts the LRU way of the set at \p Base (resolving its tag, if
+  /// any, as evicted-unused) and inserts \p LineAddr, ready at
+  /// \p Ready, at way 0 — untagged until the caller tags it.
+  void insert(size_t Base, uint64_t LineAddr, uint64_t Ready) {
+    const unsigned Last = Params.Assoc - 1;
+    if (Obs) {
+      dropTag(Base + Last);
+      rotate(&TagKinds[Base], Last);
+      rotate(&TagSites[Base], Last);
+    }
+    rotate(tagsOf(Base), Last);
+    rotate(readyOf(Base), Last);
+    *tagsOf(Base) = LineAddr;
+    *readyOf(Base) = Ready;
+  }
+
+  /// Hit bookkeeping for the line just promoted to way 0 of the set at
+  /// \p Base. A tagged line resolves as used on its first demand hit —
+  /// late when part of the fill latency was still exposed.
+  CacheAccessResult hitAt(size_t Base, uint64_t Now) {
     CacheAccessResult R;
     R.Hit = true;
-    uint64_t &Ready = ReadyAt[Slot];
+    uint64_t &Ready = *readyOf(Base);
     if (Ready > Now) {
       R.WaitCycles = Ready - Now;
       Ready = 0;
     }
-    if (Obs && TagKinds[Slot]) {
-      Obs->prefetchedLineUsed(static_cast<PfTag>(TagKinds[Slot]),
-                              TagSites[Slot], R.WaitCycles != 0);
-      TagKinds[Slot] = 0;
+    if (Obs && TagKinds[Base]) {
+      Obs->prefetchedLineUsed(static_cast<PfTag>(TagKinds[Base]),
+                              TagSites[Base], R.WaitCycles != 0);
+      TagKinds[Base] = 0;
     }
     return R;
   }
@@ -201,26 +223,31 @@ private:
     }
   }
 
-  /// LRU victim slot in the set at \p Base: the first invalid way, else
-  /// the first minimum-LastUse way (exact order of the classic scan).
-  size_t victimFor(size_t Base);
-
   CacheParams Params;
   unsigned NumSets;
   unsigned LineShift;
-  std::vector<uint64_t> Tags;    ///< NumSets * Assoc, set-major; InvalidTag
-                                 ///< marks an empty way.
-  std::vector<uint64_t> LastUse; ///< Use-clock stamp, parallel to Tags.
-  std::vector<uint64_t> ReadyAt; ///< Prefetch-fill ready cycle, parallel.
-  /// One-line MRU filter. Invariant: while MruLine != InvalidTag,
-  /// Tags[MruSlot] == MruLine — every Tags write (the two insert sites)
-  /// re-points it, and reset() invalidates it.
-  uint64_t MruLine = InvalidTag;
-  size_t MruSlot = 0;
-  uint64_t UseClock = 0;
+  /// Allocates host-cache-line-aligned storage, so a set's tags start a
+  /// host line (with its ready-cycles, a 4-way set is exactly one).
+  template <typename T> struct LineAligned {
+    using value_type = T;
+    LineAligned() = default;
+    template <typename U> LineAligned(const LineAligned<U> &) {}
+    T *allocate(size_t N) {
+      return static_cast<T *>(::operator new(N * sizeof(T), Align));
+    }
+    void deallocate(T *P, size_t) { ::operator delete(P, Align); }
+    bool operator==(const LineAligned &) const = default;
+    static constexpr std::align_val_t Align{64};
+  };
+  /// Per set (set-major): Assoc tags, from most to least recently used,
+  /// then each way's prefetch-fill ready cycle. InvalidTag marks an empty
+  /// way; empty ways always sit at the tail, since fills enter at way 0
+  /// and a hit only moves valid ways.
+  std::vector<uint64_t, LineAligned<uint64_t>> Lines;
 
-  /// Prefetch-provenance tracking; arrays parallel Tags, allocated on
-  /// first setTagObserver(). TagKinds[I] is a PfTag (0 = untagged).
+  /// Prefetch-provenance tracking, one entry per way (index = slot, set
+  /// Base's ways at Base..Base+Assoc-1), allocated on first
+  /// setTagObserver(). TagKinds[I] is a PfTag (0 = untagged).
   PrefetchTagObserver *Obs = nullptr;
   std::vector<uint8_t> TagKinds;
   std::vector<uint32_t> TagSites;

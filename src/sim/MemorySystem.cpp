@@ -41,7 +41,7 @@ MemorySystem::MemorySystem(const MachineConfig &Cfg)
   // RPT effectiveness is tracked whenever the RPT runs (its fills only
   // land in the last level, so the tags there cost demand hits nothing).
   if (RptActive)
-    CacheLevels.back().setTagObserver(this);
+    CacheLevels.back().setTagObserver(*this);
 }
 
 MemorySystem::MemorySystem(const MemorySystem &Other)
@@ -55,7 +55,7 @@ MemorySystem::MemorySystem(const MemorySystem &Other)
   const PrefetchTagObserver *OtherObs = &Other;
   for (Cache &C : CacheLevels)
     if (C.tagObserver() == OtherObs)
-      C.setTagObserver(this);
+      C.setTagObserver(*this);
 }
 
 void sim::clearPrefetchHealth(MemoryStats &Stats,
@@ -73,8 +73,8 @@ void MemorySystem::enablePrefetchHealth() {
   // Software prefetches are tagged at their shallowest fill level and
   // guarded loads at L1 — exactly one tag per issue, so useful/late/
   // unused partition the resolved fills.
-  CacheLevels[Cfg.SwFillLevel].setTagObserver(this);
-  CacheLevels[0].setTagObserver(this);
+  CacheLevels[Cfg.SwFillLevel].setTagObserver(*this);
+  CacheLevels[0].setTagObserver(*this);
 }
 
 void MemorySystem::prefetchedLineUsed(PfTag Kind, uint32_t Site, bool Late) {
@@ -183,8 +183,8 @@ uint64_t MemorySystem::translationCost(uint64_t Addr) {
   return Cost;
 }
 
-uint64_t MemorySystem::demandAccess(uint64_t Addr, bool IsLoad,
-                                    SiteStats *Site) {
+[[gnu::always_inline]] inline uint64_t
+MemorySystem::demandAccess(uint64_t Addr, bool IsLoad, SiteStats *Site) {
   uint64_t Cost = Cfg.Levels[0].HitCycles;
   Acct.Level[0] += Cost;
 
@@ -250,7 +250,8 @@ uint64_t MemorySystem::demandAccess(uint64_t Addr, bool IsLoad,
   return Cost;
 }
 
-void MemorySystem::load(uint64_t Addr, exec::SiteId Site) {
+[[gnu::always_inline]] inline void
+MemorySystem::loadBody(uint64_t Addr, exec::SiteId Site) {
   ++Stats.Loads;
   if (Site >= Sites.size())
     Sites.resize(Site + 1);
@@ -265,9 +266,43 @@ void MemorySystem::load(uint64_t Addr, exec::SiteId Site) {
   S.StallCycles += Cost;
 }
 
+void MemorySystem::load(uint64_t Addr, exec::SiteId Site) {
+  loadBody(Addr, Site);
+}
+
 void MemorySystem::store(uint64_t Addr) {
   ++Stats.Stores;
   demandAccess(Addr, /*IsLoad=*/false, nullptr);
+}
+
+void MemorySystem::consume(const MemoryEvent *First, const MemoryEvent *Last,
+                           unsigned Owner) {
+  for (const MemoryEvent *E = First; E != Last; ++E) {
+    tick(E->Ticks);
+    switch (E->K) {
+    case MemoryEvent::Tick:
+      break;
+    case MemoryEvent::Load:
+      loadBody(E->Addr, E->Site);
+      break;
+    case MemoryEvent::Store:
+      ++Stats.Stores;
+      demandAccess(E->Addr, /*IsLoad=*/false, nullptr);
+      break;
+    case MemoryEvent::Prefetch:
+      if (E->Owner == 0 || E->Owner == Owner)
+        prefetch(E->Addr, E->Site);
+      break;
+    case MemoryEvent::GuardedLoad:
+      if (E->Owner == 0 || E->Owner == Owner)
+        guardedLoad(E->Addr, E->Site);
+      break;
+    case MemoryEvent::GuardedLoadFault:
+      if (E->Owner == 0 || E->Owner == Owner)
+        guardedLoadFault(E->Site);
+      break;
+    }
+  }
 }
 
 uint64_t MemorySystem::swFillReadyAt(uint64_t Addr) const {

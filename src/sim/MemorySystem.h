@@ -157,6 +157,29 @@ struct SiteStats {
 /// what remains equals a health-off run's statistics on the same events.
 void clearPrefetchHealth(MemoryStats &Stats, std::vector<SiteStats> &Sites);
 
+/// One exec::AccessSink call, as sim::EventBuffer records it for
+/// MemorySystem::consume. The compute ticks elapsed since the previous
+/// event ride on this one (tick() is additive), so a tick run costs no
+/// entry of its own except at the end of a stream (Kind Tick).
+struct MemoryEvent {
+  enum Kind : uint8_t {
+    Tick,             ///< Ticks only.
+    Load,             ///< load(Addr, Site).
+    Store,            ///< store(Addr).
+    Prefetch,         ///< prefetch(Addr, Site).
+    GuardedLoad,      ///< guardedLoad(Addr, Site).
+    GuardedLoadFault, ///< guardedLoadFault(Site).
+  };
+  uint64_t Addr = 0;
+  uint64_t Ticks = 0; ///< tick() total since the previous event.
+  exec::SiteId Site = 0;
+  /// Owner of the prefetch code that issued a prefetch-kind event
+  /// (ir::AddressedInst::owner); 0 for every other event. Owner 0's
+  /// events reach every simulator.
+  uint16_t Owner = 0;
+  Kind K = Tick;
+};
+
 /// The simulated memory hierarchy of one machine.
 class MemorySystem final : public exec::AccessSink,
                            private PrefetchTagObserver {
@@ -169,6 +192,14 @@ public:
   MemorySystem &operator=(const MemorySystem &) = delete;
 
   const MachineConfig &config() const { return Cfg; }
+
+  /// Applies the events [\p First, \p Last) in order, as the matching
+  /// AccessSink calls would (each event's ticks first), skipping the
+  /// ticked-over body of every prefetch-kind event whose owner is neither
+  /// 0 nor \p Owner: the stream this simulator would get from a run of
+  /// owner \p Owner 's code alone.
+  void consume(const MemoryEvent *First, const MemoryEvent *Last,
+               unsigned Owner);
 
   /// Advances the clock for \p N non-memory instructions.
   void tick(uint64_t N) override {
@@ -243,7 +274,10 @@ private:
   void prefetchedLineUsed(PfTag Kind, uint32_t Site, bool Late) override;
   void prefetchedLineEvicted(PfTag Kind, uint32_t Site) override;
 
-  uint64_t demandAccess(uint64_t Addr, bool IsLoad, SiteStats *Site);
+  // The bodies behind load() and store(), shared with consume() and
+  // inlined into both (defined in MemorySystem.cpp, used only there).
+  inline void loadBody(uint64_t Addr, exec::SiteId Site);
+  inline uint64_t demandAccess(uint64_t Addr, bool IsLoad, SiteStats *Site);
   /// Cost of translating \p Addr after a DTLB miss: flat penalty or a
   /// modeled radix walk (stats counted here).
   uint64_t translationCost(uint64_t Addr);

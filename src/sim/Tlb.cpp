@@ -40,10 +40,20 @@ void Tlb::pushFront(uint32_t I) {
 
 void Tlb::touch(uint32_t I) {
   // Callers reach here only for a page other than MruPage, so I is never
-  // the head already.
+  // the head already, and the old head becomes the second entry.
   unlink(I);
   pushFront(I);
+  Mru2Page = MruPage;
   MruPage = Pages[I];
+}
+
+void Tlb::syncFilter() {
+  MruPage = Mru2Page = NoPage;
+  if (Head == Nil)
+    return;
+  MruPage = Pages[Head];
+  if (Links[Head].Next != Nil)
+    Mru2Page = Pages[Links[Head].Next];
 }
 
 bool Tlb::accessSlow(uint64_t Page) {
@@ -61,8 +71,6 @@ void Tlb::evictLru() {
   unlink(Victim);
   Pages[Victim] = TombPage;
   --LiveCount;
-  if (Head == Nil) // The victim was the MRU entry (Entries == 1).
-    MruPage = NoPage;
 }
 
 void Tlb::place(uint64_t Page) {
@@ -103,13 +111,17 @@ void Tlb::insertPage(uint64_t Page) {
   if ((UsedCount + 1) * 4 > (Mask + 1) * 3)
     rebuild();
   place(Page);
-  MruPage = Page;
+  syncFilter();
 }
 
 void Tlb::fill(uint64_t Addr) {
   uint64_t Page = pageOf(Addr);
   if (Page == MruPage)
     return;
+  if (Page == Mru2Page) {
+    swapTopTwo();
+    return;
+  }
   uint32_t I = findSlot(Page);
   if (I != NotFound)
     touch(I);
@@ -121,5 +133,5 @@ void Tlb::reset() {
   std::fill(Pages.begin(), Pages.end(), EmptyPage);
   Head = Tail = Nil;
   LiveCount = UsedCount = 0;
-  MruPage = NoPage;
+  MruPage = Mru2Page = NoPage;
 }

@@ -12,12 +12,15 @@
 /// arrays: one multiply-shift hash plus a short linear probe per lookup,
 /// no node allocation. Recency is an intrusive doubly-linked list over
 /// slot indices (most recent at the head), so a hit relinks one slot and
-/// a miss evicts the tail, both O(1). The list head doubles as a
-/// one-entry MRU filter that short-circuits same-page runs without
-/// touching the list. Eviction tombstones the slot; when tombstones would
-/// stretch probe chains the table is rebuilt in place, re-inserting live
-/// pages from LRU to MRU so the recency order survives. Hit/miss
-/// decisions and eviction order are exactly those of a linked-list LRU.
+/// a miss evicts the tail, both O(1). The top two list entries double as
+/// a two-entry filter checked before the hash table: a hit on the head
+/// changes nothing, and a hit on the second entry swaps the two — the
+/// common case when accesses alternate between two pages, as a loop
+/// reading one object and writing another does. Eviction tombstones the
+/// slot; when tombstones would stretch probe chains the table is rebuilt
+/// in place, re-inserting live pages from LRU to MRU so the recency
+/// order survives. Hit/miss decisions and eviction order are exactly
+/// those of a linked-list LRU.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +29,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace spf {
@@ -47,15 +51,19 @@ public:
     uint64_t Page = pageOf(Addr);
     if (Page == MruPage)
       return true;
+    if (Page == Mru2Page) {
+      swapTopTwo();
+      return true;
+    }
     return accessSlow(Page);
   }
 
   /// Probe without filling: the cancellation check of a hardware prefetch.
-  /// The MRU entry is always present in the table, so checking it first
-  /// is pure fast path.
+  /// The top two entries are always present in the table, so checking
+  /// them first is pure fast path.
   bool contains(uint64_t Addr) const {
     uint64_t Page = pageOf(Addr);
-    if (Page == MruPage)
+    if (Page == MruPage || Page == Mru2Page)
       return true;
     return findSlot(Page) != NotFound;
   }
@@ -68,8 +76,20 @@ public:
 
 private:
   bool accessSlow(uint64_t Page);
-  /// Makes live slot \p I the most recent entry.
+  /// Makes live slot \p I, not the head, the most recent entry.
   void touch(uint32_t I);
+  /// Makes the second entry the most recent one (a hit on Mru2Page).
+  void swapTopTwo() {
+    uint32_t First = Head, Second = Links[First].Next;
+    uint32_t Third = Links[Second].Next;
+    Links[Second] = {Nil, First};
+    Links[First] = {Second, Third};
+    (Third != Nil ? Links[Third].Prev : Tail) = First;
+    Head = Second;
+    std::swap(MruPage, Mru2Page);
+  }
+  /// Re-reads both filter pages from the list after it changed.
+  void syncFilter();
   void insertPage(uint64_t Page);
   /// Stores absent \p Page in the first free slot of its probe chain and
   /// links it at the head.
@@ -94,7 +114,7 @@ private:
   /// eviction that deleted it.
   static constexpr uint64_t EmptyPage = ~uint64_t(0);
   static constexpr uint64_t TombPage = ~uint64_t(0) - 1;
-  /// MRU-invalid marker (doubles as "no page": equals EmptyPage).
+  /// Filter-invalid marker (doubles as "no page": equals EmptyPage).
   static constexpr uint64_t NoPage = ~uint64_t(0);
 
   uint32_t hashIdx(uint64_t Page) const {
@@ -131,8 +151,10 @@ private:
   uint32_t UsedCount = 0; ///< Live + tombstoned slots.
   /// Scratch for rebuild(): live pages in LRU-to-MRU order.
   std::vector<uint64_t> Order;
-  /// One-entry MRU filter: Pages[Head], or NoPage when the TLB is empty.
+  /// Two-entry filter: the pages of the first and second list entries,
+  /// or NoPage where the list is shorter.
   uint64_t MruPage = NoPage;
+  uint64_t Mru2Page = NoPage;
 };
 
 } // namespace sim

@@ -6,6 +6,8 @@
 #include "obs/Obs.h"
 #include "obs/Tracer.h"
 #include "opt/Governor.h"
+#include "sim/EventBuffer.h"
+#include "support/ScopeExit.h"
 #include "workloads/ProgramPopulation.h"
 
 #include <algorithm>
@@ -27,45 +29,6 @@ double elapsedUs(std::chrono::steady_clock::time_point Start) {
              std::chrono::steady_clock::now() - Start)
       .count();
 }
-
-/// Forwards every event to each of its MemorySystems, in first-member
-/// order: the fan-out of one shared execution to all its simulators, or
-/// of one owner's prefetch code to that owner's. Every simulator sees
-/// the stream a solo run would have given it (AccessSink's write-only
-/// contract). MemorySystem is final, so each forward is a direct call.
-class FanOutSink final : public exec::AccessSink {
-public:
-  explicit FanOutSink(std::vector<sim::MemorySystem *> Sims)
-      : Sims(std::move(Sims)) {}
-
-  void tick(uint64_t N) override {
-    for (sim::MemorySystem *S : Sims)
-      S->tick(N);
-  }
-  void load(uint64_t Addr, exec::SiteId Site) override {
-    for (sim::MemorySystem *S : Sims)
-      S->load(Addr, Site);
-  }
-  void store(uint64_t Addr) override {
-    for (sim::MemorySystem *S : Sims)
-      S->store(Addr);
-  }
-  void prefetch(uint64_t Addr, exec::SiteId Site) override {
-    for (sim::MemorySystem *S : Sims)
-      S->prefetch(Addr, Site);
-  }
-  void guardedLoad(uint64_t Addr, exec::SiteId Site) override {
-    for (sim::MemorySystem *S : Sims)
-      S->guardedLoad(Addr, Site);
-  }
-  void guardedLoadFault(exec::SiteId Site) override {
-    for (sim::MemorySystem *S : Sims)
-      S->guardedLoadFault(Site);
-  }
-
-private:
-  std::vector<sim::MemorySystem *> Sims;
-};
 
 /// The epoch steps of one shared execution, in FIFO order. The thread
 /// that drains the queue runs steps, and so does every task the optional
@@ -214,12 +177,13 @@ struct Sim {
 
 /// One line of execution of a group: a world state, the members whose
 /// results it produces, one simulator per distinct (machine, owner) pair
-/// among them and the interpreter that drives those.
+/// among them, the interpreter that drives those and the buffer its
+/// events reach them through.
 struct Branch {
   WorldState World;
   std::vector<size_t> Members; ///< Indices into the group's members.
   std::vector<Sim> Sims;
-  std::deque<FanOutSink> FanOuts;
+  std::unique_ptr<sim::EventBuffer> Events;
   std::unique_ptr<exec::Interpreter> Interp;
 
   sim::MemorySystem *simFor(const Group &G, size_t K) const {
@@ -230,34 +194,23 @@ struct Branch {
   }
 
   /// Starts a fresh interpreter over this branch's world and simulators.
-  /// Demand events reach every simulator and each owner's prefetch code
-  /// reaches that owner's: one simulator directly, several through a
-  /// fan-out. It continues \p From's execution when given. Pressure
-  /// collections use the first member's variant and root what the epoch
-  /// boundary roots.
+  /// Its events reach the simulators through the branch's buffer: demand
+  /// events and ticks every simulator, each owner's prefetch code that
+  /// owner's (an owner no simulator takes is left out of decoding). It
+  /// continues \p From's execution when given. Pressure collections use
+  /// the first member's variant and root what the epoch boundary roots.
   void start(const Group &G, const exec::Interpreter *From) {
-    FanOuts.clear();
-    auto SinkOf = [this](std::vector<sim::MemorySystem *> Ms)
-        -> exec::AccessSink * {
-      if (Ms.size() < 2)
-        return Ms.empty() ? nullptr : Ms.front();
-      return &FanOuts.emplace_back(std::move(Ms));
-    };
+    if (!Events)
+      Events = std::make_unique<sim::EventBuffer>(G.World.Owners);
+    Events->clearTargets();
     std::vector<exec::AccessSink *> OwnerSinks(G.World.Owners);
-    for (unsigned O = 1; O < G.World.Owners; ++O) {
-      std::vector<sim::MemorySystem *> Ms;
-      for (const Sim &S : Sims)
-        if (S.Owner == O)
-          Ms.push_back(S.Mem.get());
-      OwnerSinks[O] = SinkOf(std::move(Ms));
+    for (const Sim &S : Sims) {
+      Events->addTarget(*S.Mem, S.Owner);
+      OwnerSinks[S.Owner] = &Events->sink(S.Owner);
     }
-    std::vector<sim::MemorySystem *> All;
-    for (const Sim &S : Sims)
-      All.push_back(S.Mem.get());
-    exec::AccessSink *Sink = SinkOf(std::move(All));
 
-    auto Next =
-        std::make_unique<exec::Interpreter>(*World.Heap, *Sink, &World.Roots);
+    auto Next = std::make_unique<exec::Interpreter>(
+        *World.Heap, Events->sink(0), &World.Roots);
     Next->setRootSlots(World.argSlots(G.Entry));
     Next->setOwnerSinks(std::move(OwnerSinks));
     if (From)
@@ -717,7 +670,13 @@ workloads::runSharedExecution(const WorkloadSpec &Spec,
             if (B->Members.empty())
               return;
           }
-          uint64_t Ret = B->Interp->run(Entry, B->World.EntryArgs);
+          uint64_t Ret;
+          {
+            // Every simulator is up to date before the boundary or the
+            // governors read it, also when the run traps.
+            ScopeExit Drain{[B] { B->Events->drain(); }};
+            Ret = B->Interp->run(Entry, B->World.EntryArgs);
+          }
           if (E == 0)
             Result.ReturnValue = Ret;
           {

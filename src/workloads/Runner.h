@@ -11,7 +11,8 @@
 /// world is built once, the prefetch pass runs once per configuration and
 /// its code joins one union program, each instruction owned by the
 /// members that inserted it. One interpretation then drives one
-/// MemorySystem per distinct (machine, owner) pair. Members of different
+/// MemorySystem per distinct (machine, owner) pair, through one event
+/// buffer per branch (sim::EventBuffer). Members of different
 /// GC variants share each epoch until their heaps differ; governed
 /// members share until their governor acts. runWorkload is the group of
 /// one.
@@ -187,10 +188,11 @@ struct SharedExecution {
 /// Builds \p Spec once (buildSharedWorld), interprets its union program
 /// once and simulates the event stream on one MemorySystem per distinct
 /// (machine, owner) pair (MachineConfig::operator==, in first-member
-/// order; a single one is driven directly, without a fan-out). Demand
-/// events and ticks reach every simulator; an owner's prefetch events
-/// reach its own. Returns one result per member with its simulator's
-/// statistics and its own compile's pass results and decisions; each
+/// order), each fed in batches from its branch's sim::EventBuffer, which
+/// is drained after every run. Demand events and ticks reach every
+/// simulator; an owner's prefetch events reach its own. Returns one
+/// result per member with its simulator's statistics and its own
+/// compile's pass results and decisions; each
 /// equals runWorkload(Spec, Members[K]) in every field but Replayed and
 /// InterpretUs. The first member that did not leave carries the
 /// interpretation time; every other one comes back with Replayed set.

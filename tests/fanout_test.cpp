@@ -298,7 +298,7 @@ TEST(FanOutTest, EpochGroupMatchesSoloRunsOnEveryMember) {
 
 TEST(FanOutTest, SameMachineEpochGroupDrivesOneSimulatorDirectly) {
   // jack BASELINE and INTER+INTRA on the Pentium 4 compile to one program:
-  // one simulator, driven by the interpreter without a fan-out, across
+  // one simulator, the only target of its branch's event buffer, across
   // two address-shuffling boundary collections.
   const workloads::WorkloadSpec *Spec = workloads::findWorkload("jack");
   ASSERT_NE(Spec, nullptr);

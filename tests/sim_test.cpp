@@ -1,5 +1,6 @@
 //===- tests/sim_test.cpp - Cache, TLB, prefetcher, memory system ---------===//
 
+#include "sim/EventBuffer.h"
 #include "sim/MemorySystem.h"
 #include "support/SplitMix64.h"
 #include "workloads/Runner.h"
@@ -8,6 +9,9 @@
 
 #include <algorithm>
 #include <list>
+#include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 using namespace spf;
@@ -213,6 +217,290 @@ TEST_P(TlbModelTest, MatchesListLruUnderRandomTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TlbModelTest,
                          ::testing::Values(1u, 2u, 3u, 64u, 256u));
+
+/// A timestamp LRU cache, the textbook way: every way carries the clock
+/// of its last use, and a fill takes the first invalid way, else the
+/// least recently used one. Tags, ready-cycles and the resolution of
+/// tagged fills follow Cache's documented contract.
+class StampLruCache {
+public:
+  struct Resolution {
+    bool Used; ///< Served a demand hit (else evicted unused).
+    PfTag Kind;
+    uint32_t Site;
+    bool Late;
+    bool operator==(const Resolution &) const = default;
+  };
+
+  StampLruCache(unsigned Sets, unsigned Assoc, bool Tracked)
+      : Sets(Sets), Assoc(Assoc), Tracked(Tracked), Ways(Sets * Assoc) {}
+
+  CacheAccessResult access(uint64_t Line, uint64_t Now) {
+    CacheAccessResult R;
+    if (Way *W = find(Line)) {
+      W->LastUse = ++Clock;
+      R.Hit = true;
+      if (W->Ready > Now) {
+        R.WaitCycles = W->Ready - Now;
+        W->Ready = 0;
+      }
+      if (W->Kind != PfTag::None) {
+        Resolved.push_back({true, W->Kind, W->Site, R.WaitCycles != 0});
+        W->Kind = PfTag::None;
+      }
+      return R;
+    }
+    install(Line, 0, PfTag::None, 0);
+    return R;
+  }
+
+  void prefetchFill(uint64_t Line, uint64_t Ready, PfTag Kind, uint32_t Site) {
+    if (Way *W = find(Line)) {
+      W->LastUse = ++Clock;
+      return;
+    }
+    install(Line, Ready, Tracked ? Kind : PfTag::None, Site);
+  }
+
+  bool contains(uint64_t Line) const {
+    const Way *Set = &Ways[(Line % Sets) * Assoc];
+    return std::any_of(Set, Set + Assoc, [&](const Way &W) {
+      return W.Valid && W.Line == Line;
+    });
+  }
+
+  void reset() { std::fill(Ways.begin(), Ways.end(), Way{}); }
+
+  std::vector<Resolution> Resolved;
+
+private:
+  struct Way {
+    bool Valid = false;
+    uint64_t Line = 0;
+    uint64_t LastUse = 0;
+    uint64_t Ready = 0;
+    PfTag Kind = PfTag::None;
+    uint32_t Site = 0;
+  };
+
+  Way *find(uint64_t Line) {
+    Way *Set = &Ways[(Line % Sets) * Assoc];
+    for (unsigned I = 0; I != Assoc; ++I)
+      if (Set[I].Valid && Set[I].Line == Line)
+        return &Set[I];
+    return nullptr;
+  }
+
+  void install(uint64_t Line, uint64_t Ready, PfTag Kind, uint32_t Site) {
+    Way *Set = &Ways[(Line % Sets) * Assoc];
+    Way *Victim = nullptr;
+    for (unsigned I = 0; I != Assoc && !Victim; ++I)
+      if (!Set[I].Valid)
+        Victim = &Set[I];
+    if (!Victim) {
+      Victim = Set;
+      for (unsigned I = 1; I != Assoc; ++I)
+        if (Set[I].LastUse < Victim->LastUse)
+          Victim = &Set[I];
+      if (Victim->Kind != PfTag::None)
+        Resolved.push_back({false, Victim->Kind, Victim->Site, false});
+    }
+    *Victim = Way{true, Line, ++Clock, Ready, Kind, Site};
+  }
+
+  unsigned Sets, Assoc;
+  bool Tracked;
+  std::vector<Way> Ways;
+  uint64_t Clock = 0;
+};
+
+/// Records the tag resolutions a Cache reports.
+class ResolutionLog final : public PrefetchTagObserver {
+public:
+  void prefetchedLineUsed(PfTag Kind, uint32_t Site, bool Late) override {
+    Resolved.push_back({true, Kind, Site, Late});
+  }
+  void prefetchedLineEvicted(PfTag Kind, uint32_t Site) override {
+    Resolved.push_back({false, Kind, Site, false});
+  }
+  std::vector<StampLruCache::Resolution> Resolved;
+};
+
+class CacheModelTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, bool>> {};
+
+TEST_P(CacheModelTest, MatchesTimestampLruUnderRandomTraffic) {
+  const auto [Assoc, Tracked] = GetParam();
+  const unsigned Sets = 4, LineBytes = 64;
+  // Three times the capacity in distinct lines: fills keep evicting, and
+  // a hot window about the capacity's size keeps recency order relevant.
+  const uint64_t Universe = 3 * uint64_t(Sets) * Assoc + 1;
+  Cache C(CacheParams{uint64_t(Sets) * Assoc * LineBytes, LineBytes, Assoc});
+  ResolutionLog Log;
+  if (Tracked)
+    C.setTagObserver(Log);
+  StampLruCache Ref(Sets, Assoc, Tracked);
+  SplitMix64 Rng(0xcace0000 + Assoc * 2 + Tracked);
+  uint64_t Hot = 0, Now = 0;
+  for (unsigned Op = 0; Op != 8000; ++Op) {
+    uint64_t Line = Rng.nextBelow(2)
+                        ? (Hot + Rng.nextBelow(Sets * Assoc + 1)) % Universe
+                        : Rng.nextBelow(Universe);
+    Hot = (Hot + Rng.nextBelow(3)) % Universe;
+    Now += Rng.nextBelow(8);
+    uint64_t Addr = Line * LineBytes + Rng.nextBelow(LineBytes);
+    uint64_t Kind = Rng.nextBelow(1000);
+    if (Kind < 550) {
+      CacheAccessResult Got = C.access(Addr, Now);
+      CacheAccessResult Want = Ref.access(Line, Now);
+      ASSERT_EQ(Got.Hit, Want.Hit) << "op " << Op;
+      ASSERT_EQ(Got.WaitCycles, Want.WaitCycles) << "op " << Op;
+    } else if (Kind < 850) {
+      // Tagged and untagged fills, some still in flight when demanded.
+      PfTag Tag = static_cast<PfTag>(Rng.nextBelow(3));
+      uint32_t Site = static_cast<uint32_t>(Rng.nextBelow(5));
+      uint64_t Ready = Now + Rng.nextBelow(40);
+      C.prefetchFill(Addr, Ready, Tag, Site);
+      Ref.prefetchFill(Line, Ready, Tag, Site);
+    } else if (Kind < 998) {
+      ASSERT_EQ(C.contains(Addr), Ref.contains(Line)) << "op " << Op;
+    } else {
+      C.reset();
+      Ref.reset();
+    }
+    ASSERT_EQ(Log.Resolved, Ref.Resolved) << "op " << Op;
+    for (uint64_t L = 0; L != Universe; ++L)
+      ASSERT_EQ(C.contains(L * LineBytes), Ref.contains(L))
+          << "line " << L << " after op " << Op;
+  }
+  if (Tracked) {
+    EXPECT_TRUE(std::any_of(Log.Resolved.begin(), Log.Resolved.end(),
+                            [](const auto &R) { return R.Used && R.Late; }));
+    EXPECT_TRUE(std::any_of(Log.Resolved.begin(), Log.Resolved.end(),
+                            [](const auto &R) { return !R.Used; }));
+  } else {
+    EXPECT_TRUE(Ref.Resolved.empty());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheModelTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u, 16u),
+                       ::testing::Bool()));
+
+/// One AccessSink call of a recorded stream.
+struct StreamEvent {
+  MemoryEvent::Kind K;
+  uint64_t Value; ///< Address, or the tick count of a Tick.
+  exec::SiteId Site;
+  uint16_t Owner;
+};
+
+/// Replays \p E on \p S as the interpreter would: ticks and demand
+/// events through the owner-0 sink, prefetch-kind ones through their
+/// owner's.
+void replay(const StreamEvent &E, exec::AccessSink &S) {
+  switch (E.K) {
+  case MemoryEvent::Tick:
+    S.tick(E.Value);
+    break;
+  case MemoryEvent::Load:
+    S.load(E.Value, E.Site);
+    break;
+  case MemoryEvent::Store:
+    S.store(E.Value);
+    break;
+  case MemoryEvent::Prefetch:
+    S.prefetch(E.Value, E.Site);
+    break;
+  case MemoryEvent::GuardedLoad:
+    S.guardedLoad(E.Value, E.Site);
+    break;
+  case MemoryEvent::GuardedLoadFault:
+    S.guardedLoadFault(E.Site);
+    break;
+  }
+}
+
+/// A mixed stream over a few hundred KB: tick runs of every length (one
+/// past 32 bits), demand loads and stores, and the prefetch-kind events
+/// of owners 0, 1 and 2, ending in a run of ticks.
+std::vector<StreamEvent> mixedStream(uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  std::vector<StreamEvent> Out;
+  uint64_t Cursor = 0x100000;
+  for (unsigned I = 0; I != 20000; ++I) {
+    uint64_t Addr = Rng.nextBelow(4) ? Cursor + Rng.nextBelow(256)
+                                     : 0x100000 + Rng.nextBelow(1 << 19);
+    Cursor += Rng.nextBelow(96);
+    exec::SiteId Site = static_cast<exec::SiteId>(Rng.nextBelow(12));
+    uint16_t Owner = static_cast<uint16_t>(Rng.nextBelow(3));
+    uint64_t Kind = Rng.nextBelow(100);
+    if (Kind < 30)
+      Out.push_back({MemoryEvent::Tick,
+                     I == 7 ? (uint64_t(1) << 32) + 3 : 1 + Rng.nextBelow(9),
+                     0, 0});
+    else if (Kind < 65)
+      Out.push_back({MemoryEvent::Load, Addr, Site, 0});
+    else if (Kind < 78)
+      Out.push_back({MemoryEvent::Store, Addr, 0, 0});
+    else if (Kind < 88)
+      Out.push_back({MemoryEvent::Prefetch, Addr + 512, Site, Owner});
+    else if (Kind < 96)
+      Out.push_back({MemoryEvent::GuardedLoad, Addr + 1024, Site, Owner});
+    else
+      Out.push_back({MemoryEvent::GuardedLoadFault, 0, Site, Owner});
+  }
+  for (unsigned I = 0; I != 5; ++I)
+    Out.push_back({MemoryEvent::Tick, 1 + I, 0, 0});
+  return Out;
+}
+
+class BufferedDeliveryTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BufferedDeliveryTest, EqualsDirectCalls) {
+  // Each machine is simulated twice per owner 1 and 2: once by direct
+  // AccessSink calls carrying only what that owner's simulator would be
+  // sent, once through one shared buffer that feeds both owners'.
+  const std::vector<StreamEvent> Stream = mixedStream(0xb0ff + GetParam());
+  for (const char *Name : {"pentium4", "athlonmp", "modern3l"}) {
+    const MachineConfig M = *MachineConfig::byName(Name);
+    EventBuffer Buffer(/*Owners=*/3, GetParam());
+    std::vector<std::unique_ptr<MemorySystem>> Direct, Buffered;
+    for (unsigned Owner : {1u, 2u}) {
+      Direct.push_back(std::make_unique<MemorySystem>(M));
+      Buffered.push_back(std::make_unique<MemorySystem>(M));
+      if (Owner == 2) { // Health tracking on one pair: the tagged paths.
+        Direct.back()->enablePrefetchHealth();
+        Buffered.back()->enablePrefetchHealth();
+      }
+      Buffer.addTarget(*Buffered.back(), Owner);
+    }
+    for (const StreamEvent &E : Stream) {
+      for (unsigned Owner : {1u, 2u})
+        if (E.Owner == 0 || E.Owner == Owner)
+          replay(E, *Direct[Owner - 1]);
+      replay(E, Buffer.sink(E.Owner));
+    }
+    Buffer.drain();
+    for (size_t I = 0; I != Direct.size(); ++I) {
+      const std::string Tag =
+          std::string(Name) + " owner " + std::to_string(I + 1);
+      EXPECT_EQ(Buffered[I]->cycles(), Direct[I]->cycles()) << Tag;
+      EXPECT_EQ(Buffered[I]->stats(), Direct[I]->stats()) << Tag;
+      EXPECT_EQ(Buffered[I]->acct(), Direct[I]->acct()) << Tag;
+      EXPECT_EQ(Buffered[I]->siteStats(), Direct[I]->siteStats()) << Tag;
+    }
+    // The stream exercised what it is meant to.
+    EXPECT_GT(Direct[0]->stats().SwPrefetchesIssued, 0u) << Name;
+    EXPECT_GT(Direct[1]->stats().SwPrefetchesUseful, 0u) << Name;
+    EXPECT_NE(Direct[0]->cycles(), Direct[1]->cycles()) << Name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, BufferedDeliveryTest,
+                         ::testing::Values(size_t(1), size_t(2), size_t(7),
+                                           EventBuffer::DefaultCapacity));
 
 TEST(HwPrefetcherTest, ConfirmedStreamEmitsNextLines) {
   HardwarePrefetcher P(4, 2, 64, 4096);
