@@ -20,7 +20,6 @@
 #include "harness/JsonWriter.h"
 #include "harness/ThreadPool.h"
 #include "obs/DecisionLog.h"
-#include "obs/Obs.h"
 #include "obs/Tracer.h"
 #include "support/Env.h"
 #include "workloads/Runner.h"
@@ -310,7 +309,7 @@ inline void init(int argc, char **argv, std::vector<Flag> Flags = {}) {
   parseArgs(argc, argv, Flags);
   if (!C.Jobs)
     C.Jobs = harness::defaultJobs();
-  if (!C.ProfileOut.empty() && obs::enabled()) {
+  if (!C.ProfileOut.empty()) {
     obs::Tracer::instance().enable();
     std::atexit(flushTrace);
   }

@@ -50,8 +50,6 @@
 ///                     which strides inspection found, what the planner
 ///                     pruned, why loops degraded
 ///   --explain         print the per-cell compile-decision summary
-///   SPF_OBS=0         disable all observability at run time; report
-///                     statistics are bit-identical either way
 ///   SPF_SCALE=0.1     reduced problem scale, as for every bench binary
 ///
 /// Exit code is 1 when any cell fails, fails its workload self-check or

@@ -376,8 +376,7 @@ Interpreter::MethodInfo::MethodInfo(const Method &M,
 }
 
 void Interpreter::continueFrom(const Interpreter &Other) {
-  assert(Suppressed.empty() &&
-         Other.Suppressed.empty() && !Other.MixedModeHook &&
+  assert(Suppressed.empty() && Other.Suppressed.empty() &&
          Other.ActiveFrames.empty() && "cannot continue this interpreter");
   assert(Owned.size() == Other.Owned.size() && "owner counts differ");
   Stats = Other.Stats;
@@ -459,13 +458,6 @@ uint64_t Interpreter::run(Method *M, const std::vector<uint64_t> &Args) {
   return execute(M, Args);
 }
 
-void Interpreter::enableMixedMode(CompileHook Hook, unsigned Threshold,
-                                  unsigned Penalty) {
-  MixedModeHook = std::move(Hook);
-  CompileThreshold = Threshold;
-  InterpPenalty = Penalty;
-}
-
 void Interpreter::collectGarbage() {
   std::vector<vm::Addr *> Roots;
   if (ExternalRoots)
@@ -513,33 +505,8 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
   ++CallDepth;
   ScopeExit DepthGuard{[this] { --CallDepth; }};
 
-  // Mixed mode: hand hot methods to the JIT with the actual arguments of
-  // the triggering invocation. The rewritten IR takes effect immediately
-  // (on-stack replacement is not modeled: the *current* activation was
-  // dispatched before the compile; in practice the hook runs at entry,
-  // so this activation already executes the compiled code).
-  bool Interpreted = false;
-  if (MixedModeHook) {
-    Interpreted = !CompiledMethods.count(M);
-    if (Interpreted && ++InvocationCounts[M] >= CompileThreshold) {
-      // Never rewrite a method with live activations (we do not model
-      // on-stack replacement): a recursive caller's frame was laid out
-      // for the old IR. Defer to the next clean invocation.
-      bool OnStack = false;
-      for (const Frame *Active : ActiveFrames)
-        OnStack |= Active->M == M;
-      if (!OnStack) {
-        CompiledMethods.insert(M);
-        Infos.erase(M); // The hook rewrites the IR; re-decode on next use.
-        MixedModeHook(M, Args);
-        Interpreted = false;
-      }
-    }
-  }
-
   MethodInfo &Info = infoFor(M);
   Frame F;
-  F.M = M;
   F.Info = &Info;
   F.Regs = Info.FrameTemplate;
   assert(Args.size() == M->numArgs() && "argument count mismatch");
@@ -577,7 +544,6 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
   const MethodInfo::Edge *const Edges = Info.Edges.data();
   const MethodInfo::Move *const Moves = Info.Moves.data();
   const uint32_t *const ArgSlots = Info.ArgSlots.data();
-  const uint64_t Penalty = Interpreted ? InterpPenalty : 0;
   std::vector<uint64_t> CallArgs;
 
   auto takeEdge = [&](uint32_t Index) {
@@ -641,15 +607,14 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
 
   for (Op *P = Ops;;) {
     Op &O = *P++;
-    if (O.C == Op::FellOff)
-      trap("fell off the end of a block without a terminator");
-    if (++Done == Limit) {
+    // A FellOff op at the budget's edge traps as fell-off, not as over
+    // budget: it is no instruction.
+    if (++Done == Limit && O.C != Op::FellOff) {
       Stats.Retired += Done;
       Done = 0;
       checkpoint();
       Limit = untilCheck();
     }
-    T += Penalty; // Bytecode dispatch overhead.
 
     switch (O.C) {
     SPF_INT_BINOP(Add, L + Rhs)
@@ -882,7 +847,8 @@ uint64_t Interpreter::execute(Method *M, const std::vector<uint64_t> &Args) {
       break;
     }
     case Op::FellOff:
-      break; // Unreachable; trapped above.
+      --Done; // Not an instruction: it retires nothing.
+      trap("fell off the end of a block without a terminator");
     }
   }
 #undef SPF_INT_BINOP

@@ -18,8 +18,10 @@
 /// to per-edge parallel moves, branch targets as op indices) and runs
 /// that. Decoding only reads the IR, so interpreters on several threads
 /// can share one program. The decoded form is dropped whenever the IR may
-/// have changed: when the mixed-mode hook compiles a method and on
-/// invalidateMethodInfo().
+/// have changed, which its owner announces with invalidateMethodInfo()
+/// (the governor's re-JIT). Every method runs as compiled code: the
+/// paper's invocation-time compile is modelled up front, by compiling each
+/// executed method with its first-invocation arguments.
 ///
 /// Demand loads are attributed to their static load site (exec::SiteId,
 /// assigned in first-execution order); each load op caches its id after
@@ -43,7 +45,6 @@
 #include <cassert>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace spf {
@@ -84,26 +85,6 @@ public:
 
   /// Runs \p M with \p Args; returns the raw 64-bit result (0 for void).
   uint64_t run(ir::Method *M, const std::vector<uint64_t> &Args);
-
-  /// Called when a method's invocation counter reaches the mixed-mode
-  /// compile threshold, with the actual arguments of that invocation —
-  /// the values object inspection consumes.
-  using CompileHook =
-      std::function<void(ir::Method *, const std::vector<uint64_t> &)>;
-
-  /// Enables mixed-mode execution: methods start out interpreted (each
-  /// retired instruction costs \p InterpPenalty extra cycles, modeling
-  /// bytecode-dispatch overhead) and are handed to \p Hook — typically
-  /// jit::CompileManager::compile — at their \p Threshold -th invocation,
-  /// exactly the paper's "mixed mode... selectively compiles methods that
-  /// are executed frequently".
-  void enableMixedMode(CompileHook Hook, unsigned Threshold = 2,
-                       unsigned InterpPenalty = 9);
-
-  /// True once \p M has been handed to the compile hook.
-  bool isCompiled(const ir::Method *M) const {
-    return CompiledMethods.count(M) != 0;
-  }
 
   /// Everything this interpreter executed, the code of every owner
   /// included.
@@ -161,7 +142,7 @@ public:
   /// own heap, sinks and roots (a copy of \p Other's world): its execution
   /// statistics (per owner too), load-site ids, collector (collection
   /// count and variant) and execution budget. Neither may have a site
-  /// suppressed yet or be mixed-mode, and both must route as many owners.
+  /// suppressed yet, and both must route as many owners.
   void continueFrom(const Interpreter &Other);
 
   /// Execution budget; exceeding it throws support::RuntimeTrap
@@ -178,7 +159,6 @@ private:
   struct Op;
 
   struct Frame {
-    ir::Method *M = nullptr;
     const MethodInfo *Info = nullptr;
     std::vector<uint64_t> Regs;
   };
@@ -196,11 +176,6 @@ private:
   vm::Heap &Heap;
   AccessSink &Sink;
   std::vector<vm::Addr> *ExternalRoots;
-  CompileHook MixedModeHook;
-  unsigned CompileThreshold = 0;
-  unsigned InterpPenalty = 0;
-  std::unordered_map<const ir::Method *, unsigned> InvocationCounts;
-  std::unordered_set<const ir::Method *> CompiledMethods;
   vm::GarbageCollector Gc;
   ExecStats Stats;
   uint64_t MaxInstructions = 4ull << 30;

@@ -1,13 +1,15 @@
 //===- jit/CompileManager.h - The JIT compile pipeline ----------*- C++ -*-===//
 ///
 /// \file
-/// The compilation pipeline of the simulated mixed-mode JVM: a method is
-/// compiled when it is about to be executed, so actual argument values are
-/// on hand for object inspection. The pipeline runs the conventional
-/// optimizations (verification, constant folding, local CSE, DCE, CFG/
-/// loop/def-use analyses) and then, optionally, the stride prefetching
-/// pass. Wall-clock time of each stage is recorded: Figure 11 reports the
-/// prefetch pass's additional time over the total JIT compilation time.
+/// The compilation pipeline of the simulated JVM. The paper's JIT compiles
+/// a method at an invocation, so actual argument values are on hand for
+/// object inspection; here each executed method is compiled before its
+/// run with the arguments of its first invocation. The pipeline runs the
+/// conventional optimizations (verification, constant folding, local CSE,
+/// DCE, CFG/loop/def-use analyses) and then, optionally, the stride
+/// prefetching pass. Wall-clock time of each stage is recorded: Figure 11
+/// reports the prefetch pass's additional time over the total JIT
+/// compilation time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +45,8 @@ struct CompileTimings {
 struct CompileResult {
   ir::Method *M = nullptr;
   /// Pre-compile verification outcome. A method that arrives malformed is
-  /// left as-is (the mixed-mode interpreter keeps executing the original
-  /// IR) rather than taking the VM down — the production-JIT bailout.
+  /// left as-is (the original IR keeps executing) rather than taking the
+  /// VM down — the production-JIT bailout.
   support::Status VerifyStatus = support::Status::success();
   CompileTimings Timings;
   core::PrefetchPassResult Prefetch;

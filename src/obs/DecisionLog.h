@@ -15,7 +15,7 @@
 /// deep helpers like annotateStrides record events without signature
 /// changes. All recording happens at JIT-compile time — never inside the
 /// simulated (timed) region — and DecisionScope::current() is null when
-/// observability is off, so the disabled cost is one thread-local read.
+/// no runner installed a scope, which costs one thread-local read.
 ///
 //===----------------------------------------------------------------------===//
 

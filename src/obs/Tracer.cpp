@@ -3,8 +3,6 @@
 #include "obs/Tracer.h"
 
 #include "harness/JsonWriter.h"
-#include "obs/Obs.h"
-#include "support/Env.h"
 
 #include <algorithm>
 #include <chrono>
@@ -12,23 +10,6 @@
 
 namespace spf {
 namespace obs {
-
-namespace {
-/// -1: follow the SPF_OBS environment knob; 0/1: test override.
-std::atomic<int> RuntimeOverride{-1};
-} // namespace
-
-bool enabled() {
-  int Override = RuntimeOverride.load(std::memory_order_relaxed);
-  if (Override >= 0)
-    return Override != 0;
-  static const bool FromEnv = support::envU64("SPF_OBS", 1) != 0;
-  return FromEnv;
-}
-
-void setEnabled(bool On) {
-  RuntimeOverride.store(On ? 1 : 0, std::memory_order_relaxed);
-}
 
 Tracer &Tracer::instance() {
   // Intentionally leaked: the bench atexit flush must be able to drain

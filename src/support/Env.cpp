@@ -2,11 +2,9 @@
 
 #include "support/Env.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace spf;
 using namespace spf::support;
@@ -29,18 +27,4 @@ double support::envDouble(const char *Var, double Default) {
   if (!std::isfinite(V))
     envConfigError(Var, S, "expected a finite number");
   return V;
-}
-
-uint64_t support::envU64(const char *Var, uint64_t Default) {
-  const char *S = std::getenv(Var);
-  if (!S || !*S)
-    return Default;
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long V = std::strtoull(S, &End, 10);
-  if (End == S || *End != '\0' || std::strchr(S, '-'))
-    envConfigError(Var, S, "expected a non-negative integer");
-  if (errno == ERANGE)
-    envConfigError(Var, S, "out of range");
-  return static_cast<uint64_t>(V);
 }

@@ -13,7 +13,6 @@
 #ifndef SPF_SUPPORT_ENV_H
 #define SPF_SUPPORT_ENV_H
 
-#include <cstdint>
 #include <string>
 
 namespace spf {
@@ -30,9 +29,6 @@ inline constexpr int ConfigErrorExit = 2;
 /// Finite double from \p Var; \p Default when unset or empty. Anything
 /// else (trailing garbage, NaN, infinity) fails fast.
 double envDouble(const char *Var, double Default);
-
-/// Unsigned integer from \p Var; \p Default when unset or empty.
-uint64_t envU64(const char *Var, uint64_t Default);
 
 } // namespace support
 } // namespace spf

@@ -3,7 +3,6 @@
 #include "workloads/Runner.h"
 
 #include "core/PrefetchCodeGen.h"
-#include "obs/Obs.h"
 #include "obs/Tracer.h"
 #include "opt/Governor.h"
 #include "sim/EventBuffer.h"
@@ -17,7 +16,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
 
 using namespace spf;
 using namespace spf::workloads;
@@ -455,9 +453,7 @@ SharedWorld workloads::buildSharedWorld(const WorkloadSpec &Spec,
         continue;
       for (size_t J = 0; J != U; ++J)
         core::attachPrefetchCode(std::move(Code[C][J]));
-      std::optional<obs::DecisionScope> Scope;
-      if (obs::enabled())
-        Scope.emplace(Logs[C]);
+      obs::DecisionScope Scope(Logs[C]);
       jit::CompileResult R = Prepared;
       try {
         if (A)
@@ -597,9 +593,7 @@ workloads::runSharedExecution(const WorkloadSpec &Spec,
     for (size_t K : std::vector<size_t>(B.Members)) {
       if (!Members[K].Governor)
         continue;
-      std::optional<obs::DecisionScope> Scope;
-      if (obs::enabled())
-        Scope.emplace(GovLogs[K]);
+      obs::DecisionScope Scope(GovLogs[K]);
       GovLogs[K].setContext("", 0);
       const sim::MemorySystem &Mem = *B.simFor(G, K);
       opt::EpochVerdict V = Govs[K].endEpoch(Mem.siteStats());

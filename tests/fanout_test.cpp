@@ -11,7 +11,6 @@
 
 #include "ExpectSameRun.h"
 #include "ir/IRPrinter.h"
-#include "obs/Obs.h"
 #include "obs/Tracer.h"
 #include "sim/CountingSink.h"
 #include "workloads/Runner.h"
@@ -559,9 +558,7 @@ TEST(GovernedSharingTest, MemberLeavesOnReinspection) {
       EXPECT_EQ(E.Method, "");
       EXPECT_EQ(E.Loop, 0u);
     }
-  if (obs::enabled()) {
-    EXPECT_EQ(GovernorEvents, 3u); // Two quarantines and the re-inspection.
-  }
+  EXPECT_EQ(GovernorEvents, 3u); // Two quarantines and the re-inspection.
 }
 
 } // namespace

@@ -119,10 +119,6 @@ TEST(EnvFailFastDeathTest, MalformedSpfScaleExitsWithConfigError) {
 
 TEST(EnvFailFastTest, WellFormedValuesParse) {
   {
-    ScopedEnv E("SPF_OBS", "0");
-    EXPECT_EQ(support::envU64("SPF_OBS", 1), 0u);
-  }
-  {
     ScopedEnv E("SPF_SCALE", "0.25");
     EXPECT_DOUBLE_EQ(bench::scaleFromEnv(), 0.25);
   }

@@ -465,30 +465,6 @@ TEST_F(InterpTest, LoadSitesKeepFirstExecutionOrderAcrossRedecode) {
   EXPECT_EQ(I.loadSiteCount(), 3u);
 }
 
-TEST_F(InterpTest, LoadSitesSurviveMixedModeRecompile) {
-  SitesKernel K = buildSitesKernel(M, Types, Heap);
-  sim::CountingSink Counts;
-  LoggingSink Log(Counts);
-  exec::Interpreter I(Heap, Log);
-  unsigned Compiles = 0;
-  I.enableMixedMode(
-      [&](Method *Fn, const std::vector<uint64_t> &) {
-        ASSERT_EQ(Fn, K.Fn);
-        ++Compiles;
-        insertLoad(K);
-      },
-      /*Threshold=*/2);
-
-  EXPECT_EQ(I.run(K.Fn, {K.Obj}), 7u);
-  EXPECT_EQ(Log.takeLoadSites(), (std::vector<exec::SiteId>{0, 1}));
-  for (int Run = 0; Run != 2; ++Run) {
-    EXPECT_EQ(I.run(K.Fn, {K.Obj}), 7u);
-    EXPECT_EQ(Log.takeLoadSites(), (std::vector<exec::SiteId>{0, 2, 1}));
-  }
-  EXPECT_EQ(Compiles, 1u);
-  EXPECT_TRUE(I.isCompiled(K.Fn));
-}
-
 TEST_F(InterpTest, ComputeTicksReachTheSinkCoalesced) {
   // sum(arr, n): allocate, then per element a load, a call and adds.
   Method *Id = M.addMethod("id", Type::I32, {Type::I32});
@@ -565,6 +541,30 @@ TEST_F(InterpTest, TrapsFireAsBefore) {
   expectTrap([&] { Interp.run(Open, {1}); },
              "fell off the end of a block without a terminator");
   EXPECT_EQ(Interp.stats().Retired - Before, 1u);
+
+  // A method without blocks, and a jump into a block of another method,
+  // end at the decoder's final FellOff op: nothing retires in the first,
+  // the jump alone in the second.
+  Method *Empty = M.addMethod("empty", Type::I32, {});
+  Before = Interp.stats().Retired;
+  expectTrap([&] { Interp.run(Empty, {}); },
+             "fell off the end of a block without a terminator");
+  EXPECT_EQ(Interp.stats().Retired - Before, 0u);
+  Method *Stray = M.addMethod("stray", Type::I32, {});
+  B.setInsertPoint(Stray->addBlock("entry"));
+  B.jump(Open->entry());
+  Before = Interp.stats().Retired;
+  expectTrap([&] { Interp.run(Stray, {}); },
+             "fell off the end of a block without a terminator");
+  EXPECT_EQ(Interp.stats().Retired - Before, 1u);
+  // With the budget spent on the instruction before it, the FellOff op
+  // still traps as such.
+  sim::CountingSink Spent;
+  exec::Interpreter AtBudget(Heap, Spent);
+  AtBudget.setMaxInstructions(1);
+  expectTrap([&] { AtBudget.run(Open, {1}); },
+             "fell off the end of a block without a terminator");
+  EXPECT_EQ(AtBudget.stats().Retired, 1u);
 
   for (Type Ty : {Type::I32, Type::I64}) {
     Method *Div = M.addMethod("div", Ty, {Ty, Ty});

@@ -2,8 +2,8 @@
 //
 // Contracts under test: Tracer spans serialize to valid Chrome
 // trace_event JSON; the prefetch pipeline records attributable decision
-// events for every loop it visits; and enabling observability never
-// changes a run's statistics.
+// events for every loop it visits; and arming the tracer never changes
+// a run's statistics.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,7 +12,6 @@
 #include "harness/Experiment.h"
 #include "harness/JsonReader.h"
 #include "obs/DecisionLog.h"
-#include "obs/Obs.h"
 #include "opt/Governor.h"
 #include "obs/Tracer.h"
 
@@ -275,49 +274,43 @@ TEST(DecisionLogTest, GovernorWithoutScopeStillDecides) {
 
 // -- Observability never changes results ------------------------------------
 
-TEST(ObsParityTest, RunPlanStatsAreIdenticalOnAndOff) {
+TEST(ObsParityTest, ArmedTracerLeavesRunsUnchanged) {
   using workloads::Algorithm;
-  auto BuildPlan = [] {
+  auto RunJess = [] {
     harness::ExperimentPlan Plan;
     workloads::WorkloadConfig Cfg;
     Cfg.Scale = 0.05;
     Plan.addSweep({workloads::findWorkload("jess")},
                   {Algorithm::Baseline, Algorithm::InterIntra},
                   {(*sim::MachineConfig::byName("pentium4"))}, Cfg);
-    return Plan;
+    return harness::runPlan(Plan, 2);
   };
 
-  obs::setEnabled(false);
-  harness::ExperimentPlan PlanOff = BuildPlan();
-  harness::ExperimentResult Off = harness::runPlan(PlanOff, 2);
-  obs::setEnabled(true);
-  harness::ExperimentPlan PlanOn = BuildPlan();
-  harness::ExperimentResult On = harness::runPlan(PlanOn, 2);
-  obs::setEnabled(true); // Leave enabled (the build default).
+  harness::ExperimentResult Unarmed = RunJess();
+  harness::ExperimentResult Armed;
+  {
+    TracerGuard G;
+    Armed = RunJess();
+    EXPECT_FALSE(Tracer::instance().drain().empty());
+  }
 
-  ASSERT_TRUE(Off.ok());
-  ASSERT_TRUE(On.ok());
-  ASSERT_EQ(Off.Cells.size(), On.Cells.size());
-  for (size_t I = 0; I != Off.Cells.size(); ++I) {
-    const workloads::RunResult &A = Off.Cells[I].Run;
-    const workloads::RunResult &B = On.Cells[I].Run;
+  ASSERT_TRUE(Unarmed.ok());
+  ASSERT_TRUE(Armed.ok());
+  ASSERT_EQ(Unarmed.Cells.size(), Armed.Cells.size());
+  for (size_t I = 0; I != Unarmed.Cells.size(); ++I) {
+    const workloads::RunResult &A = Unarmed.Cells[I].Run;
+    const workloads::RunResult &B = Armed.Cells[I].Run;
     EXPECT_EQ(A.CompiledCycles, B.CompiledCycles);
     EXPECT_EQ(A.Retired, B.Retired);
     EXPECT_EQ(A.ReturnValue, B.ReturnValue);
-    EXPECT_EQ(A.Mem.Loads, B.Mem.Loads);
-    EXPECT_EQ(A.Mem.L1LoadMisses, B.Mem.L1LoadMisses);
-    EXPECT_EQ(A.Mem.L2LoadMisses, B.Mem.L2LoadMisses);
-    EXPECT_EQ(A.Mem.DtlbLoadMisses, B.Mem.DtlbLoadMisses);
-    EXPECT_EQ(A.Mem.SwPrefetchesIssued, B.Mem.SwPrefetchesIssued);
+    EXPECT_EQ(A.Mem, B.Mem);
     EXPECT_EQ(A.Prefetch.CodeGen.Prefetches,
               B.Prefetch.CodeGen.Prefetches);
     EXPECT_EQ(A.Prefetch.CodeGen.SpecLoads, B.Prefetch.CodeGen.SpecLoads);
-    // Decisions are the one sanctioned difference: recorded only when
-    // observability is on.
-    EXPECT_TRUE(A.Decisions.empty());
+    EXPECT_EQ(A.Decisions, B.Decisions);
   }
-  // The prefetched cell must have decision events when obs is on.
-  EXPECT_FALSE(On.Cells.back().Run.Decisions.empty());
+  // Decisions are recorded whether or not the tracer is armed.
+  EXPECT_FALSE(Armed.Cells.back().Run.Decisions.empty());
 }
 
 } // namespace

@@ -8,7 +8,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Verifier.h"
-#include "obs/Obs.h"
 #include "workloads/ProgramPopulation.h"
 #include "workloads/Runner.h"
 
@@ -220,7 +219,6 @@ TEST(ProgramPopulationTest, RunnerCompilesOnlyExecutedUnits) {
   for (const CompileUnit &CU : W.executedUnits())
     EXPECT_NE(CU.M->name().rfind("pop.", 0), 0u) << CU.M->name();
 
-  obs::setEnabled(true);
   RunResult R = runWorkload(*Spec, Opt);
   EXPECT_TRUE(R.SelfCheckOk);
   ASSERT_FALSE(R.Decisions.empty());
