@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Helpers shared by the bench binaries: command-line and SPF_SCALE
-/// parsing, running an experiment plan on the parallel driver
-/// (src/harness), and writing its report and decision log.
+/// parsing, the failure count behind the exit code, and writing the
+/// JSON report of a plan run on the parallel driver (src/harness).
 ///
 /// The problem scale can be reduced for quick runs with SPF_SCALE (e.g.
 /// SPF_SCALE=0.1 ./sweep); the recorded EXPERIMENTS.md numbers use the
@@ -19,7 +19,6 @@
 #include "harness/Experiment.h"
 #include "harness/JsonWriter.h"
 #include "harness/ThreadPool.h"
-#include "obs/DecisionLog.h"
 #include "obs/Tracer.h"
 #include "support/Env.h"
 #include "workloads/Runner.h"
@@ -260,11 +259,10 @@ inline bool reportPlanFailures(const harness::ExperimentResult &Result) {
 struct BenchCli {
   std::string ProcessLabel; ///< Binary name, labels the trace lane.
   unsigned Jobs = 0;
-  // Observability outputs (src/obs).
-  std::string ProfileOut;   ///< Chrome trace_event JSON path.
-  std::string DecisionsOut; ///< Compile-decision JSON-lines path.
-  bool Explain = false;     ///< Print the per-cell decision summary.
-  bool DecisionsOpened = false; ///< First plan truncates, later append.
+  std::string ProfileOut; ///< Chrome trace_event JSON path (src/obs).
+  /// The --profile-out file, opened by init() before any cell runs so an
+  /// unwritable path fails fast; flushTrace() fills it.
+  std::ofstream Trace;
 };
 
 inline BenchCli &cli() {
@@ -276,22 +274,21 @@ inline BenchCli &cli() {
 /// plan.
 inline void flushTrace() {
   BenchCli &C = cli();
-  std::ofstream OS(C.ProfileOut, std::ios::trunc);
-  if (!OS) {
+  size_t N = obs::Tracer::instance().writeChromeTrace(C.Trace, C.ProcessLabel);
+  C.Trace.flush();
+  if (!C.Trace)
     std::fprintf(stderr, "trace: cannot write %s\n", C.ProfileOut.c_str());
-    return;
-  }
-  size_t N = obs::Tracer::instance().writeChromeTrace(OS, C.ProcessLabel);
-  std::fprintf(stderr, "trace: %zu event(s) -> %s\n", N, C.ProfileOut.c_str());
+  else
+    std::fprintf(stderr, "trace: %zu event(s) -> %s\n", N,
+                 C.ProfileOut.c_str());
 }
 
 /// Parses the command line: the binary's own \p Flags plus the shared
 ///   --jobs N             worker threads (default: hardware concurrency)
 ///   --profile-out FILE   Chrome trace of the whole run
-///   --decisions-out FILE one JSON line per compile decision
-///   --explain            print the per-cell decision summary
-/// Call first in every bench main. A malformed value or an unknown
-/// argument exits with support::ConfigErrorExit (2).
+/// Call first in every bench main. A malformed value, an unknown
+/// argument or a --profile-out path that cannot be opened for writing
+/// exits with support::ConfigErrorExit (2).
 inline void init(int argc, char **argv, std::vector<Flag> Flags = {}) {
   BenchCli &C = cli();
   C.ProcessLabel = argv[0];
@@ -304,76 +301,17 @@ inline void init(int argc, char **argv, std::vector<Flag> Flags = {}) {
                          "expected an integer worker count in [1, 1024]"));
                    }});
   Flags.push_back(stringFlag("--profile-out", C.ProfileOut));
-  Flags.push_back(stringFlag("--decisions-out", C.DecisionsOut));
-  Flags.push_back(switchFlag("--explain", C.Explain));
   parseArgs(argc, argv, Flags);
   if (!C.Jobs)
     C.Jobs = harness::defaultJobs();
   if (!C.ProfileOut.empty()) {
+    C.Trace.open(C.ProfileOut, std::ios::trunc);
+    if (!C.Trace)
+      support::envConfigError("--profile-out", C.ProfileOut.c_str(),
+                              "cannot open for writing");
     obs::Tracer::instance().enable();
     std::atexit(flushTrace);
   }
-}
-
-/// Emits the per-cell compile-decision log for one finished plan: the
-/// human summary on stdout (--explain) and one JSON line per decision
-/// (--decisions-out), each wrapped with its cell's identity so lines
-/// from multi-plan binaries stay attributable.
-inline void emitDecisions(const harness::ExperimentPlan &Plan,
-                          const harness::ExperimentResult &Result) {
-  BenchCli &C = cli();
-  if (!C.Explain && C.DecisionsOut.empty())
-    return;
-  std::ofstream DS;
-  if (!C.DecisionsOut.empty()) {
-    DS.open(C.DecisionsOut,
-            C.DecisionsOpened ? std::ios::app : std::ios::trunc);
-    C.DecisionsOpened = true;
-    if (!DS)
-      std::fprintf(stderr, "decisions: cannot write %s\n",
-                   C.DecisionsOut.c_str());
-  }
-  for (unsigned I = 0, E = static_cast<unsigned>(Plan.size()); I != E;
-       ++I) {
-    const harness::ExperimentCell &Cell = Plan.cells()[I];
-    const std::vector<obs::DecisionEvent> &Decisions =
-        Result.Cells[I].Run.Decisions;
-    if (Decisions.empty())
-      continue;
-    if (C.Explain) {
-      std::printf("\nexplain: %s [%s, %s] — %zu decision(s)\n",
-                  Cell.Spec->Name.c_str(),
-                  workloads::algorithmName(Cell.Opt.Algo),
-                  Cell.Opt.Machine.Name.c_str(), Decisions.size());
-      for (const obs::DecisionEvent &D : Decisions)
-        std::printf("  %s\n", obs::formatDecision(D).c_str());
-    }
-    if (DS) {
-      for (const obs::DecisionEvent &D : Decisions) {
-        harness::JsonWriter J(DS);
-        J.beginObject();
-        J.key("cell").value(static_cast<uint64_t>(I));
-        if (!Cell.Group.empty())
-          J.key("group").value(Cell.Group);
-        J.key("workload").value(Cell.Spec->Name);
-        J.key("algorithm").value(workloads::algorithmName(Cell.Opt.Algo));
-        J.key("machine").value(Cell.Opt.Machine.Name);
-        J.key("decision");
-        obs::writeDecisionJson(J, D);
-        J.endObject();
-        DS << '\n';
-      }
-    }
-  }
-}
-
-/// Runs \p Plan on the worker count init() parsed and emits its
-/// compile-decision log.
-inline harness::ExperimentResult
-runPlanCli(const harness::ExperimentPlan &Plan) {
-  harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
-  emitDecisions(Plan, Result);
-  return Result;
 }
 
 /// The (upper) median of the non-empty \p V: wall-clock samples.

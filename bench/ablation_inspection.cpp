@@ -78,7 +78,7 @@ int main(int argc, char **argv) {
     Plan.add(std::move(Cell));
   }
 
-  harness::ExperimentResult Result = runPlanCli(Plan);
+  harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
   reportPlanFailures(Result);
   unsigned I = 0;
 

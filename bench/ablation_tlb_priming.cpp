@@ -44,7 +44,7 @@ int main(int argc, char **argv) {
     Cell.CheckAgainst = BaseIdx;
     Plan.add(std::move(Cell));
   }
-  harness::ExperimentResult Result = runPlanCli(Plan);
+  harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
   reportPlanFailures(Result);
 
   const RunResult &RBase = Result.run(BaseIdx);

@@ -17,13 +17,14 @@
 /// The binary enforces the robustness contract and exits 1 when it does
 /// not hold at this scale:
 ///   - under address-shuffle, governor-on must recover >= 50% of the
-///     governor-off regression on at least MinRecovered workloads;
+///     governor-off regression on at least 3 workloads (on every
+///     workload of a smaller --workloads subset);
 ///   - a governed run must never be slower than the prefetch-disabled
 ///     floor (beyond a 2% tolerance).
 ///
 /// Usage:
 ///   adaptation [--out FILE] [--workloads a,b,c] [--epochs N]
-///              [--min-recovered N] [--jobs N]
+///              [--jobs N] [--profile-out FILE]
 ///
 ///   --out FILE          JSON report path (default: BENCH_adaptation.json;
 ///                       "-" for stdout). CI compares a fresh report
@@ -31,9 +32,6 @@
 ///                       for byte.
 ///   --workloads CSV     workload subset (default: db,jack,MonteCarlo)
 ///   --epochs N          epochs per cell, >= 2 (default 10)
-///   --min-recovered N   how many address-shuffle workloads must clear the
-///                       50% recovery bar: an integer >= 1 (default 3,
-///                       clamped to the workload count)
 ///   SPF_SCALE=0.1       reduced problem scale, as for every bench binary
 ///
 /// Exit code 1 on any self-check failure or contract violation;
@@ -178,18 +176,12 @@ void writeRowJson(harness::JsonWriter &J, const RowResult &R) {
 int main(int argc, char **argv) {
   std::string OutPath = "BENCH_adaptation.json";
   std::string WorkloadCsv = "db,jack,MonteCarlo";
-  unsigned MinRecovered = 3;
   // Adaptation needs an epoch boundary to act at: --epochs takes >= 2.
   AdaptationKnobs Knobs;
   Knobs.Epochs = 10;
   std::vector<Flag> Flags = Knobs.flags(/*MinEpochs=*/2);
   Flags.push_back(stringFlag("--out", OutPath));
   Flags.push_back(stringFlag("--workloads", WorkloadCsv));
-  Flags.push_back({"--min-recovered", [&](const std::string &V) {
-                     MinRecovered = static_cast<unsigned>(parseCountOrExit(
-                         "--min-recovered", V, 1, 1000000,
-                         "expected an integer workload count >= 1"));
-                   }});
   init(argc, argv, std::move(Flags));
   const unsigned Epochs = Knobs.Epochs;
 
@@ -198,8 +190,10 @@ int main(int argc, char **argv) {
     reportFailure("no workloads selected");
     return exitCode();
   }
-  MinRecovered =
-      std::min<unsigned>(MinRecovered, static_cast<unsigned>(Specs.size()));
+  // The address-shuffle recovery gate: 3 workloads, or every one of a
+  // smaller subset.
+  const unsigned MinRecovered =
+      std::min<unsigned>(3, static_cast<unsigned>(Specs.size()));
 
   const sim::MachineConfig Machine =
       *sim::MachineConfig::byName("pentium4");
@@ -237,7 +231,7 @@ int main(int argc, char **argv) {
               Plan.size(), Specs.size(), std::size(PerturbingVariants),
               Specs.size(), Epochs, scaleFromEnv());
 
-  harness::ExperimentResult Result = runPlanCli(Plan);
+  harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
   reportPlanFailures(Result);
 
   std::vector<std::vector<RowResult>> Folded;

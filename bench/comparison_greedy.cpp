@@ -70,7 +70,7 @@ int main(int argc, char **argv) {
   Plan.addSweep(Specs, {Algorithm::Baseline, Algorithm::InterIntra},
                 {machineByNameOrExit("pentium4")}, benchConfig(),
                 "comparison:greedy");
-  harness::ExperimentResult Result = runPlanCli(Plan);
+  harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
   reportPlanFailures(Result);
 
   unsigned I = 0;

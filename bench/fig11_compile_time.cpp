@@ -43,7 +43,7 @@ int main(int argc, char **argv) {
     Cell.Opt.Config = benchConfig();
     Plan.add(std::move(Cell));
   }
-  harness::ExperimentResult Result = runPlanCli(Plan);
+  harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
   reportPlanFailures(Result);
 
   // Compile time is wall-clock and jittery: compile each whole program a

@@ -9,13 +9,13 @@
 ///   sweep [--jobs N] [--json FILE] [--workloads a,b,c]
 ///         [--machine NAME] [--machine-file FILE] [--hw-prefetch KIND]
 ///         [--epochs N] [--gc-variant KIND] [--governor on|off]
-///         [--phase-change]
-///         [--profile-out FILE] [--decisions-out FILE] [--explain]
+///         [--phase-change] [--profile-out FILE]
 ///
 ///   --jobs N          worker threads, 1..1024 (default: hardware
 ///                     concurrency); results are bit-identical for any N
 ///   --json FILE       report path (default: sweep_report.json; "-" for
-///                     stdout)
+///                     stdout); each cell carries its compile and
+///                     governor decisions (`spf-report show` prints them)
 ///   --workloads CSV   restrict to a comma-separated subset of Table 3
 ///                     workload names
 ///   --machine NAME    replace the default Pentium4+AthlonMP plan with a
@@ -46,23 +46,16 @@
 ///   --profile-out F   write a Chrome trace_event JSON timeline of the
 ///                     whole sweep (open in chrome://tracing or
 ///                     ui.perfetto.dev)
-///   --decisions-out F write one JSON line per compile decision —
-///                     which strides inspection found, what the planner
-///                     pruned, why loops degraded
-///   --explain         print the per-cell compile-decision summary
 ///   SPF_SCALE=0.1     reduced problem scale, as for every bench binary
 ///
 /// Exit code is 1 when any cell fails, fails its workload self-check or
 /// changes a result under prefetching, and 2 for an unknown argument or
-/// a malformed flag or SPF_* value. The undocumented
-/// --inject-self-check-failure flag adds a deliberately failing cell so
-/// CI can regression-test the nonzero-exit path.
+/// a malformed flag or SPF_* value.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -213,7 +206,6 @@ void printModeTable(const sim::MachineConfig &M,
 int main(int argc, char **argv) {
   std::string JsonPath = "sweep_report.json";
   std::string WorkloadCsv;
-  bool InjectFailure = false;
   // --machine/--machine-file select machines for a prefetch-source sweep
   // (none/sw/hw/combined per workload); --hw-prefetch overrides every
   // selected machine's hardware prefetcher kind. Without a machine
@@ -228,7 +220,6 @@ int main(int argc, char **argv) {
     Flags.push_back(std::move(F));
   Flags.push_back(stringFlag("--json", JsonPath));
   Flags.push_back(stringFlag("--workloads", WorkloadCsv));
-  Flags.push_back(switchFlag("--inject-self-check-failure", InjectFailure));
   init(argc, argv, std::move(Flags));
   unsigned Jobs = cli().Jobs;
   std::vector<sim::MachineConfig> &Machines = MachineSel.Machines;
@@ -242,22 +233,6 @@ int main(int argc, char **argv) {
   if (Specs.empty()) {
     reportFailure("no workloads selected");
     return exitCode();
-  }
-
-  // Deliberately failing cell (regression coverage for the nonzero-exit
-  // contract): jess with its expected return value corrupted. Must
-  // outlive the plan, which stores the spec by pointer.
-  WorkloadSpec Injected;
-  if (InjectFailure) {
-    Injected = *findWorkload("jess");
-    Injected.Name = "jess<injected>";
-    std::function<BuiltWorkload(const WorkloadConfig &)> Orig =
-        Injected.Build;
-    Injected.Build = [Orig](const WorkloadConfig &Cfg) {
-      BuiltWorkload W = Orig(Cfg);
-      W.Expected = W.Expected ? *W.Expected + 1 : 1;
-      return W;
-    };
   }
 
   harness::ExperimentPlan Plan;
@@ -285,15 +260,6 @@ int main(int argc, char **argv) {
     AthlonCells =
         Plan.addSweep(Specs, Algos, {Athlon}, benchConfig(), "athlon");
   }
-  if (InjectFailure) {
-    harness::ExperimentCell Cell;
-    Cell.Group = "injected";
-    Cell.Spec = &Injected;
-    Cell.Opt.Config = benchConfig();
-    Cell.Opt.Config.Scale = std::min(Cell.Opt.Config.Scale, 0.05);
-    Cell.Opt.Algo = Algorithm::Baseline;
-    Plan.add(std::move(Cell));
-  }
 
   for (harness::ExperimentCell &C : Plan.cells())
     Adapt.applyTo(C.Opt);
@@ -315,7 +281,7 @@ int main(int argc, char **argv) {
                 scaleFromEnv());
 
   auto Start = std::chrono::steady_clock::now();
-  harness::ExperimentResult Result = runPlanCli(Plan);
+  harness::ExperimentResult Result = harness::runPlan(Plan, cli().Jobs);
   double Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     Start)

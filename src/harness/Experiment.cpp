@@ -4,6 +4,7 @@
 
 #include "harness/JsonWriter.h"
 #include "harness/ThreadPool.h"
+#include "obs/DecisionLog.h"
 #include "obs/Tracer.h"
 #include "support/BuildInfo.h"
 
@@ -514,6 +515,16 @@ void harness::writeJsonReport(std::ostream &OS, const ExperimentPlan &Plan,
       J.endObject();
     }
     J.endArray();
+    // Why the cell's code looks as it does: the prefetch pass's decisions
+    // (LDG edges, inspected strides, planner verdicts, emitted prefetches)
+    // and the governor's epoch verdicts, in the order they were made. A
+    // cell with none (every BASELINE cell) carries no key.
+    if (!R.Decisions.empty()) {
+      J.key("decisions").beginArray();
+      for (const obs::DecisionEvent &D : R.Decisions)
+        obs::writeDecisionJson(J, D);
+      J.endArray();
+    }
     // Execution bookkeeping: whether the cell's statistics came from a
     // shared execution, and the wall time of its interpretation —
     // consumers comparing reports must ignore interpret_us.

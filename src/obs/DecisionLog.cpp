@@ -6,8 +6,6 @@
 #include "ir/BasicBlock.h"
 #include "ir/Instruction.h"
 
-#include <cstdio>
-
 namespace spf {
 namespace obs {
 
@@ -66,25 +64,6 @@ void writeDecisionJson(harness::JsonWriter &J, const DecisionEvent &E) {
   if (E.Confidence != 0)
     J.key("confidence").value(E.Confidence);
   J.endObject();
-}
-
-std::string formatDecision(const DecisionEvent &E) {
-  std::string Line = E.Method + "/loop@" + std::to_string(E.Loop) + " [" +
-                     E.Pass + "] " + E.Event;
-  if (!E.Site.empty())
-    Line += " " + E.Site;
-  if (E.Stride != 0)
-    Line += " stride=" + std::to_string(E.Stride);
-  if (E.Samples != 0)
-    Line += " samples=" + std::to_string(E.Samples);
-  if (E.Confidence != 0) {
-    char Buf[32];
-    std::snprintf(Buf, sizeof(Buf), " conf=%.2f", E.Confidence);
-    Line += Buf;
-  }
-  if (!E.Detail.empty())
-    Line += " (" + E.Detail + ")";
-  return Line;
 }
 
 } // namespace obs

@@ -7,9 +7,9 @@
 /// the planner pruned, which prefetch kind codegen emitted, and why a
 /// loop degraded — keyed by method, loop header, and load site. The
 /// events live on a DecisionLog owned by the workload runner, travel in
-/// RunResult::Decisions through shared executions, and surface as
-/// JSON-lines (--decisions-out) and the human summary printed by
-/// `bench/sweep --explain`.
+/// RunResult::Decisions through shared executions, and surface as each
+/// cell's `decisions` array in the sweep's JSON report, which
+/// `spf-report show` prints one line per decision.
 ///
 /// Passes find the active log through a thread-local DecisionScope, so
 /// deep helpers like annotateStrides record events without signature
@@ -105,12 +105,10 @@ private:
 /// one, else "opcode@blockname".
 std::string siteLabel(const ir::Value *V);
 
-/// JSON serialization for --decisions-out: an object with only the
-/// non-default fields, so records stay compact and byte-stable.
+/// JSON serialization for the report's `decisions` arrays: an object
+/// with only the non-default fields, so records stay compact and
+/// byte-stable.
 void writeDecisionJson(harness::JsonWriter &J, const DecisionEvent &E);
-
-/// One human-readable line for --explain (no trailing newline).
-std::string formatDecision(const DecisionEvent &E);
 
 } // namespace obs
 } // namespace spf

@@ -92,8 +92,8 @@ struct RunResult {
   uint64_t ReturnValue = 0;
   bool SelfCheckOk = true; ///< Entry returned the expected value.
   /// Structured compile-decision events (obs/DecisionLog.h), recorded at
-  /// JIT time when observability is enabled; empty otherwise. Carried
-  /// with the result so `--explain` works for shared executions.
+  /// JIT time, then the governor's epoch verdicts. Carried with the
+  /// result so each cell of a shared execution reports its own.
   std::vector<obs::DecisionEvent> Decisions;
 
   // Execution-sharing accounting (wall clock, not simulated):
@@ -152,8 +152,8 @@ struct SharedWorld {
   /// Each member's configuration, which indexes the vectors below.
   std::vector<size_t> ConfigOf;
   /// Per configuration: the compile manager its pass results aggregate
-  /// in, its decisions (when observability is on), and what its pass
-  /// threw, if it threw (its code then joins no owner).
+  /// in, its decisions, and what its pass threw, if it threw (its code
+  /// then joins no owner).
   std::deque<jit::CompileManager> Jits;
   std::vector<std::vector<obs::DecisionEvent>> Decisions;
   std::vector<std::exception_ptr> Failed;

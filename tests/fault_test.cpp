@@ -91,15 +91,24 @@ TEST(EnvFailFastDeathTest, OutOfRangeJobsFlagExitsWithConfigError) {
 
 // An argument no flag claims exits 2 rather than running with that
 // setting at its default: a misspelled flag, another binary's flag, a
-// stray word, a switch given a value. So does a value flag that ends the
-// command line.
+// stray word, a deleted flag, a switch given a value. So does a value
+// flag that ends the command line.
 TEST(EnvFailFastDeathTest, UnknownArgumentExitsWithConfigError) {
   std::string Json;
-  for (const char *Bad : {"--jbos", "--epochs", "stray", "--explain=1"})
+  for (const char *Bad : {"--jbos", "--epochs", "stray", "--explain",
+                          "--decisions-out"})
     EXPECT_EXIT(initBench({"--json", "x", Bad, "2"}, Json),
                 ::testing::ExitedWithCode(support::ConfigErrorExit),
                 std::string("unknown argument \"") + Bad + "\"")
         << Bad;
+  // "--phase-change=1" is not read as the switch turned on.
+  bench::AdaptationKnobs Knobs;
+  std::vector<const char *> Argv = {"sweep", "--phase-change=1"};
+  EXPECT_EXIT(bench::parseArgs(static_cast<int>(Argv.size()),
+                               const_cast<char **>(Argv.data()),
+                               Knobs.flags()),
+              ::testing::ExitedWithCode(support::ConfigErrorExit),
+              "unknown argument \"--phase-change=1\"");
   EXPECT_EXIT(initBench({"--jobs"}, Json),
               ::testing::ExitedWithCode(support::ConfigErrorExit),
               "invalid --jobs=\"\": missing value");
@@ -128,10 +137,10 @@ TEST(EnvFailFastTest, WellFormedValuesParse) {
   }
   // A flag's value is taken whole, even one that looks like a flag.
   std::string Json;
-  initBench({"--jobs", "3", "--json", "--explain"}, Json);
+  initBench({"--jobs", "3", "--json", "--profile-out"}, Json);
   EXPECT_EQ(bench::cli().Jobs, 3u);
-  EXPECT_EQ(Json, "--explain");
-  EXPECT_FALSE(bench::cli().Explain);
+  EXPECT_EQ(Json, "--profile-out");
+  EXPECT_TRUE(bench::cli().ProfileOut.empty());
 }
 
 // -- Graceful degradation of inspection ------------------------------------
@@ -483,6 +492,30 @@ TEST(HarnessContainmentTest, CleanRunIsNotQuarantined) {
   EXPECT_TRUE(R.ok());
   EXPECT_TRUE(R.Quarantine.empty());
   ASSERT_TRUE(R.Cells[0].Ran);
+}
+
+// A bench binary's exit code: a plan whose cell fails its self-check,
+// folded into the binary's failure count, makes exitCode() 1.
+TEST(HarnessContainmentTest, ASelfCheckFailureMakesTheBenchExitOne) {
+  workloads::WorkloadSpec Bad = *workloads::findWorkload("jess");
+  Bad.Name = "jess<corrupted>";
+  Bad.Build = [Build = Bad.Build](const workloads::WorkloadConfig &Cfg) {
+    workloads::BuiltWorkload W = Build(Cfg);
+    W.Expected = W.Expected ? *W.Expected + 1 : 1;
+    return W;
+  };
+  harness::ExperimentPlan Plan = tinyJessPlan(1);
+  harness::ExperimentCell Cell = Plan.cells()[0];
+  Cell.Spec = &Bad;
+  Plan.add(std::move(Cell));
+
+  ASSERT_EQ(bench::failureCount(), 0u);
+  EXPECT_TRUE(bench::reportPlanFailures(harness::runPlan(tinyJessPlan(1), 1)));
+  EXPECT_EQ(bench::exitCode(), 0);
+  EXPECT_FALSE(bench::reportPlanFailures(harness::runPlan(Plan, 2)));
+  EXPECT_EQ(bench::failureCount(), 1u);
+  EXPECT_EQ(bench::exitCode(), 1);
+  bench::failureCount() = 0;
 }
 
 } // namespace

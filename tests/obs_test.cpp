@@ -154,8 +154,8 @@ TEST(DecisionLogTest, JessGoldenEvents) {
     EXPECT_FALSE(E.Event.empty());
     Loops.insert(E.Loop);
   }
-  // At least one decision entry per visited loop (the --explain
-  // acceptance contract).
+  // At least one decision entry per visited loop: every loop the pass
+  // looked at is explained.
   EXPECT_GE(Loops.size(), size_t(R.LoopsVisited));
 
   auto Has = [&](const char *Pass, const char *Event) {
@@ -188,28 +188,10 @@ TEST(DecisionLogTest, ScopeIsNullWhenNotInstalled) {
   EXPECT_EQ(DecisionScope::current(), nullptr); // Restored on unwind.
 }
 
-TEST(DecisionLogTest, FormatIsHumanReadable) {
-  DecisionEvent E;
-  E.Method = "find";
-  E.Loop = 1;
-  E.Pass = "stride";
-  E.Event = "inter-pattern";
-  E.Site = "%l4";
-  E.Stride = 208;
-  E.Samples = 19;
-  E.Confidence = 1.0;
-  std::string S = formatDecision(E);
-  EXPECT_NE(S.find("find/loop@1"), std::string::npos);
-  EXPECT_NE(S.find("[stride]"), std::string::npos);
-  EXPECT_NE(S.find("inter-pattern"), std::string::npos);
-  EXPECT_NE(S.find("stride=208"), std::string::npos);
-  EXPECT_NE(S.find("samples=19"), std::string::npos);
-}
-
 TEST(DecisionLogTest, GovernorGoldenEvents) {
   // The governor's epoch re-decisions ride the same DecisionLog pipeline
-  // as compile-time decisions (Pass="governor"), so --explain and
-  // --decisions-out show *runtime* adaptation next to the static plan.
+  // as compile-time decisions (Pass="governor"), so a cell's report
+  // shows *runtime* adaptation next to the static plan.
   DecisionLog Log;
   opt::EpochVerdict Verdict;
   {
@@ -249,9 +231,6 @@ TEST(DecisionLogTest, GovernorGoldenEvents) {
   EXPECT_EQ(Evs[3].Site, "");
   EXPECT_EQ(Evs[3].Detail, "fresh_quarantines=3");
   for (const DecisionEvent &E : Evs) {
-    // Human rendering stays readable for runtime events with no method
-    // attribution.
-    EXPECT_NE(formatDecision(E).find("[governor]"), std::string::npos);
     if (E.Event == "reinspect")
       continue;
     EXPECT_NE(E.Detail.find("resolved="), std::string::npos);
@@ -311,6 +290,46 @@ TEST(ObsParityTest, ArmedTracerLeavesRunsUnchanged) {
   }
   // Decisions are recorded whether or not the tracer is armed.
   EXPECT_FALSE(Armed.Cells.back().Run.Decisions.empty());
+}
+
+// The sweep report carries each cell's decisions, in order, as its
+// `decisions` array; a cell that made none (BASELINE) has no such key.
+TEST(ObsReportTest, EachCellReportsItsOwnDecisions) {
+  harness::ExperimentPlan Plan;
+  workloads::WorkloadConfig Cfg;
+  Cfg.Scale = 0.05;
+  Plan.addSweep({workloads::findWorkload("jess")},
+                {workloads::Algorithm::Baseline,
+                 workloads::Algorithm::InterIntra},
+                {(*sim::MachineConfig::byName("pentium4"))}, Cfg);
+  harness::ExperimentResult R = harness::runPlan(Plan, 1);
+  ASSERT_TRUE(R.ok());
+  std::ostringstream OS;
+  harness::writeJsonReport(OS, Plan, R, 0.05, 1);
+  std::string Error;
+  std::unique_ptr<harness::JsonValue> Doc =
+      harness::JsonValue::parse(OS.str(), &Error);
+  ASSERT_TRUE(Doc) << Error;
+  const std::vector<harness::JsonValue> &Cells = Doc->get("cells").array();
+  ASSERT_EQ(Cells.size(), 2u);
+  EXPECT_TRUE(R.run(0).Decisions.empty());
+  EXPECT_FALSE(Cells[0].has("decisions"));
+
+  const std::vector<DecisionEvent> &Want = R.run(1).Decisions;
+  ASSERT_FALSE(Want.empty());
+  const std::vector<harness::JsonValue> &Got =
+      Cells[1].get("decisions").array();
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I != Want.size(); ++I) {
+    EXPECT_EQ(Got[I].getString("method"), Want[I].Method) << I;
+    EXPECT_EQ(Got[I].getU64("loop"), Want[I].Loop) << I;
+    EXPECT_EQ(Got[I].getString("pass"), Want[I].Pass) << I;
+    EXPECT_EQ(Got[I].getString("event"), Want[I].Event) << I;
+    EXPECT_EQ(Got[I].getString("site"), Want[I].Site) << I;
+    EXPECT_EQ(Got[I].getDouble("stride"), static_cast<double>(Want[I].Stride))
+        << I;
+    EXPECT_EQ(Got[I].getU64("samples"), Want[I].Samples) << I;
+  }
 }
 
 } // namespace

@@ -4,14 +4,14 @@
 /// Reads the JSON reports the bench binaries write:
 ///
 ///   spf-report show <report.json>
-///     CPI-stack table (one row per cell) and the per-site top-K stall
-///     attribution tables.
+///     CPI-stack table (one row per cell), then per cell its top-K stall
+///     attribution table and its compile and governor decisions, one
+///     line each.
 ///
 ///   spf-report validate <report.json>...
 ///     Structural validation: recognized schema, required keys, and the
 ///     cycle-attribution sum invariant on every ran cell's breakdown.
-///     Exit 1 on the first violation. `--validate` is accepted
-///     as an alias for the subcommand spelling.
+///     Exit 1 on the first violation.
 ///
 /// Reports are deterministic: a regression gate compares a fresh report
 /// with a committed one byte for byte (`cmp`).
@@ -74,6 +74,36 @@ std::string pct(uint64_t Part, uint64_t Whole) {
   return Buf;
 }
 
+/// "group/workload/algorithm", the label of one report cell.
+std::string cellId(const JsonValue &C) {
+  return C.getString("group") + "/" + C.getString("workload") + "/" +
+         C.getString("algorithm");
+}
+
+/// One decision of a cell's `decisions` array as one line:
+///   method/loop@N [pass] event site stride=S samples=N conf=C (detail)
+/// with each optional field printed only when the record carries it.
+std::string formatDecision(const JsonValue &D) {
+  std::string Line = D.getString("method") + "/loop@" +
+                     std::to_string(D.getU64("loop")) + " [" +
+                     D.getString("pass") + "] " + D.getString("event");
+  if (D.has("site"))
+    Line += " " + D.getString("site");
+  if (D.has("stride"))
+    Line += " stride=" +
+            std::to_string(static_cast<long long>(D.getDouble("stride")));
+  if (D.has("samples"))
+    Line += " samples=" + std::to_string(D.getU64("samples"));
+  if (D.has("confidence")) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), " conf=%.2f", D.getDouble("confidence"));
+    Line += Buf;
+  }
+  if (D.has("detail"))
+    Line += " (" + D.getString("detail") + ")";
+  return Line;
+}
+
 int showSweep(const JsonValue &V) {
   const JsonValue &Cells = V.get("cells");
   if (Cells.kind() != JsonValue::Kind::Array) {
@@ -104,8 +134,7 @@ int showSweep(const JsonValue &V) {
       continue;
     const JsonValue &B = C.get("cycle_breakdown");
     uint64_t Total = B.getU64("total");
-    std::string Id = C.getString("group") + "/" + C.getString("workload") +
-                     "/" + C.getString("algorithm");
+    std::string Id = cellId(C);
     std::printf("%-44s %12llu %s %s", Id.c_str(),
                 static_cast<unsigned long long>(Total),
                 pct(B.getU64("compute"), Total).c_str(),
@@ -118,23 +147,30 @@ int showSweep(const JsonValue &V) {
                 pct(B.getU64("guard_fault"), Total).c_str(),
                 pct(B.getU64("prefetch_issue"), Total).c_str());
   }
+  auto NonEmpty = [](const JsonValue &C, const char *Key) {
+    return C.has(Key) && C.get(Key).kind() == JsonValue::Kind::Array &&
+           !C.get(Key).array().empty();
+  };
   for (const JsonValue &C : Cells.array()) {
-    if (!C.has("top_sites") ||
-        C.get("top_sites").kind() != JsonValue::Kind::Array ||
-        C.get("top_sites").array().empty())
-      continue;
-    std::printf("\ntop stall sites: %s/%s/%s\n", C.getString("group").c_str(),
-                C.getString("workload").c_str(),
-                C.getString("algorithm").c_str());
-    std::printf("  %6s %12s %14s %12s %12s\n", "site", "loads",
-                "stall_cycles", "l1_misses", "dtlb_misses");
-    for (const JsonValue &S : C.get("top_sites").array())
-      std::printf("  %6llu %12llu %14llu %12llu %12llu\n",
-                  static_cast<unsigned long long>(S.getU64("site")),
-                  static_cast<unsigned long long>(S.getU64("loads")),
-                  static_cast<unsigned long long>(S.getU64("stall_cycles")),
-                  static_cast<unsigned long long>(S.getU64("l1_misses")),
-                  static_cast<unsigned long long>(S.getU64("dtlb_misses")));
+    std::string Id = cellId(C);
+    if (NonEmpty(C, "top_sites")) {
+      std::printf("\ntop stall sites: %s\n", Id.c_str());
+      std::printf("  %6s %12s %14s %12s %12s\n", "site", "loads",
+                  "stall_cycles", "l1_misses", "dtlb_misses");
+      for (const JsonValue &S : C.get("top_sites").array())
+        std::printf("  %6llu %12llu %14llu %12llu %12llu\n",
+                    static_cast<unsigned long long>(S.getU64("site")),
+                    static_cast<unsigned long long>(S.getU64("loads")),
+                    static_cast<unsigned long long>(S.getU64("stall_cycles")),
+                    static_cast<unsigned long long>(S.getU64("l1_misses")),
+                    static_cast<unsigned long long>(S.getU64("dtlb_misses")));
+    }
+    if (NonEmpty(C, "decisions")) {
+      const std::vector<JsonValue> &Ds = C.get("decisions").array();
+      std::printf("\ndecisions: %s (%zu)\n", Id.c_str(), Ds.size());
+      for (const JsonValue &D : Ds)
+        std::printf("  %s\n", formatDecision(D).c_str());
+    }
   }
   return 0;
 }
@@ -190,7 +226,7 @@ int main(int Argc, char **Argv) {
   Args.erase(Args.begin());
   if (Cmd == "show")
     return cmdShow(Args);
-  if (Cmd == "validate" || Cmd == "--validate")
+  if (Cmd == "validate")
     return cmdValidate(Args);
   return usage();
 }
